@@ -197,9 +197,13 @@ def _refine_by_decay(edges: np.ndarray, log_env, max_drop: float = 3.0) -> np.nd
 
 
 def _radial_point(
-    sym: DiffusionSymbol, t: float, r: float, qp: QuadParams
+    sym: DiffusionSymbol, t: float, r: float, qp: QuadParams, P: float
 ) -> tuple[float, float]:
-    """One value of the inverse-transform integral for radius r >= 0."""
+    """One value of the inverse-transform integral for radius r >= 0.
+
+    ``P`` is the frequency cutoff ``_cutoff(sym, t, qp.cutoff_tol)``, which
+    does not depend on r.
+    """
     dim = sym.dim
     envelope_log = lambda p: t * sym.radial(p)
 
@@ -218,8 +222,6 @@ def _radial_point(
 
     def integrand(p):
         return np.exp(envelope_log(p)) * weight(p) * osc(p)
-
-    P = _cutoff(sym, t, qp.cutoff_tol)
 
     if r == 0.0 or P * r / math.pi < 1.5:
         # no sign change before the cutoff: graded + decay-refined smooth panels
@@ -425,8 +427,9 @@ def green_density(
     )
     vals = np.empty_like(r)
     worst = 0.0
+    P = _cutoff(sym, t, qp.cutoff_tol)
     for i, ri in enumerate(r):
-        vals[i], est = _radial_point(sym, t, float(ri), qp)
+        vals[i], est = _radial_point(sym, t, float(ri), qp, P)
         worst = max(worst, est)
         if est > qp.tol:
             raise QuadratureError(

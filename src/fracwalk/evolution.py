@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import signal
+from scipy.fft import next_fast_len
 
 from .kernel import LatticeKernel
 
@@ -24,8 +25,17 @@ from .kernel import LatticeKernel
 # mass is tracked in ``mass_deficit`` rather than silently renormalized.
 DEFAULT_MAX_RADIUS = 4096
 
-# Above this work estimate (output size x kernel size) convolution switches
-# from direct summation to the FFT path; both agree to ~1e-15.
+# Largest working set one FFT convolution may claim.  A request over it
+# raises ValueError with the estimate instead of exhausting memory.
+MEMORY_BUDGET_BYTES = 2 * 2**30
+
+# Peak bytes per site of the padded FFT grid during one product (half
+# spectra, transform temporaries and output), measured with tracemalloc.
+_FFT_BYTES_PER_SITE = 24
+
+# Above this work estimate (product of the input sizes; summed over the steps
+# in ``evolve``) convolution switches from direct summation to the FFT path;
+# both agree to ~1e-15.
 _DIRECT_WORK_LIMIT = 20_000_000
 
 
@@ -114,12 +124,54 @@ def kernel_distribution(kernel: LatticeKernel) -> LatticeDistribution:
     return LatticeDistribution(dim=kernel.dim, h=kernel.h, mass=m, tau=kernel.tau)
 
 
+def _fft_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(next_fast_len(n, real=True) for n in shape)
+
+
+def _fft_bytes(shape: tuple[int, ...]) -> int:
+    return _FFT_BYTES_PER_SITE * math.prod(_fft_shape(shape))
+
+
+def _check_budget(shape: tuple[int, ...]) -> None:
+    """Raise ValueError, before allocating, if an FFT product on ``shape`` won't fit."""
+    need = _fft_bytes(shape)
+    if need > MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"an FFT convolution on a {'x'.join(map(str, shape))} grid needs about "
+            f"{need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
+            "memory budget; reduce the steps, the truncation radius or max_radius"
+        )
+
+
+def _fft_convolve(
+    a: np.ndarray, b: np.ndarray, shape: tuple[int, ...], power: int = 1
+) -> np.ndarray:
+    """a convolved with ``power`` copies of b, from one FFT product on ``shape``.
+
+    ``shape`` must hold the whole linear support, so nothing wraps around.
+    """
+    _check_budget(shape)
+    fshape = _fft_shape(shape)
+    axes = tuple(range(len(shape)))
+    spec = np.fft.rfftn(b, fshape, axes)
+    spec **= power
+    spec *= np.fft.rfftn(a, fshape, axes)
+    out = np.fft.irfftn(spec, fshape, axes)[tuple(slice(0, n) for n in shape)]
+    return np.maximum(out, 0.0, out=out)  # FFT rounding may produce -1e-17 entries
+
+
 def _convolve_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    work = a.size * b.size
-    if work <= _DIRECT_WORK_LIMIT:
-        return signal.convolve(a, b, mode="full", method="direct")
-    out = signal.fftconvolve(a, b, mode="full")
-    return np.maximum(out, 0.0)  # FFT rounding may produce -1e-17 entries
+    shape = tuple(np.add(a.shape, b.shape) - 1)
+    if a.size * b.size > _DIRECT_WORK_LIMIT:
+        return _fft_convolve(a, b, shape)
+    if a.ndim == 1:
+        return np.convolve(a, b)
+    if np.count_nonzero(a) < np.count_nonzero(b):
+        a, b = b, a
+    out = np.zeros(shape)
+    for offset in np.argwhere(b):
+        out[tuple(slice(o, o + n) for o, n in zip(offset, a.shape))] += b[tuple(offset)] * a
+    return out
 
 
 def _clip(mass: np.ndarray, dim: int, max_radius: int) -> tuple[np.ndarray, float]:
@@ -139,19 +191,44 @@ def convolve(
     """Discrete convolution (p * q)_j = sum_k p_k q_{j-k}.
 
     The support radius of the result is the sum of the input radii, clipped
-    at ``max_radius`` with the lost mass added to the deficit.
+    at ``max_radius``.  The deficit of the result is the mass the product of
+    the unclipped laws would carry outside its stored support: the inputs'
+    deficits combined multiplicatively plus the mass clipped here.
     """
     if p.dim != q.dim or p.h != q.h:
         raise ValueError("convolution requires matching dim and mesh width")
     mass = _convolve_arrays(p.mass, q.mass)
     mass, lost = _clip(mass, p.dim, max_radius)
+    dp, dq = p.mass_deficit, q.mass_deficit
     return LatticeDistribution(
         dim=p.dim,
         h=p.h,
         mass=mass,
         tau=p.tau if p.tau is not None else q.tau,
         time_index=p.time_index + q.time_index,
-        mass_deficit=p.mass_deficit + q.mass_deficit + lost,
+        mass_deficit=dp * q.total_mass() + p.total_mass() * dq + dp * dq + lost,
+    )
+
+
+def _check_pair(dist: LatticeDistribution, kernel: LatticeKernel) -> None:
+    if dist.dim != kernel.dim or dist.h != kernel.h:
+        raise ValueError("distribution and kernel must share dim and mesh width")
+
+
+def _advance(
+    dist: LatticeDistribution,
+    kernel: LatticeKernel,
+    n_steps: int,
+    mass: np.ndarray,
+    lost: float,
+) -> LatticeDistribution:
+    return LatticeDistribution(
+        dim=dist.dim,
+        h=dist.h,
+        mass=mass,
+        tau=kernel.tau,
+        time_index=dist.time_index + n_steps,
+        mass_deficit=dist.mass_deficit + lost,
     )
 
 
@@ -161,23 +238,50 @@ def step(
     max_radius: int = DEFAULT_MAX_RADIUS,
 ) -> LatticeDistribution:
     """One master-equation step: convolve the law with the jump kernel."""
-    if dist.dim != kernel.dim or dist.h != kernel.h:
-        raise ValueError("distribution and kernel must share dim and mesh width")
+    _check_pair(dist, kernel)
     if kernel.tau == 0.0 or kernel.sigma == 0.0:
-        return LatticeDistribution(
-            dim=dist.dim, h=dist.h, mass=dist.mass, tau=kernel.tau,
-            time_index=dist.time_index + 1, mass_deficit=dist.mass_deficit,
-        )
+        return _advance(dist, kernel, 1, dist.mass, 0.0)
     mass = _convolve_arrays(dist.mass, kernel_distribution(kernel).mass)
-    mass, lost = _clip(mass, dist.dim, max_radius)
-    return LatticeDistribution(
-        dim=dist.dim,
-        h=dist.h,
-        mass=mass,
-        tau=kernel.tau,
-        time_index=dist.time_index + 1,
-        mass_deficit=dist.mass_deficit + lost,
-    )
+    return _advance(dist, kernel, 1, *_clip(mass, dist.dim, max_radius))
+
+
+def _direct_work(R: int, K: int, dim: int, n_steps: int, max_radius: int) -> int:
+    """Summed direct-convolution work of ``n_steps`` steps, capped past the limit."""
+    work = 0
+    for _ in range(n_steps):
+        work += ((2 * R + 1) * (2 * K + 1)) ** dim
+        if work > _DIRECT_WORK_LIMIT:
+            break
+        R = min(R + K, max_radius)
+    return work
+
+
+def _evolve_by_squaring(
+    dist: LatticeDistribution,
+    kernel: LatticeKernel,
+    n_steps: int,
+    max_radius: int,
+) -> LatticeDistribution:
+    """Binary powering of the kernel with every product clipped at max_radius."""
+    R, K, dim = dist.support_radius, kernel.trunc_radius, dist.dim
+    n = n_steps
+    while n:  # check the whole schedule before allocating anything
+        if n & 1:
+            _check_budget((2 * (R + K) + 1,) * dim)
+            R = min(R + K, max_radius)
+        n >>= 1
+        if n:
+            _check_budget((4 * K + 1,) * dim)
+            K = min(2 * K, max_radius)
+    base = replace(kernel_distribution(kernel), time_index=1)
+    n = n_steps
+    while True:
+        if n & 1:
+            dist = convolve(dist, base, max_radius)
+        n >>= 1
+        if not n:
+            return dist
+        base = convolve(base, base, max_radius)
 
 
 def evolve(
@@ -186,10 +290,32 @@ def evolve(
     n_steps: int,
     max_radius: int = DEFAULT_MAX_RADIUS,
 ) -> LatticeDistribution:
-    """Apply ``n_steps`` master-equation steps."""
-    for _ in range(n_steps):
-        dist = step(dist, kernel, max_radius)
-    return dist
+    """Apply ``n_steps`` master-equation steps.
+
+    The n-step law is ``dist`` convolved with the n-th convolution power of
+    the kernel.  Small cases step through direct convolution.  Otherwise one
+    FFT product ``dist_hat * kernel_hat**n`` on the exact support (side
+    2(R + nK) + 1 per axis) gives the law exactly up to FFT rounding; it is
+    clipped once at ``max_radius``, so the deficit gained is exactly the mass
+    outside the box.  If that grid exceeds ``MEMORY_BUDGET_BYTES``, the
+    kernel is raised to the n-th power by repeated squaring with every
+    product clipped (about 2 log2 n FFT products), and the deficit counts all
+    mass clipped on the way.  If even one such product exceeds the budget,
+    ValueError names the estimate before anything is allocated.
+    """
+    _check_pair(dist, kernel)
+    R, K, dim = dist.support_radius, kernel.trunc_radius, dist.dim
+    if _direct_work(R, K, dim, n_steps, max_radius) <= _DIRECT_WORK_LIMIT:
+        for _ in range(n_steps):
+            dist = step(dist, kernel, max_radius)
+        return dist
+    if kernel.tau == 0.0 or kernel.sigma == 0.0:
+        return _advance(dist, kernel, n_steps, dist.mass, 0.0)
+    shape = (2 * (R + n_steps * K) + 1,) * dim
+    if _fft_bytes(shape) > MEMORY_BUDGET_BYTES:
+        return _evolve_by_squaring(dist, kernel, n_steps, max_radius)
+    mass = _fft_convolve(dist.mass, kernel_distribution(kernel).mass, shape, n_steps)
+    return _advance(dist, kernel, n_steps, *_clip(mass, dim, max_radius))
 
 
 def characteristic_function(dist: LatticeDistribution, xi) -> np.ndarray:

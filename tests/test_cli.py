@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -366,3 +369,13 @@ def test_density_selfcheck_passes_on_default_grid_heavy_tails(runner, tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert "selfcheck passed" in res.output
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal alone costs about 0.6 s of import and no command needs it
+    code = "import sys, fracwalk.cli; print([m for m in sys.modules if m.startswith('scipy.signal')])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

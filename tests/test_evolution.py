@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from fracwalk import (
     build_kernel,
     characteristic_function,
     convolve,
+    evolution,
     evolve,
     kernel_distribution,
+    stability_sigma,
     step,
 )
-from fracwalk.evolution import _convolve_arrays
+from fracwalk.evolution import DEFAULT_MAX_RADIUS, _convolve_arrays
 
 KERNEL = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=16)
 
@@ -155,3 +158,70 @@ def test_csv_and_json_round_trip(tmp_path):
     doc = json.loads(json_path.read_text())
     assert doc["dim"] == 1 and doc["h"] == 0.1 and doc["time_index"] == 1
     assert sum(doc["mass"]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _master_eq_kernel():
+    m = OrderMeasure.single(1.5)
+    return build_kernel(m, 2, 0.2, 0.5 * stability_sigma(m, 2, 0.2, 0.0).tau_max, 16)
+
+
+def test_fft_power_matches_step_loop():
+    k = _master_eq_kernel()
+    n = 27
+    assert evolution._direct_work(0, 16, 2, n, DEFAULT_MAX_RADIUS) > evolution._DIRECT_WORK_LIMIT
+    d = evolve(LatticeDistribution.delta(2, 0.2), k, n)
+    ref = LatticeDistribution.delta(2, 0.2)
+    for _ in range(n):
+        ref = step(ref, k)
+    assert d.time_index == n and d.tau == k.tau
+    assert d.support_radius == ref.support_radius == n * 16
+    np.testing.assert_allclose(d.mass, ref.mass, rtol=0, atol=1e-15)
+    assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, abs=1e-12)
+    rho = np.array([0.5, 2.0, 5.0])
+    xi = np.vstack([np.column_stack([rho, 0 * rho]), np.column_stack([rho, rho]) / np.sqrt(2)])
+    np.testing.assert_allclose(characteristic_function(d, xi), k.cf(xi) ** n, rtol=0, atol=1e-10)
+
+
+def test_fft_power_clips_once_and_counts_mass_outside_box():
+    n, box = 256, 2048
+    assert evolution._direct_work(0, 16, 1, n, box) > evolution._DIRECT_WORK_LIMIT
+    full = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=n * 16)
+    d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
+    assert full.support_radius == n * 16 and full.mass_deficit == 0.0
+    assert d.support_radius == box
+    inside = full.mass[n * 16 - box : n * 16 + box + 1]
+    np.testing.assert_array_equal(d.mass, inside)
+    assert d.mass_deficit == pytest.approx(full.total_mass() - inside.sum(), abs=1e-15)
+    assert d.mass_deficit > 0.0
+
+
+def test_squaring_fallback_keeps_deficit_accounting(monkeypatch):
+    n, box = 600, 1000
+    exact = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
+    # too small for the exact grid (19201 sites), large enough for every
+    # clipped product (at most 4001 sites)
+    monkeypatch.setattr(evolution, "MEMORY_BUDGET_BYTES", 200_000)
+    calls = []
+    squaring = evolution._evolve_by_squaring
+    monkeypatch.setattr(
+        evolution, "_evolve_by_squaring", lambda *a: calls.append(a) or squaring(*a)
+    )
+    d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
+    assert len(calls) == 1
+    assert d.time_index == n and d.tau == KERNEL.tau and d.support_radius == box
+    assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, abs=1e-12)
+    # clipping intermediate powers only removes mass from the exact law
+    assert np.all(d.mass <= exact.mass + 1e-15)
+    assert d.mass_deficit >= exact.mass_deficit - 1e-12
+
+
+def test_over_budget_request_raises_before_allocating():
+    k = build_kernel(OrderMeasure.single(1.5), 3, 0.1, 1e-4, trunc_radius=64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="GiB"):
+            evolve(LatticeDistribution.delta(3, 0.1), k, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
