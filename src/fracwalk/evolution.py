@@ -14,10 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
+from scipy import fft
 
 from .kernel import LatticeKernel
 
@@ -25,8 +25,9 @@ from .kernel import LatticeKernel
 # mass is tracked in ``mass_deficit`` rather than silently renormalized.
 DEFAULT_MAX_RADIUS = 4096
 
-# Largest working set one FFT convolution may claim.  A request over it
-# raises ValueError with the estimate instead of exhausting memory.
+# Largest working set one FFT convolution may claim.  ``evolve`` steps
+# instead of taking one FFT power when the full support would exceed it, and
+# raises ValueError with the estimate when even one step would.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 
 # Peak bytes per site of the padded FFT grid during one product (half
@@ -125,7 +126,7 @@ def kernel_distribution(kernel: LatticeKernel) -> LatticeDistribution:
 
 
 def _fft_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(next_fast_len(n, real=True) for n in shape)
+    return tuple(fft.next_fast_len(n, real=True) for n in shape)
 
 
 def _fft_bytes(shape: tuple[int, ...]) -> int:
@@ -149,15 +150,16 @@ def _fft_convolve(
     """a convolved with ``power`` copies of b, from one FFT product on ``shape``.
 
     ``shape`` must hold the whole linear support, so nothing wraps around.
+    The result carries FFT rounding noise (entries near -1e-17); ``_clip``
+    clamps it.
     """
     _check_budget(shape)
     fshape = _fft_shape(shape)
     axes = tuple(range(len(shape)))
-    spec = np.fft.rfftn(b, fshape, axes)
+    spec = fft.rfftn(b, fshape, axes)
     spec **= power
-    spec *= np.fft.rfftn(a, fshape, axes)
-    out = np.fft.irfftn(spec, fshape, axes)[tuple(slice(0, n) for n in shape)]
-    return np.maximum(out, 0.0, out=out)  # FFT rounding may produce -1e-17 entries
+    spec *= fft.rfftn(a, fshape, axes)
+    return fft.irfftn(spec, fshape, axes)[tuple(slice(0, n) for n in shape)]
 
 
 def _convolve_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,12 +177,18 @@ def _convolve_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _clip(mass: np.ndarray, dim: int, max_radius: int) -> tuple[np.ndarray, float]:
+    """The box of radius ``max_radius`` with rounding noise clamped at 0, and the mass lost.
+
+    The mass lost is the total of ``mass`` minus the mass kept, so kept plus
+    lost equals the product's total by construction.  Clamping FFT noise
+    adds mass, so when nothing is clipped the loss can be slightly negative.
+    """
     R = mass.shape[0] // 2
-    if R <= max_radius:
+    if R <= max_radius and mass.min() >= 0.0:
         return mass, 0.0
-    lo, hi = R - max_radius, R + max_radius + 1
-    clipped = mass[(slice(lo, hi),) * dim]
-    return clipped, float(mass.sum() - clipped.sum())
+    r = min(R, max_radius)
+    kept = np.maximum(mass[(slice(R - r, R + r + 1),) * dim], 0.0)
+    return kept, float(mass.sum() - kept.sum())
 
 
 def convolve(
@@ -191,22 +199,19 @@ def convolve(
     """Discrete convolution (p * q)_j = sum_k p_k q_{j-k}.
 
     The support radius of the result is the sum of the input radii, clipped
-    at ``max_radius``.  The deficit of the result is the mass the product of
-    the unclipped laws would carry outside its stored support: the inputs'
-    deficits combined multiplicatively plus the mass clipped here.
+    at ``max_radius`` with the lost mass added to the deficit.
     """
     if p.dim != q.dim or p.h != q.h:
         raise ValueError("convolution requires matching dim and mesh width")
     mass = _convolve_arrays(p.mass, q.mass)
     mass, lost = _clip(mass, p.dim, max_radius)
-    dp, dq = p.mass_deficit, q.mass_deficit
     return LatticeDistribution(
         dim=p.dim,
         h=p.h,
         mass=mass,
         tau=p.tau if p.tau is not None else q.tau,
         time_index=p.time_index + q.time_index,
-        mass_deficit=dp * q.total_mass() + p.total_mass() * dq + dp * dq + lost,
+        mass_deficit=p.mass_deficit + q.mass_deficit + lost,
     )
 
 
@@ -256,34 +261,6 @@ def _direct_work(R: int, K: int, dim: int, n_steps: int, max_radius: int) -> int
     return work
 
 
-def _evolve_by_squaring(
-    dist: LatticeDistribution,
-    kernel: LatticeKernel,
-    n_steps: int,
-    max_radius: int,
-) -> LatticeDistribution:
-    """Binary powering of the kernel with every product clipped at max_radius."""
-    R, K, dim = dist.support_radius, kernel.trunc_radius, dist.dim
-    n = n_steps
-    while n:  # check the whole schedule before allocating anything
-        if n & 1:
-            _check_budget((2 * (R + K) + 1,) * dim)
-            R = min(R + K, max_radius)
-        n >>= 1
-        if n:
-            _check_budget((4 * K + 1,) * dim)
-            K = min(2 * K, max_radius)
-    base = replace(kernel_distribution(kernel), time_index=1)
-    n = n_steps
-    while True:
-        if n & 1:
-            dist = convolve(dist, base, max_radius)
-        n >>= 1
-        if not n:
-            return dist
-        base = convolve(base, base, max_radius)
-
-
 def evolve(
     dist: LatticeDistribution,
     kernel: LatticeKernel,
@@ -296,26 +273,27 @@ def evolve(
     the kernel.  Small cases step through direct convolution.  Otherwise one
     FFT product ``dist_hat * kernel_hat**n`` on the exact support (side
     2(R + nK) + 1 per axis) gives the law exactly up to FFT rounding; it is
-    clipped once at ``max_radius``, so the deficit gained is exactly the mass
-    outside the box.  If that grid exceeds ``MEMORY_BUDGET_BYTES``, the
-    kernel is raised to the n-th power by repeated squaring with every
-    product clipped (about 2 log2 n FFT products), and the deficit counts all
-    mass clipped on the way.  If even one such product exceeds the budget,
+    clipped once at ``max_radius``, so the deficit gained is the mass outside
+    the box (with FFT rounding noise clamped at 0, kept mass plus deficit
+    stays the exact total).  If that grid exceeds ``MEMORY_BUDGET_BYTES``,
+    the law steps one kernel convolution at a time, each product clipped at
+    ``max_radius``; if even the largest step product exceeds the budget,
     ValueError names the estimate before anything is allocated.
     """
     _check_pair(dist, kernel)
     R, K, dim = dist.support_radius, kernel.trunc_radius, dist.dim
-    if _direct_work(R, K, dim, n_steps, max_radius) <= _DIRECT_WORK_LIMIT:
-        for _ in range(n_steps):
-            dist = step(dist, kernel, max_radius)
-        return dist
-    if kernel.tau == 0.0 or kernel.sigma == 0.0:
-        return _advance(dist, kernel, n_steps, dist.mass, 0.0)
-    shape = (2 * (R + n_steps * K) + 1,) * dim
-    if _fft_bytes(shape) > MEMORY_BUDGET_BYTES:
-        return _evolve_by_squaring(dist, kernel, n_steps, max_radius)
-    mass = _fft_convolve(dist.mass, kernel_distribution(kernel).mass, shape, n_steps)
-    return _advance(dist, kernel, n_steps, *_clip(mass, dim, max_radius))
+    if _direct_work(R, K, dim, n_steps, max_radius) > _DIRECT_WORK_LIMIT:
+        if kernel.tau == 0.0 or kernel.sigma == 0.0:
+            return _advance(dist, kernel, n_steps, dist.mass, 0.0)
+        shape = (2 * (R + n_steps * K) + 1,) * dim
+        if _fft_bytes(shape) <= MEMORY_BUDGET_BYTES:
+            mass = _fft_convolve(dist.mass, kernel_distribution(kernel).mass, shape, n_steps)
+            return _advance(dist, kernel, n_steps, *_clip(mass, dim, max_radius))
+        # the step products grow up to this grid: fail before the first one
+        _check_budget((2 * (max(R, min(R + n_steps * K, max_radius)) + K) + 1,) * dim)
+    for _ in range(n_steps):
+        dist = step(dist, kernel, max_radius)
+    return dist
 
 
 def characteristic_function(dist: LatticeDistribution, xi) -> np.ndarray:
