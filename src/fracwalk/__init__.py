@@ -54,7 +54,7 @@ from .diagnostics import (
 )
 from .quadrature import QuadratureError
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "OrderMeasure",

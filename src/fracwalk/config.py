@@ -167,12 +167,13 @@ class RunConfig:
             if len(hl) < 1 or any(b >= a for a, b in zip(hl, hl[1:])):
                 raise ConfigError("h_list must be non-empty and strictly decreasing")
             r["h_list"] = hl
+        for key in ("walkers", "threads", "seed"):
+            if isinstance(r[key], bool) or not isinstance(r[key], (int, np.integer)):
+                raise ConfigError(f"{key} must be an integer, got {r[key]!r}")
         if r["walkers"] < 1:
             raise ConfigError("walkers must be >= 1")
-        if r["seed"] is not None:
-            seed = int(r["seed"])
-            if not 0 <= seed < 2**64:
-                raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        if not 0 <= r["seed"] < 2**64:
+            raise ConfigError("seed must fit in an unsigned 64-bit integer")
         if r["threads"] < 1:
             raise ConfigError("threads must be >= 1")
 

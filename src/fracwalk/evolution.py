@@ -34,6 +34,9 @@ MEMORY_BUDGET_BYTES = 2 * 2**30
 # spectra, transform temporaries and output), measured with tracemalloc.
 _FFT_BYTES_PER_SITE = 24
 
+# (site, frequency) phases ``characteristic_function`` evaluates per block.
+_CF_BLOCK_ENTRIES = 1 << 18
+
 # Above this work estimate (product of the input sizes; summed over the steps
 # in ``evolve``) convolution switches from direct summation to the FFT path;
 # both agree to ~1e-15.
@@ -300,11 +303,20 @@ def characteristic_function(dist: LatticeDistribution, xi) -> np.ndarray:
     """CF of the rescaled law: sum_j y_j exp(i h j.xi), evaluated per grid point.
 
     With the mesh factor h this is the n-step analogue of p-hat(-h xi), the
-    quantity whose limit is the Green-function CF.
+    quantity whose limit is the Green-function CF.  The sum runs over blocks
+    of sites, so at most ``_CF_BLOCK_ENTRIES`` phases are live at once.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if dist.dim == 1 and xi.ndim == 1:
         xi = xi[:, None]
-    sites, masses = dist.nonzero_sites()
-    phases = sites.astype(float) @ (dist.h * xi.T)
-    return (masses[:, None] * np.exp(1j * phases)).sum(axis=0)
+    scaled = dist.h * xi.T
+    flat = dist.mass.reshape(-1)
+    rows = max(1, _CF_BLOCK_ENTRIES // len(xi))
+    cf = np.zeros(len(xi), dtype=complex)
+    for start in range(0, flat.size, rows):
+        block = flat[start : start + rows]
+        held = np.flatnonzero(block)
+        sites = np.column_stack(np.unravel_index(start + held, dist.mass.shape))
+        phases = (sites - dist.support_radius) @ scaled
+        cf += block[held] @ np.exp(1j * phases)
+    return cf

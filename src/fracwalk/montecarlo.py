@@ -1,24 +1,27 @@
 """Monte Carlo sampling of lattice walks S_n = h(X_1 + ... + X_n).
 
-Sampling is exact with respect to the (truncated, renormalized) kernel: an
-alias table over the finitely many jump outcomes gives O(1) draws whose law
-is the kernel's, bit for bit.  Positions are accumulated in integer lattice
+Sampling is exact with respect to the (truncated, renormalized) kernel up to
+the 32-bit resolution of the draws: an alias table over the finitely many
+jump outcomes gives O(1) draws whose law is within total variation N * 2^-32
+of the kernel's (N outcomes).  Positions are accumulated in integer lattice
 coordinates and scaled by the mesh width only on output, so no float drift
 can move a walker off the lattice.
 
 Determinism contract
 --------------------
 Walker ``w`` of a run with seed ``s`` consumes a dedicated, fixed window of
-the counter-based Philox-4x64 stream keyed by ``s`` (two float64 draws per
-step, the window padded to a whole number of 128-bit counter blocks).  Philox
-comes from the Random123 family and passes the standard statistical
-batteries (TestU01 BigCrush); because the window depends only on (s, w), the
-resulting ensemble is identical for any chunking or thread count.
+the counter-based Philox-4x64 stream keyed by ``s``: one raw 64-bit word per
+step, the window padded to a whole number of 256-bit counter blocks (four
+words).  The high 32 bits of a word pick the alias slot by multiply-shift,
+the low 32 bits decide between the slot and its alias.  Philox comes from
+the Random123 family and passes the standard statistical batteries (TestU01
+BigCrush); because the window depends only on (s, w), the resulting ensemble
+is identical for any chunking or thread count.
 """
 
 from __future__ import annotations
 
-import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,7 +30,15 @@ from numpy.random import Generator, Philox
 
 from .kernel import LatticeKernel
 
-_CHUNK_WALKERS = 8192
+# Raw words drawn per walk chunk: small enough that its work arrays
+# stay in cache, large enough that per-chunk overhead does not matter.
+_CHUNK_WORDS = 1 << 16
+
+# Rows formatted per write in ``WalkEnsemble.to_csv``.
+_CSV_BLOCK_ROWS = 1 << 16
+
+_SHIFT32 = np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -36,14 +47,19 @@ class JumpSampler:
 
     ``displacements[i]`` is the integer jump of outcome i; a draw picks slot
     i uniformly and takes it with probability ``accept[i]``, otherwise takes
-    ``alias[i]``.
+    ``alias[i]``.  ``threshold`` is ``accept`` on the 32-bit scale the draws
+    use; the per-axis columns let walks add up displacements without
+    gathering whole outcome rows.
     """
 
     kernel: LatticeKernel
     displacements: np.ndarray  # (n_outcomes, dim) int64
     weights: np.ndarray        # (n_outcomes,) the exact outcome probabilities
     accept: np.ndarray         # (n_outcomes,) float64 in [0, 1]
-    alias: np.ndarray          # (n_outcomes,) int64
+    alias: np.ndarray          # (n_outcomes,) int64; alias[i] == i where accept[i] == 1
+    threshold: np.ndarray      # (n_outcomes,) uint32, round(accept * 2^32) capped at 2^32 - 1
+    alias_columns: np.ndarray  # (dim, n_outcomes) int64, displacements[alias].T
+    keep_columns: np.ndarray   # (dim, n_outcomes) int64, (displacements - displacements[alias]).T
 
     @property
     def n_outcomes(self) -> int:
@@ -58,37 +74,88 @@ class JumpSampler:
 
     def sample(self, rng: Generator, size: int) -> np.ndarray:
         """Draw ``size`` outcome indices (used for single-law statistics)."""
-        u = rng.random(size)
-        v = rng.random(size)
-        idx = (u * self.n_outcomes).astype(np.int64)
-        return np.where(v < self.accept[idx], idx, self.alias[idx])
+        slot, keep = _draw(self, rng.bit_generator.random_raw(size))
+        return np.where(keep, slot, self.alias[slot])
+
+
+def _draw(
+    sampler: JumpSampler, raw: np.ndarray, work: tuple | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alias slot and keep flag of each raw 64-bit word (any array shape).
+
+    The slot is ``(hi * N) >> 32`` with ``hi = raw >> 32`` (Lemire's
+    multiply-shift); the slot is kept iff ``raw & 0xFFFFFFFF`` is below its
+    threshold.  ``work`` optionally holds uint64, uint64, uint32 and bool
+    arrays shaped like ``raw`` that receive the results instead of new ones.
+    """
+    slot, low, threshold, keep = work or (None,) * 4
+    slot = np.right_shift(raw, _SHIFT32, out=slot)
+    slot *= np.uint64(sampler.n_outcomes)
+    slot >>= _SHIFT32
+    slot = slot.view(np.int64)  # every slot is below N < 2^32
+    low = np.bitwise_and(raw, _LOW32, out=low)
+    threshold = np.take(sampler.threshold, slot, out=threshold, mode="clip")
+    return slot, np.less(low, threshold, out=keep)
+
+
+def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(accept, alias) of Walker's alias method, built by one prefix-sum sweep.
+
+    Slots with scaled weight q = N w below 1 are light, the rest heavy.  Lay
+    the light deficits 1 - q end to end, and the heavy surpluses q - 1 beside
+    them: each light slot takes its alias from the heavy slot whose surplus
+    is current where its deficit starts, and a heavy slot that runs out
+    inside a deficit keeps 1 - overdraft and passes the overdraft to the next
+    heavy slot (Hübschle-Schneider & Sanders, ESA 2019).
+    """
+    n = len(weights)
+    q = weights * n
+    heavy = q >= 1.0
+    heavy[np.argmax(q)] = True  # rounding can leave every q just below 1
+    light_slots = np.flatnonzero(~heavy)
+    heavy_slots = np.flatnonzero(heavy)
+    accept = np.ones(n)
+    alias = np.arange(n, dtype=np.int64)
+    if len(light_slots) == 0:  # every slot exactly full
+        return accept, alias
+    deficit_end = np.cumsum(1.0 - q[light_slots])
+    surplus_end = np.cumsum(q[heavy_slots] - 1.0)
+    deficit_start = np.concatenate(([0.0], deficit_end[:-1]))
+    serving = np.searchsorted(surplus_end, deficit_start, side="right")
+    accept[light_slots] = q[light_slots]
+    alias[light_slots] = heavy_slots[np.minimum(serving, len(heavy_slots) - 1)]
+
+    # every heavy slot but the last runs out inside the deficit that starts
+    # before and ends at or after its surplus end, if there is one; the last
+    # keeps whatever rounding leaves
+    ends = surplus_end[:-1]
+    crossing = np.minimum(np.searchsorted(deficit_end, ends), len(deficit_end) - 1)
+    inside = (deficit_start[crossing] < ends) & (deficit_end[crossing] >= ends)
+    overdraft = np.zeros(len(ends))
+    overdraft[inside] = deficit_end[crossing[inside]] - ends[inside]
+    accept[heavy_slots[:-1]] = np.clip(1.0 - overdraft, 0.0, 1.0)
+    alias[heavy_slots[:-1]] = heavy_slots[1:]
+    full = accept == 1.0
+    alias[full] = np.flatnonzero(full)
+    return accept, alias
 
 
 def build_sampler(kernel: LatticeKernel) -> JumpSampler:
-    """Vose alias construction over origin + all retained sites."""
+    """Alias table over origin + all retained sites."""
     sites = kernel.shells.sites
     displacements = np.vstack([np.zeros((1, kernel.dim), dtype=np.int64), sites])
     weights = np.concatenate([[kernel.p0], kernel.site_probabilities])
-    n = len(weights)
+    if len(weights) >= 2**32:
+        raise ValueError("an alias table draws at most 2^32 - 1 outcomes")
+    accept, alias = _alias_table(weights)
+    threshold = np.minimum(np.round(accept * 2.0**32), 2.0**32 - 1).astype(np.uint32)
+    alias_columns = np.ascontiguousarray(displacements[alias].T)
+    keep_columns = np.ascontiguousarray(displacements.T) - alias_columns
 
-    scaled = weights * n
-    accept = np.ones(n)
-    alias = np.arange(n, dtype=np.int64)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    while small and large:
-        lo = small.pop()
-        hi = large.pop()
-        accept[lo] = scaled[lo]
-        alias[lo] = hi
-        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-        (small if scaled[hi] < 1.0 else large).append(hi)
-    for i in small + large:
-        accept[i] = 1.0
-
-    for arr in (displacements, weights, accept, alias):
+    fields = (displacements, weights, accept, alias, threshold, alias_columns, keep_columns)
+    for arr in fields:
         arr.setflags(write=False)
-    return JumpSampler(kernel, displacements, weights, accept, alias)
+    return JumpSampler(kernel, *fields)
 
 
 @dataclass(frozen=True)
@@ -109,11 +176,26 @@ class WalkEnsemble:
         return self.lattice_positions.astype(float) * self.h
 
     def to_csv(self, path) -> None:
+        """Header ``x1,...``, one row of ``repr`` floats per walker, CRLF ends.
+
+        ``repr`` runs once per distinct coordinate of each column, and rows
+        are written in fixed-size blocks; the bytes are those of
+        ``csv.writer`` fed ``repr(float(x))`` fields.
+        """
+        columns = []
+        for axis in range(self.dim):
+            values, inverse = np.unique(self.lattice_positions[:, axis], return_inverse=True)
+            text = np.array([repr(x) for x in (values * self.h).tolist()], dtype=object)
+            columns.append((text, inverse))
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([f"x{i+1}" for i in range(self.dim)])
-            for row in self.final_positions:
-                writer.writerow([repr(float(x)) for x in row])
+            f.write(",".join(f"x{i+1}" for i in range(self.dim)) + "\r\n")
+            for start in range(0, self.n_walkers, _CSV_BLOCK_ROWS):
+                fields = [
+                    text[inverse[start : start + _CSV_BLOCK_ROWS]].tolist()
+                    for text, inverse in columns
+                ]
+                rows = fields[0] if self.dim == 1 else map(",".join, zip(*fields))
+                f.write("\r\n".join(rows) + "\r\n")
 
     def summary_dict(self, quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95)) -> dict:
         x = self.final_positions
@@ -137,22 +219,36 @@ class WalkEnsemble:
 
 
 def _walker_words(n_steps: int) -> int:
-    # two float64 draws per step, padded to whole Philox blocks (4 words)
-    return 4 * ((2 * n_steps + 3) // 4)
+    # one raw word per step, padded to whole Philox blocks (4 words)
+    return 4 * ((n_steps + 3) // 4)
 
 
-def _run_chunk(
-    sampler: JumpSampler, seed: int, first: int, count: int, n_steps: int,
-    out: np.ndarray,
+def _run_chunks(
+    sampler: JumpSampler, seed: int, n_steps: int, chunks: list, out: np.ndarray,
 ) -> None:
+    """Walk ``(first, count)`` chunks of walkers, reusing one set of arrays.
+
+    Fresh temporaries per chunk would go back to the operating system and be
+    faulted in again on every chunk, which doubles the walk time.
+    """
     words = _walker_words(n_steps)
-    rng = Generator(Philox(key=np.uint64(seed)).advance(first * words // 4))
-    draws = rng.random((count, words))
-    u = draws[:, : 2 * n_steps : 2]
-    v = draws[:, 1 : 2 * n_steps : 2]
-    idx = (u * sampler.n_outcomes).astype(np.int64)
-    outcomes = np.where(v < sampler.accept[idx], idx, sampler.alias[idx])
-    out[first : first + count] = sampler.displacements[outcomes].sum(axis=1)
+    shape = (max(count for _, count in chunks), n_steps)
+    work = [np.empty(shape, t) for t in (np.uint64, np.uint64, np.uint32, bool)]
+    gathered = np.empty(shape, np.int64)
+    for first, count in chunks:
+        raw = Philox(key=np.uint64(seed)).advance(first * words // 4).random_raw(count * words)
+        slot, keep = _draw(
+            sampler, raw.reshape(count, words)[:, :n_steps], tuple(w[:count] for w in work)
+        )
+        part = gathered[:count]
+        for axis in range(sampler.kernel.dim):
+            # alias displacement, plus the difference where the slot is kept:
+            # branch-free, unlike np.where on a random mask
+            np.take(sampler.keep_columns[axis], slot, out=part, mode="clip")
+            part *= keep
+            total = part.sum(axis=1)
+            np.take(sampler.alias_columns[axis], slot, out=part, mode="clip")
+            out[first : first + count, axis] = total + part.sum(axis=1)
 
 
 def run_walks(
@@ -172,19 +268,19 @@ def run_walks(
     if n_steps > 0 and kernel.sigma > 0.0:
         # cap per-chunk buffers; chunk boundaries never affect results because
         # each walker owns a fixed stream window
-        chunk = int(min(_CHUNK_WALKERS, max(1, 4_000_000 // _walker_words(n_steps))))
+        chunk = max(1, _CHUNK_WORDS // _walker_words(n_steps))
         chunks = [
             (start, min(chunk, n_walkers - start))
             for start in range(0, n_walkers, chunk)
         ]
-        if threads <= 1 or len(chunks) == 1:
-            for start, count in chunks:
-                _run_chunk(sampler, seed, start, count, n_steps, positions)
+        workers = min(threads, len(chunks), os.cpu_count() or 1)
+        if workers <= 1:
+            _run_chunks(sampler, seed, n_steps, chunks, positions)
         else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    pool.submit(_run_chunk, sampler, seed, start, count, n_steps, positions)
-                    for start, count in chunks
+                    pool.submit(_run_chunks, sampler, seed, n_steps, chunks[w::workers], positions)
+                    for w in range(workers)
                 ]
                 for fut in futures:
                     fut.result()

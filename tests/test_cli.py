@@ -111,6 +111,16 @@ class TestSimulateCommand:
         assert r1.exit_code == r2.exit_code == 0
         assert (tmp_path / "x/ensemble.csv").read_bytes() != (tmp_path / "y/ensemble.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "key, value", [("walkers", 1.5), ("walkers", "abc"), ("threads", 2.5), ("seed", True)]
+    )
+    def test_non_integer_counts_exit_2(self, runner, tmp_path, key, value):
+        cfg = _write(tmp_path, "c.yaml", dict(BENCH, **{key: value}))
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert res.output == f"error: {key} must be an integer, got {value!r}\n"
+        assert not (tmp_path / "ensemble.csv").exists()
+
 
 class TestDensityCommand:
     def test_cauchy_peak_and_selfcheck(self, runner, tmp_path):

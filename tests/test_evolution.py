@@ -234,3 +234,35 @@ def test_over_budget_request_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def _dense_cf(dist, xi):
+    sites, masses = dist.nonzero_sites()
+    phases = sites.astype(float) @ (dist.h * xi.T)
+    return (masses[:, None] * np.exp(1j * phases)).sum(axis=0)
+
+
+def test_blocked_cf_matches_dense_sum():
+    k = _master_eq_kernel()
+    d = evolve(LatticeDistribution.delta(2, 0.2), k, 27)
+    rho = np.array([0.5, 2.0, 5.0])
+    xi = np.vstack([np.column_stack([rho, 0 * rho]), np.column_stack([rho, rho]) / np.sqrt(2)])
+    assert d.mass.size > evolution._CF_BLOCK_ENTRIES // len(xi)  # several blocks
+    np.testing.assert_allclose(characteristic_function(d, xi), _dense_cf(d, xi), rtol=0, atol=1e-12)
+
+
+def test_cf_memory_is_bounded_by_the_block():
+    # 251,001 sites x 64 frequencies: the dense phase and exponential
+    # matrices alone would take 24 B per entry, about 385 MB
+    rng = np.random.default_rng(3)
+    mass = rng.random((501, 501))
+    d = LatticeDistribution(dim=2, h=0.1, mass=mass / mass.sum())
+    xi = rng.normal(size=(64, 2))
+    tracemalloc.start()
+    try:
+        cf = characteristic_function(d, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    np.testing.assert_allclose(cf, _dense_cf(d, xi), rtol=0, atol=1e-12)

@@ -1,4 +1,8 @@
+import csv
+import io
 import math
+import os
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -14,8 +18,11 @@ from fracwalk import (
     evolve,
     histogram,
     run_walks,
+    stability_sigma,
 )
+from fracwalk import montecarlo
 from fracwalk.evolution import characteristic_function
+from fracwalk.montecarlo import WalkEnsemble
 
 BENCH = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=64)
 SAMPLER = build_sampler(BENCH)
@@ -202,3 +209,141 @@ class TestExports:
         assert "mean" in doc and "histogram" in doc and "quantiles_first_coordinate" in doc
         assert doc["n_walkers"] == 5_000
         assert json.loads(encoded)["seed"] == 2
+
+
+def _realized_law(sampler):
+    """Exact outcome law of the uint32 tables, as integers over 2^64.
+
+    Slot i is picked by ceil((i+1) 2^32 / N) - ceil(i 2^32 / N) of the 2^32
+    high halves, and kept by ``threshold[i]`` of the 2^32 low halves.
+    """
+    n = sampler.n_outcomes
+
+    def ceil_div(a, b):
+        return -(-a // b)
+
+    law = [0] * n
+    for i in range(n):
+        slot = ceil_div((i + 1) * 2**32, n) - ceil_div(i * 2**32, n)
+        kept = int(sampler.threshold[i])
+        law[i] += slot * kept
+        law[int(sampler.alias[i])] += slot * (2**32 - kept)
+    assert sum(law) == 2**64
+    return law
+
+
+def _study_2d_kernel():
+    # the finer mesh of the study_2d benchmark (K = 32 anchored at h = 0.2)
+    m = OrderMeasure(atoms=((0.7, 1.0), (1.4, 0.5)))
+    return build_kernel(m, 2, 0.1, 0.5 * stability_sigma(m, 2, 0.1, 0.0).tau_max, 128)
+
+
+class TestAliasTables:
+    def test_realized_law_within_total_variation_bound(self):
+        m = OrderMeasure.single(1.5)
+        for sampler in (SAMPLER, build_sampler(build_kernel(m, 2, 0.2, 0.01, trunc_radius=16))):
+            law = _realized_law(sampler)
+            n = sampler.n_outcomes
+            tv = 0.5 * sum(abs(c / 2**64 - w) for c, w in zip(law, sampler.weights.tolist()))
+            assert tv <= n * 2.0**-32
+
+    def test_sweep_table_on_the_study_2d_kernel(self):
+        sampler = build_sampler(_study_2d_kernel())
+        assert sampler.n_outcomes == 51_433
+        assert np.all((sampler.accept >= 0.0) & (sampler.accept <= 1.0))
+        full = np.flatnonzero(sampler.accept == 1.0)
+        np.testing.assert_array_equal(sampler.alias[full], full)
+        np.testing.assert_allclose(
+            sampler.induced_probabilities(), sampler.weights, rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("weights", [
+        np.full(8, 1 / 8),                        # every slot exactly full
+        np.array([0.25, 0.25, 0.125, 0.375]),     # full slots beside light and heavy
+        np.array([1.0, 0.0, 0.0, 0.0, 0.0]),      # a frozen kernel
+        np.full(10, np.nextafter(0.1, 0.0)),      # every N w rounds below 1
+        np.random.default_rng(5).dirichlet(np.full(300, 0.2)),
+    ])
+    def test_sweep_table_on_edge_cases(self, weights):
+        accept, alias = montecarlo._alias_table(weights)
+        n = len(weights)
+        assert np.all((accept >= 0.0) & (accept <= 1.0))
+        full = np.flatnonzero(accept == 1.0)
+        np.testing.assert_array_equal(alias[full], full)
+        induced = accept / n
+        np.add.at(induced, alias, (1.0 - accept) / n)
+        np.testing.assert_allclose(induced, weights, rtol=0, atol=1e-15)
+
+    def test_uint32_tables_match_the_float_table(self):
+        assert SAMPLER.threshold.dtype == np.uint32
+        np.testing.assert_allclose(SAMPLER.threshold / 2.0**32, SAMPLER.accept, atol=2.0**-32)
+        np.testing.assert_array_equal(
+            SAMPLER.alias_columns.T, SAMPLER.displacements[SAMPLER.alias]
+        )
+        np.testing.assert_array_equal(
+            SAMPLER.alias_columns.T + SAMPLER.keep_columns.T, SAMPLER.displacements
+        )
+
+    def test_walk_steps_are_sampler_draws_of_the_walker_window(self):
+        # walker w of an n-step walk uses words [w W, w W + n) of the seed's
+        # stream, W = 4 ceil(n / 4), drawn the same way as JumpSampler.sample
+        n, walkers, window = 5, 300, 8
+        ens = run_walks(SAMPLER, n, walkers, seed=19)
+        outcomes = SAMPLER.sample(Generator(Philox(key=19)), walkers * window)
+        steps = SAMPLER.displacements[outcomes.reshape(walkers, window)[:, :n]]
+        np.testing.assert_array_equal(ens.lattice_positions, steps.sum(axis=1))
+
+
+class TestThreadPool:
+    def test_pool_is_bounded_by_chunks_and_cores(self, monkeypatch):
+        sizes = []
+
+        class Recorder:
+            # runs every task at submission, so no thread is ever started
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
+        n_steps, walkers = 13, 50_000
+        chunks = -(-walkers // (montecarlo._CHUNK_WORDS // 16))
+        base = run_walks(SAMPLER, n_steps, walkers, seed=41, threads=1)
+        wide = run_walks(SAMPLER, n_steps, walkers, seed=41, threads=10_000)
+        expected = min(chunks, os.cpu_count() or 1)
+        assert sizes == ([expected] if expected > 1 else [])
+        np.testing.assert_array_equal(base.lattice_positions, wide.lattice_positions)
+
+
+def _csv_writer_bytes(ensemble):
+    """ensemble.csv as csv.writer writes it: repr floats, CRLF line ends."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow([f"x{i+1}" for i in range(ensemble.dim)])
+    for row in ensemble.final_positions:
+        writer.writerow([repr(float(x)) for x in row])
+    return buf.getvalue().encode()
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_bytes_match_csv_writer(self, dim, tmp_path):
+        rows = montecarlo._CSV_BLOCK_ROWS + 123
+        rng = np.random.default_rng(dim)
+        lattice = rng.integers(-5_000, 5_001, size=(rows, dim))
+        lattice[:, 0] = np.where(rng.random(rows) < 0.3, 0, lattice[:, 0])
+        lattice.setflags(write=False)
+        ens = WalkEnsemble(dim=dim, h=0.1, tau=0.01, n_steps=7, n_walkers=rows,
+                           seed=0, lattice_positions=lattice)
+        path = tmp_path / "ensemble.csv"
+        ens.to_csv(path)
+        assert path.read_bytes() == _csv_writer_bytes(ens)
