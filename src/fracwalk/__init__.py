@@ -13,7 +13,6 @@ from .kernel import (
     build_kernel,
     lattice_zeta,
     norming_constant,
-    q_coefficient,
     stability_sigma,
 )
 from .evolution import (
@@ -65,7 +64,6 @@ __all__ = [
     "build_kernel",
     "lattice_zeta",
     "norming_constant",
-    "q_coefficient",
     "stability_sigma",
     "LatticeDistribution",
     "characteristic_function",

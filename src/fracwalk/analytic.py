@@ -39,7 +39,6 @@ from .measure import OrderMeasure
 from .quadrature import (
     QuadratureError,
     aitken_limit,
-    extend_zeros,
     graded_edges,
     integrate_oscillatory,
     panel_integrals,
@@ -440,35 +439,6 @@ def green_density(
     return RadialDensity(
         dim=sym.dim, t=t, r=r, values=vals, measure=sym.measure, error_estimate=worst
     )
-
-
-def forward_cf(density: RadialDensity, xi, order: int = 8) -> np.ndarray:
-    """Forward radial transform of a tabulated density (CF at radial |xi|).
-
-    Integrates the interpolant over the tabulated range only; mass beyond the
-    grid edge bounds the absolute error.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    dim = density.dim
-    r_max = density.r[-1]
-    out = np.empty_like(xi)
-    for i, q in enumerate(xi):
-        if dim == 1:
-            f = lambda s: 2.0 * density.density(s) * np.cos(s * q)
-        elif dim == 2:
-            f = lambda s: 2.0 * math.pi * s * density.density(s) * special.j0(s * q)
-        else:
-            if q == 0.0:
-                f = lambda s: 4.0 * math.pi * s * s * density.density(s)
-            else:
-                f = lambda s: 4.0 * math.pi * s * density.density(s) * np.sin(s * q) / q
-        if q > 0.0:
-            zeros = extend_zeros(_osc_zeros(dim, 512) / q, math.pi / q, r_max)
-            edges = np.unique(np.concatenate([density.r, zeros, [0.0, r_max]]))
-        else:
-            edges = density.r
-        out[i] = float(np.sum(panel_integrals(f, edges, order)))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .analytic import (
     symbol_oracle,
 )
 from .config import ConfigError, DEFAULTS, RunConfig, defaults_yaml
-from .diagnostics import ks_distance, refinement_study
+from .diagnostics import is_cauchy, ks_distance, reference_cdf, refinement_study
 from .kernel import StabilityError, build_kernel, stability_sigma
 from .montecarlo import build_sampler, run_walks
 from .quadrature import QuadratureError
@@ -54,12 +54,6 @@ def _handle_errors(fn):
     return wrapper
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        raise ConfigError("this command requires --config <file>")
-    return RunConfig.from_file(path)
-
-
 def _out_dir(out: str | None, cfg: RunConfig | None = None) -> Path:
     if out is None and cfg is not None:
         out = cfg.raw.get("out")
@@ -73,11 +67,11 @@ def _write_json(path: Path, payload: dict) -> None:
         json.dump(payload, f, indent=2)
 
 
-def _resolve_kernel(cfg: RunConfig, h: float | None = None):
-    h = float(h if h is not None else cfg.h)
-    report = stability_sigma(cfg.measure, cfg.dim, h, 0.0, cfg.zeta_tol)
-    tau = cfg.tau_for(h, report.tau_max)
-    kernel = build_kernel(cfg.measure, cfg.dim, h, tau, cfg.trunc_radius, cfg.zeta_tol)
+def _resolve_kernel(cfg: RunConfig):
+    r = cfg.resolved
+    report = stability_sigma(cfg.measure, r["dim"], r["h"], 0.0)
+    tau = r["tau"] if r["tau"] is not None else r["theta"] * report.tau_max
+    kernel = build_kernel(cfg.measure, r["dim"], r["h"], tau, r["trunc_radius"])
     return kernel, report
 
 
@@ -93,7 +87,7 @@ def main() -> None:
 @_handle_errors
 def kernel(config_path: str, out: str | None) -> None:
     """Build the transition kernel and write it as JSON."""
-    cfg = _load_config(config_path)
+    cfg = RunConfig.from_file(config_path)
     k, report = _resolve_kernel(cfg)
     payload = k.to_json_dict()
     payload["tau_max"] = report.tau_max
@@ -117,17 +111,23 @@ def kernel(config_path: str, out: str | None) -> None:
 @_handle_errors
 def simulate(config_path: str, out: str | None, seed: int | None, threads: int | None) -> None:
     """Sample a walker ensemble; write positions CSV and a summary JSON."""
-    cfg = _load_config(config_path)
+    cfg = RunConfig.from_file(config_path)
+    r = cfg.resolved
+    reference = r["ks_reference"]
+    if reference == "auto":
+        reference = "cauchy" if is_cauchy(cfg.measure, r["dim"]) else "none"
+    elif reference == "cauchy" and not is_cauchy(cfg.measure, r["dim"]):
+        raise ConfigError("ks_reference cauchy needs one atom at alpha = 1 in dim 1")
     k, _ = _resolve_kernel(cfg)
-    if cfg.n_steps is not None:
-        n_steps = cfg.n_steps
+    if r["n_steps"] is not None:
+        n_steps = r["n_steps"]
     elif k.tau > 0.0:
-        n_steps = math.ceil(cfg.t / k.tau)
+        n_steps = math.ceil(r["t"] / k.tau)
     else:
         n_steps = 0  # frozen walk: no jumps regardless of step count
-    use_seed = int(seed if seed is not None else cfg.seed)
-    use_threads = int(threads if threads is not None else cfg.threads)
-    ensemble = run_walks(build_sampler(k), int(n_steps), int(cfg.walkers), use_seed, use_threads)
+    use_seed = seed if seed is not None else r["seed"]
+    use_threads = threads if threads is not None else r["threads"]
+    ensemble = run_walks(build_sampler(k), n_steps, r["walkers"], use_seed, use_threads)
 
     out_dir = _out_dir(out, cfg)
     csv_path = out_dir / "ensemble.csv"
@@ -135,30 +135,13 @@ def simulate(config_path: str, out: str | None, seed: int | None, threads: int |
     summary = ensemble.summary_dict()
     summary["tail_mass"] = k.tail_mass
 
-    reference = cfg.ks_reference
-    if reference == "auto":
-        single_cauchy = (
-            cfg.dim == 1
-            and len(cfg.measure.terms) == 1
-            and abs(cfg.measure.terms[0][0] - 1.0) < 1e-12
+    t_sim = ensemble.n_steps * ensemble.tau
+    if reference != "none" and t_sim > 0.0:
+        cdf, projection = reference_cdf(
+            cfg.measure, r["dim"], t_sim, QuadParams(tol=r["quad_tol"])
         )
-        reference = "cauchy" if single_cauchy else "none"
-    if reference == "cauchy" and ensemble.n_steps * ensemble.tau > 0.0:
-        scale = cfg.measure.terms[0][1] * ensemble.n_steps * ensemble.tau
-        cdf = lambda x: 0.5 + np.arctan(x / scale) / math.pi
-        summary["ks"] = ks_distance(ensemble, cdf)
-        summary["ks_reference"] = "cauchy"
-    elif reference == "analytic":
-        t_sim = ensemble.n_steps * ensemble.tau
-        dens = green_density(
-            DiffusionSymbol(cfg.measure, cfg.dim), t_sim,
-            quad_params=QuadParams(tol=cfg.quad_tol),
-        )
-        if cfg.dim == 1:
-            summary["ks"] = ks_distance(ensemble, dens.axis_cdf, "first")
-        else:
-            summary["ks"] = ks_distance(ensemble, dens.radial_cdf, "radial")
-        summary["ks_reference"] = "analytic"
+        summary["ks"] = ks_distance(ensemble, cdf, projection)
+        summary["ks_reference"] = reference
     summary.update(cfg.echo())
     _write_json(out_dir / "summary.json", summary)
     click.echo(
@@ -176,17 +159,18 @@ def simulate(config_path: str, out: str | None, seed: int | None, threads: int |
 @_handle_errors
 def density(config_path: str, out: str | None, selfcheck: bool) -> None:
     """Tabulate the analytic fundamental solution on a radial grid."""
-    cfg = _load_config(config_path)
-    if cfg.t is None or cfg.t <= 0.0:
+    cfg = RunConfig.from_file(config_path)
+    r = cfg.resolved
+    if r["t"] <= 0.0:
         raise ConfigError("density requires t > 0")
-    sym = DiffusionSymbol(cfg.measure, cfg.dim)
-    if cfg.r_max is not None:
+    sym = DiffusionSymbol(cfg.measure, r["dim"])
+    if r["r_max"] is not None:
         r_grid = np.concatenate(
-            [[0.0], np.geomspace(1e-4 * cfg.r_max, cfg.r_max, int(cfg.r_points) - 1)]
+            [[0.0], np.geomspace(1e-4 * r["r_max"], r["r_max"], r["r_points"] - 1)]
         )
     else:
-        r_grid = default_radial_grid(sym, cfg.t, int(cfg.r_points))
-    dens = green_density(sym, cfg.t, r_grid, QuadParams(tol=cfg.quad_tol))
+        r_grid = default_radial_grid(sym, r["t"], r["r_points"])
+    dens = green_density(sym, r["t"], r_grid, QuadParams(tol=r["quad_tol"]))
 
     out_dir = _out_dir(out, cfg)
     csv_path = out_dir / "density.csv"
@@ -197,7 +181,7 @@ def density(config_path: str, out: str | None, selfcheck: bool) -> None:
     payload["mass"] = mass
     _write_json(out_dir / "density.json", payload)
     click.echo(
-        f"density: dim={cfg.dim} t={cfg.t} grid [0, {r_grid[-1]:.6g}] x {len(r_grid)}\n"
+        f"density: dim={r['dim']} t={r['t']} grid [0, {r_grid[-1]:.6g}] x {len(r_grid)}\n"
         f"  G(t, 0)={dens.values[0]:.10g}  mass={mass:.8f}\n"
         f"  written to {csv_path} and density.json"
     )
@@ -216,22 +200,23 @@ def density(config_path: str, out: str | None, selfcheck: bool) -> None:
 @_handle_errors
 def study(config_path: str, out: str | None, seed: int | None, threads: int | None) -> None:
     """Refinement study: CF and KS convergence metrics along decreasing h."""
-    cfg = _load_config(config_path)
-    if not cfg.h_list:
+    cfg = RunConfig.from_file(config_path)
+    r = cfg.resolved
+    if r["h_list"] is None:
         raise ConfigError("study requires h_list (strictly decreasing)")
     report = refinement_study(
         cfg.measure,
-        cfg.dim,
-        cfg.t,
-        cfg.h_list,
-        int(cfg.walkers),
-        int(seed if seed is not None else cfg.seed),
-        theta=cfg.theta,
-        xi_max=cfg.xi_max,
-        xi_points=int(cfg.xi_points),
-        trunc_radius=cfg.trunc_radius,
-        threads=int(threads if threads is not None else cfg.threads),
-        quad_params=QuadParams(tol=cfg.quad_tol),
+        r["dim"],
+        r["t"],
+        r["h_list"],
+        r["walkers"],
+        seed if seed is not None else r["seed"],
+        theta=r["theta"],
+        xi_max=r["xi_max"],
+        xi_points=r["xi_points"],
+        trunc_radius=r["trunc_radius"],
+        threads=threads if threads is not None else r["threads"],
+        quad_params=QuadParams(tol=r["quad_tol"]),
     )
     out_dir = _out_dir(out, cfg)
     payload = report.to_json_dict()
@@ -253,7 +238,7 @@ def study(config_path: str, out: str | None, seed: int | None, threads: int | No
             "plot_cf_error.csv": {
                 "x": {"column": "h", "label": "mesh width h", "scale": "log"},
                 "y": {"column": "cf_sup_error",
-                      "label": f"sup |cf error| on |xi| <= {cfg.xi_max}", "scale": "log"},
+                      "label": f"sup |cf error| on |xi| <= {r['xi_max']}", "scale": "log"},
             },
             "plot_ks.csv": {
                 "x": {"column": "h", "label": "mesh width h", "scale": "log"},
@@ -262,10 +247,10 @@ def study(config_path: str, out: str | None, seed: int | None, threads: int | No
         },
     )
     click.echo("h        tau          n      cf_sup_error   ks_distance   tail_mass")
-    for r in report.rows:
+    for row in report.rows:
         click.echo(
-            f"{r.h:<8g} {r.tau:<12.6g} {r.n_steps:<6d} {r.cf_sup_error:<14.6g} "
-            f"{r.ks_distance:<13.6g} {r.tail_mass:.3e}"
+            f"{row.h:<8g} {row.tau:<12.6g} {row.n_steps:<6d} {row.cf_sup_error:<14.6g} "
+            f"{row.ks_distance:<13.6g} {row.tail_mass:.3e}"
         )
     click.echo(f"written to {out_dir}/study.json, study.csv, plot_*.csv")
 
@@ -277,23 +262,16 @@ def study(config_path: str, out: str | None, seed: int | None, threads: int | No
 @_handle_errors
 def oracle(config_path: str | None, out: str | None) -> None:
     """Verify the hypersingular symbol identity over a (alpha, dim, |xi|) matrix."""
-    if config_path is not None:
-        cfg = _load_config(config_path)
-        alphas, dims, xis = cfg.oracle_alphas, cfg.oracle_dims, cfg.oracle_xis
-        rtol = cfg.oracle_rtol
-    else:
-        alphas, dims, xis = (
-            DEFAULTS["oracle_alphas"], DEFAULTS["oracle_dims"], DEFAULTS["oracle_xis"],
-        )
-        rtol = DEFAULTS["oracle_rtol"]
+    r = RunConfig.from_file(config_path).resolved if config_path is not None else DEFAULTS
+    rtol = r["oracle_rtol"]
 
     rows, worst = [], 0.0
     click.echo("alpha   dim   |xi|   numeric            target             rel_error")
-    for a in alphas:
-        for n in dims:
-            for q in xis:
-                got = symbol_oracle(float(a), int(n), float(q))
-                want = -float(q) ** float(a)
+    for a in r["oracle_alphas"]:
+        for n in r["oracle_dims"]:
+            for q in r["oracle_xis"]:
+                got = symbol_oracle(a, n, q)
+                want = -q**a
                 rel = abs(got - want) / abs(want)
                 worst = max(worst, rel)
                 rows.append(

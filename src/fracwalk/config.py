@@ -15,31 +15,47 @@ import yaml
 
 from .measure import OrderMeasure, discretize_density
 
-DEFAULTS: dict = {
-    "dim": 1,
-    "t": 1.0,
-    "theta": 0.5,            # tau = theta * tau_max(h) when tau not given
-    "tau": None,
-    "h": 0.1,
-    "h_list": None,          # study: strictly decreasing meshes
-    "trunc_radius": None,    # default 64/32/16 for dim 1/2/3
-    "walkers": 100_000,
-    "n_steps": None,         # default ceil(t / tau)
-    "seed": 12345,
-    "threads": 1,
-    "xi_max": 10.0,
-    "xi_points": 101,
-    "r_max": None,           # default 50 * t^(1/alpha_min)
-    "r_points": 512,
-    "bin_width": None,       # default: one lattice site
-    "zeta_tol": 1e-12,
-    "quad_tol": 1e-7,
-    "ks_reference": "auto",  # auto | analytic | none
-    "oracle_alphas": [0.5, 1.0, 1.5],
-    "oracle_dims": [1, 2, 3],
-    "oracle_xis": [0.5, 1.0, 2.0],
-    "oracle_rtol": 1e-6,
+
+@dataclass(frozen=True)
+class Key:
+    """Type, bounds and default of one config key; None defaults are nullable.
+
+    ``kind`` is ``int``, ``float``, ``[int]``/``[float]`` (a non-empty list)
+    or a tuple of the admissible strings.  ``bounds`` is the interval, such
+    as ``"(0, 1]"``, that a number or each list item must lie in.
+    """
+
+    kind: object
+    default: object
+    bounds: str = ""
+    decreasing: bool = False   # list items strictly decreasing
+
+
+SCHEMA: dict[str, Key] = {
+    "dim": Key(int, 1, "[1, 3]"),
+    "t": Key(float, 1.0, "[0, inf)"),
+    "theta": Key(float, 0.5, "(0, 1]"),       # tau = theta * tau_max(h) when tau not given
+    "tau": Key(float, None, "[0, inf)"),
+    "h": Key(float, 0.1, "(0, inf)"),
+    "h_list": Key([float], None, "(0, inf)", decreasing=True),  # study meshes
+    "trunc_radius": Key(int, None, "[1, inf)"),  # default 64/32/16 for dim 1/2/3
+    "walkers": Key(int, 100_000, "[1, inf)"),
+    "n_steps": Key(int, None, "[0, inf)"),     # default ceil(t / tau)
+    "seed": Key(int, 12345, "[0, 18446744073709551616)"),
+    "threads": Key(int, 1, "[1, inf)"),
+    "xi_max": Key(float, 10.0, "(0, inf)"),
+    "xi_points": Key(int, 101, "[1, inf)"),
+    "r_max": Key(float, None, "(0, inf)"),     # default 50 * t^(1/alpha_min)
+    "r_points": Key(int, 512, "[2, inf)"),
+    "quad_tol": Key(float, 1e-7, "(0, inf)"),
+    "ks_reference": Key(("auto", "cauchy", "analytic", "none"), "auto"),
+    "oracle_alphas": Key([float], [0.5, 1.0, 1.5], "(0, 2)"),
+    "oracle_dims": Key([int], [1, 2, 3], "[1, 3]"),
+    "oracle_xis": Key([float], [0.5, 1.0, 2.0], "(0, inf)"),
+    "oracle_rtol": Key(float, 1e-6, "(0, inf)"),
 }
+
+DEFAULTS: dict = {name: key.default for name, key in SCHEMA.items()}
 
 # quadrature defaults for the measure's continuous part
 DENSITY_NODES = 32
@@ -114,32 +130,64 @@ def parse_measure(block: dict) -> OrderMeasure:
         raise ConfigError(str(exc)) from exc
 
 
+_MAX_FLOAT = float(np.finfo(float).max)
+
+
+def _scalar(name: str, kind: type, bounds: str, value):
+    """``value`` as an int or a finite float, per ``kind``, inside ``bounds``."""
+    if kind is int:
+        ok, what = isinstance(value, (int, np.integer)), "an integer"
+    else:  # the comparison also rejects nan and ints too large for a float
+        ok = isinstance(value, (int, float, np.integer, np.floating)) and abs(value) <= _MAX_FLOAT
+        what = "a finite number"
+    if isinstance(value, bool) or not ok:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    x = kind(value)
+    lo, hi = (float(b) for b in bounds[1:-1].split(","))
+    if not ((lo < x if bounds[0] == "(" else lo <= x) and (x < hi if bounds[-1] == ")" else x <= hi)):
+        raise ConfigError(f"{name} must lie in {bounds}, got {value!r}")
+    return x
+
+
+def _check(name: str, key: Key, value):
+    """Validated, normalized ``value`` of one key; raises ConfigError."""
+    if value is None and key.default is None:
+        return None
+    if isinstance(key.kind, tuple):
+        if isinstance(value, str) and value in key.kind:
+            return value
+        raise ConfigError(f"{name} must be one of {', '.join(key.kind)}, got {value!r}")
+    if not isinstance(key.kind, list):
+        return _scalar(name, key.kind, key.bounds, value)
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+    items = [_scalar(f"{name} entry", key.kind[0], key.bounds, v) for v in value]
+    if key.decreasing and any(b >= a for a, b in zip(items, items[1:])):
+        raise ConfigError(f"{name} must be strictly decreasing, got {value!r}")
+    return items
+
+
 @dataclass
 class RunConfig:
-    """Validated run parameters plus the raw mapping they came from."""
+    """Validated run parameters (every SCHEMA key) plus the raw mapping they came from."""
 
     measure: OrderMeasure
     raw: dict
     resolved: dict = field(default_factory=dict)
 
-    def __getattr__(self, name):
-        try:
-            return self.resolved[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-        unknown = set(data) - set(DEFAULTS) - {"measure", "out"}
+        unknown = set(data) - set(SCHEMA) - {"measure", "out"}
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
+        if not isinstance(data.get("out", ""), (str, type(None))):
+            raise ConfigError(f"out must be a directory path, got {data['out']!r}")
         measure = parse_measure(data.get("measure", {}))
-        resolved = {k: data.get(k, v) for k, v in DEFAULTS.items()}
-        cfg = cls(measure=measure, raw=data, resolved=resolved)
-        cfg._validate()
-        return cfg
+        resolved = {name: _check(name, key, data.get(name, key.default))
+                    for name, key in SCHEMA.items()}
+        return cls(measure=measure, raw=data, resolved=resolved)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -150,54 +198,9 @@ class RunConfig:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
         return cls.from_dict(data or {})
 
-    def _validate(self) -> None:
-        r = self.resolved
-        if not isinstance(r["dim"], int) or not 1 <= r["dim"] <= 3:
-            raise ConfigError("dim must be 1, 2 or 3")
-        if r["t"] is not None and r["t"] < 0:
-            raise ConfigError("t must be nonnegative")
-        if not 0.0 < r["theta"] <= 1.0:
-            raise ConfigError("theta must lie in (0, 1]")
-        if r["h"] is not None and r["h"] <= 0:
-            raise ConfigError("h must be positive")
-        if r["tau"] is not None and r["tau"] < 0:
-            raise ConfigError("tau must be nonnegative")
-        if r["h_list"] is not None:
-            hl = [float(x) for x in r["h_list"]]
-            if len(hl) < 1 or any(b >= a for a, b in zip(hl, hl[1:])):
-                raise ConfigError("h_list must be non-empty and strictly decreasing")
-            r["h_list"] = hl
-        for key in ("walkers", "threads", "seed"):
-            if isinstance(r[key], bool) or not isinstance(r[key], (int, np.integer)):
-                raise ConfigError(f"{key} must be an integer, got {r[key]!r}")
-        if r["walkers"] < 1:
-            raise ConfigError("walkers must be >= 1")
-        if not 0 <= r["seed"] < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        if r["threads"] < 1:
-            raise ConfigError("threads must be >= 1")
-
-    def tau_for(self, h: float, tau_max: float) -> float:
-        """Explicit tau when given, otherwise theta * tau_max."""
-        if self.resolved["tau"] is not None:
-            return float(self.resolved["tau"])
-        return self.resolved["theta"] * tau_max
-
     def echo(self) -> dict:
         """Provenance block: raw config plus the resolved defaults."""
-        return {"config": self.raw, "resolved": _jsonable(self.resolved)}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+        return {"config": self.raw, "resolved": self.resolved}
 
 
 def defaults_yaml() -> str:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import DiffusionSymbol, QuadParams, RadialDensity, green_density
+from .analytic import DiffusionSymbol, QuadParams, green_density
 from .evolution import LatticeDistribution
-from .kernel import LatticeKernel, build_kernel, stability_sigma
+from .kernel import DEFAULT_TRUNC_RADIUS, LatticeKernel, build_kernel, stability_sigma
 from .measure import OrderMeasure
 from .montecarlo import Histogram, WalkEnsemble, build_sampler, run_walks
 
@@ -91,6 +91,28 @@ def ks_distance(ensemble: WalkEnsemble, analytic_cdf, projection: str = "first")
     upper = np.max(np.arange(1, m + 1) / m - f)
     lower = np.max(f - np.arange(0, m) / m)
     return float(max(upper, lower))
+
+
+def is_cauchy(measure: OrderMeasure, dim: int) -> bool:
+    """True when the limit law is the Cauchy law: one atom at alpha = 1, dim 1."""
+    return dim == 1 and len(measure.terms) == 1 and abs(measure.terms[0][0] - 1.0) < 1e-12
+
+
+def reference_cdf(
+    measure: OrderMeasure, dim: int, t: float, quad_params: QuadParams | None = None
+):
+    """``(cdf, projection)``: the CDF of the limit law at time t and the
+    :func:`ks_distance` projection it applies to.  The Cauchy law's CDF is
+    closed-form; other laws tabulate the analytic density once and use its
+    coordinate CDF in one dimension, its radial CDF beyond.
+    """
+    if is_cauchy(measure, dim):
+        scale = measure.terms[0][1] * t
+        return (lambda x: 0.5 + np.arctan(x / scale) / math.pi), "first"
+    density = green_density(DiffusionSymbol(measure, dim), t, quad_params=quad_params)
+    if dim == 1:
+        return density.axis_cdf, "first"
+    return density.radial_cdf, "radial"
 
 
 def total_variation(hist: Histogram, dist: LatticeDistribution) -> float:
@@ -183,14 +205,12 @@ def refinement_study(
     trunc_radius: int | None = None,
     threads: int = 1,
     quad_params: QuadParams | None = None,
-    reference: RadialDensity | None = None,
 ) -> ConvergenceReport:
     """CF and KS convergence metrics along a strictly decreasing mesh list.
 
     For each h the time step is theta * tau_max(h) and n = ceil(t / tau), so
-    n * tau lands in [t, t + tau).  The KS reference CDF comes from the
-    analytic density (computed once; it does not depend on h): the coordinate
-    projection in one dimension, the radial CDF otherwise.
+    n * tau lands in [t, t + tau).  The KS reference is :func:`reference_cdf`
+    at t, computed once: it does not depend on h.
 
     The truncation radius is anchored at the coarsest mesh (``trunc_radius``
     or the per-dimension default) and grows like 1/h^2 along the refinement:
@@ -204,16 +224,10 @@ def refinement_study(
     if not 0.0 < theta <= 1.0:
         raise ValueError("safety factor theta must lie in (0, 1]")
     sym = DiffusionSymbol(measure, dim)
-    density = reference if reference is not None else green_density(sym, t, quad_params=quad_params)
-    if dim == 1:
-        cdf, projection = density.axis_cdf, "first"
-    else:
-        cdf, projection = density.radial_cdf, "radial"
+    cdf, projection = reference_cdf(measure, dim, t, quad_params)
     # one fixed compact for every row, inside the coarsest row's Nyquist band
     xi_reach = min(xi_max, math.pi / h_arr[0])
     xi_grid = default_xi_grid(dim, xi_reach, xi_points)
-
-    from .kernel import DEFAULT_TRUNC_RADIUS
 
     anchor_K = trunc_radius if trunc_radius is not None else DEFAULT_TRUNC_RADIUS[dim]
     # keep the shell cube enumerable: ~3e7 points per kernel at worst

@@ -103,7 +103,9 @@ class Shells:
     site_shell: np.ndarray     # (n_sites,) int64 index into shells
 
 
-@functools.lru_cache(maxsize=None)
+# A kernel needs only the cube it is built on; a bounded cache keeps the cubes
+# of earlier kernels (a refinement study builds ever larger ones) from piling up.
+@functools.lru_cache(maxsize=2)
 def enumerate_shells(dim: int, trunc_radius: int) -> Shells:
     """Brute-force enumeration of 0 < |k| <= K over the cube [-K, K]^dim."""
     _check_dim(dim)
@@ -128,28 +130,6 @@ def enumerate_shells(dim: int, trunc_radius: int) -> Shells:
     for arr in (sites, norm_sq, multiplicity, inverse):
         arr.setflags(write=False)
     return Shells(dim, K, norm_sq, multiplicity, sites, inverse)
-
-
-def lattice_zeta_partial(alpha: float, dim: int, trunc_radius: int) -> float:
-    """Partial lattice sum sum_{0<|k|<=K} |k|^-(N+alpha)."""
-    sh = enumerate_shells(dim, trunc_radius)
-    return float(np.sum(sh.multiplicity * sh.norm_sq.astype(float) ** (-(dim + alpha) / 2.0)))
-
-
-def lattice_zeta_tail_bound(alpha: float, dim: int, trunc_radius: int) -> float:
-    """Shell-volume bound on the lattice sum beyond radius K.
-
-    Covers each unit cell by the ball it lies in:
-    tail <= c_K * omega_{N-1} * (K - sqrt(N))^-alpha / alpha with
-    c_K = (1 + sqrt(N)/(2(K - sqrt(N))))^(N-1).  Requires K > sqrt(N).
-    """
-    K = float(trunc_radius)
-    root_n = math.sqrt(dim)
-    if K <= root_n:
-        return math.inf
-    omega = surface_area(dim)
-    c = (1.0 + root_n / (2.0 * (K - root_n))) ** (dim - 1)
-    return c * omega * (K - root_n) ** (-alpha) / alpha
 
 
 def surface_area(dim: int) -> float:
@@ -186,42 +166,22 @@ def _lattice_zeta_cached(alpha: float, dim: int) -> float:
         return float(mp.pi ** (s / 2) / mp.gamma(s / 2) * total)
 
 
-def lattice_zeta(alpha: float, dim: int, tol: float = 1e-12) -> float:
+def lattice_zeta(alpha: float, dim: int) -> float:
     """Lattice zeta R(alpha) = sum over nonzero k in Z^dim of |k|^-(dim+alpha).
 
     In one dimension this equals 2*zeta(1+alpha).  Evaluated through an
     exponentially convergent theta-function representation whose truncation
-    error is below 1e-25, so any positive ``tol`` is honored; naive partial
-    sums (see :func:`lattice_zeta_partial`) converge only like K^-alpha and
-    cannot reach tight tolerances.
+    error is below 1e-25, far below float resolution; naive partial sums
+    converge only like K^-alpha.
     """
     _check_dim(dim)
     if not 0.0 < alpha <= 2.0:
         raise ValueError(f"alpha = {alpha} outside the admissible interval (0, 2]")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     return _lattice_zeta_cached(float(alpha), int(dim))
 
 
 # ---------------------------------------------------------------------------
 # Transition probabilities
-
-
-def q_coefficient(k, measure: OrderMeasure, h: float) -> float:
-    """Jump-strength coefficient Q(|k|) = sum_i a_i b(alpha_i) / (|k| h)^alpha_i.
-
-    Radial: depends on k only through its Euclidean norm.
-    """
-    k = np.atleast_1d(np.asarray(k))
-    _check_dim(k.size)
-    norm = float(np.linalg.norm(k.astype(float)))
-    if norm == 0.0:
-        raise ValueError("k must be a nonzero lattice vector")
-    if h <= 0.0:
-        raise ValueError("mesh width h must be positive")
-    return sum(
-        w * norming_constant(a, k.size) / (norm**a * h**a) for a, w in measure.terms
-    )
 
 
 @dataclass(frozen=True)
@@ -233,9 +193,7 @@ class StabilityReport:
     contributions: tuple[tuple[float, float], ...]  # (alpha, contribution to sigma)
 
 
-def stability_sigma(
-    measure: OrderMeasure, dim: int, h: float, tau: float, tol: float = 1e-12
-) -> StabilityReport:
+def stability_sigma(measure: OrderMeasure, dim: int, h: float, tau: float) -> StabilityReport:
     """Evaluate sigma(tau, h) = 2 tau sum_i a_i b(alpha_i) R(alpha_i) / h^alpha_i.
 
     sigma is linear in tau, so the unique tau solving sigma = 1 is
@@ -247,7 +205,7 @@ def stability_sigma(
     if tau < 0.0:
         raise ValueError("time step tau must be nonnegative")
     rates = [
-        (a, 2.0 * w * norming_constant(a, dim) * lattice_zeta(a, dim, tol) / h**a)
+        (a, 2.0 * w * norming_constant(a, dim) * lattice_zeta(a, dim) / h**a)
         for a, w in measure.terms
     ]
     rate_total = sum(r for _, r in rates)
@@ -343,7 +301,6 @@ def build_kernel(
     h: float,
     tau: float,
     trunc_radius: int | None = None,
-    tol: float = 1e-12,
 ) -> LatticeKernel:
     """Build the truncated jump law for the given measure, mesh and time step.
 
@@ -358,7 +315,7 @@ def build_kernel(
         trunc_radius = DEFAULT_TRUNC_RADIUS[dim]
     if trunc_radius < 1:
         raise ValueError("trunc_radius must be >= 1")
-    report = stability_sigma(measure, dim, h, tau, tol)
+    report = stability_sigma(measure, dim, h, tau)
     sigma = report.sigma
     if sigma > 1.0 + 1e-12:
         raise StabilityError(sigma, report.tau_max)
@@ -374,7 +331,7 @@ def build_kernel(
         raw += coeff * norms ** (-(dim + a))
         partial = float(np.sum(sh.multiplicity * norms ** (-(dim + a))))
         retained_terms.append(coeff * partial)
-        full_terms.append(coeff * lattice_zeta(a, dim, tol))
+        full_terms.append(coeff * lattice_zeta(a, dim))
     retained_mass = float(np.sum(sh.multiplicity * raw))
     tail_mass = max(sum(full_terms) - sum(retained_terms), 0.0)
 

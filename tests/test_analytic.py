@@ -16,7 +16,8 @@ from fracwalk import (
     symbol_eval,
     symbol_oracle,
 )
-from fracwalk.analytic import default_radial_grid, forward_cf
+from fracwalk.analytic import default_radial_grid
+from oracles import forward_cf
 
 CAUCHY_1D = DiffusionSymbol(OrderMeasure.single(1.0), 1)
 

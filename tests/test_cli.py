@@ -3,13 +3,16 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwalk.cli import main
-from fracwalk.config import DEFAULTS, RunConfig, defaults_yaml
+from fracwalk.config import DEFAULTS, ConfigError, RunConfig, defaults_yaml
 
 BENCH = {
     "measure": {"atoms": [[1.0, 1.0]]},
@@ -120,6 +123,22 @@ class TestSimulateCommand:
         assert res.exit_code == 2
         assert res.output == f"error: {key} must be an integer, got {value!r}\n"
         assert not (tmp_path / "ensemble.csv").exists()
+
+    def test_cauchy_reference_needs_the_cauchy_law(self, runner, tmp_path):
+        doc = dict(BENCH, measure={"atoms": [[1.5, 1.0]]}, ks_reference="cauchy")
+        cfg = _write(tmp_path, "c.yaml", doc)
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert res.output.startswith("error: ks_reference cauchy") and res.output.count("\n") == 1
+
+    def test_analytic_reference_in_two_dimensions(self, runner, tmp_path):
+        doc = dict(BENCH, dim=2, h=0.2, tau=None, walkers=2_000, ks_reference="analytic")
+        cfg = _write(tmp_path, "c.yaml", doc)
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["ks_reference"] == "analytic"
+        assert 0.0 < summary["ks"] < 1.0
 
 
 class TestDensityCommand:
@@ -281,6 +300,82 @@ class TestRunConfig:
             RunConfig.from_dict({"measure": {"atoms": []}})
         with pytest.raises(ValueError):
             RunConfig.from_dict({"measure": {"atoms": [[1.0, 1.0]]}, "seed": -1})
+
+
+# Each of these used to crash with a traceback or run silently.
+MALFORMED = [
+    ("theta", "x"), ("theta", None), ("h", "x"), ("t", "x"), ("tau", "x"), ("dim", True),
+    ("quad_tol", "x"), ("zeta_tol", "x"), ("h", math.inf), ("t", math.inf), ("h", math.nan),
+    ("tau", math.nan), ("n_steps", 1.5), ("trunc_radius", 1.5), ("ks_reference", "bogus"),
+    ("bin_width", 0.1), ("quad_tol", -1),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "study", "density"])
+@pytest.mark.parametrize("key, value", MALFORMED)
+def test_malformed_value_exits_2_with_one_line(runner, tmp_path, command, key, value):
+    cfg = _write(tmp_path, "c.yaml", dict(BENCH, h_list=[0.2, 0.1], **{key: value}))
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+    assert key in res.output
+
+
+# Any value a YAML file can hold, of every type.
+ANY_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=2), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(DEFAULTS) + ["out", "zeta_tol"]), ANY_VALUE))
+def test_fuzzed_config_is_accepted_or_rejected_cleanly(values):
+    try:
+        cfg = RunConfig.from_dict({"measure": {"atoms": [[1.0, 1.0]]}, **values})
+    except ConfigError:
+        return
+    assert list(cfg.resolved) == list(DEFAULTS)
+
+
+# Accepted values are kept small: the kernel command builds whatever
+# trunc_radius passes validation (a huge one in 1D allocates gigabytes).
+KERNEL_VALUES = {
+    "dim": st.integers(1, 3),
+    "h": st.floats(1e-3, 1e3),
+    "theta": st.floats(0.0, 1.0, exclude_min=True),
+    "tau": st.floats(0.0, 1.0),
+    "trunc_radius": st.integers(1, 32),
+}
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+    st.integers(-3, 0), st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1.5, 4.0]),
+)
+
+
+@st.composite
+def kernel_configs(draw):
+    values = draw(st.fixed_dictionaries({}, optional=KERNEL_VALUES))
+    if draw(st.booleans()):
+        values[draw(st.sampled_from(sorted(KERNEL_VALUES)))] = draw(JUNK)
+    return values
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_configs())
+def test_fuzzed_kernel_command_exits_0_or_2(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.yaml")
+        with open(path, "w") as f:
+            yaml.safe_dump({"measure": {"atoms": [[1.0, 1.0]]}, **values}, f)
+        res = CliRunner().invoke(main, ["kernel", "--config", path, "--out", tmp])
+    assert res.exit_code in (0, 2), res.output
+    assert isinstance(res.exception, (SystemExit, type(None))), res.exception
+    if res.exit_code == 2:
+        assert res.output.startswith("error: ") and res.output.count("\n") == 1
 
 
 class TestFailurePaths:

@@ -13,6 +13,7 @@ from fracwalk import (
     build_kernel,
     build_sampler,
     evolve,
+    green_density,
     histogram,
     run_walks,
     stability_sigma,
@@ -21,9 +22,11 @@ from fracwalk.diagnostics import (
     cf_sup_error,
     default_xi_grid,
     ks_distance,
+    reference_cdf,
     refinement_study,
     total_variation,
 )
+from fracwalk.kernel import enumerate_shells
 
 SINGLE = OrderMeasure.single(1.0)
 SYM_1D = DiffusionSymbol(SINGLE, 1)
@@ -163,7 +166,32 @@ class TestTotalVariation:
             total_variation(hist, dist)
 
 
+class TestReferenceCdf:
+    def test_cauchy_law_in_closed_form(self):
+        # weight 2 at t = 0.5 is the standard Cauchy law
+        cdf, projection = reference_cdf(OrderMeasure.single(1.0, 2.0), 1, 0.5)
+        assert projection == "first"
+        np.testing.assert_allclose(cdf(np.array([-1.0, 0.0, 1.0])), [0.25, 0.5, 0.75], rtol=1e-15)
+
+    def test_other_laws_use_the_tabulated_density(self):
+        m = OrderMeasure.single(1.5)
+        xs = np.array([0.0, 0.7, 3.0])
+        cdf, projection = reference_cdf(m, 1, 1.0)
+        assert projection == "first"
+        np.testing.assert_array_equal(cdf(xs), green_density(DiffusionSymbol(m, 1), 1.0).axis_cdf(xs))
+        cdf, projection = reference_cdf(OrderMeasure.single(1.0), 2, 1.0)
+        assert projection == "radial"
+        dens = green_density(DiffusionSymbol(OrderMeasure.single(1.0), 2), 1.0)
+        np.testing.assert_array_equal(cdf(xs), dens.radial_cdf(xs))
+
+
 class TestRefinementStudy:
+    def test_shell_cache_stays_bounded(self):
+        # each mesh of a study enumerates a larger cube; only the last few stay cached
+        refinement_study(SINGLE, 1, 0.5, [0.2, 0.1, 0.05], walkers=500, seed=2)
+        info = enumerate_shells.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize <= 4
+
     def test_single_row_matches_components(self):
         report = refinement_study(SINGLE, 1, 1.0, [0.1], walkers=20_000, seed=5)
         assert len(report.rows) == 1
