@@ -27,7 +27,6 @@ from .montecarlo import (
     JumpSampler,
     WalkEnsemble,
     build_sampler,
-    empirical_cf,
     histogram,
     run_walks,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "JumpSampler",
     "WalkEnsemble",
     "build_sampler",
-    "empirical_cf",
     "histogram",
     "run_walks",
     "DiffusionSymbol",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -84,10 +84,6 @@ class DiffusionSymbol:
     def alpha_min(self) -> float:
         return min(a for a, _ in self.measure.terms)
 
-    @property
-    def alpha_max(self) -> float:
-        return max(a for a, _ in self.measure.terms)
-
 
 def symbol_eval(sym: DiffusionSymbol, xi) -> float | np.ndarray:
     """B(xi) = -sum_i a_i |xi|^alpha_i; depends on xi through |xi| only."""
@@ -126,13 +122,8 @@ def cauchy_density(t: float, x, dim: int) -> float:
     if t <= 0.0:
         raise ValueError("t must be positive")
     r2 = float(np.sum(np.square(np.atleast_1d(np.asarray(x, dtype=float)))))
-    n = dim
-    return (
-        math.gamma((n + 1) / 2.0)
-        / math.pi ** ((n + 1) / 2.0)
-        * t
-        / (r2 + t * t) ** ((n + 1) / 2.0)
-    )
+    half = (dim + 1) / 2.0
+    return math.gamma(half) / math.pi**half * t / (r2 + t * t) ** half
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +281,13 @@ def default_radial_grid(
     return np.concatenate([[0.0], np.geomspace(1e-4 * r_max, r_max, points - 1)])
 
 
-@dataclass
+@dataclass(frozen=True)
 class RadialDensity:
-    """Tabulated G(t, |x| = r) with monotone-cubic interpolation in log space."""
+    """Tabulated G(t, |x| = r) with monotone-cubic interpolation in log space.
+
+    Immutable: the log-density interpolant and the cumulative radial mass
+    table are built once, on construction.
+    """
 
     dim: int
     t: float
@@ -300,19 +295,24 @@ class RadialDensity:
     values: np.ndarray
     measure: OrderMeasure
     error_estimate: float = 0.0
+    _log_interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _cumulative: PchipInterpolator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(self.values < -POSITIVITY_FLOOR):
+        r = np.array(self.r, dtype=float)
+        values = np.array(self.values, dtype=float)
+        if np.any(values < -POSITIVITY_FLOOR):
             raise ValueError("tabulated density below the quadrature noise floor")
-
-    @property
-    def _log_interp(self) -> PchipInterpolator:
-        if not hasattr(self, "_interp"):
-            logs = np.log(np.maximum(self.values, 1e-280))
-            self._interp = PchipInterpolator(self.r, logs, extrapolate=False)
-        return self._interp
+        r.setflags(write=False)
+        values.setflags(write=False)
+        logs = np.log(np.maximum(values, 1e-280))
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_log_interp", PchipInterpolator(r, logs, extrapolate=False))
+        omega = surface_area(self.dim)
+        shell = lambda s: omega * self.density(s) * s ** (self.dim - 1)
+        cum = np.concatenate([[0.0], np.cumsum(panel_integrals(shell, r, order=8))])
+        object.__setattr__(self, "_cumulative", PchipInterpolator(r, cum, extrapolate=False))
 
     def density(self, r) -> np.ndarray:
         """Interpolated density; the far tail beyond the grid uses its power law."""
@@ -322,9 +322,6 @@ class RadialDensity:
         if np.any(beyond):
             out = np.where(beyond, self._tail_density(r), out)
         return out
-
-    def __call__(self, r) -> np.ndarray:
-        return self.density(r)
 
     def _tail_rate(self) -> list[tuple[float, float]]:
         # leading large-r behavior: G ~ 2 t sum_i a_i b(alpha_i) r^-(N+alpha_i)
@@ -347,25 +344,14 @@ class RadialDensity:
             sum(omega * c * r ** (-a) / a for a, c in self._tail_rate())
         )
 
-    def _cumulative(self) -> PchipInterpolator:
-        if not hasattr(self, "_cum"):
-            omega = surface_area(self.dim)
-            shell = lambda s: omega * self.density(s) * s ** (self.dim - 1)
-            vals = panel_integrals(shell, self.r, order=8)
-            cum = np.concatenate([[0.0], np.cumsum(vals)])
-            self._cum = PchipInterpolator(self.r, cum, extrapolate=False)
-        return self._cum
-
     def mass(self) -> float:
         """Total integral over R^N: grid quadrature plus the analytic tail."""
-        cum = self._cumulative()
-        return float(cum(self.r[-1])) + self.tail_mass(self.r[-1])
+        return float(self._cumulative(self.r[-1])) + self.tail_mass(self.r[-1])
 
     def radial_cdf(self, r) -> np.ndarray:
         """P(|X| <= r), clamped monotone; beyond the grid uses the tail law."""
         r = np.asarray(r, dtype=float)
-        cum = self._cumulative()
-        out = np.asarray(cum(np.clip(r, 0.0, self.r[-1])), dtype=float)
+        out = np.asarray(self._cumulative(np.clip(r, 0.0, self.r[-1])), dtype=float)
         beyond = r > self.r[-1]
         if np.any(beyond):
             safe = np.maximum(r, self.r[-1])
@@ -445,6 +431,15 @@ def green_density(
 # Symbol oracle (hypersingular integral route)
 
 
+def _spherical_mean(u: np.ndarray, dim: int) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if dim == 1:
+        return np.cos(u)
+    if dim == 2:
+        return special.j0(u)
+    return np.sinc(u / math.pi)
+
+
 def _spherical_mean_defect(u: np.ndarray, dim: int) -> np.ndarray:
     """Omega_N(u) - 1 + u^2/(2N): the spherical cosine mean with its quadratic
     part removed, O(u^4) at the origin (series used below the cancellation
@@ -453,25 +448,10 @@ def _spherical_mean_defect(u: np.ndarray, dim: int) -> np.ndarray:
     small = np.abs(u) < 0.05
     us = np.where(small, u, 0.0)
     u2 = us * us
-    if dim == 1:
-        series = u2 * u2 / 24.0 * (1.0 - u2 / 30.0 * (1.0 - u2 / 56.0))
-        exact = np.cos(u) - 1.0 + u * u / 2.0
-    elif dim == 2:
-        series = u2 * u2 / 64.0 * (1.0 - u2 / 36.0 * (1.0 - u2 / 64.0))
-        exact = special.j0(u) - 1.0 + u * u / 4.0
-    else:
-        series = u2 * u2 / 120.0 * (1.0 - u2 / 42.0 * (1.0 - u2 / 72.0))
-        exact = np.sinc(u / math.pi) - 1.0 + u * u / 6.0
+    c1, c2, c3 = {1: (24.0, 30.0, 56.0), 2: (64.0, 36.0, 64.0), 3: (120.0, 42.0, 72.0)}[dim]
+    series = u2 * u2 / c1 * (1.0 - u2 / c2 * (1.0 - u2 / c3))
+    exact = _spherical_mean(u, dim) - 1.0 + u * u / (2.0 * dim)
     return np.where(small, series, exact)
-
-
-def _spherical_mean(u: np.ndarray, dim: int) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if dim == 1:
-        return np.cos(u)
-    if dim == 2:
-        return special.j0(u)
-    return np.sinc(u / math.pi)
 
 
 def symbol_oracle(
@@ -512,14 +492,9 @@ def symbol_oracle(
     sums = float(np.sum(direct)) + np.cumsum(tail_terms)
     osc_int, osc_err = aitken_limit(sums)
 
-    total = head_int + const_tail + osc_int
-    value = norming_constant(alpha, dim) * 2.0 * surface_area(dim) * total
-    estimate = (
-        norming_constant(alpha, dim)
-        * 2.0
-        * surface_area(dim)
-        * (osc_err + 5e-15 * (abs(head_int) + float(np.sum(np.abs(direct)))))
-    )
+    factor = norming_constant(alpha, dim) * 2.0 * surface_area(dim)
+    value = factor * (head_int + const_tail + osc_int)
+    estimate = factor * (osc_err + 5e-15 * (abs(head_int) + float(np.sum(np.abs(direct)))))
     scale = max(q**alpha, 1.0)
     if estimate > qp.tol * scale:
         raise QuadratureError(

@@ -224,14 +224,10 @@ def study(config_path: str, out: str | None, seed: int | None, threads: int | No
     _write_json(out_dir / "study.json", payload)
     report.to_csv(out_dir / "study.csv")
     # plot data: one (x, y) CSV per metric plus a sidecar describing the axes
-    with open(out_dir / "plot_cf_error.csv", "w") as f:
-        f.write("h,cf_sup_error\n")
-        for row in report.rows:
-            f.write(f"{row.h!r},{row.cf_sup_error!r}\n")
-    with open(out_dir / "plot_ks.csv", "w") as f:
-        f.write("h,ks_distance\n")
-        for row in report.rows:
-            f.write(f"{row.h!r},{row.ks_distance!r}\n")
+    for name, column in (("plot_cf_error.csv", "cf_sup_error"), ("plot_ks.csv", "ks_distance")):
+        with open(out_dir / name, "w") as f:
+            f.write(f"h,{column}\n")
+            f.writelines(f"{row.h!r},{getattr(row, column)!r}\n" for row in report.rows)
     _write_json(
         out_dir / "plot_axes.json",
         {

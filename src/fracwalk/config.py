@@ -66,70 +66,6 @@ class ConfigError(ValueError):
     """Config file failed validation."""
 
 
-def _density_function(block: dict):
-    family = block.get("family")
-    if family == "constant":
-        coeff = float(block.get("coeff", 1.0))
-        return lambda a: np.full_like(np.asarray(a, dtype=float), coeff)
-    if family == "power":
-        coeff = float(block.get("coeff", 1.0))
-        expo = float(block.get("exponent", 1.0))
-        return lambda a: coeff * np.asarray(a, dtype=float) ** expo
-    if family == "table":
-        pts = block.get("points")
-        if not pts or len(pts) < 2:
-            raise ConfigError("table density needs at least two [alpha, value] points")
-        xs = np.array([float(p[0]) for p in pts])
-        ys = np.array([float(p[1]) for p in pts])
-        if np.any(np.diff(xs) <= 0):
-            raise ConfigError("table density alphas must be strictly increasing")
-        return lambda a: np.interp(np.asarray(a, dtype=float), xs, ys)
-    raise ConfigError(f"unknown density family {family!r} (constant | power | table)")
-
-
-def parse_measure(block: dict) -> OrderMeasure:
-    if not isinstance(block, dict):
-        raise ConfigError("config needs a 'measure' mapping")
-    atoms = []
-    for entry in block.get("atoms", []) or []:
-        if isinstance(entry, dict):
-            alpha, weight = entry.get("alpha"), entry.get("weight", 1.0)
-        else:
-            alpha, weight = entry[0], entry[1] if len(entry) > 1 else 1.0
-        alpha, weight = float(alpha), float(weight)
-        if alpha >= 2.0:
-            raise ConfigError(
-                f"atom at alpha = {alpha} rejected: exponents must be strictly "
-                "below 2, where the jump-kernel norming constant vanishes and "
-                "the heavy-tailed construction degenerates (classical "
-                "diffusion is available in closed form instead)"
-            )
-        atoms.append((alpha, weight))
-
-    density_nodes: tuple = ()
-    dblock = block.get("density")
-    if dblock:
-        support = dblock.get("support")
-        if support is None and dblock.get("family") == "table":
-            pts = dblock.get("points") or []
-            if len(pts) >= 2:
-                support = [pts[0][0], pts[-1][0]]
-        if not support or len(support) != 2:
-            raise ConfigError("density block needs 'support: [lo, hi]'")
-        lo, hi = float(support[0]), float(support[1])
-        nodes = int(dblock.get("nodes", DENSITY_NODES))
-        panels = int(dblock.get("panels", DENSITY_PANELS))
-        try:
-            density_nodes = discretize_density(_density_function(dblock), lo, hi, nodes, panels)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    try:
-        return OrderMeasure(atoms=tuple(atoms), density_nodes=density_nodes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 _MAX_FLOAT = float(np.finfo(float).max)
 
 
@@ -147,6 +83,76 @@ def _scalar(name: str, kind: type, bounds: str, value):
     if not ((lo < x if bounds[0] == "(" else lo <= x) and (x < hi if bounds[-1] == ")" else x <= hi)):
         raise ConfigError(f"{name} must lie in {bounds}, got {value!r}")
     return x
+
+
+def _number(name: str, value) -> float:
+    return _scalar(name, float, "(-inf, inf)", value)
+
+
+def _density_function(block: dict):
+    """(density callable, support implied by a table or None) of a density block."""
+    family = block.get("family")
+    if family == "constant":
+        coeff = _number("density coeff", block.get("coeff", 1.0))
+        return (lambda a: np.full_like(np.asarray(a, dtype=float), coeff)), None
+    if family == "power":
+        coeff = _number("density coeff", block.get("coeff", 1.0))
+        expo = _number("density exponent", block.get("exponent", 1.0))
+        return (lambda a: coeff * np.asarray(a, dtype=float) ** expo), None
+    if family == "table":
+        pts = block.get("points")
+        if not isinstance(pts, list) or len(pts) < 2 or not all(
+            isinstance(p, list) and len(p) == 2 for p in pts
+        ):
+            raise ConfigError("table density needs at least two [alpha, value] points")
+        xs = np.array([_number("table alpha", p[0]) for p in pts])
+        ys = np.array([_number("table value", p[1]) for p in pts])
+        if np.any(np.diff(xs) <= 0):
+            raise ConfigError("table density alphas must be strictly increasing")
+        return (lambda a: np.interp(np.asarray(a, dtype=float), xs, ys)), [xs[0], xs[-1]]
+    raise ConfigError(f"unknown density family {family!r} (constant | power | table)")
+
+
+def _atom(entry) -> tuple[float, float]:
+    """(alpha, weight) of one ``[alpha]``, ``[alpha, weight]`` or mapping entry."""
+    if isinstance(entry, dict):
+        entry = [entry.get("alpha"), entry.get("weight", 1.0)]
+    if not isinstance(entry, list) or len(entry) not in (1, 2):
+        raise ConfigError(f"atom must be [alpha], [alpha, weight] or a mapping, got {entry!r}")
+    alpha, weight = (*entry, 1.0)[:2]
+    # alpha = 2 is excluded: the norming constant of the jump kernel vanishes there
+    return _scalar("atom alpha", float, "(0, 2)", alpha), _number("atom weight", weight)
+
+
+def parse_measure(block: dict) -> OrderMeasure:
+    if not isinstance(block, dict):
+        raise ConfigError("config needs a 'measure' mapping")
+    atoms = block.get("atoms") or []
+    if not isinstance(atoms, list):
+        raise ConfigError(f"measure atoms must be a list, got {atoms!r}")
+    atoms = tuple(_atom(entry) for entry in atoms)
+
+    density_nodes: tuple = ()
+    dblock = block.get("density")
+    if dblock:
+        if not isinstance(dblock, dict):
+            raise ConfigError(f"measure density must be a mapping, got {dblock!r}")
+        density, table_support = _density_function(dblock)
+        support = dblock.get("support", table_support)
+        if not isinstance(support, list) or len(support) != 2:
+            raise ConfigError("density block needs 'support: [lo, hi]'")
+        lo, hi = (_number("density support", x) for x in support)
+        nodes = _scalar("density nodes", int, "[1, inf)", dblock.get("nodes", DENSITY_NODES))
+        panels = _scalar("density panels", int, "[1, inf)", dblock.get("panels", DENSITY_PANELS))
+        try:
+            density_nodes = discretize_density(density, lo, hi, nodes, panels)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    try:
+        return OrderMeasure(atoms=atoms, density_nodes=density_nodes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check(name: str, key: Key, value):

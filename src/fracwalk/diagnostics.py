@@ -18,13 +18,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .analytic import DiffusionSymbol, QuadParams, green_density
 from .evolution import LatticeDistribution
-from .kernel import DEFAULT_TRUNC_RADIUS, LatticeKernel, build_kernel, stability_sigma
+from .kernel import (
+    DEFAULT_TRUNC_RADIUS, LatticeKernel, build_kernel, frequency_rows, stability_sigma,
+)
 from .measure import OrderMeasure
 from .montecarlo import Histogram, WalkEnsemble, build_sampler, run_walks
 
@@ -55,9 +57,7 @@ def cf_sup_error(
     Grid points beyond the lattice Nyquist band pi/h are rejected: there the
     discrete CF aliases and the comparison is meaningless.
     """
-    xi = np.atleast_1d(np.asarray(xi_grid, dtype=float))
-    if kernel.dim == 1 and xi.ndim == 1:
-        xi = xi[:, None]
+    xi = frequency_rows(xi_grid, kernel.dim)
     norms = np.linalg.norm(xi, axis=1)
     if np.any(norms > math.pi / kernel.h + 1e-12):
         raise ValueError(
@@ -164,17 +164,7 @@ class ConvergenceReport:
             "xi_max": self.xi_max,
             "walkers": self.walkers,
             "seed": self.seed,
-            "rows": [
-                {
-                    "h": r.h,
-                    "tau": r.tau,
-                    "n_steps": r.n_steps,
-                    "cf_sup_error": r.cf_sup_error,
-                    "ks_distance": r.ks_distance,
-                    "tail_mass": r.tail_mass,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
     def to_json(self, path) -> None:
@@ -182,14 +172,12 @@ class ConvergenceReport:
             json.dump(self.to_json_dict(), f, indent=2)
 
     def to_csv(self, path) -> None:
+        names = [f.name for f in fields(ConvergenceRow)]
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(["h", "tau", "n_steps", "cf_sup_error", "ks_distance", "tail_mass"])
+            writer.writerow(names)
             for r in self.rows:
-                writer.writerow(
-                    [repr(r.h), repr(r.tau), r.n_steps,
-                     repr(r.cf_sup_error), repr(r.ks_distance), repr(r.tail_mass)]
-                )
+                writer.writerow([repr(getattr(r, name)) for name in names])
 
 
 def refinement_study(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft
 
-from .kernel import LatticeKernel
+from .kernel import _CF_BLOCK_ENTRIES, LatticeKernel, phase_sum  # noqa: F401
 
 # Support is clipped at this many sites from the origin per axis; the lost
 # mass is tracked in ``mass_deficit`` rather than silently renormalized.
@@ -33,9 +33,6 @@ MEMORY_BUDGET_BYTES = 2 * 2**30
 # Peak bytes per site of the padded FFT grid during one product (half
 # spectra, transform temporaries and output), measured with tracemalloc.
 _FFT_BYTES_PER_SITE = 24
-
-# (site, frequency) phases ``characteristic_function`` evaluates per block.
-_CF_BLOCK_ENTRIES = 1 << 18
 
 # Above this work estimate (product of the input sizes; summed over the steps
 # in ``evolve``) convolution switches from direct summation to the FFT path;
@@ -120,12 +117,9 @@ class LatticeDistribution:
 
 def kernel_distribution(kernel: LatticeKernel) -> LatticeDistribution:
     """The one-step jump law viewed as a distribution (time_index 0)."""
-    R = kernel.trunc_radius
-    m = np.zeros((2 * R + 1,) * kernel.dim)
-    m[(R,) * kernel.dim] = kernel.p0
-    sites = kernel.shells.sites
-    m[tuple((sites + R).T)] = kernel.site_probabilities
-    return LatticeDistribution(dim=kernel.dim, h=kernel.h, mass=m, tau=kernel.tau)
+    return LatticeDistribution(
+        dim=kernel.dim, h=kernel.h, mass=kernel.mass_cube(), tau=kernel.tau
+    )
 
 
 def _fft_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -249,7 +243,7 @@ def step(
     _check_pair(dist, kernel)
     if kernel.tau == 0.0 or kernel.sigma == 0.0:
         return _advance(dist, kernel, 1, dist.mass, 0.0)
-    mass = _convolve_arrays(dist.mass, kernel_distribution(kernel).mass)
+    mass = _convolve_arrays(dist.mass, kernel.mass_cube())
     return _advance(dist, kernel, 1, *_clip(mass, dist.dim, max_radius))
 
 
@@ -290,7 +284,7 @@ def evolve(
             return _advance(dist, kernel, n_steps, dist.mass, 0.0)
         shape = (2 * (R + n_steps * K) + 1,) * dim
         if _fft_bytes(shape) <= MEMORY_BUDGET_BYTES:
-            mass = _fft_convolve(dist.mass, kernel_distribution(kernel).mass, shape, n_steps)
+            mass = _fft_convolve(dist.mass, kernel.mass_cube(), shape, n_steps)
             return _advance(dist, kernel, n_steps, *_clip(mass, dim, max_radius))
         # the step products grow up to this grid: fail before the first one
         _check_budget((2 * (max(R, min(R + n_steps * K, max_radius)) + K) + 1,) * dim)
@@ -304,19 +298,7 @@ def characteristic_function(dist: LatticeDistribution, xi) -> np.ndarray:
 
     With the mesh factor h this is the n-step analogue of p-hat(-h xi), the
     quantity whose limit is the Green-function CF.  The sum runs over blocks
-    of sites, so at most ``_CF_BLOCK_ENTRIES`` phases are live at once.
+    of sites (:func:`~fracwalk.kernel.phase_sum`), so at most
+    ``_CF_BLOCK_ENTRIES`` phases are live at once.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if dist.dim == 1 and xi.ndim == 1:
-        xi = xi[:, None]
-    scaled = dist.h * xi.T
-    flat = dist.mass.reshape(-1)
-    rows = max(1, _CF_BLOCK_ENTRIES // len(xi))
-    cf = np.zeros(len(xi), dtype=complex)
-    for start in range(0, flat.size, rows):
-        block = flat[start : start + rows]
-        held = np.flatnonzero(block)
-        sites = np.column_stack(np.unravel_index(start + held, dist.mass.shape))
-        phases = (sites - dist.support_radius) @ scaled
-        cf += block[held] @ np.exp(1j * phases)
-    return cf
+    return phase_sum(dist.mass, dist.h, xi, lambda phase: np.exp(1j * phase))

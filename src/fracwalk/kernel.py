@@ -181,6 +181,40 @@ def lattice_zeta(alpha: float, dim: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Lattice characteristic functions
+
+# (site, frequency) phases ``phase_sum`` evaluates per block.
+_CF_BLOCK_ENTRIES = 1 << 18
+
+
+def frequency_rows(xi, dim: int) -> np.ndarray:
+    """Frequencies as a (G, dim) float array; (G,) is taken as G points in one dimension."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if dim == 1 and xi.ndim == 1:
+        xi = xi[:, None]
+    return xi
+
+
+def phase_sum(mass: np.ndarray, h: float, xi, f) -> np.ndarray:
+    """sum_j mass[j] f(h (j - R).xi) per row of ``xi``, over a cube of side 2R+1.
+
+    ``f`` acts elementwise on the phases.  Nonzero sites are taken in blocks
+    of the flat cube, so at most ``_CF_BLOCK_ENTRIES`` phases are live at once.
+    """
+    scaled = h * frequency_rows(xi, mass.ndim).T
+    flat = mass.reshape(-1)
+    rows = max(1, _CF_BLOCK_ENTRIES // scaled.shape[1])
+    total = np.zeros(scaled.shape[1])
+    for start in range(0, flat.size, rows):
+        block = flat[start : start + rows]
+        held = np.flatnonzero(block)
+        sites = np.column_stack(np.unravel_index(start + held, mass.shape))
+        # not +=: the real zeros take the dtype of f's values (complex for exp)
+        total = total + block[held] @ f((sites - mass.shape[0] // 2) @ scaled)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # Transition probabilities
 
 
@@ -198,20 +232,27 @@ def stability_sigma(measure: OrderMeasure, dim: int, h: float, tau: float) -> St
 
     sigma is linear in tau, so the unique tau solving sigma = 1 is
     tau_max = tau / sigma, reported independently of the tau passed in.
+    An h for which h^alpha over- or underflows raises ValueError.
     """
     _check_dim(dim)
     if h <= 0.0:
         raise ValueError("mesh width h must be positive")
     if tau < 0.0:
         raise ValueError("time step tau must be nonnegative")
-    rates = [
-        (a, 2.0 * w * norming_constant(a, dim) * lattice_zeta(a, dim) / h**a)
-        for a, w in measure.terms
-    ]
-    rate_total = sum(r for _, r in rates)
+    try:
+        rates = [
+            (a, 2.0 * w * norming_constant(a, dim) * lattice_zeta(a, dim) / h**a)
+            for a, w in measure.terms
+        ]
+        rate_total = sum(r for _, r in rates)
+        tau_max = 1.0 / rate_total
+    except (OverflowError, ZeroDivisionError):
+        tau_max = math.nan
+    if not 0.0 < tau_max < math.inf:
+        raise ValueError(f"mesh width h = {h!r} out of range: h**alpha over- or underflows")
     return StabilityReport(
         sigma=tau * rate_total,
-        tau_max=1.0 / rate_total,
+        tau_max=tau_max,
         contributions=tuple((a, tau * r) for a, r in rates),
     )
 
@@ -256,6 +297,14 @@ class LatticeKernel:
             return 0.0
         return float(self.shell_prob[idx])
 
+    def mass_cube(self) -> np.ndarray:
+        """The jump law on the cube [-K, K]^dim, origin (p0) at index (K,...,K)."""
+        K = self.trunc_radius
+        m = np.zeros((2 * K + 1,) * self.dim)
+        m[(K,) * self.dim] = self.p0
+        m[tuple((self.shells.sites + K).T)] = self.site_probabilities
+        return m
+
     def cf(self, xi) -> np.ndarray:
         """One-step characteristic function of the rescaled walk, p-hat(-h xi).
 
@@ -264,12 +313,8 @@ class LatticeKernel:
         and avoids cancellation at small frequencies.  ``xi`` is (G,) in one
         dimension or (G, dim) in general.
         """
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if self.dim == 1 and xi.ndim == 1:
-            xi = xi[:, None]
-        phases = self.shells.sites.astype(float) @ (self.h * xi.T)  # (n_sites, G)
-        one_minus_cos = 2.0 * np.sin(0.5 * phases) ** 2
-        return 1.0 - self.site_probabilities @ one_minus_cos
+        one_minus_cos = lambda phase: 2.0 * np.sin(0.5 * phase) ** 2
+        return 1.0 - phase_sum(self.mass_cube(), self.h, xi, one_minus_cos)
 
     def normalization_defect(self) -> float:
         """|p0 + sum_k p_k - 1|, float-rounding sized by construction."""

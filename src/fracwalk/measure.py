@@ -9,6 +9,7 @@ only ever sees a finite list of (alpha, weight) pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,19 +46,13 @@ class OrderMeasure:
                     "the endpoint 2 is singular (use the Gaussian closed form "
                     "for classical diffusion)"
                 )
-            if weight <= 0.0:
-                raise ValueError(f"weight {weight} must be strictly positive")
+            if not 0.0 < weight < math.inf:
+                raise ValueError(f"weight {weight} must be finite and strictly positive")
 
     @property
     def terms(self) -> tuple[tuple[float, float], ...]:
         """All (alpha, weight) pairs, atoms first."""
         return self.atoms + self.density_nodes
-
-    def alphas(self) -> np.ndarray:
-        return np.array([a for a, _ in self.terms])
-
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.terms])
 
     def total_weight(self) -> float:
         return float(sum(w for _, w in self.terms))

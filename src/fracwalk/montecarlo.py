@@ -296,17 +296,6 @@ def run_walks(
     )
 
 
-def empirical_cf(ensemble: WalkEnsemble, xi_grid) -> np.ndarray:
-    """Empirical characteristic function (1/M) sum_m exp(i xi.S_m) per grid point."""
-    if ensemble.n_walkers == 0:
-        raise ValueError("empty ensemble")
-    xi = np.atleast_1d(np.asarray(xi_grid, dtype=float))
-    if ensemble.dim == 1 and xi.ndim == 1:
-        xi = xi[:, None]
-    phases = ensemble.final_positions @ xi.T  # (M, G)
-    return np.exp(1j * phases).mean(axis=0)
-
-
 @dataclass(frozen=True)
 class Histogram:
     """Density histogram on cubic bins centered at multiples of bin_width."""

@@ -136,20 +136,3 @@ def integrate_oscillatory(
     value, acc_err = aitken_limit(sums)
     rounding = 5e-16 * float(np.sum(np.abs(direct)))
     return value, acc_err + rounding
-
-
-def extend_zeros(zeros: np.ndarray, spacing: float, upto: float) -> np.ndarray:
-    """Append equally spaced breakpoints after ``zeros`` until ``upto``.
-
-    Used when an oscillation's exact zeros are exhausted: far zeros of the
-    Bessel-type factors approach uniform spacing, and panel edges only need
-    to be near the zeros for the alternating-series structure to survive.
-    """
-    zeros = np.asarray(zeros, dtype=float)
-    last = zeros[-1] if len(zeros) else 0.0
-    if last >= upto:
-        return zeros[zeros <= upto]
-    n_extra = int(np.ceil((upto - last) / spacing))
-    extra = last + spacing * np.arange(1, n_extra + 1)
-    out = np.concatenate([zeros, extra])
-    return out[out <= upto]

@@ -2,7 +2,8 @@
 
 Each one evaluates a quantity by a slower, more direct route than the
 library uses: partial lattice sums with a tail bound, the jump-strength
-coefficient term by term, and the forward transform of a tabulated density.
+coefficient term by term, a density's forward transform, the kernel CF
+from a dense phase matrix, and the empirical CF of an ensemble.
 """
 
 import math
@@ -12,8 +13,8 @@ from scipy import special
 
 from fracwalk import OrderMeasure, RadialDensity, norming_constant
 from fracwalk.analytic import _osc_zeros
-from fracwalk.kernel import enumerate_shells, surface_area
-from fracwalk.quadrature import extend_zeros, panel_integrals
+from fracwalk.kernel import enumerate_shells, frequency_rows, surface_area
+from fracwalk.quadrature import panel_integrals
 
 
 def lattice_zeta_partial(alpha: float, dim: int, trunc_radius: int) -> float:
@@ -54,6 +55,23 @@ def q_coefficient(k, measure: OrderMeasure, h: float) -> float:
     )
 
 
+def extend_zeros(zeros: np.ndarray, spacing: float, upto: float) -> np.ndarray:
+    """Append equally spaced breakpoints after ``zeros`` until ``upto``.
+
+    Used when an oscillation's exact zeros are exhausted: far zeros of the
+    Bessel-type factors approach uniform spacing, and panel edges only need
+    to be near the zeros for the alternating-series structure to survive.
+    """
+    zeros = np.asarray(zeros, dtype=float)
+    last = zeros[-1] if len(zeros) else 0.0
+    if last >= upto:
+        return zeros[zeros <= upto]
+    n_extra = int(np.ceil((upto - last) / spacing))
+    extra = last + spacing * np.arange(1, n_extra + 1)
+    out = np.concatenate([zeros, extra])
+    return out[out <= upto]
+
+
 def forward_cf(density: RadialDensity, xi, order: int = 8) -> np.ndarray:
     """Forward radial transform of a tabulated density (CF at radial |xi|).
 
@@ -81,3 +99,20 @@ def forward_cf(density: RadialDensity, xi, order: int = 8) -> np.ndarray:
             edges = density.r
         out[i] = float(np.sum(panel_integrals(f, edges, order)))
     return out
+
+
+def dense_kernel_cf(kernel, xi) -> np.ndarray:
+    """One-step kernel CF 1 - sum_k p_k 2 sin^2(h k.xi / 2) from one dense phase matrix."""
+    xi = frequency_rows(xi, kernel.dim)
+    phases = kernel.shells.sites.astype(float) @ (kernel.h * xi.T)  # (n_sites, G)
+    one_minus_cos = 2.0 * np.sin(0.5 * phases) ** 2
+    return 1.0 - kernel.site_probabilities @ one_minus_cos
+
+
+def empirical_cf(ensemble, xi_grid) -> np.ndarray:
+    """Empirical characteristic function (1/M) sum_m exp(i xi.S_m) per grid point."""
+    if ensemble.n_walkers == 0:
+        raise ValueError("empty ensemble")
+    xi = frequency_rows(xi_grid, ensemble.dim)
+    phases = ensemble.final_positions @ xi.T  # (M, G)
+    return np.exp(1j * phases).mean(axis=0)

@@ -244,6 +244,15 @@ class TestRadialDensity:
                 values=np.array([0.5, -1e-6]), measure=OrderMeasure.single(1.0),
             )
 
+    def test_is_immutable(self):
+        dens = green_density(CAUCHY_1D, 1.0, np.linspace(0, 5, 21))
+        with pytest.raises(AttributeError):
+            dens.t = 2.0
+        with pytest.raises(AttributeError):
+            dens._cumulative = None
+        with pytest.raises(ValueError):
+            dens.values[0] = 0.0
+
     def test_csv_and_json_export(self, tmp_path):
         dens = green_density(CAUCHY_1D, 1.0, np.linspace(0, 5, 21))
         path = tmp_path / "d.csv"

@@ -484,3 +484,46 @@ def test_cli_import_does_not_load_scipy_signal():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# tau = theta * tau_max(h): a non-finite weight or h**alpha reaches the kernel
+UNSET_TAU = {k: v for k, v in BENCH.items() if k != "tau"}
+
+# Each of these measure blocks used to crash with a traceback, write a
+# kernel of nan probabilities or run silently on a truncated value.
+MALFORMED_MEASURES = [
+    {"atoms": [None]},
+    {"atoms": [[]]},
+    {"atoms": [[1.0, 2.0, 3.0]]},
+    {"atoms": "x"},
+    {"atoms": [[1.0, math.nan]]},
+    {"atoms": [[1.0, math.inf]]},
+    {"atoms": [[math.nan, 1.0]]},
+    {"atoms": [[1.0, True]]},
+    {"atoms": [{"alpha": 1.0, "weight": None}]},
+    {"density": {"family": "constant", "support": [0.5, 1.5], "coeff": math.nan}},
+    {"density": {"family": "constant", "support": [0.5, 1.5], "nodes": 32.7}},
+    {"density": {"family": "constant", "support": [0.5, "x"]}},
+    {"density": {"family": "constant", "support": 1.0}},
+    {"density": {"family": "table", "points": [[0.5, 1.0], 1.5]}},
+    {"density": "constant"},
+]
+
+
+@pytest.mark.parametrize("measure", MALFORMED_MEASURES)
+def test_malformed_measure_exits_2_with_one_line(runner, tmp_path, measure):
+    cfg = _write(tmp_path, "c.yaml", dict(UNSET_TAU, measure=measure))
+    res = runner.invoke(main, ["kernel", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+    assert not (tmp_path / "kernel.json").exists()
+
+
+@pytest.mark.parametrize("command", ["kernel", "simulate"])
+@pytest.mark.parametrize("h", [1.0e300, 1.0e-300])
+def test_mesh_width_where_h_to_alpha_overflows_exits_2(runner, tmp_path, command, h):
+    cfg = _write(tmp_path, "c.yaml", dict(UNSET_TAU, measure={"atoms": [[1.5, 1.0]]}, h=h))
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+    assert f"h = {h!r}" in res.output

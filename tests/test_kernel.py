@@ -328,3 +328,9 @@ def test_kernel_json_golden():
 def test_trunc_radius_enumeration_guard():
     with pytest.raises(ValueError):
         enumerate_shells(3, 400)
+
+
+@pytest.mark.parametrize("h", [1.0e300, 1.0e-300, 1.0e-310])
+def test_stability_sigma_names_h_when_h_to_alpha_overflows(h):
+    with pytest.raises(ValueError, match="h = "):
+        stability_sigma(OrderMeasure.single(1.5), 2, h, 0.0)

@@ -1,0 +1,78 @@
+"""The one blocked lattice phase sum behind every lattice CF."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from fracwalk import (
+    LatticeDistribution,
+    OrderMeasure,
+    build_kernel,
+    characteristic_function,
+    kernel_distribution,
+    stability_sigma,
+)
+from fracwalk.diagnostics import default_xi_grid
+from fracwalk.kernel import _CF_BLOCK_ENTRIES, frequency_rows, phase_sum
+from oracles import dense_kernel_cf
+
+TWO_ATOMS = OrderMeasure.from_atoms([(0.7, 1.0), (1.4, 0.5)])
+
+
+def _kernel(dim, h, K, measure=TWO_ATOMS):
+    tau = 0.5 * stability_sigma(measure, dim, h, 0.0).tau_max
+    return build_kernel(measure, dim, h, tau, K)
+
+
+@pytest.mark.parametrize("dim, K", [(1, 4000), (2, 60), (3, 14)])
+def test_kernel_cf_matches_dense_formula(dim, K):
+    k = _kernel(dim, 0.1, K)
+    xi = default_xi_grid(dim, 10.0, 41)
+    assert len(k.shells.sites) * len(xi) > _CF_BLOCK_ENTRIES  # several blocks
+    np.testing.assert_allclose(k.cf(xi), dense_kernel_cf(k, xi), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_kernel_cf_is_exactly_one_at_zero(dim):
+    k = _kernel(dim, 0.2, 8)
+    assert k.cf(np.zeros((3, dim))).tolist() == [1.0, 1.0, 1.0]
+
+
+def test_one_dimensional_frequencies_may_be_flat():
+    k = _kernel(1, 0.1, 64)
+    xi = np.linspace(0.0, 5.0, 7)
+    assert frequency_rows(xi, 1).shape == (7, 1)
+    assert np.array_equal(k.cf(xi), k.cf(xi[:, None]))
+
+
+def test_kernel_cf_is_the_cf_of_its_distribution():
+    k = _kernel(2, 0.2, 12)
+    xi = default_xi_grid(2, 5.0, 11)
+    law_cf = characteristic_function(kernel_distribution(k), xi)
+    np.testing.assert_allclose(law_cf, k.cf(xi), rtol=0, atol=1e-14)
+
+
+def test_phase_sum_skips_empty_sites_and_sums_blocks():
+    rng = np.random.default_rng(5)
+    mass = rng.random((201, 201)) * (rng.random((201, 201)) < 0.3)
+    xi = rng.normal(size=(9, 2))
+    sites, masses = LatticeDistribution(dim=2, h=0.3, mass=mass).nonzero_sites()
+    dense = masses @ np.cos(0.3 * sites @ xi.T)
+    np.testing.assert_allclose(phase_sum(mass, 0.3, xi, np.cos), dense, rtol=0, atol=1e-11)
+
+
+def test_kernel_cf_memory_is_bounded_by_the_block():
+    # the h = 0.1, K = 128 kernel of a 2D study on its 202-point grid: a
+    # dense (sites x frequencies) phase matrix would take about 240 MB
+    k = _kernel(2, 0.1, 128)
+    xi = default_xi_grid(2, min(10.0, math.pi / 0.2), 101)
+    assert len(xi) == 202
+    tracemalloc.start()
+    try:
+        k.cf(xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -71,3 +71,11 @@ def test_with_density_combines_atoms():
     assert m.atoms == ((0.8, 1.0),)
     assert len(m.density_nodes) == 16
     assert m.total_weight() == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_rejects_non_finite_weights(weight):
+    with pytest.raises(ValueError, match="finite"):
+        OrderMeasure(atoms=((1.0, weight),))
+    with pytest.raises(ValueError, match="finite"):
+        OrderMeasure(density_nodes=((1.0, weight),))

@@ -14,7 +14,6 @@ from fracwalk import (
     OrderMeasure,
     build_kernel,
     build_sampler,
-    empirical_cf,
     evolve,
     histogram,
     run_walks,
@@ -23,6 +22,7 @@ from fracwalk import (
 from fracwalk import montecarlo
 from fracwalk.evolution import characteristic_function
 from fracwalk.montecarlo import WalkEnsemble
+from oracles import empirical_cf
 
 BENCH = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=64)
 SAMPLER = build_sampler(BENCH)

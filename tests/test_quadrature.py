@@ -6,11 +6,11 @@ from scipy.integrate import quad
 
 from fracwalk.quadrature import (
     aitken_limit,
-    extend_zeros,
     graded_edges,
     integrate_oscillatory,
     panel_integrals,
 )
+from oracles import extend_zeros
 
 
 def test_panel_integrals_exact_on_polynomials():
