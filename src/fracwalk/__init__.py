@@ -34,11 +34,7 @@ from .analytic import (
     DiffusionSymbol,
     QuadParams,
     RadialDensity,
-    cauchy_density,
-    gaussian_density,
-    green_cf,
     green_density,
-    symbol_eval,
     symbol_oracle,
 )
 from .diagnostics import (
@@ -78,11 +74,7 @@ __all__ = [
     "DiffusionSymbol",
     "QuadParams",
     "RadialDensity",
-    "cauchy_density",
-    "gaussian_density",
-    "green_cf",
     "green_density",
-    "symbol_eval",
     "symbol_oracle",
     "QuadratureError",
     "ConvergenceReport",

@@ -14,9 +14,12 @@ computed here by one-dimensional radial (Hankel-type) inversion:
     N=2:  G(t,r) = (1/(2 pi))  int_0^inf E(p) p J0(p r) dp
     N=3:  G(t,r) = (1/(2 pi^2 r)) int_0^inf E(p) p sin(p r) dp
 
-with E(p) = exp(t*B(p)).  Integrals run panel-by-panel between zeros of the
-oscillating factor; heads are graded toward 0 where E has a fractional-power
-kink; slowly decaying tails are Aitken-extrapolated.
+with E(p) = exp(t*B(p)).  ``green_density`` evaluates these, and the radial
+CDF, on a whole geometric grid by FFTLog (see "FFTLog tabulation" below).
+The per-radius panel quadrature certifies it and covers the radii FFTLog
+cannot serve: integrals run panel-by-panel between zeros of the oscillating
+factor; heads are graded toward 0 where E has a fractional-power kink;
+slowly decaying tails are Aitken-extrapolated.
 
 ``symbol_oracle`` independently recovers -|xi|^alpha from the hypersingular
 integral representation of the fractional Laplacian; it is the load-bearing
@@ -31,8 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.interpolate import PchipInterpolator
+from scipy import fft, special
 
 from .kernel import norming_constant, surface_area
 from .measure import OrderMeasure
@@ -42,6 +44,7 @@ from .quadrature import (
     graded_edges,
     integrate_oscillatory,
     panel_integrals,
+    panel_nodes,
 )
 
 # Tabulated densities may dip this far below zero from quadrature noise.
@@ -85,47 +88,6 @@ class DiffusionSymbol:
         return min(a for a, _ in self.measure.terms)
 
 
-def symbol_eval(sym: DiffusionSymbol, xi) -> float | np.ndarray:
-    """B(xi) = -sum_i a_i |xi|^alpha_i; depends on xi through |xi| only."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.ndim <= 1:
-        return float(sym.radial(np.linalg.norm(np.atleast_1d(xi))))
-    return sym.radial(np.linalg.norm(xi, axis=-1))
-
-
-def green_cf(sym: DiffusionSymbol, t: float, xi) -> float | np.ndarray:
-    """Green-function characteristic function exp(t * B(xi)), in (0, 1]."""
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    b = symbol_eval(sym, xi)
-    return np.exp(t * b) if isinstance(b, np.ndarray) else math.exp(t * b)
-
-
-def gaussian_density(t: float, x, dim: int) -> float:
-    """Heat-kernel density (4 pi t)^(-N/2) exp(-|x|^2 / (4 t))."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    r2 = float(np.sum(np.square(np.atleast_1d(np.asarray(x, dtype=float)))))
-    return (4.0 * math.pi * t) ** (-dim / 2.0) * math.exp(-r2 / (4.0 * t))
-
-
-def cauchy_density(t: float, x, dim: int) -> float:
-    """Multivariate Cauchy density, the alpha = 1 fundamental solution.
-
-    Gamma((N+1)/2) / pi^((N+1)/2) * t / (|x|^2 + t^2)^((N+1)/2).
-
-    The factor t in the numerator makes this the inverse transform of
-    exp(-t|xi|) with unit mass (peak 1/(pi t) in one dimension); it is
-    cross-checked against direct quadrature of the inverse transform in the
-    test suite.
-    """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    r2 = float(np.sum(np.square(np.atleast_1d(np.asarray(x, dtype=float)))))
-    half = (dim + 1) / 2.0
-    return math.gamma(half) / math.pi**half * t / (r2 + t * t) ** half
-
-
 # ---------------------------------------------------------------------------
 # Oscillation breakpoints
 
@@ -152,24 +114,21 @@ def _osc_zeros(dim: int, count: int) -> np.ndarray:
 
 
 def _cutoff(sym: DiffusionSymbol, t: float, cut_tol: float) -> float:
-    """Smallest P with exp(t B(P)) * max(P,1)^N <= cut_tol."""
-    target = math.log(cut_tol)
+    """Smallest P, to within 0.1% on a log grid, with
+    exp(t B(P)) * max(P,1)^N <= cut_tol."""
 
-    def ok(p: float) -> bool:
-        return t * float(sym.radial(p)) + sym.dim * max(math.log(p), 0.0) <= target
+    def first_below(p: np.ndarray) -> int | None:
+        ok = t * sym.radial(p) + sym.dim * np.maximum(np.log(p), 0.0) <= math.log(cut_tol)
+        return int(np.argmax(ok)) if ok.any() else None
 
-    lo, hi = 1e-6, 1e-6
-    while not ok(hi):
-        hi *= 4.0
-        if hi > 1e30:
-            return hi  # effectively never reached; caller switches to acceleration
-    for _ in range(80):
-        mid = math.sqrt(lo * hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    coarse = np.geomspace(1e-6, 1e30, 577)  # 16 points per decade
+    i = first_below(coarse)
+    if i is None:
+        return float(coarse[-1])  # effectively never reached; caller switches to acceleration
+    if i == 0:
+        return float(coarse[0])
+    fine = np.geomspace(coarse[i - 1], coarse[i], 129)
+    return float(fine[first_below(fine)])
 
 
 def _refine_by_decay(edges: np.ndarray, log_env, max_drop: float = 3.0) -> np.ndarray:
@@ -186,14 +145,27 @@ def _refine_by_decay(edges: np.ndarray, log_env, max_drop: float = 3.0) -> np.nd
     return edges
 
 
+def _smooth_panels(sym: DiffusionSymbol, t: float, qp: QuadParams):
+    """Graded, decay-refined panels of [0, P] and the envelope E at their
+    Gauss nodes, where P = ``_cutoff(sym, t, qp.cutoff_tol)`` is the last
+    edge.  Every radius whose oscillating factor keeps its sign below P
+    integrates on them, so callers with many radii build them once."""
+    P = _cutoff(sym, t, qp.cutoff_tol)
+    envelope_log = lambda p: t * sym.radial(p)
+    edges = _refine_by_decay(graded_edges(0.0, P, qp.graded_levels), envelope_log)
+    return edges, np.exp(envelope_log(panel_nodes(edges, qp.order)))
+
+
 def _radial_point(
-    sym: DiffusionSymbol, t: float, r: float, qp: QuadParams, P: float
+    sym: DiffusionSymbol, t: float, r: float, qp: QuadParams, smooth
 ) -> tuple[float, float]:
     """One value of the inverse-transform integral for radius r >= 0.
 
-    ``P`` is the frequency cutoff ``_cutoff(sym, t, qp.cutoff_tol)``, which
-    does not depend on r.
+    ``smooth`` is ``_smooth_panels(sym, t, qp)``; its last edge is the
+    frequency cutoff P, which does not depend on r.
     """
+    edges, envelope = smooth
+    P = float(edges[-1])
     dim = sym.dim
     envelope_log = lambda p: t * sym.radial(p)
 
@@ -215,8 +187,7 @@ def _radial_point(
 
     if r == 0.0 or P * r / math.pi < 1.5:
         # no sign change before the cutoff: graded + decay-refined smooth panels
-        edges = _refine_by_decay(graded_edges(0.0, P, qp.graded_levels), envelope_log)
-        vals = panel_integrals(integrand, edges, qp.order)
+        vals = panel_integrals(lambda p: envelope * weight(p) * osc(p), edges, qp.order)
         est = qp.cutoff_tol + 5e-16 * float(np.sum(np.abs(vals)))
         return prefactor * float(np.sum(vals)), prefactor * est
 
@@ -247,46 +218,243 @@ def _radial_point(
 
 
 # ---------------------------------------------------------------------------
-# Tabulated radial density
+# Tail law and default grid
 
 
-def _tail_mass_estimate(measure: OrderMeasure, dim: int, t: float, r: float) -> float:
-    """First-order mass beyond radius r: omega * 2t sum_i a_i b(alpha_i) r^-alpha_i / alpha_i."""
-    omega = surface_area(dim)
-    return sum(
-        omega * 2.0 * t * w * norming_constant(a, dim) * r ** (-a) / a
-        for a, w in measure.terms
+def _tail_mass(measure: OrderMeasure, dim: int, t: float, r):
+    """First-order mass beyond radius r from the stable tail
+    G ~ 2t sum_i a_i b(alpha_i) r^-(N+alpha_i), i.e.
+    omega_N 2t sum_i a_i b(alpha_i) r^-alpha_i / alpha_i."""
+    return surface_area(dim) * 2.0 * t * sum(
+        w * norming_constant(a, dim) * r ** (-a) / a for a, w in measure.terms
     )
 
 
 def default_radial_grid(
-    sym: DiffusionSymbol, t: float, points: int = 512, tail_target: float = 0.01
+    sym: DiffusionSymbol,
+    t: float,
+    points: int = 512,
+    tail_target: float = 0.01,
+    r_max: float | None = None,
 ) -> np.ndarray:
-    """Geometric radial grid with far-field reach for heavy tails.
+    """Geometric radial grid from inside the bulk out to ``r_max``.
 
-    Spans at least 50 * t^(1/alpha_min) (the bulk) and extends until the
-    power-law tail beyond the edge holds at most ``tail_target`` of the mass,
+    Starts at 1e-4 of the bulk scale min(t^(1/alpha_min), t^(1/alpha_max)),
+    inside the flat core of G (or at 1e-4 r_max, if that is smaller).  By
+    default r_max is at least 50 * t^(1/alpha_min) and far enough out that
+    the power-law tail beyond it holds at most ``tail_target`` of the mass,
     so that edge corrections stay within the 1e-3 mass budget.
     """
-    r_max = 50.0 * t ** (1.0 / sym.alpha_min)
-    lo, hi = 1.0, 1e12
-    if _tail_mass_estimate(sym.measure, sym.dim, t, lo) > tail_target:
-        for _ in range(80):
-            mid = math.sqrt(lo * hi)
-            if _tail_mass_estimate(sym.measure, sym.dim, t, mid) > tail_target:
-                lo = mid
-            else:
-                hi = mid
-        r_max = max(r_max, hi)
-    return np.concatenate([[0.0], np.geomspace(1e-4 * r_max, r_max, points - 1)])
+    alphas = [a for a, _ in sym.measure.terms]
+    bulk = min(t ** (1.0 / min(alphas)), t ** (1.0 / max(alphas)))
+    if r_max is None:
+        r_max = 50.0 * t ** (1.0 / sym.alpha_min)
+        lo, hi = 1.0, 1e12
+        if _tail_mass(sym.measure, sym.dim, t, lo) > tail_target:
+            for _ in range(80):
+                mid = math.sqrt(lo * hi)
+                if _tail_mass(sym.measure, sym.dim, t, mid) > tail_target:
+                    lo = mid
+                else:
+                    hi = mid
+            r_max = max(r_max, hi)
+    start = 1e-4 * min(bulk, r_max)
+    return np.concatenate([[0.0], np.geomspace(start, r_max, points - 1)])
+
+
+# ---------------------------------------------------------------------------
+# FFTLog tabulation
+#
+# E(p) = exp(t B(p)) is radial, so G and the radial CDF are Hankel transforms
+#
+#   G(t, r)     = (2 pi)^-N/2 r^(1-N/2) int E(p) p^(N/2) J_(N/2-1)(p r) dp,
+#   P(|X| <= r) = 1 - (2 pi)^-N/2 omega_N r^(N/2) int (1 - E(p)) p^(N/2-1) J_(N/2)(p r) dp,
+#
+# which FFTLog (Talman 1978; Hamilton 2000, App. B) evaluates on a whole
+# geometric r grid with one FFT each.  The CDF transforms the complement
+# 1 - E, which vanishes as p -> 0, under a power-law bias p^(alpha_min/2)
+# that makes its input decay at both ends of the window.
+
+# Largest log step of the table, the decay e^-_WRAP_LOG that each transform
+# input reaches at both window ends, and the window size above which the
+# quadrature takes over.
+_TABLE_STEP = 0.012
+_WRAP_LOG = 30.0
+_MAX_NODES = 1 << 18
+# Table nodes checked against the quadrature, besides r = 0.
+_CHECK_RADII = 16
+
+
+def _geometric_step(radii: np.ndarray) -> float | None:
+    """Log step of a geometric grid of positive radii, else None."""
+    if len(radii) < 2:
+        return None
+    u = np.log(radii)
+    step = (u[-1] - u[0]) / (len(u) - 1)
+    if not step > 0.0 or np.max(np.abs(u - u[0] - step * np.arange(len(u)))) > 1e-12:
+        return None
+    return float(step)
+
+
+def _hankel(a: np.ndarray, v0: float, u0: float, dln: float, mu: float, bias: float):
+    """FFTLog of samples a_j at p_j = exp(v0 + j dln), at r_k = exp(u0 + k dln):
+    r_k int_0^inf a(p) J_mu(p r_k) dp."""
+    return fft.fht(a, dln, mu, offset=v0 + u0 + (len(a) - 1) * dln, bias=bias)
+
+
+def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
+    """G and the radial CDF on a log grid spanning the positive ``radii``.
+
+    On a geometric grid the table step divides the grid step and the table
+    starts at the first radius, so every radius is a table node.  Returns
+    ``(table_r, G, cdf, spread, stride)``: ``spread`` holds the largest
+    changes of G and of the CDF when the transform resolution doubles, and
+    ``stride``
+    the table nodes per grid step (None off a geometric grid).  Returns None
+    when the window would need more than ``_MAX_NODES`` nodes.
+    """
+    dim = sym.dim
+    pos = radii[radii > 0.0]
+    step = _geometric_step(pos)
+    if step is None:
+        h, stride = _TABLE_STEP, None
+        count = int(math.ceil(math.log(pos[-1] / pos[0]) / h)) + 1
+        u_first = math.log(pos[-1]) - (count - 1) * h
+    else:
+        stride = int(math.ceil(step / _TABLE_STEP))
+        h = step / stride
+        count = (len(pos) - 1) * stride + 1
+        u_first = math.log(pos[0])
+    u_last = u_first + (count - 1) * h
+    # The table is the doubled-resolution transform, step h; the base
+    # transform, step 2h, is its resolution check at every other node.
+    dln = 2.0 * h
+
+    # Input windows in v = ln p, wide enough for each input to decay by
+    # e^-_WRAP_LOG at both ends, and at least as wide as the table plus
+    # margins.  G's input E p^(N/2) vanishes beyond the cutoff and like
+    # p^(N/2) at 0; the CDF's biased input (1 - E) p^-beta decays like
+    # p^(alpha_min - beta) at 0 and like p^-beta at infinity.
+    beta = 0.5 * sym.alpha_min
+    v_bulk = math.log(_cutoff(sym, t, math.exp(-1.0)))
+    v_cut = math.log(_cutoff(sym, t, 1e-18))
+    margin = 8.0
+    windows = (
+        (min(v_bulk, -u_last) - 2.0 * _WRAP_LOG / dim, v_cut),
+        (
+            min(v_bulk - _WRAP_LOG / (sym.alpha_min - beta), -u_last - margin),
+            max(v_bulk + _WRAP_LOG / beta, -u_first + margin),
+        ),
+    )
+    sizes = [
+        fft.next_fast_len(int(math.ceil(max(hi - lo, u_last - u_first + 2 * margin) / dln)) + 1)
+        for lo, hi in windows
+    ]
+    # one base grid v_j = v0 + j dln holds both windows; each transform takes
+    # the slice whose top node is the first at or above its window's top
+    v_top = max(hi for _, hi in windows)
+    drops = [int((v_top - hi) // dln) for _, hi in windows]
+    n = max(k + m for k, m in zip(drops, sizes))
+    if n > _MAX_NODES:
+        return None
+    v0 = v_top - (n - 1) * dln
+    v = v0 + h * np.arange(2 * n)  # doubled resolution; [::2] is the base grid
+    tb = np.full(2 * n, -np.inf)  # E underflows beyond the cutoff
+    live = v <= v_cut
+    tb[live] = t * sym.radial(np.exp(v[live]))
+
+    def transform(w: int, a: np.ndarray, mu: float, bias: float):
+        """Doubled-resolution transform at the table nodes, and the base
+        transform at every other table node."""
+        start = n - drops[w] - sizes[w]
+        first = (2 * sizes[w] - count) // 4  # the table sits mid-window
+        u0 = u_first - first * dln
+        a = a[2 * start : 2 * (start + sizes[w])]
+        base = _hankel(a[::2], v[2 * start], u0, dln, mu, bias)
+        fine = _hankel(a, v[2 * start], u0, h, mu, bias)
+        return fine[2 * first : 2 * first + count], base[first : first + (count + 1) // 2]
+
+    table_r = np.exp(u_first + h * np.arange(count))
+    scale = (2.0 * math.pi) ** (-0.5 * dim)
+    g_in = np.exp(tb + 0.5 * dim * v)
+    g, g_base = transform(0, g_in, 0.5 * dim - 1.0, 0.0)
+    if dim == 3:
+        # inside the bulk a bias p^(-1/2) keeps the r^(-3/2) factor below
+        # from amplifying rounding; the unbiased transform keeps the far tail
+        core, core_base = transform(0, g_in, 0.5, -0.5)
+        inner = table_r * math.exp(v_bulk) < 1.0
+        g, g_base = np.where(inner, core, g), np.where(inner[::2], core_base, g_base)
+    g_factor = scale * table_r ** (-0.5 * dim)
+    c_in = -np.expm1(tb) * np.exp((0.5 * dim - 1.0) * v)
+    cdf, cdf_base = transform(1, c_in, 0.5 * dim, 0.5 * dim - 1.0 + beta)
+    c_factor = -scale * surface_area(dim) * table_r ** (0.5 * dim - 1.0)
+    spread = [
+        float(np.max(np.abs(factor[::2] * (table[::2] - base))))
+        for table, base, factor in ((g, g_base, g_factor), (cdf, cdf_base, c_factor))
+    ]
+    return table_r, g_factor * g, 1.0 + c_factor * cdf, spread, stride
+
+
+# ---------------------------------------------------------------------------
+# Tabulated radial density
+
+
+def _checked_radii(r: np.ndarray) -> np.ndarray:
+    if not (r.ndim == 1 and r[0] >= 0.0 and r[-1] > 0.0 and np.all(np.diff(r) > 0.0)):
+        raise ValueError("radii must be nonnegative and strictly increasing, with one above 0")
+    return r
+
+
+def _hermite(x: np.ndarray, u: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant through values f and slopes df at nodes u."""
+    k = np.clip(np.searchsorted(u, x) - 1, 0, len(u) - 2)
+    h = u[k + 1] - u[k]
+    s = (x - u[k]) / h
+    f0, m0, m1 = f[k], h * df[k], h * df[k + 1]
+    d = f[k + 1] - f0
+    return f0 + s * (m0 + s * (3.0 * d - 2.0 * m0 - m1 + s * (m0 + m1 - 2.0 * d)))
+
+
+def _core(r, r1: float, g: np.ndarray, dim: int):
+    """G and the mass within r <= r1, the first positive radius, when
+    G = g_0 + (g_1 - g_0) (r / r1)^2 there (G is even and smooth at 0)."""
+    bend = (g[1] - g[0]) * (r / r1) ** 2
+    return g[0] + bend, surface_area(dim) * r**dim * (g[0] / dim + bend / (dim + 2))
+
+
+def _cumulative_mass(r: np.ndarray, g: np.ndarray, dim: int) -> np.ndarray:
+    """Mass within each radius of a grid that starts at r = 0.
+
+    ``_core`` below the first positive radius; beyond it, the trapezoid rule
+    in log r for omega G r^N with its endpoint correction
+    h^2/12 (f'_k - f'_(k+1)), the slopes f' by finite differences, which
+    makes the rule fourth order.
+    """
+    core = _core(r[1], r[1], g, dim)[1]
+    if len(r) == 2:
+        return np.array([0.0, core])
+    u = np.log(r[1:])
+    shell = surface_area(dim) * g[1:] * r[1:] ** dim
+    slope = np.gradient(shell, u)
+    h = np.diff(u)
+    steps = 0.5 * h * (shell[1:] + shell[:-1]) + h * h / 12.0 * (slope[:-1] - slope[1:])
+    return np.concatenate([[0.0, core], core + np.cumsum(steps)])
 
 
 @dataclass(frozen=True)
 class RadialDensity:
-    """Tabulated G(t, |x| = r) with monotone-cubic interpolation in log space.
+    """Tabulated G(t, |x| = r) and its radial CDF.
 
-    Immutable: the log-density interpolant and the cumulative radial mass
-    table are built once, on construction.
+    ``r`` and ``values`` are the requested radii and densities.  ``table``
+    holds ``(radii, G, P(|X| <= radius))`` on the interpolation grid, which
+    starts at r = 0; ``green_density`` fills it from the FFTLog tables.
+    Without it the table is the requested grid, its CDF the mass integrated
+    by :func:`_cumulative_mass`.  Beyond the first positive node both are
+    cubic Hermite interpolants in log r: log G with finite-difference slopes,
+    the CDF with the slopes omega_N G r^N of the density table; below it G is
+    the quadratic ``_core``.
+
+    Immutable: the tables are built once, on construction.
     """
 
     dim: int
@@ -295,70 +463,67 @@ class RadialDensity:
     values: np.ndarray
     measure: OrderMeasure
     error_estimate: float = 0.0
-    _log_interp: PchipInterpolator = field(init=False, repr=False, compare=False)
-    _cumulative: PchipInterpolator = field(init=False, repr=False, compare=False)
+    table: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         r = np.array(self.r, dtype=float)
         values = np.array(self.values, dtype=float)
         if np.any(values < -POSITIVITY_FLOOR):
             raise ValueError("tabulated density below the quadrature noise floor")
-        r.setflags(write=False)
-        values.setflags(write=False)
-        logs = np.log(np.maximum(values, 1e-280))
+        _checked_radii(r)
+        if self.table is None:
+            tr, tg = (r, values) if r[0] == 0.0 else (np.insert(r, 0, 0.0), np.insert(values, 0, values[0]))
+            table = (tr, tg, _cumulative_mass(tr, tg, self.dim))
+        else:
+            table = tuple(np.array(x, dtype=float) for x in self.table)
+        for arr in (r, values, *table):
+            arr.setflags(write=False)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_log_interp", PchipInterpolator(r, logs, extrapolate=False))
-        omega = surface_area(self.dim)
-        shell = lambda s: omega * self.density(s) * s ** (self.dim - 1)
-        cum = np.concatenate([[0.0], np.cumsum(panel_integrals(shell, r, order=8))])
-        object.__setattr__(self, "_cumulative", PchipInterpolator(r, cum, extrapolate=False))
+        object.__setattr__(self, "table", table)
 
     def density(self, r) -> np.ndarray:
         """Interpolated density; the far tail beyond the grid uses its power law."""
         r = np.abs(np.asarray(r, dtype=float))
-        out = np.exp(self._log_interp(np.clip(r, self.r[0], self.r[-1])))
-        beyond = r > self.r[-1]
+        tr, tg, _ = self.table
+        out = _core(np.minimum(r, tr[1]), tr[1], tg, self.dim)[0]
+        if len(tr) > 2:
+            u = np.log(tr[1:])
+            logs = np.log(np.maximum(tg[1:], 1e-300))
+            x = np.log(np.clip(r, tr[1], tr[-1]))
+            out = np.where(r > tr[1], np.exp(_hermite(x, u, logs, np.gradient(logs, u))), out)
+        beyond = r > tr[-1]
         if np.any(beyond):
-            out = np.where(beyond, self._tail_density(r), out)
+            out = np.where(beyond, self._tail_density(np.maximum(r, tr[-1])), out)
         return out
-
-    def _tail_rate(self) -> list[tuple[float, float]]:
-        # leading large-r behavior: G ~ 2 t sum_i a_i b(alpha_i) r^-(N+alpha_i)
-        return [
-            (a, 2.0 * self.t * w * norming_constant(a, self.dim))
-            for a, w in self.measure.terms
-        ]
 
     def _tail_density(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for a, c in self._tail_rate():
-            out += c * r ** -(self.dim + a)
-        return out
-
-    def tail_mass(self, r: float) -> float:
-        """First-order mass beyond radius r from the stable-tail power law."""
-        omega = surface_area(self.dim)
-        return float(
-            sum(omega * c * r ** (-a) / a for a, c in self._tail_rate())
+        # leading large-r behavior: G ~ 2 t sum_i a_i b(alpha_i) r^-(N+alpha_i)
+        return 2.0 * self.t * sum(
+            w * norming_constant(a, self.dim) * r ** -(self.dim + a)
+            for a, w in self.measure.terms
         )
 
     def mass(self) -> float:
-        """Total integral over R^N: grid quadrature plus the analytic tail."""
-        return float(self._cumulative(self.r[-1])) + self.tail_mass(self.r[-1])
+        """Total integral over R^N: the density table plus the analytic tail."""
+        tr, tg, _ = self.table
+        return float(_cumulative_mass(tr, tg, self.dim)[-1]) + _tail_mass(
+            self.measure, self.dim, self.t, tr[-1]
+        )
 
     def radial_cdf(self, r) -> np.ndarray:
-        """P(|X| <= r), clamped monotone; beyond the grid uses the tail law."""
+        """P(|X| <= r), clamped to [0, 1]; beyond the grid uses the tail law."""
         r = np.asarray(r, dtype=float)
-        out = np.asarray(self._cumulative(np.clip(r, 0.0, self.r[-1])), dtype=float)
-        beyond = r > self.r[-1]
+        tr, tg, tc = self.table
+        out = _core(np.minimum(r, tr[1]), tr[1], tg, self.dim)[1]
+        if len(tr) > 2:
+            slope = surface_area(self.dim) * tg[1:] * tr[1:] ** self.dim  # dP/d(log r)
+            x = np.log(np.clip(r, tr[1], tr[-1]))
+            out = np.where(r > tr[1], _hermite(x, np.log(tr[1:]), tc[1:], slope), out)
+        beyond = r > tr[-1]
         if np.any(beyond):
-            safe = np.maximum(r, self.r[-1])
-            tails = np.vectorize(self.tail_mass)(safe)
-            # PCHIP of increasing data is monotone, and 1 - tail >= cum(r_max)
-            # whenever the tabulation is consistent, so no reordering needed.
-            out = np.where(beyond, np.maximum(1.0 - tails, out), out)
+            tails = _tail_mass(self.measure, self.dim, self.t, np.maximum(r, tr[-1]))
+            out = np.where(beyond, np.maximum(1.0 - tails, tc[-1]), out)
         return np.clip(out, 0.0, 1.0)
 
     def axis_cdf(self, x) -> np.ndarray:
@@ -397,10 +562,20 @@ def green_density(
     r_grid=None,
     quad_params: QuadParams | None = None,
 ) -> RadialDensity:
-    """Tabulate the fundamental solution G(t, r) on a radial grid.
+    """Tabulate the fundamental solution G(t, r) and its radial CDF.
 
-    Raises :class:`QuadratureError` when the integration cannot certify the
-    requested tolerance (the achieved estimate rides along in the exception).
+    Two FFTLog transforms give G and the CDF on a log grid through the
+    positive radii.  Their certificate, which becomes ``error_estimate``, is
+    the largest of their changes under doubled resolution and the deviation
+    of G from the panel quadrature (plus the quadrature's own estimate) at
+    r = 0 and ``_CHECK_RADII`` table nodes.  The CDF's change must meet
+    ``quad_params.tol``; G's parts must meet it times max(1, G(t, 0)).
+    A geometric grid takes its values from the table nodes.  r = 0, every
+    radius of any other grid, and every radius once the certificate misses
+    take the quadrature; the last case keeps the requested grid as its table.
+
+    Raises :class:`QuadratureError` when the quadrature misses the tolerance,
+    absolutely (the achieved estimate rides along in the exception).
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -408,22 +583,44 @@ def green_density(
     r = (
         default_radial_grid(sym, t)
         if r_grid is None
-        else np.asarray(r_grid, dtype=float)
+        else _checked_radii(np.asarray(r_grid, dtype=float))
     )
-    vals = np.empty_like(r)
-    worst = 0.0
-    P = _cutoff(sym, t, qp.cutoff_tol)
-    for i, ri in enumerate(r):
-        vals[i], est = _radial_point(sym, t, float(ri), qp, P)
-        worst = max(worst, est)
-        if est > qp.tol:
-            raise QuadratureError(
-                f"inverse transform at r={ri:.6g} missed tolerance {qp.tol:g}",
-                vals[i],
-                est,
-            )
+    smooth = _smooth_panels(sym, t, qp)
+
+    def quadrature(r: float) -> tuple[float, float]:
+        return _radial_point(sym, t, r, qp, smooth)
+
+    origin = quadrature(0.0)
+    values, estimate, table = None, 0.0, None
+    found = _fftlog_tables(sym, t, r)
+    if found is not None:
+        table_r, g, cdf, (g_spread, cdf_spread), stride = found
+        check = np.unique(np.linspace(0, len(table_r) - 1, _CHECK_RADII).round().astype(int))
+        ref = np.array([origin] + [quadrature(float(x)) for x in table_r[check]])
+        g_error = max(g_spread, float(np.max(np.abs(ref[1:, 0] - g[check]))), float(np.max(ref[:, 1])))
+        estimate = max(g_error, cdf_spread)
+        # G's rounding scales with its peak, so above a peak of 1 its error is
+        # held to the tolerance relative to G(t, 0); the CDF has no units and
+        # is held to it absolutely
+        if g_error <= qp.tol * max(1.0, origin[0]) and cdf_spread <= qp.tol:
+            table = (np.insert(table_r, 0, 0.0), np.insert(g, 0, origin[0]), np.insert(cdf, 0, 0.0))
+            if stride is not None:
+                values = np.concatenate([[origin[0]], g[::stride]]) if r[0] == 0.0 else g[::stride]
+    if values is None:
+        values, worst = np.empty_like(r), 0.0
+        for i, ri in enumerate(r):
+            values[i], est = quadrature(float(ri))
+            worst = max(worst, est)
+            if est > qp.tol:
+                raise QuadratureError(
+                    f"inverse transform at r={ri:.6g} missed tolerance {qp.tol:g}",
+                    values[i],
+                    est,
+                )
+        estimate = worst if table is None else max(worst, estimate)
     return RadialDensity(
-        dim=sym.dim, t=t, r=r, values=vals, measure=sym.measure, error_estimate=worst
+        dim=sym.dim, t=t, r=r, values=values, measure=sym.measure,
+        error_estimate=estimate, table=table,
     )
 
 

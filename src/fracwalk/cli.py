@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .analytic import (
@@ -164,12 +163,7 @@ def density(config_path: str, out: str | None, selfcheck: bool) -> None:
     if r["t"] <= 0.0:
         raise ConfigError("density requires t > 0")
     sym = DiffusionSymbol(cfg.measure, r["dim"])
-    if r["r_max"] is not None:
-        r_grid = np.concatenate(
-            [[0.0], np.geomspace(1e-4 * r["r_max"], r["r_max"], r["r_points"] - 1)]
-        )
-    else:
-        r_grid = default_radial_grid(sym, r["t"], r["r_points"])
+    r_grid = default_radial_grid(sym, r["t"], r["r_points"], r_max=r["r_max"])
     dens = green_density(sym, r["t"], r_grid, QuadParams(tol=r["quad_tol"]))
 
     out_dir = _out_dir(out, cfg)

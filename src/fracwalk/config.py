@@ -142,7 +142,7 @@ def parse_measure(block: dict) -> OrderMeasure:
         if not isinstance(support, list) or len(support) != 2:
             raise ConfigError("density block needs 'support: [lo, hi]'")
         lo, hi = (_number("density support", x) for x in support)
-        nodes = _scalar("density nodes", int, "[1, inf)", dblock.get("nodes", DENSITY_NODES))
+        nodes = _scalar("density nodes", int, "[1, 1024]", dblock.get("nodes", DENSITY_NODES))
         panels = _scalar("density panels", int, "[1, inf)", dblock.get("panels", DENSITY_PANELS))
         try:
             density_nodes = discretize_density(density, lo, hi, nodes, panels)

@@ -39,12 +39,19 @@ def panel_integrals(f, edges: np.ndarray, order: int = 16) -> np.ndarray:
     ``f`` must accept a flat ndarray; one call evaluates all panels at once.
     """
     edges = np.asarray(edges, dtype=float)
-    x, w = gauss_legendre(order)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    vals = f(panel_nodes(edges, order)).reshape(len(half), order)
+    return half * (vals @ gauss_legendre(order)[1])
+
+
+def panel_nodes(edges: np.ndarray, order: int = 16) -> np.ndarray:
+    """The flat array of Gauss-Legendre nodes at which ``panel_integrals``
+    evaluates its integrand, panel by panel."""
+    edges = np.asarray(edges, dtype=float)
+    x, _ = gauss_legendre(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(nodes.ravel()).reshape(nodes.shape)
-    return half * (vals @ w)
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel()
 
 
 def graded_edges(a: float, b: float, levels: int = 45) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Reference computations that the tests compare the library against.
 
 Each one evaluates a quantity by a slower, more direct route than the
-library uses: partial lattice sums with a tail bound, the jump-strength
-coefficient term by term, a density's forward transform, the kernel CF
-from a dense phase matrix, and the empirical CF of an ensemble.
+library uses: the symbol and Green CF at a vector frequency, the Gaussian
+and Cauchy closed forms, partial lattice sums with a tail bound, the
+jump-strength coefficient term by term, a density's forward transform, the
+kernel CF from a dense phase matrix, and the empirical CF of an ensemble.
 """
 
 import math
@@ -11,10 +12,51 @@ import math
 import numpy as np
 from scipy import special
 
-from fracwalk import OrderMeasure, RadialDensity, norming_constant
+from fracwalk import DiffusionSymbol, OrderMeasure, RadialDensity, norming_constant
 from fracwalk.analytic import _osc_zeros
 from fracwalk.kernel import enumerate_shells, frequency_rows, surface_area
 from fracwalk.quadrature import panel_integrals
+
+
+def symbol_eval(sym: DiffusionSymbol, xi) -> float | np.ndarray:
+    """B(xi) = -sum_i a_i |xi|^alpha_i; depends on xi through |xi| only."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.ndim <= 1:
+        return float(sym.radial(np.linalg.norm(np.atleast_1d(xi))))
+    return sym.radial(np.linalg.norm(xi, axis=-1))
+
+
+def green_cf(sym: DiffusionSymbol, t: float, xi) -> float | np.ndarray:
+    """Green-function characteristic function exp(t * B(xi)), in (0, 1]."""
+    if t < 0.0:
+        raise ValueError("t must be nonnegative")
+    b = symbol_eval(sym, xi)
+    return np.exp(t * b) if isinstance(b, np.ndarray) else math.exp(t * b)
+
+
+def gaussian_density(t: float, x, dim: int) -> float:
+    """Heat-kernel density (4 pi t)^(-N/2) exp(-|x|^2 / (4 t))."""
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    r2 = float(np.sum(np.square(np.atleast_1d(np.asarray(x, dtype=float)))))
+    return (4.0 * math.pi * t) ** (-dim / 2.0) * math.exp(-r2 / (4.0 * t))
+
+
+def cauchy_density(t: float, x, dim: int) -> float:
+    """Multivariate Cauchy density, the alpha = 1 fundamental solution.
+
+    Gamma((N+1)/2) / pi^((N+1)/2) * t / (|x|^2 + t^2)^((N+1)/2).
+
+    The factor t in the numerator makes this the inverse transform of
+    exp(-t|xi|) with unit mass (peak 1/(pi t) in one dimension); it is
+    cross-checked against direct quadrature of the inverse transform in the
+    test suite.
+    """
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    r2 = float(np.sum(np.square(np.atleast_1d(np.asarray(x, dtype=float)))))
+    half = (dim + 1) / 2.0
+    return math.gamma(half) / math.pi**half * t / (r2 + t * t) ** half
 
 
 def lattice_zeta_partial(alpha: float, dim: int, trunc_radius: int) -> float:

@@ -9,15 +9,11 @@ from fracwalk import (
     OrderMeasure,
     QuadParams,
     RadialDensity,
-    cauchy_density,
-    gaussian_density,
-    green_cf,
     green_density,
-    symbol_eval,
     symbol_oracle,
 )
 from fracwalk.analytic import default_radial_grid
-from oracles import forward_cf
+from oracles import cauchy_density, forward_cf, gaussian_density, green_cf, symbol_eval
 
 CAUCHY_1D = DiffusionSymbol(OrderMeasure.single(1.0), 1)
 

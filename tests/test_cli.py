@@ -477,8 +477,12 @@ def test_density_selfcheck_passes_on_default_grid_heavy_tails(runner, tmp_path):
 
 
 def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal alone costs about 0.6 s of import and no command needs it
-    code = "import sys, fracwalk.cli; print([m for m in sys.modules if m.startswith('scipy.signal')])"
+    # scipy.signal alone costs about 0.6 s of import and no command needs it;
+    # scipy.interpolate costs 0.2-0.3 s more and the density tables use np.interp
+    code = (
+        "import sys, fracwalk.cli; "
+        "print([m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.interpolate'))])"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -527,3 +531,21 @@ def test_mesh_width_where_h_to_alpha_overflows_exits_2(runner, tmp_path, command
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
     assert f"h = {h!r}" in res.output
+
+
+def test_density_nodes_are_capped(runner, tmp_path):
+    # Gauss-Legendre nodes take O(nodes^2) memory: 100000 would need about 77 GB
+    import tracemalloc
+
+    measure = {"density": {"family": "constant", "support": [0.5, 1.5], "nodes": 100000, "panels": 1}}
+    cfg = _write(tmp_path, "c.yaml", dict(UNSET_TAU, measure=measure))
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, ["kernel", "--config", cfg, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+    assert "density nodes" in res.output
+    assert peak < 64 * 2**20
