@@ -43,10 +43,12 @@ SCHEMA: dict[str, Key] = {
     "n_steps": Key(int, None, "[0, inf)"),     # default ceil(t / tau)
     "seed": Key(int, 12345, "[0, 18446744073709551616)"),
     "threads": Key(int, 1, "[1, inf)"),
+    # grids are capped at 2^16 points, a quarter of the 2^18-node FFTLog
+    # window; past it radii fall back to one quadrature each
     "xi_max": Key(float, 10.0, "(0, inf)"),
-    "xi_points": Key(int, 101, "[1, inf)"),
+    "xi_points": Key(int, 101, "[1, 65536]"),
     "r_max": Key(float, None, "(0, inf)"),     # default 50 * t^(1/alpha_min)
-    "r_points": Key(int, 512, "[2, inf)"),
+    "r_points": Key(int, 512, "[2, 65536]"),
     "quad_tol": Key(float, 1e-7, "(0, inf)"),
     "ks_reference": Key(("auto", "cauchy", "analytic", "none"), "auto"),
     "oracle_alphas": Key([float], [0.5, 1.0, 1.5], "(0, 2)"),

@@ -297,8 +297,9 @@ def characteristic_function(dist: LatticeDistribution, xi) -> np.ndarray:
     """CF of the rescaled law: sum_j y_j exp(i h j.xi), evaluated per grid point.
 
     With the mesh factor h this is the n-step analogue of p-hat(-h xi), the
-    quantity whose limit is the Green-function CF.  The sum runs over blocks
-    of sites (:func:`~fracwalk.kernel.phase_sum`), so at most
-    ``_CF_BLOCK_ENTRIES`` phases are live at once.
+    quantity whose limit is the Green-function CF.  The law is contracted
+    one axis at a time with per-axis tables exp(i h j_a xi_a), N * side
+    exponentials per frequency (:func:`~fracwalk.kernel.phase_sum`), in
+    blocks of at most ``_CF_BLOCK_ENTRIES`` floats.
     """
-    return phase_sum(dist.mass, dist.h, xi, lambda phase: np.exp(1j * phase))
+    return phase_sum(dist.mass, dist.h, xi)

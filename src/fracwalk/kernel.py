@@ -183,7 +183,7 @@ def lattice_zeta(alpha: float, dim: int) -> float:
 # ---------------------------------------------------------------------------
 # Lattice characteristic functions
 
-# (site, frequency) phases ``phase_sum`` evaluates per block.
+# Floats one per-axis table block or intermediate of ``phase_sum`` may hold.
 _CF_BLOCK_ENTRIES = 1 << 18
 
 
@@ -195,23 +195,51 @@ def frequency_rows(xi, dim: int) -> np.ndarray:
     return xi
 
 
-def phase_sum(mass: np.ndarray, h: float, xi, f) -> np.ndarray:
-    """sum_j mass[j] f(h (j - R).xi) per row of ``xi``, over a cube of side 2R+1.
+def phase_sum(mass: np.ndarray, h: float, xi, even: bool = False) -> np.ndarray:
+    """sum_j mass[j] exp(i h (j - R).xi) per row of ``xi``, over a cube of side 2R+1.
 
-    ``f`` acts elementwise on the phases.  Nonzero sites are taken in blocks
-    of the flat cube, so at most ``_CF_BLOCK_ENTRIES`` phases are live at once.
+    With ``even``, ``mass`` is a law even in every coordinate folded onto the
+    orthant j >= 0 (origin at index 0), and the sum is the real
+    sum_j mass[j] (1 - prod_a cos(h j_a xi_a)), exactly 0 at xi = 0.  The
+    phase factorizes, so the cube is contracted one axis at a time with
+    per-axis tables: one matrix product over the cube, then
+    frequency-diagonal contractions.  The even sum carries X, the sum of
+    1 - prod(1 - s) over the axes done, beside the marginal mass Y:
+    X' = sum_j X (1 - s) + Y s with s = 2 sin^2(h j_a xi_a / 2), so nothing
+    cancels near xi = 0.  Frequency blocks, and site blocks along the first
+    axis, keep every table block and intermediate within
+    ``_CF_BLOCK_ENTRIES`` floats.
     """
-    scaled = h * frequency_rows(xi, mass.ndim).T
-    flat = mass.reshape(-1)
-    rows = max(1, _CF_BLOCK_ENTRIES // scaled.shape[1])
-    total = np.zeros(scaled.shape[1])
-    for start in range(0, flat.size, rows):
-        block = flat[start : start + rows]
-        held = np.flatnonzero(block)
-        sites = np.column_stack(np.unravel_index(start + held, mass.shape))
-        # not +=: the real zeros take the dtype of f's values (complex for exp)
-        total = total + block[held] @ f((sites - mass.shape[0] // 2) @ scaled)
-    return total
+    xi = h * frequency_rows(xi, mass.ndim)
+    j = np.arange(mass.shape[0]) - (0 if even else mass.shape[0] // 2)
+    flat = mass.reshape(len(j), -1)
+    # a complex intermediate takes two floats per frequency
+    width = max(1, min(len(xi), _CF_BLOCK_ENTRIES // (2 * flat.shape[1])))
+    rows = max(1, _CF_BLOCK_ENTRIES // (2 * width))
+    marginals = mass.sum(axis=0) if even else None
+
+    def table(block, axis, at=slice(None)):
+        phase = np.multiply.outer(j[at], block[:, axis])
+        return 2.0 * np.sin(0.5 * phase) ** 2 if even else np.exp(1j * phase)
+
+    out = np.empty(len(xi), dtype=float if even else complex)
+    for g0 in range(0, len(xi), width):
+        block = xi[g0 : g0 + width]
+        state = 0.0
+        for r0 in range(0, len(j), rows):
+            t, m = table(block, 0, slice(r0, r0 + rows)), flat[r0 : r0 + rows].T
+            state = state + (m @ t if even else m @ t.real + 1j * (m @ t.imag))
+        state, marginal = state.reshape(mass.shape[1:] + (len(block),)), marginals
+        for axis in range(1, mass.ndim):
+            t = table(block, axis)
+            if even:
+                state = np.einsum("j...g,jg->...g", state, 1.0 - t)
+                state += np.tensordot(marginal, t, (0, 0))
+                marginal = marginal.sum(axis=0)
+            else:
+                state = np.einsum("j...g,jg->...g", state, t)
+        out[g0 : g0 + width] = state
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +337,23 @@ class LatticeKernel:
         """One-step characteristic function of the rescaled walk, p-hat(-h xi).
 
         Returns sum_k p_k exp(i h k.xi); real because the kernel is symmetric.
-        Evaluated as 1 - sum_k p_k (1 - cos(h k.xi)), which is exact at xi = 0
-        and avoids cancellation at small frequencies.  ``xi`` is (G,) in one
-        dimension or (G, dim) in general.
+        It is even in every coordinate, so this is
+        1 - sum_k p_k (1 - prod_a cos(h k_a xi_a)) over the orthant k >= 0,
+        each site weighing in for its sign images, contracted one axis at a
+        time (:func:`phase_sum`): exact at xi = 0, no cancellation at small
+        frequencies.  ``xi`` is (G,) in one dimension or (G, dim) in general.
         """
-        one_minus_cos = lambda phase: 2.0 * np.sin(0.5 * phase) ** 2
-        return 1.0 - phase_sum(self.mass_cube(), self.h, xi, one_minus_cos)
+        # |k|^2 beyond K^2 sorts past the last shell, onto the appended 0; each
+        # (K+1)^N temporary is dropped once used, as together they set the peak
+        norm_sq = functools.reduce(np.add.outer, [np.arange(self.trunc_radius + 1) ** 2] * self.dim)
+        shell = np.searchsorted(self.shells.norm_sq, norm_sq)
+        del norm_sq
+        folded = np.append(self.shell_prob, 0.0)[shell]
+        del shell
+        folded[(0,) * self.dim] = self.p0
+        for axis in range(self.dim):  # a nonzero coordinate stands for both its signs
+            folded[(slice(None),) * axis + (slice(1, None),)] *= 2.0
+        return 1.0 - phase_sum(folded, self.h, xi, even=True)
 
     def normalization_defect(self) -> float:
         """|p0 + sum_k p_k - 1|, float-rounding sized by construction."""

@@ -549,3 +549,22 @@ def test_density_nodes_are_capped(runner, tmp_path):
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
     assert "density nodes" in res.output
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("command, key", [("study", "xi_points"), ("density", "r_points")])
+def test_grid_sizes_are_capped(runner, tmp_path, command, key):
+    # a billion-point frequency or radial grid would allocate gigabytes
+    import tracemalloc
+
+    cfg = _write(tmp_path, "c.yaml", dict(BENCH, h_list=[0.2, 0.1], **{key: 10**9}))
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+    assert key in res.output
+    assert peak < 64 * 2**20
+    assert RunConfig.from_dict({**BENCH, key: 2**16}).resolved[key] == 2**16

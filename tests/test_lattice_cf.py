@@ -1,4 +1,4 @@
-"""The one blocked lattice phase sum behind every lattice CF."""
+"""The one per-axis lattice phase sum behind every lattice CF."""
 
 import math
 import tracemalloc
@@ -11,9 +11,11 @@ from fracwalk import (
     OrderMeasure,
     build_kernel,
     characteristic_function,
+    evolve,
     kernel_distribution,
     stability_sigma,
 )
+from fracwalk import kernel as kernel_module
 from fracwalk.diagnostics import default_xi_grid
 from fracwalk.kernel import _CF_BLOCK_ENTRIES, frequency_rows, phase_sum
 from oracles import dense_kernel_cf
@@ -59,8 +61,8 @@ def test_phase_sum_skips_empty_sites_and_sums_blocks():
     mass = rng.random((201, 201)) * (rng.random((201, 201)) < 0.3)
     xi = rng.normal(size=(9, 2))
     sites, masses = LatticeDistribution(dim=2, h=0.3, mass=mass).nonzero_sites()
-    dense = masses @ np.cos(0.3 * sites @ xi.T)
-    np.testing.assert_allclose(phase_sum(mass, 0.3, xi, np.cos), dense, rtol=0, atol=1e-11)
+    dense = masses @ np.exp(1j * 0.3 * sites @ xi.T)
+    np.testing.assert_allclose(phase_sum(mass, 0.3, xi), dense, rtol=0, atol=1e-11)
 
 
 def test_kernel_cf_memory_is_bounded_by_the_block():
@@ -76,3 +78,40 @@ def test_kernel_cf_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_one_dimensional_kernel_cf_memory_is_bounded():
+    # 10^6 sites per sign: one table of sites x frequencies would take 330 MB
+    k = _kernel(1, 0.01, 1_000_000)
+    xi = default_xi_grid(1, 10.0, 41)
+    tracemalloc.start()
+    try:
+        cf = k.cf(xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert cf[0] == 1.0 and np.all(np.abs(cf) <= 1.0)
+
+
+def _off_axis(rng, count, dim, h):
+    """Random frequencies in every direction, out to the Nyquist radius pi/h."""
+    direction = rng.normal(size=(count, dim))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    edge = np.zeros((1, dim))
+    edge[0, 0] = math.pi / h
+    return np.vstack([direction * rng.uniform(0.0, math.pi / h, size=(count, 1)), edge])
+
+
+@pytest.mark.parametrize("budget", [64, _CF_BLOCK_ENTRIES])  # 64: many small blocks
+@pytest.mark.parametrize("dim, K, n", [(2, 40, 3), (3, 8, 2)])
+def test_cfs_at_off_axis_frequencies_match_dense_sums(monkeypatch, budget, dim, K, n):
+    monkeypatch.setattr(kernel_module, "_CF_BLOCK_ENTRIES", budget)
+    h = 0.1
+    k = _kernel(dim, h, K)
+    xi = _off_axis(np.random.default_rng(dim), 24, dim, h)
+    np.testing.assert_allclose(k.cf(xi), dense_kernel_cf(k, xi), rtol=0, atol=1e-14)
+    law = evolve(LatticeDistribution.delta(dim, h), k, n)
+    sites, masses = law.nonzero_sites()
+    dense = masses @ np.exp(1j * h * sites @ xi.T)
+    np.testing.assert_allclose(characteristic_function(law, xi), dense, rtol=0, atol=1e-12)
