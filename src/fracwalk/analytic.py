@@ -29,12 +29,12 @@ numerical check on the norming constant used by the kernel builder.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft, special
 
 from .kernel import norming_constant, surface_area
 from .measure import OrderMeasure
@@ -46,6 +46,7 @@ from .quadrature import (
     panel_integrals,
     panel_nodes,
 )
+from .special import fht, j0, next_fast_len
 
 # Tabulated densities may dip this far below zero from quadrature noise.
 POSITIVITY_FLOOR = 1e-8
@@ -92,13 +93,29 @@ class DiffusionSymbol:
 # Oscillation breakpoints
 
 
-@np.vectorize
-def _j0_mcmahon(i: float) -> float:
-    beta = (i - 0.25) * math.pi
+def _j0_mcmahon(i) -> np.ndarray:
+    """McMahon's asymptotic guess for the i-th positive zero of J0."""
+    beta = (np.asarray(i, dtype=float) - 0.25) * math.pi
     return beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
 
 
-_J0_ZEROS = special.jn_zeros(0, 512)
+@functools.lru_cache(maxsize=4)
+def _j0_zeros(count: int) -> np.ndarray:
+    """The first ``count`` positive zeros of J0: McMahon's guesses refined by
+    secant steps, each zero until its step vanishes."""
+    x = _j0_mcmahon(np.arange(1, count + 1))
+    prev = x * (1.0 + 1e-9)
+    f, f_prev = j0(x), j0(prev)
+    for _ in range(20):
+        slope = f - f_prev
+        step = np.divide(f * (x - prev), slope, out=np.zeros_like(x), where=slope != 0.0)
+        if not np.any(step):
+            break
+        prev, f_prev = x, f
+        x = x - step
+        f = j0(x)
+    x.setflags(write=False)
+    return x
 
 
 def _osc_zeros(dim: int, count: int) -> np.ndarray:
@@ -108,9 +125,8 @@ def _osc_zeros(dim: int, count: int) -> np.ndarray:
         return (k - 0.5) * math.pi
     if dim == 3:
         return k * math.pi
-    if count <= len(_J0_ZEROS):
-        return _J0_ZEROS[:count]
-    return np.concatenate([_J0_ZEROS, _j0_mcmahon(k[len(_J0_ZEROS):])])
+    # computed for the next power of two, so the cache serves every count below it
+    return _j0_zeros(1 << (count - 1).bit_length())[:count]
 
 
 def _cutoff(sym: DiffusionSymbol, t: float, cut_tol: float) -> float:
@@ -175,7 +191,7 @@ def _radial_point(
         prefactor = 1.0 / math.pi
     elif dim == 2:
         weight = lambda p: p
-        osc = lambda p: special.j0(p * r)
+        osc = lambda p: j0(p * r)
         prefactor = 1.0 / (2.0 * math.pi)
     else:
         weight = lambda p: p * p if r == 0.0 else p / r
@@ -299,7 +315,7 @@ def _geometric_step(radii: np.ndarray) -> float | None:
 def _hankel(a: np.ndarray, v0: float, u0: float, dln: float, mu: float, bias: float):
     """FFTLog of samples a_j at p_j = exp(v0 + j dln), at r_k = exp(u0 + k dln):
     r_k int_0^inf a(p) J_mu(p r_k) dp."""
-    return fft.fht(a, dln, mu, offset=v0 + u0 + (len(a) - 1) * dln, bias=bias)
+    return fht(a, dln, mu, offset=v0 + u0 + (len(a) - 1) * dln, bias=bias)
 
 
 def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
@@ -347,7 +363,7 @@ def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
         ),
     )
     sizes = [
-        fft.next_fast_len(int(math.ceil(max(hi - lo, u_last - u_first + 2 * margin) / dln)) + 1)
+        next_fast_len(int(math.ceil(max(hi - lo, u_last - u_first + 2 * margin) / dln)) + 1)
         for lo, hi in windows
     ]
     # one base grid v_j = v0 + j dln holds both windows; each transform takes
@@ -595,7 +611,8 @@ def green_density(
     found = _fftlog_tables(sym, t, r)
     if found is not None:
         table_r, g, cdf, (g_spread, cdf_spread), stride = found
-        check = np.unique(np.linspace(0, len(table_r) - 1, _CHECK_RADII).round().astype(int))
+        # a set, not np.unique, which imports numpy.ma (14 ms) on first use
+        check = sorted(set(np.linspace(0, len(table_r) - 1, _CHECK_RADII).round().astype(int).tolist()))
         ref = np.array([origin] + [quadrature(float(x)) for x in table_r[check]])
         g_error = max(g_spread, float(np.max(np.abs(ref[1:, 0] - g[check]))), float(np.max(ref[:, 1])))
         estimate = max(g_error, cdf_spread)
@@ -633,7 +650,7 @@ def _spherical_mean(u: np.ndarray, dim: int) -> np.ndarray:
     if dim == 1:
         return np.cos(u)
     if dim == 2:
-        return special.j0(u)
+        return j0(u)
     return np.sinc(u / math.pi)
 
 

@@ -17,9 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+from numpy.fft import irfftn, rfftn
 
 from .kernel import _CF_BLOCK_ENTRIES, LatticeKernel, phase_sum  # noqa: F401
+from .special import next_fast_len
 
 # Support is clipped at this many sites from the origin per axis; the lost
 # mass is tracked in ``mass_deficit`` rather than silently renormalized.
@@ -123,7 +124,7 @@ def kernel_distribution(kernel: LatticeKernel) -> LatticeDistribution:
 
 
 def _fft_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(fft.next_fast_len(n, real=True) for n in shape)
+    return tuple(next_fast_len(n, real=True) for n in shape)
 
 
 def _fft_bytes(shape: tuple[int, ...]) -> int:
@@ -153,10 +154,10 @@ def _fft_convolve(
     _check_budget(shape)
     fshape = _fft_shape(shape)
     axes = tuple(range(len(shape)))
-    spec = fft.rfftn(b, fshape, axes)
+    spec = rfftn(b, fshape, axes)
     spec **= power
-    spec *= fft.rfftn(a, fshape, axes)
-    return fft.irfftn(spec, fshape, axes)[tuple(slice(0, n) for n in shape)]
+    spec *= rfftn(a, fshape, axes)
+    return irfftn(spec, fshape, axes)[tuple(slice(0, n) for n in shape)]
 
 
 def _convolve_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:

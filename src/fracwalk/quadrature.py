@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 
 class QuadratureError(RuntimeError):
@@ -27,7 +28,7 @@ class QuadratureError(RuntimeError):
 
 @functools.lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = leggauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -9,6 +9,7 @@ kernel CF from a dense phase matrix, and the empirical CF of an ensemble.
 
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy import special
 
@@ -63,6 +64,33 @@ def lattice_zeta_partial(alpha: float, dim: int, trunc_radius: int) -> float:
     """Partial lattice sum sum_{0<|k|<=K} |k|^-(N+alpha)."""
     sh = enumerate_shells(dim, trunc_radius)
     return float(np.sum(sh.multiplicity * sh.norm_sq.astype(float) ** (-(dim + alpha) / 2.0)))
+
+
+def lattice_zeta_mpmath(alpha: float, dim: int) -> float:
+    """Lattice zeta R(alpha) from its theta representation in 30-digit mpmath.
+
+    pi^(-s/2) Gamma(s/2) Z(s) = 2/(s-N) - 2/s
+      + sum_{k != 0} [ (pi q)^(-s/2) Gamma(s/2, pi q)
+                     + (pi q)^((s-N)/2) Gamma((N-s)/2, pi q) ],  q = |k|^2,
+
+    with s = N + alpha, truncated at q <= 24 (the rest is below 1e-30).
+    """
+    qmax = 24
+    sh = enumerate_shells(dim, math.isqrt(qmax))
+    with mp.workdps(30):
+        s = mp.mpf(dim) + mp.mpf(alpha)
+        a_plus = s / 2
+        a_minus = (dim - s) / 2
+        total = mp.mpf(2) / (s - dim) - mp.mpf(2) / s
+        for q, mult in zip(sh.norm_sq.tolist(), sh.multiplicity.tolist()):
+            if q > qmax:
+                break
+            x = mp.pi * q
+            total += int(mult) * (
+                x ** (-a_plus) * mp.gammainc(a_plus, x, mp.inf)
+                + x ** (-a_minus) * mp.gammainc(a_minus, x, mp.inf)
+            )
+        return float(mp.pi ** (s / 2) / mp.gamma(s / 2) * total)
 
 
 def lattice_zeta_tail_bound(alpha: float, dim: int, trunc_radius: int) -> float:

@@ -476,18 +476,19 @@ def test_density_selfcheck_passes_on_default_grid_heavy_tails(runner, tmp_path):
     assert "selfcheck passed" in res.output
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal alone costs about 0.6 s of import and no command needs it;
-    # scipy.interpolate costs 0.2-0.3 s more and the density tables use np.interp
-    code = (
-        "import sys, fracwalk.cli; "
-        "print([m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.interpolate'))])"
-    )
+def test_import_loads_no_scipy_or_mpmath():
+    # scipy's import alone cost every command about 0.13 s and 25 MB; both
+    # packages are test-only oracles now
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    for module in ("fracwalk", "fracwalk.cli"):
+        code = (
+            f"import sys, {module}; "
+            "print([m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]", module
 
 
 # tau = theta * tau_max(h): a non-finite weight or h**alpha reaches the kernel

@@ -16,6 +16,7 @@ from fracwalk import (
     stability_sigma,
     step,
 )
+from fracwalk import kernel as kernel_module
 from fracwalk.evolution import DEFAULT_MAX_RADIUS, _convolve_arrays
 
 KERNEL = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=16)
@@ -242,13 +243,18 @@ def _dense_cf(dist, xi):
     return (masses[:, None] * np.exp(1j * phases)).sum(axis=0)
 
 
-def test_blocked_cf_matches_dense_sum():
+def test_blocked_cf_matches_dense_sum(monkeypatch):
     k = _master_eq_kernel()
     d = evolve(LatticeDistribution.delta(2, 0.2), k, 27)
     rho = np.array([0.5, 2.0, 5.0])
     xi = np.vstack([np.column_stack([rho, 0 * rho]), np.column_stack([rho, rho]) / np.sqrt(2)])
-    assert d.mass.size > evolution._CF_BLOCK_ENTRIES // len(xi)  # several blocks
-    np.testing.assert_allclose(characteristic_function(d, xi), _dense_cf(d, xi), rtol=0, atol=1e-12)
+    assert d.mass.size > evolution._CF_BLOCK_ENTRIES // len(xi)  # beyond one dense table
+    dense = _dense_cf(d, xi)
+    # the default budget holds this law in one block; 16 floats give one
+    # frequency and 8 sites of the first axis per block
+    np.testing.assert_allclose(characteristic_function(d, xi), dense, rtol=0, atol=1e-12)
+    monkeypatch.setattr(kernel_module, "_CF_BLOCK_ENTRIES", 16)
+    np.testing.assert_allclose(characteristic_function(d, xi), dense, rtol=0, atol=1e-12)
 
 
 def test_cf_memory_is_bounded_by_the_block():

@@ -28,12 +28,21 @@ def _kernel(dim, h, K, measure=TWO_ATOMS):
     return build_kernel(measure, dim, h, tau, K)
 
 
+# A 16-float budget gives blocks of at most 8 frequencies, and several blocks
+# of sites along the first axis of each folded kernel below (sides 4001, 61, 15).
+SMALL_BUDGET = 16
+
+
 @pytest.mark.parametrize("dim, K", [(1, 4000), (2, 60), (3, 14)])
-def test_kernel_cf_matches_dense_formula(dim, K):
+def test_kernel_cf_matches_dense_formula(monkeypatch, dim, K):
     k = _kernel(dim, 0.1, K)
     xi = default_xi_grid(dim, 10.0, 41)
-    assert len(k.shells.sites) * len(xi) > _CF_BLOCK_ENTRIES  # several blocks
-    np.testing.assert_allclose(k.cf(xi), dense_kernel_cf(k, xi), rtol=0, atol=1e-14)
+    assert len(k.shells.sites) * len(xi) > _CF_BLOCK_ENTRIES  # beyond one dense table
+    dense = dense_kernel_cf(k, xi)
+    # the default budget, then one that forces frequency and site blocks
+    np.testing.assert_allclose(k.cf(xi), dense, rtol=0, atol=1e-14)
+    monkeypatch.setattr(kernel_module, "_CF_BLOCK_ENTRIES", SMALL_BUDGET)
+    np.testing.assert_allclose(k.cf(xi), dense, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
