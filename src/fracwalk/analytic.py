@@ -52,13 +52,17 @@ from .special import fht, j0, next_fast_len
 POSITIVITY_FLOOR = 1e-8
 
 
+_ORDER = 16  # Gauss-Legendre nodes per panel
+_GRADED_LEVELS = 48  # dyadic levels of a head panel graded toward 0
+_MAX_DIRECT_PANELS = 2000  # panels summed directly before Aitken acceleration
+_ACC_PANELS = 160  # panels the acceleration extrapolates from
+_CUTOFF_TOL = 1e-14  # envelope value at the frequency cutoff
+
+
 @dataclass(frozen=True)
 class QuadParams:
-    order: int = 16
-    graded_levels: int = 48
-    max_direct_panels: int = 2000
-    acc_panels: int = 160
-    cutoff_tol: float = 1e-14
+    """Error tolerance of the analytic quadratures; their panels are module constants."""
+
     tol: float = 1e-7
 
 
@@ -163,13 +167,13 @@ def _refine_by_decay(edges: np.ndarray, log_env, max_drop: float = 3.0) -> np.nd
 
 def _smooth_panels(sym: DiffusionSymbol, t: float, qp: QuadParams):
     """Graded, decay-refined panels of [0, P] and the envelope E at their
-    Gauss nodes, where P = ``_cutoff(sym, t, qp.cutoff_tol)`` is the last
+    Gauss nodes, where P = ``_cutoff(sym, t, _CUTOFF_TOL)`` is the last
     edge.  Every radius whose oscillating factor keeps its sign below P
     integrates on them, so callers with many radii build them once."""
-    P = _cutoff(sym, t, qp.cutoff_tol)
+    P = _cutoff(sym, t, _CUTOFF_TOL)
     envelope_log = lambda p: t * sym.radial(p)
-    edges = _refine_by_decay(graded_edges(0.0, P, qp.graded_levels), envelope_log)
-    return edges, np.exp(envelope_log(panel_nodes(edges, qp.order)))
+    edges = _refine_by_decay(graded_edges(0.0, P, _GRADED_LEVELS), envelope_log)
+    return edges, np.exp(envelope_log(panel_nodes(edges, _ORDER)))
 
 
 def _radial_point(
@@ -178,7 +182,8 @@ def _radial_point(
     """One value of the inverse-transform integral for radius r >= 0.
 
     ``smooth`` is ``_smooth_panels(sym, t, qp)``; its last edge is the
-    frequency cutoff P, which does not depend on r.
+    frequency cutoff P, which does not depend on r.  The caller holds the
+    estimate to ``qp.tol``; the panels take the module constants.
     """
     edges, envelope = smooth
     P = float(edges[-1])
@@ -203,32 +208,23 @@ def _radial_point(
 
     if r == 0.0 or P * r / math.pi < 1.5:
         # no sign change before the cutoff: graded + decay-refined smooth panels
-        vals = panel_integrals(lambda p: envelope * weight(p) * osc(p), edges, qp.order)
-        est = qp.cutoff_tol + 5e-16 * float(np.sum(np.abs(vals)))
+        vals = panel_integrals(lambda p: envelope * weight(p) * osc(p), edges, _ORDER)
+        est = _CUTOFF_TOL + 5e-16 * float(np.sum(np.abs(vals)))
         return prefactor * float(np.sum(vals)), prefactor * est
 
     n_zeros_needed = int(math.ceil(P * r / math.pi)) + 2
-    accelerate = n_zeros_needed > qp.max_direct_panels
-    count = (
-        qp.max_direct_panels + qp.acc_panels + 2 if accelerate else n_zeros_needed
-    )
+    accelerate = n_zeros_needed > _MAX_DIRECT_PANELS
+    count = _MAX_DIRECT_PANELS + _ACC_PANELS + 2 if accelerate else n_zeros_needed
     zeros = _osc_zeros(dim, count) / r
     if not accelerate:
         zeros = zeros[zeros < P]
         bp = np.concatenate([[0.0], zeros, [P]])
     else:
         bp = np.concatenate([[0.0], zeros])
-    head = _refine_by_decay(
-        graded_edges(0.0, bp[1], qp.graded_levels), envelope_log
-    )
+    head = _refine_by_decay(graded_edges(0.0, bp[1], _GRADED_LEVELS), envelope_log)
     value, est = integrate_oscillatory(
-        integrand,
-        bp,
-        head_edges=head,
-        order=qp.order,
-        max_direct_panels=qp.max_direct_panels,
-        acc_panels=qp.acc_panels,
-        tail_bound=0.0 if accelerate else qp.cutoff_tol,
+        integrand, bp, head_edges=head, order=_ORDER, max_direct_panels=_MAX_DIRECT_PANELS,
+        acc_panels=_ACC_PANELS, tail_bound=0.0 if accelerate else _CUTOFF_TOL,
     )
     return prefactor * value, prefactor * est
 
@@ -690,8 +686,8 @@ def symbol_oracle(
     def head(s):
         return _spherical_mean_defect(s * q, dim) * s ** (-1.0 - alpha)
 
-    head_edges = graded_edges(0.0, A, qp.graded_levels + 20)
-    head_vals = panel_integrals(head, head_edges, qp.order)
+    head_edges = graded_edges(0.0, A, _GRADED_LEVELS + 20)
+    head_vals = panel_integrals(head, head_edges, _ORDER)
     head_int = float(np.sum(head_vals))
     # restore the subtracted quadratic part and the constant -1 beyond A
     head_int -= (q * q / (2.0 * dim)) * A ** (2.0 - alpha) / (2.0 - alpha)
@@ -700,9 +696,9 @@ def symbol_oracle(
     def osc(s):
         return _spherical_mean(s * q, dim) * s ** (-1.0 - alpha)
 
-    bp = _osc_zeros(dim, 32 + qp.acc_panels + 2) / q
-    direct = panel_integrals(osc, bp[: 32 + 1], qp.order)
-    tail_terms = panel_integrals(osc, bp[32 : 32 + qp.acc_panels + 1], qp.order)
+    bp = _osc_zeros(dim, 32 + _ACC_PANELS + 2) / q
+    direct = panel_integrals(osc, bp[: 32 + 1], _ORDER)
+    tail_terms = panel_integrals(osc, bp[32 : 32 + _ACC_PANELS + 1], _ORDER)
     sums = float(np.sum(direct)) + np.cumsum(tail_terms)
     osc_int, osc_err = aitken_limit(sums)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import irfftn, rfftn
 
-from .kernel import _CF_BLOCK_ENTRIES, LatticeKernel, phase_sum  # noqa: F401
+from .kernel import _CF_BLOCK_ENTRIES, LatticeKernel, lattice_vector, phase_sum  # noqa: F401
 from .special import next_fast_len
 
 # Support is clipped at this many sites from the origin per axis; the lost
@@ -77,7 +77,7 @@ class LatticeDistribution:
 
     def value(self, j) -> float:
         """Mass at lattice vector j (0 outside the stored support)."""
-        j = np.atleast_1d(np.asarray(j, dtype=np.int64))
+        j = lattice_vector(j, self.dim)
         R = self.support_radius
         if np.any(np.abs(j) > R):
             return 0.0

@@ -81,6 +81,16 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dim must be an integer in [1, {MAX_DIM}], got {dim!r}")
 
 
+def lattice_vector(k, dim: int) -> np.ndarray:
+    """k as an int64 vector; ValueError for a wrong dimension or a non-integer
+    coordinate (a cast would truncate it), or one of 2^62 or more."""
+    k = np.atleast_1d(np.asarray(k))
+    whole = k.dtype.kind in "iuf" and np.all((abs(k.astype(float)) < 2**62) & (k == np.trunc(k)))
+    if k.size != dim or not whole:
+        raise ValueError(f"{k} is not a lattice vector of dimension {dim}")
+    return k.astype(np.int64).ravel()
+
+
 # ---------------------------------------------------------------------------
 # Lattice shells
 
@@ -103,11 +113,17 @@ class Shells:
     site_shell: np.ndarray     # (n_sites,) int64 index into shells
 
 
+def _norm_grid(coords: np.ndarray, dim: int) -> np.ndarray:
+    """|k|^2 over the grid coords^dim, indexed like it: the one layout every
+    kernel takes on the lattice, as the jump law depends on k through |k|^2."""
+    return functools.reduce(np.add.outer, [coords.astype(np.int64) ** 2] * dim)
+
+
 # A kernel needs only the cube it is built on; a bounded cache keeps the cubes
 # of earlier kernels (a refinement study builds ever larger ones) from piling up.
 @functools.lru_cache(maxsize=2)
 def enumerate_shells(dim: int, trunc_radius: int) -> Shells:
-    """Brute-force enumeration of 0 < |k| <= K over the cube [-K, K]^dim."""
+    """The sites 0 < |k| <= K and their shells, from the |k|^2 grid of [-K, K]^dim."""
     _check_dim(dim)
     K = int(trunc_radius)
     if K < 1:
@@ -117,19 +133,21 @@ def enumerate_shells(dim: int, trunc_radius: int) -> Shells:
             f"trunc_radius {K} enumerates (2K+1)^{dim} cube points; "
             "reduce K or the dimension"
         )
-    ax = np.arange(-K, K + 1, dtype=np.int64)
-    grids = np.meshgrid(*([ax] * dim), indexing="ij")
-    sites = np.stack([g.ravel() for g in grids], axis=1)
-    nsq = np.einsum("ij,ij->i", sites, sites)
-    keep = (nsq > 0) & (nsq <= K * K)
-    sites, nsq = sites[keep], nsq[keep]
-    # lexicographic site order, then group by squared norm
-    order = np.lexsort(sites.T[::-1])
-    sites, nsq = sites[order], nsq[order]
-    norm_sq, inverse, multiplicity = np.unique(nsq, return_inverse=True, return_counts=True)
-    for arr in (sites, norm_sq, multiplicity, inverse):
+    # the orthant holds every norm; a return flag keeps np.unique off numpy.ma (14 ms)
+    orthant = _norm_grid(np.arange(K + 1), dim)
+    norm_sq = np.unique(orthant[(orthant > 0) & (orthant <= K * K)], return_counts=True)[0]
+    del orthant
+    cube = _norm_grid(np.arange(-K, K + 1), dim)
+    ball = (cube > 0) & (cube <= K * K)
+    ball_norm_sq = cube[ball]
+    del cube
+    # C order over the cube is the lexicographic site order
+    sites = np.argwhere(ball) - K
+    site_shell = np.searchsorted(norm_sq, ball_norm_sq)
+    multiplicity = np.bincount(site_shell, minlength=len(norm_sq))
+    for arr in (sites, norm_sq, multiplicity, site_shell):
         arr.setflags(write=False)
-    return Shells(dim, K, norm_sq, multiplicity, sites, inverse)
+    return Shells(dim, K, norm_sq, multiplicity, sites, site_shell)
 
 
 def surface_area(dim: int) -> float:
@@ -318,18 +336,17 @@ class LatticeKernel:
         """Per-site probabilities aligned with ``self.shells.sites``."""
         return self.shell_prob[self.shells.site_shell]
 
+    def _shell_lookup(self, norm_sq):
+        """Per-site probability at squared norms |k|^2: p0 at 0, the shell's up
+        to K^2, and 0 beyond, where ``searchsorted`` runs past the last key."""
+        index = np.searchsorted(np.insert(self.shells.norm_sq, 0, 0), norm_sq)
+        del norm_sq  # frees a (K+1)^N grid before the gather, which sets the peak
+        return np.concatenate([[self.p0], self.shell_prob, [0.0]])[index]
+
     def prob(self, k) -> float:
         """Probability of the single jump vector k (0 vector gives p0)."""
-        k = np.atleast_1d(np.asarray(k, dtype=np.int64))
-        if k.size != self.dim:
-            raise ValueError("jump vector has wrong dimension")
-        nsq = int(np.dot(k, k))
-        if nsq == 0:
-            return self.p0
-        idx = np.searchsorted(self.shells.norm_sq, nsq)
-        if idx >= len(self.shells.norm_sq) or self.shells.norm_sq[idx] != nsq:
-            return 0.0
-        return float(self.shell_prob[idx])
+        k = np.minimum(np.abs(lattice_vector(k, self.dim)), self.trunc_radius + 1)  # no overflow
+        return float(self._shell_lookup(np.dot(k, k)))
 
     def mass_cube(self) -> np.ndarray:
         """The jump law on the cube [-K, K]^dim, origin (p0) at index (K,...,K)."""
@@ -349,14 +366,7 @@ class LatticeKernel:
         time (:func:`phase_sum`): exact at xi = 0, no cancellation at small
         frequencies.  ``xi`` is (G,) in one dimension or (G, dim) in general.
         """
-        # |k|^2 beyond K^2 sorts past the last shell, onto the appended 0; each
-        # (K+1)^N temporary is dropped once used, as together they set the peak
-        norm_sq = functools.reduce(np.add.outer, [np.arange(self.trunc_radius + 1) ** 2] * self.dim)
-        shell = np.searchsorted(self.shells.norm_sq, norm_sq)
-        del norm_sq
-        folded = np.append(self.shell_prob, 0.0)[shell]
-        del shell
-        folded[(0,) * self.dim] = self.p0
+        folded = self._shell_lookup(_norm_grid(np.arange(self.trunc_radius + 1), self.dim))
         for axis in range(self.dim):  # a nonzero coordinate stands for both its signs
             folded[(slice(None),) * axis + (slice(1, None),)] *= 2.0
         return 1.0 - phase_sum(folded, self.h, xi, even=True)
@@ -401,34 +411,27 @@ def build_kernel(
     as ``tail_mass``.
     """
     _check_dim(dim)
-    if trunc_radius is None:
-        trunc_radius = DEFAULT_TRUNC_RADIUS[dim]
-    if trunc_radius < 1:
-        raise ValueError("trunc_radius must be >= 1")
     report = stability_sigma(measure, dim, h, tau)
     sigma = report.sigma
     if sigma > 1.0 + 1e-12:
         raise StabilityError(sigma, report.tau_max)
     sigma = min(sigma, 1.0)
 
-    sh = enumerate_shells(dim, trunc_radius)
+    sh = enumerate_shells(dim, DEFAULT_TRUNC_RADIUS[dim] if trunc_radius is None else trunc_radius)
     norms = np.sqrt(sh.norm_sq.astype(float))
     raw = np.zeros(len(sh.norm_sq))
-    retained_terms = []
-    full_terms = []
+    retained_terms, full_terms = [], []
     for (a, w), zeta in zip(measure.terms, _measure_zetas(measure, dim)):
         coeff = 2.0 * tau * w * norming_constant(a, dim) / h**a
-        raw += coeff * norms ** (-(dim + a))
-        partial = float(np.sum(sh.multiplicity * norms ** (-(dim + a))))
-        retained_terms.append(coeff * partial)
+        weight = norms ** (-(dim + a))
+        raw += coeff * weight
+        retained_terms.append(coeff * float(np.sum(sh.multiplicity * weight)))
         full_terms.append(coeff * zeta)
     retained_mass = float(np.sum(sh.multiplicity * raw))
     tail_mass = max(sum(full_terms) - sum(retained_terms), 0.0)
 
-    if retained_mass > 0.0:
-        prob = raw * (sigma / retained_mass)
-    else:
-        prob = raw.copy()  # tau == 0: walker never moves
+    # tau == 0 retains no mass: the walker never moves
+    prob = raw * (sigma / retained_mass) if retained_mass > 0.0 else raw.copy()
     prob.setflags(write=False)
     raw.setflags(write=False)
 
@@ -436,7 +439,7 @@ def build_kernel(
         dim=dim,
         h=h,
         tau=tau,
-        trunc_radius=int(trunc_radius),
+        trunc_radius=sh.trunc_radius,
         sigma=sigma,
         p0=1.0 - sigma,
         tail_mass=tail_mass,

@@ -4,7 +4,8 @@ Each one evaluates a quantity by a slower, more direct route than the
 library uses: the symbol and Green CF at a vector frequency, the Gaussian
 and Cauchy closed forms, partial lattice sums with a tail bound, the
 jump-strength coefficient term by term, a density's forward transform, the
-kernel CF from a dense phase matrix, and the empirical CF of an ensemble.
+kernel CF from a dense phase matrix, the empirical CF of an ensemble, and the
+lattice shells by sorting the whole cube.
 """
 
 import math
@@ -15,7 +16,7 @@ from scipy import special
 
 from fracwalk import DiffusionSymbol, OrderMeasure, RadialDensity, norming_constant
 from fracwalk.analytic import _osc_zeros
-from fracwalk.kernel import enumerate_shells, frequency_rows, surface_area
+from fracwalk.kernel import Shells, enumerate_shells, frequency_rows, surface_area
 from fracwalk.quadrature import panel_integrals
 
 
@@ -186,3 +187,20 @@ def empirical_cf(ensemble, xi_grid) -> np.ndarray:
     xi = frequency_rows(xi_grid, ensemble.dim)
     phases = ensemble.final_positions @ xi.T  # (M, G)
     return np.exp(1j * phases).mean(axis=0)
+
+
+def enumerate_shells_bruteforce(dim: int, trunc_radius: int) -> Shells:
+    """The shells 0 < |k| <= K from the stacked meshgrid of [-K, K]^dim:
+    sites kept by norm, put in lexicographic order by ``lexsort``, then
+    grouped by squared norm with ``unique``."""
+    K = int(trunc_radius)
+    ax = np.arange(-K, K + 1, dtype=np.int64)
+    grids = np.meshgrid(*([ax] * dim), indexing="ij")
+    sites = np.stack([g.ravel() for g in grids], axis=1)
+    nsq = np.einsum("ij,ij->i", sites, sites)
+    keep = (nsq > 0) & (nsq <= K * K)
+    sites, nsq = sites[keep], nsq[keep]
+    order = np.lexsort(sites.T[::-1])
+    sites, nsq = sites[order], nsq[order]
+    norm_sq, inverse, multiplicity = np.unique(nsq, return_inverse=True, return_counts=True)
+    return Shells(dim, K, norm_sq, multiplicity, sites, inverse)
