@@ -87,9 +87,13 @@ def ks_distance(ensemble: WalkEnsemble, analytic_cdf, projection: str = "first")
         raise ValueError(f"unknown projection {projection!r}")
     values = np.sort(values)
     m = len(values)
-    f = np.asarray(analytic_cdf(values), dtype=float)
-    upper = np.max(np.arange(1, m + 1) / m - f)
-    lower = np.max(f - np.arange(0, m) / m)
+    # the sup over a run of tied values is reached at its ends: evaluate the
+    # CDF once per distinct value
+    start = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    end = np.append(start[1:], m)  # one past each run
+    f = np.asarray(analytic_cdf(values[start]), dtype=float)
+    upper = np.max(end / m - f)
+    lower = np.max(f - start / m)
     return float(max(upper, lower))
 
 

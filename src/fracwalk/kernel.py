@@ -141,8 +141,16 @@ def enumerate_shells(dim: int, trunc_radius: int) -> Shells:
     ball = (cube > 0) & (cube <= K * K)
     ball_norm_sq = cube[ball]
     del cube
-    # C order over the cube is the lexicographic site order
-    sites = np.argwhere(ball) - K
+    # C order over the cube is the lexicographic site order; the flat indices
+    # unravel in place (argwhere would hold its index tuple and its stacked
+    # copy at once, 48 B per site)
+    flat = np.flatnonzero(ball)
+    del ball
+    sites = np.empty((len(flat), dim), dtype=np.int64)
+    for axis in reversed(range(dim)):
+        np.divmod(flat, 2 * K + 1, out=(flat, sites[:, axis]))
+    del flat
+    sites -= K
     site_shell = np.searchsorted(norm_sq, ball_norm_sq)
     multiplicity = np.bincount(site_shell, minlength=len(norm_sq))
     for arr in (sites, norm_sq, multiplicity, site_shell):

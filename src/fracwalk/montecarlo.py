@@ -30,15 +30,14 @@ from numpy.random import Generator, Philox
 
 from .kernel import LatticeKernel
 
-# Raw words drawn per walk chunk: small enough that its work arrays
-# stay in cache, large enough that per-chunk overhead does not matter.
+# Raw words drawn per walk tile: small enough that its work arrays
+# stay in cache, large enough that per-tile overhead does not matter.
 _CHUNK_WORDS = 1 << 16
 
 # Rows formatted per write in ``WalkEnsemble.to_csv``.
 _CSV_BLOCK_ROWS = 1 << 16
 
 _SHIFT32 = np.uint64(32)
-_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,12 @@ class JumpSampler:
     ``displacements[i]`` is the integer jump of outcome i; a draw picks slot
     i uniformly and takes it with probability ``accept[i]``, otherwise takes
     ``alias[i]``.  ``threshold`` is ``accept`` on the 32-bit scale the draws
-    use; the per-axis columns let walks add up displacements without
-    gathering whole outcome rows.
+    use.  ``codes[2i]`` and ``codes[2i + 1]`` pack the displacements of
+    ``alias[i]`` and of i into one int64, one base-2^(63 // dim) digit per
+    axis offset by the truncation radius K, so a walk step is one gather at
+    ``2 slot + keep`` in any dimension.  Summing at most ``block_steps``
+    codes leaves every digit below its base, so such a sum decodes by shift
+    and mask.
     """
 
     kernel: LatticeKernel
@@ -58,8 +61,8 @@ class JumpSampler:
     accept: np.ndarray         # (n_outcomes,) float64 in [0, 1]
     alias: np.ndarray          # (n_outcomes,) int64; alias[i] == i where accept[i] == 1
     threshold: np.ndarray      # (n_outcomes,) uint32, round(accept * 2^32) capped at 2^32 - 1
-    alias_columns: np.ndarray  # (dim, n_outcomes) int64, displacements[alias].T
-    keep_columns: np.ndarray   # (dim, n_outcomes) int64, (displacements - displacements[alias]).T
+    codes: np.ndarray          # (2 n_outcomes,) int64, packed displacements[alias[i]], displacements[i]
+    block_steps: int           # codes summed without a carry: block_steps * 2K < 2^(63 // dim)
 
     @property
     def n_outcomes(self) -> int:
@@ -85,7 +88,7 @@ def _draw(
 
     The slot is ``(hi * N) >> 32`` with ``hi = raw >> 32`` (Lemire's
     multiply-shift); the slot is kept iff ``raw & 0xFFFFFFFF`` is below its
-    threshold.  ``work`` optionally holds uint64, uint64, uint32 and bool
+    threshold.  ``work`` optionally holds uint64, uint32, uint32 and bool
     arrays shaped like ``raw`` that receive the results instead of new ones.
     """
     slot, low, threshold, keep = work or (None,) * 4
@@ -93,7 +96,9 @@ def _draw(
     slot *= np.uint64(sampler.n_outcomes)
     slot >>= _SHIFT32
     slot = slot.view(np.int64)  # every slot is below N < 2^32
-    low = np.bitwise_and(raw, _LOW32, out=low)
+    if low is None:
+        low = np.empty(raw.shape, np.uint32)
+    np.copyto(low, raw, casting="unsafe")  # unsigned narrowing keeps raw & 0xFFFFFFFF
     threshold = np.take(sampler.threshold, slot, out=threshold, mode="clip")
     return slot, np.less(low, threshold, out=keep)
 
@@ -114,16 +119,24 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     heavy[np.argmax(q)] = True  # rounding can leave every q just below 1
     light_slots = np.flatnonzero(~heavy)
     heavy_slots = np.flatnonzero(heavy)
+    del heavy
     accept = np.ones(n)
-    alias = np.arange(n, dtype=np.int64)
     if len(light_slots) == 0:  # every slot exactly full
-        return accept, alias
-    deficit_end = np.cumsum(1.0 - q[light_slots])
-    surplus_end = np.cumsum(q[heavy_slots] - 1.0)
-    deficit_start = np.concatenate(([0.0], deficit_end[:-1]))
-    serving = np.searchsorted(surplus_end, deficit_start, side="right")
+        return accept, np.arange(n, dtype=np.int64)
     accept[light_slots] = q[light_slots]
-    alias[light_slots] = heavy_slots[np.minimum(serving, len(heavy_slots) - 1)]
+    surplus_end = np.cumsum(q[heavy_slots] - 1.0)
+    del q  # arrays of N floats set the peak memory: hold few at once
+    # deficits end to end; each starts where the one before it ends
+    deficit = np.zeros(len(light_slots) + 1)
+    light_q = accept[light_slots]
+    np.cumsum(np.subtract(1.0, light_q, out=light_q), out=deficit[1:])
+    del light_q
+    deficit_start, deficit_end = deficit[:-1], deficit[1:]
+    serving = np.searchsorted(surplus_end, deficit_start, side="right")
+    alias = np.arange(n, dtype=np.int64)
+    # the last heavy slot serves the deficits that rounding leaves past every surplus
+    alias[light_slots] = np.take(heavy_slots, serving, out=serving, mode="clip")
+    del serving, light_slots
 
     # every heavy slot but the last runs out inside the deficit that starts
     # before and ends at or after its surplus end, if there is one; the last
@@ -149,13 +162,26 @@ def build_sampler(kernel: LatticeKernel) -> JumpSampler:
         raise ValueError("an alias table draws at most 2^32 - 1 outcomes")
     accept, alias = _alias_table(weights)
     threshold = np.minimum(np.round(accept * 2.0**32), 2.0**32 - 1).astype(np.uint32)
-    alias_columns = np.ascontiguousarray(displacements[alias].T)
-    keep_columns = np.ascontiguousarray(displacements.T) - alias_columns
+    K, bits = kernel.trunc_radius, _digit_bits(kernel.dim)
+    codes = np.zeros(2 * len(weights), dtype=np.int64)
+    own, digit = codes[1::2], np.empty(len(weights), dtype=np.int64)
+    for axis in range(kernel.dim):
+        np.add(displacements[:, axis], K, out=digit)
+        digit <<= axis * bits
+        own += digit
+    del digit
+    codes[0::2] = own[alias]
 
-    fields = (displacements, weights, accept, alias, threshold, alias_columns, keep_columns)
+    fields = (displacements, weights, accept, alias, threshold, codes)
     for arr in fields:
         arr.setflags(write=False)
-    return JumpSampler(kernel, *fields)
+    # the cube guard of enumerate_shells keeps 2K far below 2^bits
+    return JumpSampler(kernel, *fields, block_steps=((1 << bits) - 1) // (2 * K))
+
+
+def _digit_bits(dim: int) -> int:
+    """Bits per axis digit of a packed displacement code."""
+    return 63 // dim
 
 
 @dataclass(frozen=True)
@@ -200,7 +226,7 @@ class WalkEnsemble:
     def summary_dict(self, quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95)) -> dict:
         x = self.final_positions
         first = x[:, 0]
-        qs = np.quantile(first, quantile_levels)
+        qs = _quantiles(first, quantile_levels)
         hist = histogram(self, bin_width=self.h if self.dim == 1 else 4 * self.h)
         return {
             "dim": self.dim,
@@ -218,6 +244,26 @@ class WalkEnsemble:
         }
 
 
+def _quantiles(x: np.ndarray, levels) -> np.ndarray:
+    """``np.quantile(x, levels)`` by numpy's default "linear" rule, bit for bit.
+
+    One sort and numpy's own index and interpolation formulas; np.quantile
+    itself partitions through np.unique, which imports numpy.ma (14 ms).
+    """
+    x = np.sort(x)
+    n = len(x)
+    virtual = (n - 1) * np.asarray(levels, dtype=float)
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= n - 1
+    below[top] = above[top] = -1  # the last value
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    a, b = x[below], x[above]
+    t = virtual - below
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
 def _walker_words(n_steps: int) -> int:
     # one raw word per step, padded to whole Philox blocks (4 words)
     return 4 * ((n_steps + 3) // 4)
@@ -226,29 +272,44 @@ def _walker_words(n_steps: int) -> int:
 def _run_chunks(
     sampler: JumpSampler, seed: int, n_steps: int, chunks: list, out: np.ndarray,
 ) -> None:
-    """Walk ``(first, count)`` chunks of walkers, reusing one set of arrays.
+    """Walk ``(first, count)`` chunks of walkers in tiles, reusing one set of arrays.
 
-    Fresh temporaries per chunk would go back to the operating system and be
-    faulted in again on every chunk, which doubles the walk time.
+    A tile is the whole chunk, or, for a walker whose window exceeds
+    ``_CHUNK_WORDS``, one run of at most that many of its steps, drawn in
+    whole Philox blocks where the previous run stopped; step s is word s of
+    the walker's window either way.  Fresh temporaries per tile would go
+    back to the operating system and be faulted in again on every tile,
+    which doubles the walk time.
     """
+    kernel = sampler.kernel
+    bits = _digit_bits(kernel.dim)
+    mask = (1 << bits) - 1
     words = _walker_words(n_steps)
-    shape = (max(count for _, count in chunks), n_steps)
-    work = [np.empty(shape, t) for t in (np.uint64, np.uint64, np.uint32, bool)]
-    gathered = np.empty(shape, np.int64)
+    # a walker longer than one tile walks in spans of whole Philox blocks
+    span = min(n_steps, max(4, _CHUNK_WORDS - _CHUNK_WORDS % 4))
+    size = max(count for _, count in chunks) * span
+    work = [np.empty(size, t) for t in (np.uint64, np.uint32, np.uint32, bool)]
     for first, count in chunks:
-        raw = Philox(key=np.uint64(seed)).advance(first * words // 4).random_raw(count * words)
-        slot, keep = _draw(
-            sampler, raw.reshape(count, words)[:, :n_steps], tuple(w[:count] for w in work)
-        )
-        part = gathered[:count]
-        for axis in range(sampler.kernel.dim):
-            # alias displacement, plus the difference where the slot is kept:
-            # branch-free, unlike np.where on a random mask
-            np.take(sampler.keep_columns[axis], slot, out=part, mode="clip")
-            part *= keep
-            total = part.sum(axis=1)
-            np.take(sampler.alias_columns[axis], slot, out=part, mode="clip")
-            out[first : first + count, axis] = total + part.sum(axis=1)
+        rows = slice(first, first + count)
+        bitgen = Philox(key=np.uint64(seed)).advance(first * words // 4)
+        for start in range(0, n_steps, span):
+            length = min(span, n_steps - start)
+            # the chunk's windows, or the next span of one walker's window
+            stride = _walker_words(length)
+            raw = bitgen.random_raw(count * stride)
+            tile = [w[: count * length].reshape(count, length) for w in work]
+            slot, keep = _draw(sampler, raw.reshape(count, stride)[:, :length], tuple(tile))
+            slot <<= 1
+            slot += keep
+            # the raw words are spent once drawn: their buffer takes the codes
+            codes = raw[: count * length].view(np.int64).reshape(count, length)
+            np.take(sampler.codes, slot, out=codes, mode="clip")
+            for lo in range(0, length, sampler.block_steps):
+                block = codes[:, lo : lo + sampler.block_steps]
+                total = block.sum(axis=1)
+                for axis in range(kernel.dim):
+                    digit = (total >> (axis * bits)) & mask
+                    out[rows, axis] += digit - block.shape[1] * kernel.trunc_radius
 
 
 def run_walks(
@@ -266,7 +327,7 @@ def run_walks(
     kernel = sampler.kernel
     positions = np.zeros((n_walkers, kernel.dim), dtype=np.int64)
     if n_steps > 0 and kernel.sigma > 0.0:
-        # cap per-chunk buffers; chunk boundaries never affect results because
+        # cap per-tile buffers; tile boundaries never affect results because
         # each walker owns a fixed stream window
         chunk = max(1, _CHUNK_WORDS // _walker_words(n_steps))
         chunks = [

@@ -4,14 +4,16 @@ Each one evaluates a quantity by a slower, more direct route than the
 library uses: the symbol and Green CF at a vector frequency, the Gaussian
 and Cauchy closed forms, partial lattice sums with a tail bound, the
 jump-strength coefficient term by term, a density's forward transform, the
-kernel CF from a dense phase matrix, the empirical CF of an ensemble, and the
-lattice shells by sorting the whole cube.
+kernel CF from a dense phase matrix, the empirical CF of an ensemble, the
+lattice shells by sorting the whole cube, walks summed axis by axis, and the
+KS distance with the reference CDF evaluated at every sample.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+from numpy.random import Philox
 from scipy import special
 
 from fracwalk import DiffusionSymbol, OrderMeasure, RadialDensity, norming_constant
@@ -204,3 +206,36 @@ def enumerate_shells_bruteforce(dim: int, trunc_radius: int) -> Shells:
     sites, nsq = sites[order], nsq[order]
     norm_sq, inverse, multiplicity = np.unique(nsq, return_inverse=True, return_counts=True)
     return Shells(dim, K, norm_sq, multiplicity, sites, inverse)
+
+
+def per_axis_walk(sampler, n_steps: int, n_walkers: int, seed: int) -> np.ndarray:
+    """Final lattice positions, (n_walkers, dim) int64, one axis at a time.
+
+    Every walker's whole window, 4 ceil(n / 4) words, is drawn at once, and
+    step s of a walker takes word s of it: slot (hi N) >> 32 of its high
+    half hi, kept when its low half is below the slot's threshold.  Per
+    axis, a step adds the alias displacement and, where the slot is kept,
+    the difference to the slot's own displacement: two gathers, one multiply
+    and two row sums.
+    """
+    words = 4 * ((n_steps + 3) // 4)
+    raw = Philox(key=np.uint64(seed)).random_raw(n_walkers * words)
+    raw = raw.reshape(n_walkers, words)[:, :n_steps]
+    slot = ((raw >> np.uint64(32)) * np.uint64(sampler.n_outcomes) >> np.uint64(32)).astype(np.int64)
+    keep = (raw & np.uint64(0xFFFFFFFF)) < sampler.threshold[slot]
+    alias_columns = sampler.displacements[sampler.alias].T
+    keep_columns = sampler.displacements.T - alias_columns
+    positions = np.zeros((n_walkers, sampler.kernel.dim), dtype=np.int64)
+    for axis in range(sampler.kernel.dim):
+        kept = (keep_columns[axis][slot] * keep).sum(axis=1)
+        positions[:, axis] = kept + alias_columns[axis][slot].sum(axis=1)
+    return positions
+
+
+def ks_distance_every_value(ensemble, cdf, projection: str) -> float:
+    """KS distance with the CDF evaluated at every sorted sample, ties included."""
+    x = ensemble.final_positions
+    values = np.sort(x[:, 0] if projection == "first" else np.linalg.norm(x, axis=1))
+    m = len(values)
+    f = np.asarray(cdf(values), dtype=float)
+    return float(max(np.max(np.arange(1, m + 1) / m - f), np.max(f - np.arange(0, m) / m)))

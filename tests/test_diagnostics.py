@@ -27,6 +27,7 @@ from fracwalk.diagnostics import (
     total_variation,
 )
 from fracwalk.kernel import enumerate_shells
+from oracles import ks_distance_every_value
 
 SINGLE = OrderMeasure.single(1.0)
 SYM_1D = DiffusionSymbol(SINGLE, 1)
@@ -131,6 +132,24 @@ class TestKsDistance:
         # radial CDF of a nearly stationary walk concentrates near zero
         d = ks_distance(ens, lambda r: np.clip(r / 10.0, 0, 1), projection="radial")
         assert 0.0 <= d <= 1.0
+
+    @pytest.mark.parametrize("measure, dim", [
+        (OrderMeasure.single(1.0), 1),                    # closed-form Cauchy CDF
+        (OrderMeasure.single(1.5), 1),                    # tabulated axis CDF
+        (OrderMeasure(atoms=((0.7, 1.0), (1.4, 0.5))), 2),  # tabulated radial CDFs
+        (OrderMeasure.single(1.2), 3),
+    ])
+    def test_distinct_values_match_every_value(self, measure, dim):
+        # lattice walks tie heavily: few distinct values among the samples
+        h = 0.2
+        tau = 0.5 * stability_sigma(measure, dim, h, 0.0).tau_max
+        k = build_kernel(measure, dim, h, tau, trunc_radius=8)
+        n = math.ceil(0.5 / tau)
+        ens = run_walks(build_sampler(k), n, 20_000, seed=dim)
+        cdf, projection = reference_cdf(measure, dim, n * tau)
+        d = ks_distance(ens, cdf, projection)
+        assert d == ks_distance_every_value(ens, cdf, projection)
+        assert 0.0 < d < 1.0
 
     def test_empty_and_bad_projection(self):
         ens = run_walks(build_sampler(_bench_kernel(0.1)[0]), 1, 10, seed=2)

@@ -1,7 +1,11 @@
 import csv
+import dataclasses
 import io
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -22,10 +26,15 @@ from fracwalk import (
 from fracwalk import montecarlo
 from fracwalk.evolution import characteristic_function
 from fracwalk.montecarlo import WalkEnsemble
-from oracles import empirical_cf
+from oracles import empirical_cf, per_axis_walk
 
 BENCH = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=64)
 SAMPLER = build_sampler(BENCH)
+# one sampler per dimension for the engine checks
+ENGINE_SAMPLERS = {
+    dim: build_sampler(build_kernel(OrderMeasure.single(1.5), dim, 0.2, tau, trunc_radius=K))
+    for dim, tau, K in ((1, 0.02, 40), (2, 0.01, 12), (3, 0.005, 6))
+}
 
 
 class TestSampler:
@@ -200,6 +209,32 @@ class TestExports:
         assert lines[0] == "x1"
         assert len(lines) == 201
 
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(3).standard_cauchy(1001),
+        np.random.default_rng(4).integers(-3, 4, 64) * 0.1,  # ties
+        np.array([2.5]),
+        np.array([0.0, 0.0, -0.0, 1.0]),
+    ])
+    def test_quantiles_match_numpy(self, x):
+        levels = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
+        assert montecarlo._quantiles(x, levels).tobytes() == np.quantile(x, levels).tobytes()
+
+    def test_simulate_leaves_numpy_ma_unloaded(self, tmp_path):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("dim: 1\nh: 0.2\nt: 0.5\nwalkers: 500\ntrunc_radius: 16\n"
+                       "measure: {atoms: [[1.0, 1.0]]}\n")
+        code = (
+            "import sys; from fracwalk.cli import main\n"
+            f"main(['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}],"
+            " standalone_mode=False)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "summary.json").exists()
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_summary_is_json_ready(self):
         import json
 
@@ -230,6 +265,13 @@ def _realized_law(sampler):
         law[int(sampler.alias[i])] += slot * (2**32 - kept)
     assert sum(law) == 2**64
     return law
+
+
+def _decode(sampler, codes):
+    """Displacement rows of packed codes (each a single step, so no carries)."""
+    bits, K = 63 // sampler.kernel.dim, sampler.kernel.trunc_radius
+    digits = [(codes >> (axis * bits)) & ((1 << bits) - 1) for axis in range(sampler.kernel.dim)]
+    return np.stack(digits, axis=1) - K
 
 
 def _study_2d_kernel():
@@ -275,14 +317,25 @@ class TestAliasTables:
         np.testing.assert_allclose(induced, weights, rtol=0, atol=1e-15)
 
     def test_uint32_tables_match_the_float_table(self):
-        assert SAMPLER.threshold.dtype == np.uint32
-        np.testing.assert_allclose(SAMPLER.threshold / 2.0**32, SAMPLER.accept, atol=2.0**-32)
-        np.testing.assert_array_equal(
-            SAMPLER.alias_columns.T, SAMPLER.displacements[SAMPLER.alias]
-        )
-        np.testing.assert_array_equal(
-            SAMPLER.alias_columns.T + SAMPLER.keep_columns.T, SAMPLER.displacements
-        )
+        # and the code table decodes to the alias and own displacements
+        for sampler in (SAMPLER, *ENGINE_SAMPLERS.values()):
+            assert sampler.threshold.dtype == np.uint32
+            np.testing.assert_allclose(
+                sampler.threshold / 2.0**32, sampler.accept, atol=2.0**-32
+            )
+            assert sampler.codes.dtype == np.int64
+            np.testing.assert_array_equal(
+                _decode(sampler, sampler.codes[0::2]), sampler.displacements[sampler.alias]
+            )
+            np.testing.assert_array_equal(
+                _decode(sampler, sampler.codes[1::2]), sampler.displacements
+            )
+
+    def test_block_is_the_longest_carry_free_sum(self):
+        # block_steps codes of the largest digit 2K still fit below the base
+        for sampler in (SAMPLER, *ENGINE_SAMPLERS.values()):
+            bits, largest = 63 // sampler.kernel.dim, 2 * sampler.kernel.trunc_radius
+            assert sampler.block_steps * largest < 2**bits <= (sampler.block_steps + 1) * largest
 
     def test_walk_steps_are_sampler_draws_of_the_walker_window(self):
         # walker w of an n-step walk uses words [w W, w W + n) of the seed's
@@ -292,6 +345,34 @@ class TestAliasTables:
         outcomes = SAMPLER.sample(Generator(Philox(key=19)), walkers * window)
         steps = SAMPLER.displacements[outcomes.reshape(walkers, window)[:, :n]]
         np.testing.assert_array_equal(ens.lattice_positions, steps.sum(axis=1))
+
+
+class TestWalkEngine:
+    @pytest.mark.parametrize("small_tiles", [False, True])
+    @pytest.mark.parametrize("threads", [1, 2, 7])
+    @pytest.mark.parametrize("n_steps", [1, 3, 5, 4097])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_per_axis_walk(self, dim, n_steps, threads, small_tiles, monkeypatch):
+        sampler = ENGINE_SAMPLERS[dim]
+        walkers = 40
+        if small_tiles:
+            # a window over 14 words takes several tiles of 12 steps, and a
+            # tile of more than 2 steps several carry-free blocks of 2
+            monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 14)
+            sampler = dataclasses.replace(sampler, block_steps=2)
+            walkers = 12 if n_steps > 12 else walkers
+        ens = run_walks(sampler, n_steps, walkers, seed=dim + 60, threads=threads)
+        expected = per_axis_walk(sampler, n_steps, walkers, seed=dim + 60)
+        np.testing.assert_array_equal(ens.lattice_positions, expected)
+
+    def test_long_walk_memory_does_not_grow_with_steps(self):
+        tracemalloc.start()
+        try:
+            run_walks(ENGINE_SAMPLERS[2], 10**7, 1, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestThreadPool:
