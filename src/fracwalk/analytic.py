@@ -165,7 +165,7 @@ def _refine_by_decay(edges: np.ndarray, log_env, max_drop: float = 3.0) -> np.nd
     return edges
 
 
-def _smooth_panels(sym: DiffusionSymbol, t: float, qp: QuadParams):
+def _smooth_panels(sym: DiffusionSymbol, t: float):
     """Graded, decay-refined panels of [0, P] and the envelope E at their
     Gauss nodes, where P = ``_cutoff(sym, t, _CUTOFF_TOL)`` is the last
     edge.  Every radius whose oscillating factor keeps its sign below P
@@ -177,13 +177,13 @@ def _smooth_panels(sym: DiffusionSymbol, t: float, qp: QuadParams):
 
 
 def _radial_point(
-    sym: DiffusionSymbol, t: float, r: float, qp: QuadParams, smooth
+    sym: DiffusionSymbol, t: float, r: float, smooth
 ) -> tuple[float, float]:
     """One value of the inverse-transform integral for radius r >= 0.
 
-    ``smooth`` is ``_smooth_panels(sym, t, qp)``; its last edge is the
+    ``smooth`` is ``_smooth_panels(sym, t)``; its last edge is the
     frequency cutoff P, which does not depend on r.  The caller holds the
-    estimate to ``qp.tol``; the panels take the module constants.
+    estimate to its tolerance; the panels take the module constants.
     """
     edges, envelope = smooth
     P = float(edges[-1])
@@ -597,10 +597,10 @@ def green_density(
         if r_grid is None
         else _checked_radii(np.asarray(r_grid, dtype=float))
     )
-    smooth = _smooth_panels(sym, t, qp)
+    smooth = _smooth_panels(sym, t)
 
     def quadrature(r: float) -> tuple[float, float]:
-        return _radial_point(sym, t, r, qp, smooth)
+        return _radial_point(sym, t, r, smooth)
 
     origin = quadrature(0.0)
     values, estimate, table = None, 0.0, None

@@ -12,14 +12,14 @@ deterministic oracle against which Monte Carlo ensembles are checked.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import irfftn, rfftn
+from numpy.fft import fft, irfftn, rfft
 
-from .kernel import _CF_BLOCK_ENTRIES, LatticeKernel, lattice_vector, phase_sum  # noqa: F401
+from .kernel import LatticeKernel, lattice_vector, phase_sum
 from .special import next_fast_len
 
 # Support is clipped at this many sites from the origin per axis; the lost
@@ -31,14 +31,9 @@ DEFAULT_MAX_RADIUS = 4096
 # raises ValueError with the estimate when even one step would.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 
-# Peak bytes per site of the padded FFT grid during one product (half
-# spectra, transform temporaries and output), measured with tracemalloc.
+# Peak bytes per site of the FFT circle during one product (half spectra,
+# transform temporaries and output), measured with tracemalloc.
 _FFT_BYTES_PER_SITE = 24
-
-# Above this work estimate (product of the input sizes; summed over the steps
-# in ``evolve``) convolution switches from direct summation to the FFT path;
-# both agree to ~1e-15.
-_DIRECT_WORK_LIMIT = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -123,70 +118,81 @@ def kernel_distribution(kernel: LatticeKernel) -> LatticeDistribution:
     )
 
 
-def _fft_shape(shape: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(next_fast_len(n, real=True) for n in shape)
+def _grid_side(radius: int) -> int:
+    return next_fast_len(2 * radius + 1, real=True)
 
 
-def _fft_bytes(shape: tuple[int, ...]) -> int:
-    return _FFT_BYTES_PER_SITE * math.prod(_fft_shape(shape))
+def _fft_bytes(radius: int, dim: int) -> int:
+    return _FFT_BYTES_PER_SITE * _grid_side(radius) ** dim
 
 
-def _check_budget(shape: tuple[int, ...]) -> None:
-    """Raise ValueError, before allocating, if an FFT product on ``shape`` won't fit."""
-    need = _fft_bytes(shape)
+def _check_budget(radius: int, dim: int) -> None:
+    """Raise ValueError, before allocating, if an FFT product of this support radius won't fit."""
+    need = _fft_bytes(radius, dim)
     if need > MEMORY_BUDGET_BYTES:
         raise ValueError(
-            f"an FFT convolution on a {'x'.join(map(str, shape))} grid needs about "
-            f"{need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
+            f"an FFT convolution on a {'x'.join([str(2 * radius + 1)] * dim)} grid needs "
+            f"about {need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
             "memory budget; reduce the steps, the truncation radius or max_radius"
         )
 
 
-def _fft_convolve(
-    a: np.ndarray, b: np.ndarray, shape: tuple[int, ...], power: int = 1
-) -> np.ndarray:
-    """a convolved with ``power`` copies of b, from one FFT product on ``shape``.
+def _circle_blocks(r: int, side: int, dim: int):
+    """(cube, circle) slice pairs that lay a centred cube of radius r on a
+    circle of ``side`` nodes per axis with the origin at node 0: per axis,
+    sites 0..r sit at nodes 0..r and sites -r..-1 at the last r nodes."""
+    halves = [(slice(r, 2 * r + 1), slice(0, r + 1))]
+    if r:
+        halves.append((slice(0, r), slice(side - r, side)))
+    for pairs in itertools.product(halves, repeat=dim):
+        yield tuple(c for c, _ in pairs), tuple(g for _, g in pairs)
 
-    ``shape`` must hold the whole linear support, so nothing wraps around.
-    The result carries FFT rounding noise (entries near -1e-17); ``_clip``
-    clamps it.
+
+def _spectrum(cube: np.ndarray, side: int) -> np.ndarray:
+    """rfftn of the centred cube laid on the circle; the circle is freed
+    after the first (real) transform, so it never coexists with two spectra."""
+    circle = np.zeros((side,) * cube.ndim)
+    for c, g in _circle_blocks(cube.shape[0] // 2, side, cube.ndim):
+        circle[g] = cube[c]
+    spec = rfft(circle)
+    del circle
+    for axis in range(cube.ndim - 1):
+        spec = fft(spec, axis=axis)
+    return spec
+
+
+def _fft_power(
+    a: np.ndarray, b: np.ndarray, n: int, max_radius: int
+) -> tuple[np.ndarray, float]:
+    """a convolved with ``n`` copies of b by one FFT product, clipped at
+    ``max_radius``, and the mass lost.
+
+    Both centred cubes lie on a circle of ``next_fast_len(2R + 1)`` nodes per
+    axis, R the product's support radius, with the origin at node 0, where an
+    even cube has an even spectrum: even laws stay even to about 1e-17.
+    Nothing wraps around, so the product is exact up to FFT rounding, about
+    1e-17 absolute per entry; negative entries are clamped at 0.  The mass
+    lost is the circle's total minus the mass kept, so kept plus lost equals
+    the product's total by construction; clamping adds mass, so when nothing
+    is clipped the loss can be slightly negative.
     """
-    _check_budget(shape)
-    fshape = _fft_shape(shape)
-    axes = tuple(range(len(shape)))
-    spec = rfftn(b, fshape, axes)
-    spec **= power
-    spec *= rfftn(a, fshape, axes)
-    return irfftn(spec, fshape, axes)[tuple(slice(0, n) for n in shape)]
-
-
-def _convolve_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    shape = tuple(np.add(a.shape, b.shape) - 1)
-    if a.size * b.size > _DIRECT_WORK_LIMIT:
-        return _fft_convolve(a, b, shape)
-    if a.ndim == 1:
-        return np.convolve(a, b)
-    if np.count_nonzero(a) < np.count_nonzero(b):
-        a, b = b, a
-    out = np.zeros(shape)
-    for offset in np.argwhere(b):
-        out[tuple(slice(o, o + n) for o, n in zip(offset, a.shape))] += b[tuple(offset)] * a
-    return out
-
-
-def _clip(mass: np.ndarray, dim: int, max_radius: int) -> tuple[np.ndarray, float]:
-    """The box of radius ``max_radius`` with rounding noise clamped at 0, and the mass lost.
-
-    The mass lost is the total of ``mass`` minus the mass kept, so kept plus
-    lost equals the product's total by construction.  Clamping FFT noise
-    adds mass, so when nothing is clipped the loss can be slightly negative.
-    """
-    R = mass.shape[0] // 2
-    if R <= max_radius and mass.min() >= 0.0:
-        return mass, 0.0
+    dim = a.ndim
+    R = a.shape[0] // 2 + n * (b.shape[0] // 2)
+    _check_budget(R, dim)
+    side = _grid_side(R)
+    spec = _spectrum(b, side)
+    spec **= n
+    spec *= _spectrum(a, side)
+    circle = irfftn(spec, (side,) * dim, tuple(range(dim)))
+    del spec
     r = min(R, max_radius)
-    kept = np.maximum(mass[(slice(R - r, R + r + 1),) * dim], 0.0)
-    return kept, float(mass.sum() - kept.sum())
+    kept = np.empty((2 * r + 1,) * dim)
+    for c, g in _circle_blocks(r, side, dim):
+        kept[c] = circle[g]
+    if r == R and kept.min() >= 0.0:
+        return kept, 0.0
+    np.maximum(kept, 0.0, out=kept)
+    return kept, float(circle.sum() - kept.sum())
 
 
 def convolve(
@@ -201,8 +207,7 @@ def convolve(
     """
     if p.dim != q.dim or p.h != q.h:
         raise ValueError("convolution requires matching dim and mesh width")
-    mass = _convolve_arrays(p.mass, q.mass)
-    mass, lost = _clip(mass, p.dim, max_radius)
+    mass, lost = _fft_power(p.mass, q.mass, 1, max_radius)
     return LatticeDistribution(
         dim=p.dim,
         h=p.h,
@@ -211,11 +216,6 @@ def convolve(
         time_index=p.time_index + q.time_index,
         mass_deficit=p.mass_deficit + q.mass_deficit + lost,
     )
-
-
-def _check_pair(dist: LatticeDistribution, kernel: LatticeKernel) -> None:
-    if dist.dim != kernel.dim or dist.h != kernel.h:
-        raise ValueError("distribution and kernel must share dim and mesh width")
 
 
 def _advance(
@@ -241,22 +241,7 @@ def step(
     max_radius: int = DEFAULT_MAX_RADIUS,
 ) -> LatticeDistribution:
     """One master-equation step: convolve the law with the jump kernel."""
-    _check_pair(dist, kernel)
-    if kernel.tau == 0.0 or kernel.sigma == 0.0:
-        return _advance(dist, kernel, 1, dist.mass, 0.0)
-    mass = _convolve_arrays(dist.mass, kernel.mass_cube())
-    return _advance(dist, kernel, 1, *_clip(mass, dist.dim, max_radius))
-
-
-def _direct_work(R: int, K: int, dim: int, n_steps: int, max_radius: int) -> int:
-    """Summed direct-convolution work of ``n_steps`` steps, capped past the limit."""
-    work = 0
-    for _ in range(n_steps):
-        work += ((2 * R + 1) * (2 * K + 1)) ** dim
-        if work > _DIRECT_WORK_LIMIT:
-            break
-        R = min(R + K, max_radius)
-    return work
+    return evolve(dist, kernel, 1, max_radius)
 
 
 def evolve(
@@ -268,29 +253,31 @@ def evolve(
     """Apply ``n_steps`` master-equation steps.
 
     The n-step law is ``dist`` convolved with the n-th convolution power of
-    the kernel.  Small cases step through direct convolution.  Otherwise one
-    FFT product ``dist_hat * kernel_hat**n`` on the exact support (side
-    2(R + nK) + 1 per axis) gives the law exactly up to FFT rounding; it is
-    clipped once at ``max_radius``, so the deficit gained is the mass outside
-    the box (with FFT rounding noise clamped at 0, kept mass plus deficit
-    stays the exact total).  If that grid exceeds ``MEMORY_BUDGET_BYTES``,
-    the law steps one kernel convolution at a time, each product clipped at
-    ``max_radius``; if even the largest step product exceeds the budget,
-    ValueError names the estimate before anything is allocated.
+    the kernel: one FFT product ``dist_hat * kernel_hat**n`` on the exact
+    support (side 2(R + nK) + 1 per axis) gives it exactly up to FFT
+    rounding; it is clipped once at ``max_radius``, so the deficit gained is
+    the mass outside the box (with FFT rounding noise clamped at 0, kept
+    mass plus deficit stays the exact total).  If that grid exceeds
+    ``MEMORY_BUDGET_BYTES``, the law steps one kernel convolution at a time,
+    each product clipped at ``max_radius``; if even the largest step product
+    exceeds the budget, ValueError names the estimate before anything is
+    allocated.
     """
-    _check_pair(dist, kernel)
+    if dist.dim != kernel.dim or dist.h != kernel.h:
+        raise ValueError("distribution and kernel must share dim and mesh width")
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    if n_steps == 0 or kernel.tau == 0.0 or kernel.sigma == 0.0:
+        return _advance(dist, kernel, n_steps, dist.mass, 0.0)
     R, K, dim = dist.support_radius, kernel.trunc_radius, dist.dim
-    if _direct_work(R, K, dim, n_steps, max_radius) > _DIRECT_WORK_LIMIT:
-        if kernel.tau == 0.0 or kernel.sigma == 0.0:
-            return _advance(dist, kernel, n_steps, dist.mass, 0.0)
-        shape = (2 * (R + n_steps * K) + 1,) * dim
-        if _fft_bytes(shape) <= MEMORY_BUDGET_BYTES:
-            mass = _fft_convolve(dist.mass, kernel.mass_cube(), shape, n_steps)
-            return _advance(dist, kernel, n_steps, *_clip(mass, dim, max_radius))
-        # the step products grow up to this grid: fail before the first one
-        _check_budget((2 * (max(R, min(R + n_steps * K, max_radius)) + K) + 1,) * dim)
+    if _fft_bytes(R + n_steps * K, dim) <= MEMORY_BUDGET_BYTES:
+        kept, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, max_radius)
+        return _advance(dist, kernel, n_steps, kept, lost)
+    # the step products grow up to this grid: fail before the first one
+    _check_budget(max(R, min(R + n_steps * K, max_radius)) + K, dim)
+    cube = kernel.mass_cube()
     for _ in range(n_steps):
-        dist = step(dist, kernel, max_radius)
+        dist = _advance(dist, kernel, 1, *_fft_power(dist.mass, cube, 1, max_radius))
     return dist
 
 

@@ -21,6 +21,7 @@ is identical for any chunking or thread count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -395,12 +396,14 @@ def histogram(ensemble: WalkEnsemble, bin_width: float) -> Histogram:
     """Bin the ensemble; densities integrate to 1 over the binned volume."""
     if bin_width < ensemble.h:
         raise ValueError("bin_width must be at least the mesh width h")
-    x = ensemble.final_positions
-    bins = np.floor(x / bin_width + 0.5).astype(np.int64)
-    lo = bins.min(axis=0)
-    shape = tuple(bins.max(axis=0) - lo + 1)
-    counts = np.zeros(shape, dtype=np.int64)
-    np.add.at(counts, tuple((bins - lo).T), 1)
+    # one contiguous row of bin indices per axis: reductions along rows are
+    # fast, where a column reduction of the (M, dim) layout is not
+    bins = np.floor(ensemble.final_positions.T / bin_width + 0.5).astype(np.int64, order="C")
+    lo = bins.min(axis=1)
+    shape = tuple(bins.max(axis=1) - lo + 1)
+    bins -= lo[:, None]
+    counts = np.bincount(np.ravel_multi_index(tuple(bins), shape), minlength=math.prod(shape))
+    counts = counts.reshape(shape)
     counts.setflags(write=False)
     return Histogram(
         dim=ensemble.dim,

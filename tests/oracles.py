@@ -5,8 +5,9 @@ library uses: the symbol and Green CF at a vector frequency, the Gaussian
 and Cauchy closed forms, partial lattice sums with a tail bound, the
 jump-strength coefficient term by term, a density's forward transform, the
 kernel CF from a dense phase matrix, the empirical CF of an ensemble, the
-lattice shells by sorting the whole cube, walks summed axis by axis, and the
-KS distance with the reference CDF evaluated at every sample.
+lattice shells by sorting the whole cube, walks summed axis by axis, the
+KS distance with the reference CDF evaluated at every sample, and lattice
+convolution by direct summation.
 """
 
 import math
@@ -239,3 +240,24 @@ def ks_distance_every_value(ensemble, cdf, projection: str) -> float:
     m = len(values)
     f = np.asarray(cdf(values), dtype=float)
     return float(max(np.max(np.arange(1, m + 1) / m - f), np.max(f - np.arange(0, m) / m)))
+
+
+def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two arrays by direct summation.
+
+    ``a`` is zero-padded to the output shape and flattened, so a lattice
+    shift is a shift of the flat index and nothing spills from one row into
+    the next.  Each last-axis row of ``b`` is convolved with it by
+    ``np.convolve`` and added at that row's offset; in 1D this is
+    ``np.convolve(a, b)``.
+    """
+    shape = tuple(np.add(a.shape, b.shape) - 1)
+    padded = np.zeros(shape)
+    padded[tuple(slice(0, n) for n in a.shape)] = a
+    flat = padded.ravel()
+    out = np.zeros_like(flat)
+    for lead in np.ndindex(b.shape[:-1]):
+        if b[lead].any():
+            s = int(np.ravel_multi_index(lead + (0,), shape))
+            out[s:] += np.convolve(flat, b[lead])[: flat.size - s]
+    return out.reshape(shape)

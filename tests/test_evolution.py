@@ -17,7 +17,8 @@ from fracwalk import (
     step,
 )
 from fracwalk import kernel as kernel_module
-from fracwalk.evolution import DEFAULT_MAX_RADIUS, _convolve_arrays
+from fracwalk.evolution import DEFAULT_MAX_RADIUS
+from oracles import direct_convolve
 
 KERNEL = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=16)
 
@@ -108,8 +109,18 @@ def test_cf_trivial_values():
 
 
 def test_evolved_law_symmetric():
-    d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, 5)
-    np.testing.assert_allclose(d.mass, d.mass[::-1], atol=1e-16)
+    for n, box in ((5, DEFAULT_MAX_RADIUS), (3000, 128)):
+        d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
+        np.testing.assert_allclose(d.mass, d.mass[::-1], atol=1e-16)
+
+
+def test_zero_steps_keep_the_law_and_negative_steps_are_rejected():
+    d = step(LatticeDistribution.delta(1, 0.1), KERNEL)
+    same = evolve(d, KERNEL, 0)
+    np.testing.assert_array_equal(same.mass, d.mass)
+    assert same.time_index == d.time_index and same.mass_deficit == d.mass_deficit
+    with pytest.raises(ValueError, match="nonnegative"):
+        evolve(d, KERNEL, -1)
 
 
 def test_truncation_tracks_deficit():
@@ -120,21 +131,17 @@ def test_truncation_tracks_deficit():
     assert out.total_mass() + out.mass_deficit == pytest.approx(1.0, abs=1e-12)
 
 
+def _law(mass):
+    return LatticeDistribution(dim=mass.ndim, h=0.1, mass=mass / mass.sum())
+
+
 def test_direct_and_fft_convolution_agree():
     rng = np.random.default_rng(5)
-    a = rng.random(301)
-    a /= a.sum()
-    b = rng.random(41)
-    b /= b.sum()
-    direct = _convolve_arrays(a, b)
-    from scipy.signal import fftconvolve
-
-    np.testing.assert_allclose(direct, fftconvolve(a, b), atol=1e-10)
+    a, b = _law(rng.random(301)), _law(rng.random(41))
+    np.testing.assert_allclose(convolve(a, b).mass, direct_convolve(a.mass, b.mass), atol=1e-10)
     # 2-D as well
-    a2 = rng.random((21, 21))
-    a2 /= a2.sum()
-    direct2 = _convolve_arrays(a2, a2)
-    np.testing.assert_allclose(direct2, fftconvolve(a2, a2), atol=1e-10)
+    a2 = _law(rng.random((21, 21)))
+    np.testing.assert_allclose(convolve(a2, a2).mass, direct_convolve(a2.mass, a2.mass), atol=1e-10)
 
 
 def test_two_dimensional_step():
@@ -169,14 +176,13 @@ def _master_eq_kernel():
 def test_fft_power_matches_step_loop():
     k = _master_eq_kernel()
     n = 27
-    assert evolution._direct_work(0, 16, 2, n, DEFAULT_MAX_RADIUS) > evolution._DIRECT_WORK_LIMIT
     d = evolve(LatticeDistribution.delta(2, 0.2), k, n)
-    ref = LatticeDistribution.delta(2, 0.2)
+    ref, cube = LatticeDistribution.delta(2, 0.2).mass, k.mass_cube()
     for _ in range(n):
-        ref = step(ref, k)
+        ref = direct_convolve(ref, cube)
     assert d.time_index == n and d.tau == k.tau
-    assert d.support_radius == ref.support_radius == n * 16
-    np.testing.assert_allclose(d.mass, ref.mass, rtol=0, atol=1e-15)
+    assert d.support_radius == ref.shape[0] // 2 == n * 16
+    np.testing.assert_allclose(d.mass, ref, rtol=0, atol=1e-15)
     assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, abs=1e-12)
     rho = np.array([0.5, 2.0, 5.0])
     xi = np.vstack([np.column_stack([rho, 0 * rho]), np.column_stack([rho, rho]) / np.sqrt(2)])
@@ -185,7 +191,6 @@ def test_fft_power_matches_step_loop():
 
 def test_fft_power_clips_once_and_counts_mass_outside_box():
     n, box = 3000, 128
-    assert evolution._direct_work(0, 16, 1, n, box) > evolution._DIRECT_WORK_LIMIT
     full = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=n * 16)
     d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
     assert full.support_radius == n * 16 and abs(full.mass_deficit) < 1e-11  # FFT noise
@@ -248,7 +253,7 @@ def test_blocked_cf_matches_dense_sum(monkeypatch):
     d = evolve(LatticeDistribution.delta(2, 0.2), k, 27)
     rho = np.array([0.5, 2.0, 5.0])
     xi = np.vstack([np.column_stack([rho, 0 * rho]), np.column_stack([rho, rho]) / np.sqrt(2)])
-    assert d.mass.size > evolution._CF_BLOCK_ENTRIES // len(xi)  # beyond one dense table
+    assert d.mass.size > kernel_module._CF_BLOCK_ENTRIES // len(xi)  # beyond one dense table
     dense = _dense_cf(d, xi)
     # the default budget holds this law in one block; 16 floats give one
     # frequency and 8 sites of the first axis per block

@@ -34,8 +34,8 @@ MEASURES = {
 
 
 def _quadrature(sym, t, radii):
-    smooth = _smooth_panels(sym, t, DEFAULT_QUAD)
-    return np.array([_radial_point(sym, t, float(x), DEFAULT_QUAD, smooth)[0] for x in radii])
+    smooth = _smooth_panels(sym, t)
+    return np.array([_radial_point(sym, t, float(x), smooth)[0] for x in radii])
 
 
 def _from_fftlog(dens) -> bool:

@@ -158,6 +158,17 @@ class TestHistogram:
         total = hist.density.sum() * hist.bin_width**hist.dim
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_counts_match_a_per_walker_tally(self, dim):
+        ens = run_walks(ENGINE_SAMPLERS[dim], 20, 20_000, seed=dim)
+        width = 3 * ens.h
+        hist = histogram(ens, bin_width=width)
+        bins = np.floor(ens.final_positions / width + 0.5).astype(np.int64)
+        np.testing.assert_array_equal(hist.origin_index, bins.min(axis=0))
+        tally = np.zeros(hist.counts.shape, dtype=np.int64)
+        np.add.at(tally, tuple((bins - hist.origin_index).T), 1)
+        np.testing.assert_array_equal(hist.counts, tally)
+
     def test_rejects_sub_mesh_bins(self):
         ens = run_walks(SAMPLER, 1, 10, seed=5)
         with pytest.raises(ValueError):
