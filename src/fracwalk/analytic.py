@@ -82,10 +82,10 @@ class DiffusionSymbol:
 
     def radial(self, rho) -> np.ndarray:
         """B as a function of |xi| (vectorized)."""
-        rho = np.asarray(rho, dtype=float)
+        rho = np.abs(np.asarray(rho, dtype=float))
         out = np.zeros_like(rho)
         for a, w in self.measure.terms:
-            out -= w * np.abs(rho) ** a
+            out -= w * rho**a
         return out
 
     @property

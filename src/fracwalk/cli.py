@@ -131,7 +131,8 @@ def simulate(config_path: str, out: str | None, seed: int | None, threads: int |
     out_dir = _out_dir(out, cfg)
     csv_path = out_dir / "ensemble.csv"
     ensemble.to_csv(csv_path)
-    summary = ensemble.summary_dict()
+    first = ensemble.sorted_first_coordinate()  # for the quantiles and the KS
+    summary = ensemble.summary_dict(sorted_first=first)
     summary["tail_mass"] = k.tail_mass
 
     t_sim = ensemble.n_steps * ensemble.tau
@@ -139,7 +140,7 @@ def simulate(config_path: str, out: str | None, seed: int | None, threads: int |
         cdf, projection = reference_cdf(
             cfg.measure, r["dim"], t_sim, QuadParams(tol=r["quad_tol"])
         )
-        summary["ks"] = ks_distance(ensemble, cdf, projection)
+        summary["ks"] = ks_distance(ensemble, cdf, projection, sorted_first=first)
         summary["ks_reference"] = reference
     summary.update(cfg.echo())
     _write_json(out_dir / "summary.json", summary)

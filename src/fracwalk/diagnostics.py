@@ -28,7 +28,7 @@ from .kernel import (
     DEFAULT_TRUNC_RADIUS, LatticeKernel, build_kernel, frequency_rows, stability_sigma,
 )
 from .measure import OrderMeasure
-from .montecarlo import Histogram, WalkEnsemble, build_sampler, run_walks
+from .montecarlo import STREAM_VERSION, Histogram, WalkEnsemble, build_sampler, run_walks
 
 
 def default_xi_grid(dim: int, xi_max: float = 10.0, points: int = 101) -> np.ndarray:
@@ -69,23 +69,25 @@ def cf_sup_error(
     return float(np.max(np.abs(walk_cf - target)))
 
 
-def ks_distance(ensemble: WalkEnsemble, analytic_cdf, projection: str = "first") -> float:
+def ks_distance(
+    ensemble: WalkEnsemble, analytic_cdf, projection: str = "first", sorted_first=None,
+) -> float:
     """Kolmogorov-Smirnov sup distance between the ensemble and a CDF.
 
     ``projection`` selects the scalar reduction: "first" takes the first
     coordinate, "radial" the Euclidean norm.  ``analytic_cdf`` must be
-    vectorized over the projected values.
+    vectorized over the projected values.  ``sorted_first`` optionally holds
+    ``ensemble.sorted_first_coordinate()``, which the "first" projection
+    then does not sort again.
     """
     if ensemble.n_walkers < 1:
         raise ValueError("empty ensemble")
-    x = ensemble.final_positions
     if projection == "first":
-        values = x[:, 0]
+        values = ensemble.sorted_first_coordinate() if sorted_first is None else sorted_first
     elif projection == "radial":
-        values = np.linalg.norm(x, axis=1)
+        values = np.sort(np.linalg.norm(ensemble.final_positions, axis=1))
     else:
         raise ValueError(f"unknown projection {projection!r}")
-    values = np.sort(values)
     m = len(values)
     # the sup over a run of tied values is reached at its ends: evaluate the
     # CDF once per distinct value
@@ -168,6 +170,7 @@ class ConvergenceReport:
             "xi_max": self.xi_max,
             "walkers": self.walkers,
             "seed": self.seed,
+            "stream": STREAM_VERSION,
             "rows": [asdict(r) for r in self.rows],
         }
 

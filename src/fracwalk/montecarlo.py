@@ -10,21 +10,24 @@ can move a walker off the lattice.
 Determinism contract
 --------------------
 Walker ``w`` of a run with seed ``s`` consumes a dedicated, fixed window of
-the counter-based Philox-4x64 stream keyed by ``s``: one raw 64-bit word per
-step, the window padded to a whole number of 256-bit counter blocks (four
-words).  The high 32 bits of a word pick the alias slot by multiply-shift,
-the low 32 bits decide between the slot and its alias.  Philox comes from
-the Random123 family and passes the standard statistical batteries (TestU01
-BigCrush); because the window depends only on (s, w), the resulting ensemble
-is identical for any chunking or thread count.
+the counter-based Philox-4x64 stream keyed by ``s``: one 32-bit draw per
+step, two per raw 64-bit word (its low half, then its high half, the order
+of numpy's own ``next_uint32``), the window padded to a whole number of
+256-bit counter blocks (four words).  A draw u picks the alias slot
+(u N) >> 32 by multiply-shift and keeps it iff u is below the slot's integer
+limit.  Philox comes from the Random123 family and passes the standard
+statistical batteries (TestU01 BigCrush); because the window depends only on
+(s, w), the resulting ensemble is identical for any chunking or thread
+count.  This is walk stream ``STREAM_VERSION``; README.md lists what earlier
+versions drew.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Thread
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -33,12 +36,19 @@ from .kernel import LatticeKernel
 
 # Raw words drawn per walk tile: small enough that its work arrays
 # stay in cache, large enough that per-tile overhead does not matter.
-_CHUNK_WORDS = 1 << 16
+# A tile holds four uint64 arrays of this length, 1.5 MiB in all.
+_CHUNK_WORDS = 3 << 14
+
+# Version of the seed -> ensemble mapping; README.md ("Determinism") says
+# what each version draws and which earlier ensembles it does not reproduce.
+STREAM_VERSION = "0.3.0"
 
 # Rows formatted per write in ``WalkEnsemble.to_csv``.
 _CSV_BLOCK_ROWS = 1 << 16
 
 _SHIFT32 = np.uint64(32)
+_SHIFT33 = np.uint64(33)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 @dataclass(frozen=True)
@@ -47,13 +57,17 @@ class JumpSampler:
 
     ``displacements[i]`` is the integer jump of outcome i; a draw picks slot
     i uniformly and takes it with probability ``accept[i]``, otherwise takes
-    ``alias[i]``.  ``threshold`` is ``accept`` on the 32-bit scale the draws
-    use.  ``codes[2i]`` and ``codes[2i + 1]`` pack the displacements of
-    ``alias[i]`` and of i into one int64, one base-2^(63 // dim) digit per
-    axis offset by the truncation radius K, so a walk step is one gather at
-    ``2 slot + keep`` in any dimension.  Summing at most ``block_steps``
-    codes leaves every digit below its base, so such a sum decodes by shift
-    and mask.
+    ``alias[i]``.  A draw is a 32-bit u: slot i holds the c_i values from
+    ceil(i 2^32 / N) up to the next slot's first value, and keeps those
+    below ``limit[i]``, that first value plus min(round(accept[i] 2^32 / N),
+    c_i), computed exactly.  ``codes[2i]`` and ``codes[2i + 1]`` pack the
+    displacements of ``alias[i]`` and of i into one int64, one
+    base-2^(63 // dim) digit per axis offset by the truncation radius K, so
+    a walk step is one gather at the code index ``2 slot + keep`` in any
+    dimension.  ``keys[i]`` = (2i + 1) 2^33 + limit[i] - 1 gives that index
+    as ``(keys[slot] - u) >> 33``.  Summing at most ``block_steps`` codes
+    leaves every digit below its base, so such a sum decodes by shift and
+    mask.
     """
 
     kernel: LatticeKernel
@@ -61,13 +75,19 @@ class JumpSampler:
     weights: np.ndarray        # (n_outcomes,) the exact outcome probabilities
     accept: np.ndarray         # (n_outcomes,) float64 in [0, 1]
     alias: np.ndarray          # (n_outcomes,) int64; alias[i] == i where accept[i] == 1
-    threshold: np.ndarray      # (n_outcomes,) uint32, round(accept * 2^32) capped at 2^32 - 1
+    keys: np.ndarray           # (n_outcomes,) uint64, (2i + 1) 2^33 + limit[i] - 1
     codes: np.ndarray          # (2 n_outcomes,) int64, packed displacements[alias[i]], displacements[i]
     block_steps: int           # codes summed without a carry: block_steps * 2K < 2^(63 // dim)
 
     @property
     def n_outcomes(self) -> int:
         return len(self.weights)
+
+    @property
+    def limit(self) -> np.ndarray:
+        """(n_outcomes,) uint64: the first u value of slot i that takes ``alias[i]``."""
+        odd = np.arange(1, 2 * self.n_outcomes, 2, dtype=np.uint64) << _SHIFT33
+        return self.keys - odd + np.uint64(1)
 
     def induced_probabilities(self) -> np.ndarray:
         """Outcome law the table actually samples from (for exactness checks)."""
@@ -77,31 +97,29 @@ class JumpSampler:
         return p
 
     def sample(self, rng: Generator, size: int) -> np.ndarray:
-        """Draw ``size`` outcome indices (used for single-law statistics)."""
-        slot, keep = _draw(self, rng.bit_generator.random_raw(size))
-        return np.where(keep, slot, self.alias[slot])
+        """Draw ``size`` outcome indices from ``size`` 32-bit draws of ``rng``
+        (used for single-law statistics)."""
+        index = _draw(self, rng.integers(0, 2**32, size, dtype=np.uint64))
+        slot = index >> 1
+        return np.where(index & 1, slot, self.alias[slot])
 
 
-def _draw(
-    sampler: JumpSampler, raw: np.ndarray, work: tuple | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alias slot and keep flag of each raw 64-bit word (any array shape).
+def _draw(sampler: JumpSampler, u: np.ndarray, work: tuple | None = None) -> np.ndarray:
+    """Code index ``2 slot + keep`` of each 32-bit draw ``u`` (uint64, any shape).
 
-    The slot is ``(hi * N) >> 32`` with ``hi = raw >> 32`` (Lemire's
-    multiply-shift); the slot is kept iff ``raw & 0xFFFFFFFF`` is below its
-    threshold.  ``work`` optionally holds uint64, uint32, uint32 and bool
-    arrays shaped like ``raw`` that receive the results instead of new ones.
+    The slot is ``(u * N) >> 32`` (Lemire's multiply-shift), kept iff ``u``
+    is below its limit.  ``work`` optionally holds two uint64 arrays shaped
+    like ``u``; the index is returned in the second, viewed as int64.
     """
-    slot, low, threshold, keep = work or (None,) * 4
-    slot = np.right_shift(raw, _SHIFT32, out=slot)
-    slot *= np.uint64(sampler.n_outcomes)
+    slot, index = work or (None, None)
+    slot = np.multiply(u, np.uint64(sampler.n_outcomes), out=slot)
     slot >>= _SHIFT32
-    slot = slot.view(np.int64)  # every slot is below N < 2^32
-    if low is None:
-        low = np.empty(raw.shape, np.uint32)
-    np.copyto(low, raw, casting="unsafe")  # unsigned narrowing keeps raw & 0xFFFFFFFF
-    threshold = np.take(sampler.threshold, slot, out=threshold, mode="clip")
-    return slot, np.less(low, threshold, out=keep)
+    # keys[slot] - u = (2 slot + 1) 2^33 + (limit - 1 - u), where the last
+    # term lies in [0, 2^32) when u < limit and in [-2^32, 0) otherwise
+    index = np.take(sampler.keys, slot.view(np.int64), out=index, mode="clip")
+    index -= u
+    index >>= _SHIFT33
+    return index.view(np.int64)
 
 
 def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,10 +177,25 @@ def build_sampler(kernel: LatticeKernel) -> JumpSampler:
     sites = kernel.shells.sites
     displacements = np.vstack([np.zeros((1, kernel.dim), dtype=np.int64), sites])
     weights = np.concatenate([[kernel.p0], kernel.site_probabilities])
-    if len(weights) >= 2**32:
-        raise ValueError("an alias table draws at most 2^32 - 1 outcomes")
+    n = len(weights)
+    if n > 2**30:
+        raise ValueError("an alias table draws at most 2^30 outcomes")
     accept, alias = _alias_table(weights)
-    threshold = np.minimum(np.round(accept * 2.0**32), 2.0**32 - 1).astype(np.uint32)
+    # slot i takes the u values from ceil(i 2^32 / N) up to ceil((i + 1) 2^32 / N)
+    edge = np.arange(n + 1, dtype=np.uint64)
+    edge <<= _SHIFT32
+    edge += np.uint64(n - 1)
+    edge //= np.uint64(n)
+    # and keeps the first round(accept 2^32 / N) of them, at most all
+    kept = accept * 2.0**32
+    kept /= n
+    np.round(kept, out=kept)
+    np.minimum(kept, np.diff(edge), out=kept)
+    keys = edge[:-1]
+    keys += kept.astype(np.uint64)  # the limit
+    del kept
+    keys -= np.uint64(1)  # wraps at a limit of 0 and wraps back below
+    keys += np.arange(1, 2 * n, 2, dtype=np.uint64) << _SHIFT33
     K, bits = kernel.trunc_radius, _digit_bits(kernel.dim)
     codes = np.zeros(2 * len(weights), dtype=np.int64)
     own, digit = codes[1::2], np.empty(len(weights), dtype=np.int64)
@@ -173,7 +206,7 @@ def build_sampler(kernel: LatticeKernel) -> JumpSampler:
     del digit
     codes[0::2] = own[alias]
 
-    fields = (displacements, weights, accept, alias, threshold, codes)
+    fields = (displacements, weights, accept, alias, keys, codes)
     for arr in fields:
         arr.setflags(write=False)
     # the cube guard of enumerate_shells keeps 2K far below 2^bits
@@ -224,10 +257,27 @@ class WalkEnsemble:
                 rows = fields[0] if self.dim == 1 else map(",".join, zip(*fields))
                 f.write("\r\n".join(rows) + "\r\n")
 
-    def summary_dict(self, quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95)) -> dict:
+    def sorted_first_coordinate(self) -> np.ndarray:
+        """First coordinates in ascending order.
+
+        Sorts the int64 lattice column and scales it; x = k h is monotone in
+        k, so the result is that of sorting ``final_positions[:, 0]``.
+        """
+        return np.sort(self.lattice_positions[:, 0]) * self.h
+
+    def summary_dict(
+        self, quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95), sorted_first=None,
+    ) -> dict:
+        """Moments, first-coordinate quantiles and a histogram, JSON-ready.
+
+        ``sorted_first`` optionally holds :meth:`sorted_first_coordinate`,
+        for a caller that needs it too.
+        """
         x = self.final_positions
         first = x[:, 0]
-        qs = _quantiles(first, quantile_levels)
+        if sorted_first is None:
+            sorted_first = self.sorted_first_coordinate()
+        qs = _quantiles(sorted_first, quantile_levels)
         hist = histogram(self, bin_width=self.h if self.dim == 1 else 4 * self.h)
         return {
             "dim": self.dim,
@@ -236,6 +286,7 @@ class WalkEnsemble:
             "n_steps": self.n_steps,
             "n_walkers": self.n_walkers,
             "seed": self.seed,
+            "stream": STREAM_VERSION,
             "mean": x.mean(axis=0).tolist(),
             "mean_abs_first_coordinate": float(np.abs(first).mean()),
             "quantiles_first_coordinate": {
@@ -246,12 +297,12 @@ class WalkEnsemble:
 
 
 def _quantiles(x: np.ndarray, levels) -> np.ndarray:
-    """``np.quantile(x, levels)`` by numpy's default "linear" rule, bit for bit.
+    """``np.quantile(x, levels)`` of an ascending ``x`` by numpy's default
+    "linear" rule, bit for bit.
 
-    One sort and numpy's own index and interpolation formulas; np.quantile
-    itself partitions through np.unique, which imports numpy.ma (14 ms).
+    numpy's own index and interpolation formulas; np.quantile itself
+    partitions through np.unique, which imports numpy.ma (14 ms).
     """
-    x = np.sort(x)
     n = len(x)
     virtual = (n - 1) * np.asarray(levels, dtype=float)
     below = np.floor(virtual)
@@ -266,8 +317,8 @@ def _quantiles(x: np.ndarray, levels) -> np.ndarray:
 
 
 def _walker_words(n_steps: int) -> int:
-    # one raw word per step, padded to whole Philox blocks (4 words)
-    return 4 * ((n_steps + 3) // 4)
+    # two steps per raw word, padded to whole Philox blocks (4 words)
+    return 4 * ((n_steps + 7) // 8)
 
 
 def _run_chunks(
@@ -276,41 +327,50 @@ def _run_chunks(
     """Walk ``(first, count)`` chunks of walkers in tiles, reusing one set of arrays.
 
     A tile is the whole chunk, or, for a walker whose window exceeds
-    ``_CHUNK_WORDS``, one run of at most that many of its steps, drawn in
-    whole Philox blocks where the previous run stopped; step s is word s of
-    the walker's window either way.  Fresh temporaries per tile would go
-    back to the operating system and be faulted in again on every tile,
-    which doubles the walk time.
+    ``_CHUNK_WORDS``, one run of at most that many of its words, drawn in
+    whole Philox blocks where the previous run stopped; step s is draw s of
+    the walker's window either way.  The low halves of a tile's words take
+    the even steps and the high halves the odd ones; a position is an
+    order-free sum of codes, so each half is walked as one block.  Fresh
+    temporaries per tile would go back to the operating system and be
+    faulted in again on every tile, which doubles the walk time.
     """
     kernel = sampler.kernel
     bits = _digit_bits(kernel.dim)
     mask = (1 << bits) - 1
     words = _walker_words(n_steps)
     # a walker longer than one tile walks in spans of whole Philox blocks
-    span = min(n_steps, max(4, _CHUNK_WORDS - _CHUNK_WORDS % 4))
-    size = max(count for _, count in chunks) * span
-    work = [np.empty(size, t) for t in (np.uint64, np.uint32, np.uint32, bool)]
+    span = min(n_steps, max(8, 2 * (_CHUNK_WORDS - _CHUNK_WORDS % 4)))
+    size = max(count for _, count in chunks) * _walker_words(span)
+    work = [np.empty(size, np.uint64) for _ in range(3)]
+    # one generator, rewound per chunk: a new Philox draws OS entropy for a
+    # seed sequence it never uses, which costs more than a chunk's setup
+    bitgen = Philox(key=np.uint64(seed))
+    origin = bitgen.state
     for first, count in chunks:
         rows = slice(first, first + count)
-        bitgen = Philox(key=np.uint64(seed)).advance(first * words // 4)
+        bitgen.state = origin
+        bitgen.advance(first * words // 4)
         for start in range(0, n_steps, span):
             length = min(span, n_steps - start)
             # the chunk's windows, or the next span of one walker's window
             stride = _walker_words(length)
-            raw = bitgen.random_raw(count * stride)
-            tile = [w[: count * length].reshape(count, length) for w in work]
-            slot, keep = _draw(sampler, raw.reshape(count, stride)[:, :length], tuple(tile))
-            slot <<= 1
-            slot += keep
-            # the raw words are spent once drawn: their buffer takes the codes
-            codes = raw[: count * length].view(np.int64).reshape(count, length)
-            np.take(sampler.codes, slot, out=codes, mode="clip")
-            for lo in range(0, length, sampler.block_steps):
-                block = codes[:, lo : lo + sampler.block_steps]
-                total = block.sum(axis=1)
-                for axis in range(kernel.dim):
-                    digit = (total >> (axis * bits)) & mask
-                    out[rows, axis] += digit - block.shape[1] * kernel.trunc_radius
+            raw = bitgen.random_raw(count * stride).reshape(count, stride)
+            low, slot, index = (w[: count * stride].reshape(count, stride) for w in work)
+            np.bitwise_and(raw, _LOW32, out=low)
+            raw >>= _SHIFT32  # the high halves
+            # whole rows, padding included, are drawn; only the first
+            # ceil(length / 2) low and floor(length / 2) high draws are summed
+            for u, steps in ((low, (length + 1) // 2), (raw, length // 2)):
+                # the draws are spent once indexed: their buffer takes the codes
+                codes = u.view(np.int64)
+                np.take(sampler.codes, _draw(sampler, u, (slot, index)), out=codes, mode="clip")
+                for lo in range(0, steps, sampler.block_steps):
+                    block = codes[:, lo : min(steps, lo + sampler.block_steps)]
+                    total = np.einsum("ij->i", block)  # faster than sum on short rows
+                    for axis in range(kernel.dim):
+                        digit = (total >> (axis * bits)) & mask
+                        out[rows, axis] += digit - block.shape[1] * kernel.trunc_radius
 
 
 def run_walks(
@@ -339,13 +399,22 @@ def run_walks(
         if workers <= 1:
             _run_chunks(sampler, seed, n_steps, chunks, positions)
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_chunks, sampler, seed, n_steps, chunks[w::workers], positions)
-                    for w in range(workers)
-                ]
-                for fut in futures:
-                    fut.result()
+            errors = [None] * workers
+
+            def walk(w: int) -> None:
+                try:
+                    _run_chunks(sampler, seed, n_steps, chunks[w::workers], positions)
+                except BaseException as exc:  # re-raised in the calling thread
+                    errors[w] = exc
+
+            pool = [Thread(target=walk, args=(w,)) for w in range(workers)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join()
+            for exc in errors:
+                if exc is not None:
+                    raise exc
     positions.setflags(write=False)
     return WalkEnsemble(
         dim=kernel.dim,

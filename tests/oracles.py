@@ -14,7 +14,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy import special
 
 from fracwalk import DiffusionSymbol, OrderMeasure, RadialDensity, norming_constant
@@ -212,18 +212,20 @@ def enumerate_shells_bruteforce(dim: int, trunc_radius: int) -> Shells:
 def per_axis_walk(sampler, n_steps: int, n_walkers: int, seed: int) -> np.ndarray:
     """Final lattice positions, (n_walkers, dim) int64, one axis at a time.
 
-    Every walker's whole window, 4 ceil(n / 4) words, is drawn at once, and
-    step s of a walker takes word s of it: slot (hi N) >> 32 of its high
-    half hi, kept when its low half is below the slot's threshold.  Per
-    axis, a step adds the alias displacement and, where the slot is kept,
-    the difference to the slot's own displacement: two gathers, one multiply
-    and two row sums.
+    Every walker's whole window, 8 ceil(n / 8) 32-bit draws, is drawn at
+    once by numpy's own ``integers`` (which takes the low half of each
+    Philox word, then its high half), and step s of a walker takes draw s of
+    it: slot (u N) >> 32, kept when u is below the slot's limit.  Per axis, a
+    step adds the alias displacement and, where the slot is kept, the
+    difference to the slot's own displacement: two gathers, one multiply and
+    two row sums.
     """
-    words = 4 * ((n_steps + 3) // 4)
-    raw = Philox(key=np.uint64(seed)).random_raw(n_walkers * words)
-    raw = raw.reshape(n_walkers, words)[:, :n_steps]
-    slot = ((raw >> np.uint64(32)) * np.uint64(sampler.n_outcomes) >> np.uint64(32)).astype(np.int64)
-    keep = (raw & np.uint64(0xFFFFFFFF)) < sampler.threshold[slot]
+    draws = 8 * ((n_steps + 7) // 8)
+    rng = Generator(Philox(key=np.uint64(seed)))
+    u = rng.integers(0, 2**32, size=n_walkers * draws, dtype=np.uint64)
+    u = u.reshape(n_walkers, draws)[:, :n_steps]
+    slot = (u * np.uint64(sampler.n_outcomes) >> np.uint64(32)).astype(np.int64)
+    keep = u < sampler.limit[slot]
     alias_columns = sampler.displacements[sampler.alias].T
     keep_columns = sampler.displacements.T - alias_columns
     positions = np.zeros((n_walkers, sampler.kernel.dim), dtype=np.int64)

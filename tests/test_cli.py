@@ -5,14 +5,21 @@ import subprocess
 import sys
 import tempfile
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracwalk import OrderMeasure, build_kernel, build_sampler, run_walks
 from fracwalk.cli import main
 from fracwalk.config import DEFAULTS, ConfigError, RunConfig, defaults_yaml
+from fracwalk.diagnostics import reference_cdf
+from fracwalk.montecarlo import STREAM_VERSION
+from oracles import ks_distance_every_value
 
 BENCH = {
     "measure": {"atoms": [[1.0, 1.0]]},
@@ -106,6 +113,31 @@ class TestSimulateCommand:
         assert doc["ks_reference"] == "cauchy"
         assert 0.0 <= doc["ks"] <= 1.0
         assert doc["config"]["seed"] == 99
+
+    def test_summary_quantiles_and_ks_match_the_library(self, runner, tmp_path):
+        # simulate sorts the first coordinate once, for the quantiles and the KS
+        cfg = _write(tmp_path, "c.yaml", dict(BENCH, walkers=3_000))
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        doc = json.loads((tmp_path / "summary.json").read_text())
+        kernel = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01)
+        ens = run_walks(build_sampler(kernel), math.ceil(1.0 / 0.01), 3_000, seed=99)
+        cdf, projection = reference_cdf(OrderMeasure.single(1.0), 1, ens.n_steps * ens.tau)
+        levels = (0.05, 0.25, 0.5, 0.75, 0.95)
+        assert list(doc["quantiles_first_coordinate"].values()) == (
+            np.quantile(ens.final_positions[:, 0], levels).tolist()
+        )
+        assert doc["ks"] == ks_distance_every_value(ens, cdf, projection)
+
+    def test_outputs_and_readme_name_the_stream_version(self, runner, tmp_path):
+        cfg = _write(tmp_path, "c.yaml", dict(BENCH, h_list=[0.2], t=0.5, walkers=200))
+        for command in ("simulate", "study"):
+            res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+            assert res.exit_code == 0, res.output
+        for name in ("summary.json", "study.json"):
+            assert json.loads((tmp_path / name).read_text())["stream"] == STREAM_VERSION
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"This stream is version {STREAM_VERSION}." in readme
 
     def test_seed_flag_overrides_config(self, runner, tmp_path):
         cfg = _write(tmp_path, "c.yaml", BENCH)

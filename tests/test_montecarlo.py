@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -204,9 +203,26 @@ class TestHistogram:
         assert central == pytest.approx(1.0 / math.pi, rel=0.10)
 
     def test_heavy_tail_mean_abs_grows_with_sample_size(self):
-        ens = run_walks(SAMPLER, 32, 200_000, seed=555)
-        x = np.abs(ens.final_positions[:, 0])
-        assert x[:2_000].mean() < x.mean()
+        # A heavy tail puts much of E|x| on far walkers that a small sample
+        # rarely holds.  At K = 64 the law's mean is finite, and whether the
+        # first 2000 walkers' mean |x| lies below the whole ensemble's is a
+        # coin flip (about half of all seeds), so the ensemble's mean |x| and
+        # its mass beyond ten Cauchy widths are checked against the exact
+        # law instead, each within 5 standard errors.
+        n, walkers = 32, 200_000
+        x = np.abs(run_walks(SAMPLER, n, walkers, seed=555).final_positions[:, 0])
+        law = evolve(LatticeDistribution.delta(1, BENCH.h), BENCH, n)
+        assert abs(law.mass_deficit) < 1e-12  # unclipped: rounding only
+        r = np.abs(np.arange(law.mass.size) - law.support_radius) * BENCH.h
+        far = 10 * n * BENCH.tau
+        mean, second = law.mass @ r, law.mass @ r**2
+        tail = law.mass[r > far].sum()
+        # the Cauchy law has 2/pi arctan(1/10) = 0.063 there and the kernel
+        # cut at K h = 6.4 keeps 0.033; a normal law of the same median |x|
+        # has 1.5e-11
+        assert tail > 0.03
+        assert abs(x.mean() - mean) <= 5 * math.sqrt((second - mean**2) / walkers)
+        assert abs((x > far).mean() - tail) <= 5 * math.sqrt(tail * (1 - tail) / walkers)
 
 
 class TestExports:
@@ -228,7 +244,16 @@ class TestExports:
     ])
     def test_quantiles_match_numpy(self, x):
         levels = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
-        assert montecarlo._quantiles(x, levels).tobytes() == np.quantile(x, levels).tobytes()
+        got = montecarlo._quantiles(np.sort(x), levels)
+        assert got.tobytes() == np.quantile(x, levels).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_sorted_lattice_column_is_the_sorted_float_column(self, dim):
+        ens = run_walks(ENGINE_SAMPLERS[dim], 20, 5_000, seed=4)
+        first = ens.sorted_first_coordinate()
+        assert first.tobytes() == np.sort(ens.final_positions[:, 0]).tobytes()
+        # and summary_dict gives the same document with or without it
+        assert ens.summary_dict(sorted_first=first) == ens.summary_dict()
 
     def test_simulate_leaves_numpy_ma_unloaded(self, tmp_path):
         cfg = tmp_path / "run.yaml"
@@ -258,23 +283,25 @@ class TestExports:
 
 
 def _realized_law(sampler):
-    """Exact outcome law of the uint32 tables, as integers over 2^64.
+    """Exact outcome law of the limit table, as integers over 2^32.
 
-    Slot i is picked by ceil((i+1) 2^32 / N) - ceil(i 2^32 / N) of the 2^32
-    high halves, and kept by ``threshold[i]`` of the 2^32 low halves.
+    Slot i holds the ceil((i+1) 2^32 / N) - ceil(i 2^32 / N) draws u from
+    ceil(i 2^32 / N) on, takes i for those below ``limit[i]`` and
+    ``alias[i]`` for the rest.
     """
     n = sampler.n_outcomes
+    limit = sampler.limit.tolist()
 
     def ceil_div(a, b):
         return -(-a // b)
 
     law = [0] * n
     for i in range(n):
-        slot = ceil_div((i + 1) * 2**32, n) - ceil_div(i * 2**32, n)
-        kept = int(sampler.threshold[i])
-        law[i] += slot * kept
-        law[int(sampler.alias[i])] += slot * (2**32 - kept)
-    assert sum(law) == 2**64
+        start, end = ceil_div(i * 2**32, n), ceil_div((i + 1) * 2**32, n)
+        assert start <= limit[i] <= end
+        law[i] += limit[i] - start
+        law[int(sampler.alias[i])] += end - limit[i]
+    assert sum(law) == 2**32
     return law
 
 
@@ -294,10 +321,17 @@ def _study_2d_kernel():
 class TestAliasTables:
     def test_realized_law_within_total_variation_bound(self):
         m = OrderMeasure.single(1.5)
-        for sampler in (SAMPLER, build_sampler(build_kernel(m, 2, 0.2, 0.01, trunc_radius=16))):
+        cauchy = OrderMeasure.single(1.0)
+        # the cauchy_walk benchmark table: 1D, h = 0.025, K = 4096, N = 8193
+        tau = 0.5 * stability_sigma(cauchy, 1, 0.025, 0.0).tau_max
+        for sampler in (
+            SAMPLER,
+            build_sampler(build_kernel(m, 2, 0.2, 0.01, trunc_radius=16)),
+            build_sampler(build_kernel(cauchy, 1, 0.025, tau, trunc_radius=4096)),
+        ):
             law = _realized_law(sampler)
             n = sampler.n_outcomes
-            tv = 0.5 * sum(abs(c / 2**64 - w) for c, w in zip(law, sampler.weights.tolist()))
+            tv = 0.5 * sum(abs(c / 2**32 - w) for c, w in zip(law, sampler.weights.tolist()))
             assert tv <= n * 2.0**-32
 
     def test_sweep_table_on_the_study_2d_kernel(self):
@@ -327,13 +361,18 @@ class TestAliasTables:
         np.add.at(induced, alias, (1.0 - accept) / n)
         np.testing.assert_allclose(induced, weights, rtol=0, atol=1e-15)
 
-    def test_uint32_tables_match_the_float_table(self):
-        # and the code table decodes to the alias and own displacements
+    def test_limit_tables_match_the_float_table(self):
+        # limit[i] = ceil(i 2^32 / N) + min(round(accept[i] 2^32 / N), slot
+        # count), exactly; keys pack it with the code index 2i + 1; and the
+        # code table decodes to the alias and own displacements
         for sampler in (SAMPLER, *ENGINE_SAMPLERS.values()):
-            assert sampler.threshold.dtype == np.uint32
-            np.testing.assert_allclose(
-                sampler.threshold / 2.0**32, sampler.accept, atol=2.0**-32
-            )
+            n = sampler.n_outcomes
+            assert sampler.keys.dtype == np.uint64
+            limit = sampler.limit.tolist()
+            for i, a in enumerate(sampler.accept.tolist()):
+                start, end = -(-i * 2**32 // n), -(-(i + 1) * 2**32 // n)
+                assert limit[i] == start + min(round(a * 2**32 / n), end - start)
+                assert int(sampler.keys[i]) == (2 * i + 1) * 2**33 + limit[i] - 1
             assert sampler.codes.dtype == np.int64
             np.testing.assert_array_equal(
                 _decode(sampler, sampler.codes[0::2]), sampler.displacements[sampler.alias]
@@ -342,6 +381,22 @@ class TestAliasTables:
                 _decode(sampler, sampler.codes[1::2]), sampler.displacements
             )
 
+    def test_code_index_at_the_slot_edges(self):
+        # each slot's first and last draw and the draws either side of its
+        # limit index the kept or the alias code as the limit says
+        for sampler in (SAMPLER, *ENGINE_SAMPLERS.values()):
+            n = sampler.n_outcomes
+            u, slot = [], []
+            for i, limit in enumerate(sampler.limit.tolist()):
+                start, end = -(-i * 2**32 // n), -(-(i + 1) * 2**32 // n)
+                for v in (start, limit - 1, limit, end - 1):
+                    u.append(min(max(v, start), end - 1))
+                    slot.append(i)
+            u, slot = np.array(u, dtype=np.uint64), np.array(slot)
+            index = montecarlo._draw(sampler, u)
+            np.testing.assert_array_equal(index >> 1, slot)
+            np.testing.assert_array_equal(index & 1, u < sampler.limit[slot])
+
     def test_block_is_the_longest_carry_free_sum(self):
         # block_steps codes of the largest digit 2K still fit below the base
         for sampler in (SAMPLER, *ENGINE_SAMPLERS.values()):
@@ -349,26 +404,29 @@ class TestAliasTables:
             assert sampler.block_steps * largest < 2**bits <= (sampler.block_steps + 1) * largest
 
     def test_walk_steps_are_sampler_draws_of_the_walker_window(self):
-        # walker w of an n-step walk uses words [w W, w W + n) of the seed's
-        # stream, W = 4 ceil(n / 4), drawn the same way as JumpSampler.sample
-        n, walkers, window = 5, 300, 8
-        ens = run_walks(SAMPLER, n, walkers, seed=19)
-        outcomes = SAMPLER.sample(Generator(Philox(key=19)), walkers * window)
-        steps = SAMPLER.displacements[outcomes.reshape(walkers, window)[:, :n]]
-        np.testing.assert_array_equal(ens.lattice_positions, steps.sum(axis=1))
+        # walker w of an n-step walk uses the 32-bit draws [2 w W, 2 w W + n)
+        # of the seed's stream, W = 4 ceil(n / 8) words, the low half of a
+        # word before its high half, drawn the same way as JumpSampler.sample
+        for n, window in ((5, 8), (9, 16), (16, 16)):
+            walkers = 300
+            ens = run_walks(SAMPLER, n, walkers, seed=19)
+            outcomes = SAMPLER.sample(Generator(Philox(key=19)), walkers * window)
+            steps = SAMPLER.displacements[outcomes.reshape(walkers, window)[:, :n]]
+            np.testing.assert_array_equal(ens.lattice_positions, steps.sum(axis=1))
 
 
 class TestWalkEngine:
     @pytest.mark.parametrize("small_tiles", [False, True])
     @pytest.mark.parametrize("threads", [1, 2, 7])
-    @pytest.mark.parametrize("n_steps", [1, 3, 5, 4097])
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 8, 9, 4097])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_matches_the_per_axis_walk(self, dim, n_steps, threads, small_tiles, monkeypatch):
         sampler = ENGINE_SAMPLERS[dim]
         walkers = 40
         if small_tiles:
-            # a window over 14 words takes several tiles of 12 steps, and a
-            # tile of more than 2 steps several carry-free blocks of 2
+            # a window over 14 words takes several tiles of 12 words (24
+            # steps), and a tile half of more than 2 draws several
+            # carry-free blocks of 2
             monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 14)
             sampler = dataclasses.replace(sampler, block_steps=2)
             walkers = 12 if n_steps > 12 else walkers
@@ -388,32 +446,38 @@ class TestWalkEngine:
 
 class TestThreadPool:
     def test_pool_is_bounded_by_chunks_and_cores(self, monkeypatch):
-        sizes = []
+        spawned = []
 
         class Recorder:
-            # runs every task at submission, so no thread is ever started
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+            # runs its target when started, so no thread is ever started
+            def __init__(self, target, args):
+                spawned.append(self)
+                self.target, self.args = target, args
 
-            def __enter__(self):
-                return self
+            def start(self):
+                self.target(*self.args)
 
-            def __exit__(self, *exc):
-                return False
+            def join(self):
+                pass
 
-            def submit(self, fn, *args):
-                fut = Future()
-                fut.set_result(fn(*args))
-                return fut
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(montecarlo, "Thread", Recorder)
         n_steps, walkers = 13, 50_000
-        chunks = -(-walkers // (montecarlo._CHUNK_WORDS // 16))
+        chunks = -(-walkers // (montecarlo._CHUNK_WORDS // 8))
         base = run_walks(SAMPLER, n_steps, walkers, seed=41, threads=1)
         wide = run_walks(SAMPLER, n_steps, walkers, seed=41, threads=10_000)
         expected = min(chunks, os.cpu_count() or 1)
-        assert sizes == ([expected] if expected > 1 else [])
+        assert len(spawned) == (expected if expected > 1 else 0)
         np.testing.assert_array_equal(base.lattice_positions, wide.lattice_positions)
+
+    def test_first_worker_error_is_raised(self, monkeypatch):
+        def failing(sampler, seed, n_steps, chunks, out):
+            raise RuntimeError(f"chunk {chunks[0][0]}")
+
+        monkeypatch.setattr(montecarlo, "_run_chunks", failing)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        walkers = 3 * (montecarlo._CHUNK_WORDS // 8)  # 3 chunks of 13-step walkers
+        with pytest.raises(RuntimeError, match="^chunk 0$"):
+            run_walks(SAMPLER, 13, walkers, seed=41, threads=3)
 
 
 def _csv_writer_bytes(ensemble):
