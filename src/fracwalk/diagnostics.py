@@ -127,17 +127,17 @@ def total_variation(hist: Histogram, dist: LatticeDistribution) -> float:
         raise ValueError("total variation needs site-level bins (bin_width == h)")
     if hist.dim != dist.dim:
         raise ValueError("dimension mismatch")
-    R = dist.support_radius
-    # overlay histogram counts on the distribution's support cube
-    emp = np.zeros_like(dist.mass)
-    idx = np.argwhere(hist.counts > 0)
-    sites = idx + hist.origin_index
-    inside = np.all(np.abs(sites) <= R, axis=1)
-    outside_mass = hist.counts[tuple(idx[~inside].T)].sum() / hist.n_samples
-    emp[tuple((sites[inside] + R).T)] = (
-        hist.counts[tuple(idx[inside].T)] / hist.n_samples
-    )
-    return float(0.5 * (np.sum(np.abs(emp - dist.mass)) + outside_mass))
+    # compare only on the overlap of the histogram's box and the law's (empty
+    # if they are disjoint); what lies outside it on either side counts in full
+    R, first, n = dist.support_radius, hist.origin_index, hist.n_samples
+    lo = np.maximum(first, -R)
+    hi = np.maximum(np.minimum(first + np.array(hist.counts.shape), R + 1), lo)
+    counts = hist.counts[tuple(slice(a, b) for a, b in zip(lo - first, hi - first))]
+    mass = dist.mass[tuple(slice(a, b) for a, b in zip(lo + R, hi + R))]
+    law_outside = dist.mass.sum() - mass.sum()
+    walkers_outside = int(hist.counts.sum()) - int(counts.sum())
+    inside = np.abs(counts / n - mass).sum()
+    return float(0.5 * (inside + law_outside + walkers_outside / n))
 
 
 @dataclass(frozen=True)

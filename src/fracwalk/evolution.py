@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fft, irfftn, rfft
+from numpy.fft import fft, irfft, irfftn, rfft
 
 from .kernel import LatticeKernel, lattice_vector, phase_sum
 from .special import next_fast_len
@@ -31,9 +31,12 @@ DEFAULT_MAX_RADIUS = 4096
 # raises ValueError with the estimate when even one step would.
 MEMORY_BUDGET_BYTES = 2 * 2**30
 
-# Peak bytes per site of the FFT circle during one product (half spectra,
-# transform temporaries and output), measured with tracemalloc.
-_FFT_BYTES_PER_SITE = 24
+# Peak bytes per site of the FFT circle during one product, measured with
+# tracemalloc: a complex product holds at most two complex half spectra and
+# a real circle (24 B per site in dims 1-3, plus the rows of a wide first
+# input); the real one-site ``evolve`` product peaks at 20 B in 1D and 16 in
+# 2D and 3D.
+_FFT_BYTES_PER_SITE = 25
 
 
 @dataclass(frozen=True)
@@ -137,62 +140,105 @@ def _check_budget(radius: int, dim: int) -> None:
         )
 
 
-def _circle_blocks(r: int, side: int, dim: int):
-    """(cube, circle) slice pairs that lay a centred cube of radius r on a
-    circle of ``side`` nodes per axis with the origin at node 0: per axis,
-    sites 0..r sit at nodes 0..r and sites -r..-1 at the last r nodes."""
+def _box(source: np.ndarray, r: int, negatives: slice) -> np.ndarray:
+    """The centred cube of radius r read off ``source``, whose every axis
+    holds sites 0..r at nodes 0..r and sites -r..-1 at ``negatives``: the
+    last r nodes of a circle with the origin at node 0, or nodes r..1 of
+    the orthant of a law even in every coordinate."""
+    dim = source.ndim
+    cube = np.empty((2 * r + 1,) * dim)
     halves = [(slice(r, 2 * r + 1), slice(0, r + 1))]
     if r:
-        halves.append((slice(0, r), slice(side - r, side)))
+        halves.append((slice(0, r), negatives))
     for pairs in itertools.product(halves, repeat=dim):
-        yield tuple(c for c, _ in pairs), tuple(g for _, g in pairs)
+        cube[tuple(c for c, _ in pairs)] = source[tuple(g for _, g in pairs)]
+    return cube
 
 
-def _spectrum(cube: np.ndarray, side: int) -> np.ndarray:
-    """rfftn of the centred cube laid on the circle; the circle is freed
-    after the first (real) transform, so it never coexists with two spectra."""
-    circle = np.zeros((side,) * cube.ndim)
-    for c, g in _circle_blocks(cube.shape[0] // 2, side, cube.ndim):
-        circle[g] = cube[c]
-    spec = rfft(circle)
-    del circle
-    for axis in range(cube.ndim - 1):
-        spec = fft(spec, axis=axis)
-    return spec
+def _spectrum(cube: np.ndarray, side: int, even: bool = False) -> np.ndarray:
+    """rfftn of the centred cube laid on the circle with its origin at node 0.
+
+    One axis at a time, in ``rfftn``'s order (the last by ``rfft``, then the
+    others by ``fft``), the rows that still carry mass (2r+1 per axis not yet
+    transformed) are laid on the circle and transformed; the full circle is
+    never built.  ``even=True`` takes a cube even in every coordinate, whose
+    spectrum is real and even in every frequency: every axis then takes an
+    ``rfft`` and keeps its real part (the imaginary part is rounding), so
+    the result is real on the half grid, frequencies 0..side//2 per axis.
+    """
+    r, last = cube.shape[0] // 2, cube.ndim - 1
+    spec = cube
+    for axis in (last, *range(last)):
+        rows = np.moveaxis(spec, axis, -1)
+        circle = np.zeros(rows.shape[:-1] + (side,), rows.dtype)
+        circle[..., : r + 1] = rows[..., r:]
+        circle[..., side - r :] = rows[..., :r]
+        del rows, spec
+        if even:
+            circle = rfft(circle).real
+        elif axis == last:
+            circle = rfft(circle)
+        else:
+            circle = fft(circle)
+        spec = np.moveaxis(circle, -1, axis)
+    return np.ascontiguousarray(spec) if even else spec
+
+
+def _keep(kept: np.ndarray, clipped: bool, total: float) -> tuple[np.ndarray, float]:
+    """``kept`` with negative rounding clamped at 0, and the mass lost: the
+    circle's ``total`` minus the mass kept (0 when nothing was clipped or
+    clamped)."""
+    if not clipped and kept.min() >= 0.0:
+        return kept, 0.0
+    np.maximum(kept, 0.0, out=kept)
+    return kept, float(total - kept.sum())
 
 
 def _fft_power(
-    a: np.ndarray, b: np.ndarray, n: int, max_radius: int
+    a: np.ndarray, b: np.ndarray, n: int, max_radius: int, even: bool = False
 ) -> tuple[np.ndarray, float]:
     """a convolved with ``n`` copies of b by one FFT product, clipped at
     ``max_radius``, and the mass lost.
 
     Both centred cubes lie on a circle of ``next_fast_len(2R + 1)`` nodes per
     axis, R the product's support radius, with the origin at node 0, where an
-    even cube has an even spectrum: even laws stay even to about 1e-17.
+    even cube has an even spectrum.  The product ``a_hat * b_hat**n`` is
+    taken on ``rfftn``'s complex half spectrum and inverted by ``irfftn``.
+    ``even=True`` says b is even in every coordinate (a jump kernel): its
+    spectrum S is then real and even in every frequency (:func:`_spectrum`),
+    and when a is one site of mass m (the origin), whose spectrum is the
+    constant m, the n-step law m S**n is real and even too.  S**n is then
+    taken in float64 on the half grid and inverted by one ``irfft`` per
+    axis, keeping sites 0..r of each axis, mirrored into the box of radius
+    r = min(R, ``max_radius``): no complex transform and no complex power.
+
     Nothing wraps around, so the product is exact up to FFT rounding, about
     1e-17 absolute per entry; negative entries are clamped at 0.  The mass
-    lost is the circle's total minus the mass kept, so kept plus lost equals
-    the product's total by construction; clamping adds mass, so when nothing
-    is clipped the loss can be slightly negative.
+    lost is the circle's total minus the mass kept (for a one-site law the
+    total is the spectrum at frequency 0, m S(0)**n), so kept plus lost
+    equals the product's total by construction; clamping adds mass, so when
+    nothing is clipped the loss can be slightly negative.
     """
     dim = a.ndim
     R = a.shape[0] // 2 + n * (b.shape[0] // 2)
     _check_budget(R, dim)
     side = _grid_side(R)
+    r = min(R, max_radius)
+    if even and a.size == 1:
+        power = _spectrum(b, side, even=True)
+        power **= n
+        power *= a.item()
+        orthant = power
+        for axis in reversed(range(dim)):
+            rows = irfft(np.moveaxis(orthant, axis, -1), side)
+            orthant = np.moveaxis(rows[..., : r + 1], -1, axis)
+        return _keep(_box(orthant, r, slice(r, 0, -1)), r < R, power[(0,) * dim])
     spec = _spectrum(b, side)
     spec **= n
     spec *= _spectrum(a, side)
     circle = irfftn(spec, (side,) * dim, tuple(range(dim)))
     del spec
-    r = min(R, max_radius)
-    kept = np.empty((2 * r + 1,) * dim)
-    for c, g in _circle_blocks(r, side, dim):
-        kept[c] = circle[g]
-    if r == R and kept.min() >= 0.0:
-        return kept, 0.0
-    np.maximum(kept, 0.0, out=kept)
-    return kept, float(circle.sum() - kept.sum())
+    return _keep(_box(circle, r, slice(side - r, side)), r < R, circle.sum())
 
 
 def convolve(
@@ -255,7 +301,9 @@ def evolve(
     The n-step law is ``dist`` convolved with the n-th convolution power of
     the kernel: one FFT product ``dist_hat * kernel_hat**n`` on the exact
     support (side 2(R + nK) + 1 per axis) gives it exactly up to FFT
-    rounding; it is clipped once at ``max_radius``, so the deficit gained is
+    rounding, with ``kernel_hat`` the kernel's real spectrum (a one-site
+    ``dist`` never takes a complex transform, see :func:`_fft_power`); it is
+    clipped once at ``max_radius``, so the deficit gained is
     the mass outside the box (with FFT rounding noise clamped at 0, kept
     mass plus deficit stays the exact total).  If that grid exceeds
     ``MEMORY_BUDGET_BYTES``, the law steps one kernel convolution at a time,
@@ -271,13 +319,13 @@ def evolve(
         return _advance(dist, kernel, n_steps, dist.mass, 0.0)
     R, K, dim = dist.support_radius, kernel.trunc_radius, dist.dim
     if _fft_bytes(R + n_steps * K, dim) <= MEMORY_BUDGET_BYTES:
-        kept, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, max_radius)
+        kept, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, max_radius, even=True)
         return _advance(dist, kernel, n_steps, kept, lost)
     # the step products grow up to this grid: fail before the first one
     _check_budget(max(R, min(R + n_steps * K, max_radius)) + K, dim)
     cube = kernel.mass_cube()
     for _ in range(n_steps):
-        dist = _advance(dist, kernel, 1, *_fft_power(dist.mass, cube, 1, max_radius))
+        dist = _advance(dist, kernel, 1, *_fft_power(dist.mass, cube, 1, max_radius, even=True))
     return dist
 
 

@@ -278,7 +278,7 @@ class WalkEnsemble:
         if sorted_first is None:
             sorted_first = self.sorted_first_coordinate()
         qs = _quantiles(sorted_first, quantile_levels)
-        hist = histogram(self, bin_width=self.h if self.dim == 1 else 4 * self.h)
+        hist = _bin(x, bin_width=self.h if self.dim == 1 else 4 * self.h)
         return {
             "dim": self.dim,
             "h": self.h,
@@ -465,9 +465,14 @@ def histogram(ensemble: WalkEnsemble, bin_width: float) -> Histogram:
     """Bin the ensemble; densities integrate to 1 over the binned volume."""
     if bin_width < ensemble.h:
         raise ValueError("bin_width must be at least the mesh width h")
+    return _bin(ensemble.final_positions, bin_width)
+
+
+def _bin(positions: np.ndarray, bin_width: float) -> Histogram:
+    """Histogram of (M, dim) physical positions on cubic bins of ``bin_width``."""
     # one contiguous row of bin indices per axis: reductions along rows are
     # fast, where a column reduction of the (M, dim) layout is not
-    bins = np.floor(ensemble.final_positions.T / bin_width + 0.5).astype(np.int64, order="C")
+    bins = np.floor(positions.T / bin_width + 0.5).astype(np.int64, order="C")
     lo = bins.min(axis=1)
     shape = tuple(bins.max(axis=1) - lo + 1)
     bins -= lo[:, None]
@@ -475,9 +480,9 @@ def histogram(ensemble: WalkEnsemble, bin_width: float) -> Histogram:
     counts = counts.reshape(shape)
     counts.setflags(write=False)
     return Histogram(
-        dim=ensemble.dim,
+        dim=positions.shape[1],
         bin_width=float(bin_width),
         origin_index=lo,
         counts=counts,
-        n_samples=ensemble.n_walkers,
+        n_samples=positions.shape[0],
     )

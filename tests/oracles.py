@@ -6,8 +6,9 @@ and Cauchy closed forms, partial lattice sums with a tail bound, the
 jump-strength coefficient term by term, a density's forward transform, the
 kernel CF from a dense phase matrix, the empirical CF of an ensemble, the
 lattice shells by sorting the whole cube, walks summed axis by axis, the
-KS distance with the reference CDF evaluated at every sample, and lattice
-convolution by direct summation.
+KS distance with the reference CDF evaluated at every sample, lattice
+convolution by direct summation, and the total variation between a
+histogram and a law laid on one box that holds both.
 """
 
 import math
@@ -263,3 +264,18 @@ def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             s = int(np.ravel_multi_index(lead + (0,), shape))
             out[s:] += np.convolve(flat, b[lead])[: flat.size - s]
     return out.reshape(shape)
+
+
+def total_variation_dense(hist, dist) -> float:
+    """TV between a site-resolution histogram and a lattice law, both laid
+    on the smallest box that holds the two of them."""
+    R = dist.support_radius
+    hist_lo = np.asarray(hist.origin_index)
+    lo = np.minimum(hist_lo, -R)
+    shape = tuple(np.maximum(hist_lo + hist.counts.shape, R + 1) - lo)
+    emp, law = np.zeros(shape), np.zeros(shape)
+    emp[tuple(slice(a, a + m) for a, m in zip(hist_lo - lo, hist.counts.shape))] = (
+        hist.counts / hist.n_samples
+    )
+    law[tuple(slice(a, a + 2 * R + 1) for a in -R - lo)] = dist.mass
+    return float(0.5 * np.abs(emp - law).sum())

@@ -27,7 +27,8 @@ from fracwalk.diagnostics import (
     total_variation,
 )
 from fracwalk.kernel import enumerate_shells
-from oracles import ks_distance_every_value
+from fracwalk.montecarlo import Histogram
+from oracles import ks_distance_every_value, total_variation_dense
 
 SINGLE = OrderMeasure.single(1.0)
 SYM_1D = DiffusionSymbol(SINGLE, 1)
@@ -175,6 +176,23 @@ class TestTotalVariation:
         ens = run_walks(build_sampler(k), 2, 50_000, seed=1)
         hist = histogram(ens, bin_width=0.1)
         assert total_variation(hist, dist) < 0.02
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_overlap_sum_matches_dense_overlay(self, dim):
+        rng = np.random.default_rng(11 + dim)
+        mass = rng.random((9,) * dim)
+        law = LatticeDistribution(dim=dim, h=0.1, mass=mass / mass.sum())
+        counts = rng.integers(0, 50, size=(7,) * dim)
+        # inside the law's box, sticking out of it on each side or on one
+        # axis only, and beyond it
+        origins = [np.full(dim, o) for o in (-2, -7, 1, 9, -20)] + [np.array([-2] * (dim - 1) + [3])]
+        for origin in origins:
+            hist = Histogram(dim=dim, bin_width=0.1, origin_index=origin,
+                             counts=counts, n_samples=int(counts.sum()))
+            expected = total_variation_dense(hist, law)
+            assert total_variation(hist, law) == pytest.approx(expected, rel=0, abs=1e-15)
+            if origin[0] in (9, -20):  # disjoint boxes
+                assert expected == pytest.approx(1.0, rel=0, abs=1e-15)
 
     def test_bin_width_must_match_mesh(self):
         k = build_kernel(SINGLE, 1, 0.1, 0.01, trunc_radius=8)

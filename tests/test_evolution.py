@@ -144,6 +144,54 @@ def test_direct_and_fft_convolution_agree():
     np.testing.assert_allclose(convolve(a2, a2).mass, direct_convolve(a2.mass, a2.mass), atol=1e-10)
 
 
+def _asymmetric_start(dim, side, seed, h=0.1):
+    """A law on a cube of ``side`` sites per axis, ten times lighter on the
+    negative half of the first axis."""
+    mass = np.random.default_rng(seed).random((side,) * dim)
+    mass[: side // 2] *= 0.1
+    return LatticeDistribution(dim=dim, h=h, mass=mass / mass.sum())
+
+
+def test_one_site_law_convolves_to_the_other_input():
+    # neither input of convolve is assumed even: an asymmetric q comes back
+    # as it is, scaled by the mass of the one-site law (q spreads its unit
+    # mass over a few hundred sites, so FFT rounding stays below 1e-17)
+    for dim, side in ((1, 301), (2, 21), (3, 7)):
+        q = _asymmetric_start(dim, side, 8)
+        one = LatticeDistribution.delta(dim, 0.1)
+        for p in (one, LatticeDistribution(dim=dim, h=0.1, mass=0.25 * one.mass)):
+            out = convolve(p, q)
+            np.testing.assert_allclose(out.mass, p.total_mass() * q.mass, rtol=0, atol=1e-17)
+            out = convolve(q, p)
+            np.testing.assert_allclose(out.mass, p.total_mass() * q.mass, rtol=0, atol=1e-17)
+
+
+def test_one_site_start_of_other_mass_scales_the_law():
+    k = _master_eq_kernel()
+    unit = evolve(LatticeDistribution.delta(2, 0.2), k, 9)
+    for m in (0.3, 2.5):
+        d = evolve(LatticeDistribution(dim=2, h=0.2, mass=np.array([[m]])), k, 9)
+        np.testing.assert_allclose(d.mass, m * unit.mass, rtol=0, atol=1e-17 * m)
+        assert d.total_mass() + d.mass_deficit == pytest.approx(m, rel=0, abs=1e-14)
+
+
+# circles of 400, 75 and 25 nodes per axis: odd sides too, where the half
+# grid has no Nyquist node
+@pytest.mark.parametrize("dim, h, K, n", [(1, 0.1, 16, 12), (2, 0.2, 11, 3), (3, 0.2, 3, 3)])
+def test_evolve_matches_direct_convolution(dim, h, K, n):
+    m = OrderMeasure.single(1.3)
+    k = build_kernel(m, dim, h, 0.5 * stability_sigma(m, dim, h, 0.0).tau_max, K)
+    cube = k.mass_cube()
+    for start in (LatticeDistribution.delta(dim, h), _asymmetric_start(dim, 7, dim, h)):
+        ref = start.mass
+        for _ in range(n):
+            ref = direct_convolve(ref, cube)
+        d = evolve(start, k, n)
+        assert d.support_radius == start.support_radius + n * K
+        np.testing.assert_allclose(d.mass, ref, rtol=0, atol=1e-15)
+        assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, rel=0, abs=1e-13)
+
+
 def test_two_dimensional_step():
     m = OrderMeasure.single(1.2)
     k = build_kernel(m, 2, 0.2, 1e-3, trunc_radius=6)
@@ -228,6 +276,28 @@ def test_over_budget_grid_falls_back_to_step_loop(monkeypatch):
     # clipping every step only removes mass from the exact law
     assert np.all(d.mass <= exact.mass + 1e-15)
     assert d.mass_deficit >= exact.mass_deficit - 1e-12
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("dim, K, n", [(1, 1000, 60), (1, 16, 2000), (2, 16, 27), (2, 40, 8)])
+def test_fft_bytes_bound_the_measured_peak(dim, K, n):
+    m = OrderMeasure.single(1.5)
+    k = build_kernel(m, dim, 0.2, 0.5 * stability_sigma(m, dim, 0.2, 0.0).tau_max, K)
+    for start in (LatticeDistribution.delta(dim, 0.2), _asymmetric_start(dim, 21, 4, 0.2)):
+        R = start.support_radius + n * K
+        for box in (DEFAULT_MAX_RADIUS, 64):
+            assert _peak_bytes(evolve, start, k, n, max_radius=box) <= evolution._fft_bytes(R, dim)
+    q = _asymmetric_start(dim, 2 * n * K + 1, 5)
+    peak = _peak_bytes(convolve, q, q)
+    assert peak <= evolution._fft_bytes(2 * n * K, dim)
 
 
 def test_over_budget_request_raises_before_allocating():
