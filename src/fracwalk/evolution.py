@@ -34,8 +34,7 @@ MEMORY_BUDGET_BYTES = 2 * 2**30
 # Peak bytes per site of the FFT circle during one product, measured with
 # tracemalloc: a complex product holds at most two complex half spectra and
 # a real circle (24 B per site in dims 1-3, plus the rows of a wide first
-# input); the real one-site ``evolve`` product peaks at 20 B in 1D and 16 in
-# 2D and 3D.
+# input); the real one-site ``evolve`` product peaks at 16 B in dims 1-3.
 _FFT_BYTES_PER_SITE = 25
 
 
@@ -228,11 +227,13 @@ def _fft_power(
         power = _spectrum(b, side, even=True)
         power **= n
         power *= a.item()
-        orthant = power
+        total = power[(0,) * dim]
+        orthant = power.astype(complex)  # irfft would make this copy, and keep power too
+        del power
         for axis in reversed(range(dim)):
             rows = irfft(np.moveaxis(orthant, axis, -1), side)
             orthant = np.moveaxis(rows[..., : r + 1], -1, axis)
-        return _keep(_box(orthant, r, slice(r, 0, -1)), r < R, power[(0,) * dim])
+        return _keep(_box(orthant, r, slice(r, 0, -1)), r < R, total)
     spec = _spectrum(b, side)
     spec **= n
     spec *= _spectrum(a, side)

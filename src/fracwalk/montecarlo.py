@@ -9,17 +9,16 @@ can move a walker off the lattice.
 
 Determinism contract
 --------------------
-Walker ``w`` of a run with seed ``s`` consumes a dedicated, fixed window of
-the counter-based Philox-4x64 stream keyed by ``s``: one 32-bit draw per
-step, two per raw 64-bit word (its low half, then its high half, the order
-of numpy's own ``next_uint32``), the window padded to a whole number of
-256-bit counter blocks (four words).  A draw u picks the alias slot
-(u N) >> 32 by multiply-shift and keeps it iff u is below the slot's integer
-limit.  Philox comes from the Random123 family and passes the standard
-statistical batteries (TestU01 BigCrush); because the window depends only on
-(s, w), the resulting ensemble is identical for any chunking or thread
-count.  This is walk stream ``STREAM_VERSION``; README.md lists what earlier
-versions drew.
+Walker ``w`` of an n-step run with seed ``s`` consumes a dedicated, fixed
+window of one PCG64DXSM sequence (numpy's recommended PCG variant, O'Neill
+2014) seeded through ``SeedSequence(s)``: the ceil(n / 2) raw 64-bit words
+from word ceil(n / 2) w on, reached by ``advance``.  Each step takes one
+32-bit draw, two per word (its low half, then its high half, the order of
+numpy's own ``next_uint32``).  A draw u picks the alias slot (u N) >> 32 by
+multiply-shift and keeps it iff u is below the slot's integer limit.  The
+window depends only on (s, w), so the ensemble is identical for any
+chunking or thread count.  This is walk stream ``STREAM_VERSION``;
+README.md lists what earlier versions drew.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass
 from threading import Thread
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator, PCG64DXSM
 
 from .kernel import LatticeKernel
 
@@ -41,7 +40,7 @@ _CHUNK_WORDS = 3 << 14
 
 # Version of the seed -> ensemble mapping; README.md ("Determinism") says
 # what each version draws and which earlier ensembles it does not reproduce.
-STREAM_VERSION = "0.3.0"
+STREAM_VERSION = "0.4.0"
 
 # Rows formatted per write in ``WalkEnsemble.to_csv``.
 _CSV_BLOCK_ROWS = 1 << 16
@@ -278,7 +277,7 @@ class WalkEnsemble:
         if sorted_first is None:
             sorted_first = self.sorted_first_coordinate()
         qs = _quantiles(sorted_first, quantile_levels)
-        hist = _bin(x, bin_width=self.h if self.dim == 1 else 4 * self.h)
+        hist = _bin(self, self.h if self.dim == 1 else 4 * self.h, positions=x)
         return {
             "dim": self.dim,
             "h": self.h,
@@ -316,52 +315,44 @@ def _quantiles(x: np.ndarray, levels) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _walker_words(n_steps: int) -> int:
-    # two steps per raw word, padded to whole Philox blocks (4 words)
-    return 4 * ((n_steps + 7) // 8)
-
-
 def _run_chunks(
     sampler: JumpSampler, seed: int, n_steps: int, chunks: list, out: np.ndarray,
 ) -> None:
     """Walk ``(first, count)`` chunks of walkers in tiles, reusing one set of arrays.
 
-    A tile is the whole chunk, or, for a walker whose window exceeds
-    ``_CHUNK_WORDS``, one run of at most that many of its words, drawn in
-    whole Philox blocks where the previous run stopped; step s is draw s of
-    the walker's window either way.  The low halves of a tile's words take
-    the even steps and the high halves the odd ones; a position is an
-    order-free sum of codes, so each half is walked as one block.  Fresh
-    temporaries per tile would go back to the operating system and be
-    faulted in again on every tile, which doubles the walk time.
+    A tile is the whole chunk, or the next span of at most ``_CHUNK_WORDS``
+    words of a walker whose window is longer; step s is draw s of the
+    walker's window either way.  The low halves of a tile's words take the
+    even steps and the high halves the odd ones; a position is an order-free
+    sum of codes, so each half is walked as one block.  Fresh temporaries
+    per tile would go back to the operating system and be faulted in again
+    on every tile, which doubles the walk time.
     """
     kernel = sampler.kernel
     bits = _digit_bits(kernel.dim)
     mask = (1 << bits) - 1
-    words = _walker_words(n_steps)
-    # a walker longer than one tile walks in spans of whole Philox blocks
-    span = min(n_steps, max(8, 2 * (_CHUNK_WORDS - _CHUNK_WORDS % 4)))
-    size = max(count for _, count in chunks) * _walker_words(span)
+    words = (n_steps + 1) // 2
+    span = min(n_steps, 2 * _CHUNK_WORDS)
+    size = max(count for _, count in chunks) * ((span + 1) // 2)
     work = [np.empty(size, np.uint64) for _ in range(3)]
-    # one generator, rewound per chunk: a new Philox draws OS entropy for a
-    # seed sequence it never uses, which costs more than a chunk's setup
-    bitgen = Philox(key=np.uint64(seed))
+    # one generator, rewound per chunk: seeding hashes the seed afresh,
+    # which costs several times a rewind
+    bitgen = PCG64DXSM(seed)
     origin = bitgen.state
     for first, count in chunks:
         rows = slice(first, first + count)
         bitgen.state = origin
-        bitgen.advance(first * words // 4)
+        bitgen.advance(first * words)
         for start in range(0, n_steps, span):
             length = min(span, n_steps - start)
             # the chunk's windows, or the next span of one walker's window
-            stride = _walker_words(length)
+            stride = (length + 1) // 2
             raw = bitgen.random_raw(count * stride).reshape(count, stride)
             low, slot, index = (w[: count * stride].reshape(count, stride) for w in work)
             np.bitwise_and(raw, _LOW32, out=low)
             raw >>= _SHIFT32  # the high halves
-            # whole rows, padding included, are drawn; only the first
-            # ceil(length / 2) low and floor(length / 2) high draws are summed
-            for u, steps in ((low, (length + 1) // 2), (raw, length // 2)):
+            # an odd length leaves the last high half of each row unused
+            for u, steps in ((low, stride), (raw, length // 2)):
                 # the draws are spent once indexed: their buffer takes the codes
                 codes = u.view(np.int64)
                 np.take(sampler.codes, _draw(sampler, u, (slot, index)), out=codes, mode="clip")
@@ -385,12 +376,14 @@ def run_walks(
         raise ValueError("n_steps must be >= 0")
     if n_walkers < 1:
         raise ValueError("n_walkers must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     kernel = sampler.kernel
     positions = np.zeros((n_walkers, kernel.dim), dtype=np.int64)
     if n_steps > 0 and kernel.sigma > 0.0:
         # cap per-tile buffers; tile boundaries never affect results because
         # each walker owns a fixed stream window
-        chunk = max(1, _CHUNK_WORDS // _walker_words(n_steps))
+        chunk = max(1, _CHUNK_WORDS // ((n_steps + 1) // 2))
         chunks = [
             (start, min(chunk, n_walkers - start))
             for start in range(0, n_walkers, chunk)
@@ -465,14 +458,20 @@ def histogram(ensemble: WalkEnsemble, bin_width: float) -> Histogram:
     """Bin the ensemble; densities integrate to 1 over the binned volume."""
     if bin_width < ensemble.h:
         raise ValueError("bin_width must be at least the mesh width h")
-    return _bin(ensemble.final_positions, bin_width)
+    return _bin(ensemble, bin_width)
 
 
-def _bin(positions: np.ndarray, bin_width: float) -> Histogram:
-    """Histogram of (M, dim) physical positions on cubic bins of ``bin_width``."""
+def _bin(ensemble: WalkEnsemble, bin_width: float, positions=None) -> Histogram:
+    """Histogram on cubic bins of ``bin_width``; ``positions`` may hold the
+    ``final_positions``.  Bins of width h are the lattice sites themselves:
+    floor(k h / h + 0.5) = k for every |k| < 2^50."""
     # one contiguous row of bin indices per axis: reductions along rows are
     # fast, where a column reduction of the (M, dim) layout is not
-    bins = np.floor(positions.T / bin_width + 0.5).astype(np.int64, order="C")
+    if bin_width == ensemble.h:
+        bins = np.array(ensemble.lattice_positions.T, order="C")
+    else:
+        x = ensemble.final_positions if positions is None else positions
+        bins = np.floor(x.T / bin_width + 0.5).astype(np.int64, order="C")
     lo = bins.min(axis=1)
     shape = tuple(bins.max(axis=1) - lo + 1)
     bins -= lo[:, None]
@@ -480,9 +479,9 @@ def _bin(positions: np.ndarray, bin_width: float) -> Histogram:
     counts = counts.reshape(shape)
     counts.setflags(write=False)
     return Histogram(
-        dim=positions.shape[1],
+        dim=ensemble.dim,
         bin_width=float(bin_width),
         origin_index=lo,
         counts=counts,
-        n_samples=positions.shape[0],
+        n_samples=ensemble.n_walkers,
     )

@@ -15,7 +15,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator, PCG64DXSM
 from scipy import special
 
 from fracwalk import DiffusionSymbol, OrderMeasure, RadialDensity, norming_constant
@@ -213,16 +213,16 @@ def enumerate_shells_bruteforce(dim: int, trunc_radius: int) -> Shells:
 def per_axis_walk(sampler, n_steps: int, n_walkers: int, seed: int) -> np.ndarray:
     """Final lattice positions, (n_walkers, dim) int64, one axis at a time.
 
-    Every walker's whole window, 8 ceil(n / 8) 32-bit draws, is drawn at
+    Every walker's whole window, 2 ceil(n / 2) 32-bit draws, is drawn at
     once by numpy's own ``integers`` (which takes the low half of each
-    Philox word, then its high half), and step s of a walker takes draw s of
-    it: slot (u N) >> 32, kept when u is below the slot's limit.  Per axis, a
-    step adds the alias displacement and, where the slot is kept, the
-    difference to the slot's own displacement: two gathers, one multiply and
-    two row sums.
+    PCG64DXSM word, then its high half), and step s of a walker takes draw s
+    of it: slot (u N) >> 32, kept when u is below the slot's limit.  Per
+    axis, a step adds the alias displacement and, where the slot is kept,
+    the difference to the slot's own displacement: two gathers, one multiply
+    and two row sums.
     """
-    draws = 8 * ((n_steps + 7) // 8)
-    rng = Generator(Philox(key=np.uint64(seed)))
+    draws = 2 * ((n_steps + 1) // 2)
+    rng = Generator(PCG64DXSM(seed))
     u = rng.integers(0, 2**32, size=n_walkers * draws, dtype=np.uint64)
     u = u.reshape(n_walkers, draws)[:, :n_steps]
     slot = (u * np.uint64(sampler.n_outcomes) >> np.uint64(32)).astype(np.int64)

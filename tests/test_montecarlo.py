@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import math
 import os
@@ -9,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from numpy.random import Generator, Philox
+from numpy.random import Generator, PCG64DXSM, Philox
 from scipy import stats
 
 from fracwalk import (
@@ -24,7 +25,7 @@ from fracwalk import (
 )
 from fracwalk import montecarlo
 from fracwalk.evolution import characteristic_function
-from fracwalk.montecarlo import WalkEnsemble
+from fracwalk.montecarlo import STREAM_VERSION, WalkEnsemble
 from oracles import empirical_cf, per_axis_walk
 
 BENCH = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=64)
@@ -167,6 +168,25 @@ class TestHistogram:
         tally = np.zeros(hist.counts.shape, dtype=np.int64)
         np.add.at(tally, tuple((bins - hist.origin_index).T), 1)
         np.testing.assert_array_equal(hist.counts, tally)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mesh_bins_match_the_float_path(self, dim):
+        # bins of width h are taken from the lattice positions; they equal
+        # floor(x / h + 0.5) of the float positions, near the origin and far
+        rng = np.random.default_rng(dim)
+        ensembles = [run_walks(ENGINE_SAMPLERS[dim], 20, 20_000, seed=dim)]
+        for h, offset in ((0.3, 10**12), (1 / 3, -(2**49) + 17), (0.05, 2**49 - 17)):
+            lattice = rng.integers(-15, 16, size=(5_000, dim)) + offset
+            lattice.setflags(write=False)
+            ensembles.append(WalkEnsemble(dim=dim, h=h, tau=0.01, n_steps=1, n_walkers=5_000,
+                                          seed=0, lattice_positions=lattice))
+        for ens in ensembles:
+            hist = histogram(ens, bin_width=ens.h)
+            bins = np.floor(ens.final_positions / ens.h + 0.5).astype(np.int64)
+            np.testing.assert_array_equal(hist.origin_index, bins.min(axis=0))
+            tally = np.zeros(hist.counts.shape, dtype=np.int64)
+            np.add.at(tally, tuple((bins - hist.origin_index).T), 1)
+            np.testing.assert_array_equal(hist.counts, tally)
 
     def test_rejects_sub_mesh_bins(self):
         ens = run_walks(SAMPLER, 1, 10, seed=5)
@@ -405,12 +425,12 @@ class TestAliasTables:
 
     def test_walk_steps_are_sampler_draws_of_the_walker_window(self):
         # walker w of an n-step walk uses the 32-bit draws [2 w W, 2 w W + n)
-        # of the seed's stream, W = 4 ceil(n / 8) words, the low half of a
+        # of the seed's stream, W = ceil(n / 2) words, the low half of a
         # word before its high half, drawn the same way as JumpSampler.sample
-        for n, window in ((5, 8), (9, 16), (16, 16)):
+        for n, window in ((5, 6), (9, 10), (16, 16)):
             walkers = 300
             ens = run_walks(SAMPLER, n, walkers, seed=19)
-            outcomes = SAMPLER.sample(Generator(Philox(key=19)), walkers * window)
+            outcomes = SAMPLER.sample(Generator(PCG64DXSM(19)), walkers * window)
             steps = SAMPLER.displacements[outcomes.reshape(walkers, window)[:, :n]]
             np.testing.assert_array_equal(ens.lattice_positions, steps.sum(axis=1))
 
@@ -424,7 +444,7 @@ class TestWalkEngine:
         sampler = ENGINE_SAMPLERS[dim]
         walkers = 40
         if small_tiles:
-            # a window over 14 words takes several tiles of 12 words (24
+            # a window over 14 words takes several tiles of 14 words (28
             # steps), and a tile half of more than 2 draws several
             # carry-free blocks of 2
             monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 14)
@@ -442,6 +462,31 @@ class TestWalkEngine:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestStream:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.5, True])
+    def test_rejects_seeds_outside_the_config_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            run_walks(SAMPLER, 3, 4, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_walks_the_end_seeds_of_the_range(self, seed):
+        ens = run_walks(SAMPLER, 5, 10, seed=seed)
+        assert ens.seed == seed
+        np.testing.assert_array_equal(ens.lattice_positions, per_axis_walk(SAMPLER, 5, 10, seed))
+
+    @pytest.mark.parametrize("dim, digest", [
+        (1, "7aee9a54a36ad49d7f549746299b6f8862335970421ebf69767256b615a9eecd"),
+        (2, "d16c8b01b049932f1730393cb4d030bc89e6f2c8953ba5118126bb3d14a88cff"),
+    ])
+    def test_ensemble_digest_is_pinned_to_the_stream_version(self, dim, digest):
+        # SHA-256 of the little-endian int64 lattice positions under stream
+        # 0.4.0: a change to the seed -> ensemble mapping must come with a
+        # new STREAM_VERSION and new digests
+        ens = run_walks(ENGINE_SAMPLERS[dim], 27, 1000, seed=2024, threads=2)
+        lattice = ens.lattice_positions.astype("<i8").tobytes()
+        assert (STREAM_VERSION, hashlib.sha256(lattice).hexdigest()) == ("0.4.0", digest)
 
 
 class TestThreadPool:
@@ -462,7 +507,7 @@ class TestThreadPool:
 
         monkeypatch.setattr(montecarlo, "Thread", Recorder)
         n_steps, walkers = 13, 50_000
-        chunks = -(-walkers // (montecarlo._CHUNK_WORDS // 8))
+        chunks = -(-walkers // (montecarlo._CHUNK_WORDS // 7))
         base = run_walks(SAMPLER, n_steps, walkers, seed=41, threads=1)
         wide = run_walks(SAMPLER, n_steps, walkers, seed=41, threads=10_000)
         expected = min(chunks, os.cpu_count() or 1)
@@ -475,7 +520,7 @@ class TestThreadPool:
 
         monkeypatch.setattr(montecarlo, "_run_chunks", failing)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-        walkers = 3 * (montecarlo._CHUNK_WORDS // 8)  # 3 chunks of 13-step walkers
+        walkers = 3 * (montecarlo._CHUNK_WORDS // 7)  # 3 chunks of 13-step walkers
         with pytest.raises(RuntimeError, match="^chunk 0$"):
             run_walks(SAMPLER, 13, walkers, seed=41, threads=3)
 
