@@ -57,6 +57,7 @@ _GRADED_LEVELS = 48  # dyadic levels of a head panel graded toward 0
 _MAX_DIRECT_PANELS = 2000  # panels summed directly before Aitken acceleration
 _ACC_PANELS = 160  # panels the acceleration extrapolates from
 _CUTOFF_TOL = 1e-14  # envelope value at the frequency cutoff
+_MAX_ZEROS = _MAX_DIRECT_PANELS + _ACC_PANELS + 2  # the most zeros a radial point asks for
 
 
 @dataclass(frozen=True)
@@ -103,10 +104,12 @@ def _j0_mcmahon(i) -> np.ndarray:
     return beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=1)
 def _j0_zeros(count: int) -> np.ndarray:
     """The first ``count`` positive zeros of J0: McMahon's guesses refined by
-    secant steps, each zero until its step vanishes."""
+    secant steps, each zero until its step vanishes.  A vanished step stays
+    zero and no zero's steps depend on another's, so every prefix of the
+    result is bitwise the solve of its own size."""
     x = _j0_mcmahon(np.arange(1, count + 1))
     prev = x * (1.0 + 1e-9)
     f, f_prev = j0(x), j0(prev)
@@ -123,14 +126,14 @@ def _j0_zeros(count: int) -> np.ndarray:
 
 
 def _osc_zeros(dim: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of the dim-specific oscillating factor."""
+    """First ``count`` positive zeros of the dim-specific oscillating factor;
+    in 2D a slice of one table of ``_MAX_ZEROS`` J0 zeros, solved on first use."""
+    if dim == 2:
+        if count > _MAX_ZEROS:
+            raise ValueError(f"at most {_MAX_ZEROS} zeros of J0 are tabulated, not {count}")
+        return _j0_zeros(_MAX_ZEROS)[:count]
     k = np.arange(1, count + 1, dtype=float)
-    if dim == 1:
-        return (k - 0.5) * math.pi
-    if dim == 3:
-        return k * math.pi
-    # computed for the next power of two, so the cache serves every count below it
-    return _j0_zeros(1 << (count - 1).bit_length())[:count]
+    return (k - 0.5) * math.pi if dim == 1 else k * math.pi
 
 
 def _cutoff(sym: DiffusionSymbol, t: float, cut_tol: float) -> float:
@@ -214,7 +217,7 @@ def _radial_point(
 
     n_zeros_needed = int(math.ceil(P * r / math.pi)) + 2
     accelerate = n_zeros_needed > _MAX_DIRECT_PANELS
-    count = _MAX_DIRECT_PANELS + _ACC_PANELS + 2 if accelerate else n_zeros_needed
+    count = _MAX_ZEROS if accelerate else n_zeros_needed
     zeros = _osc_zeros(dim, count) / r
     if not accelerate:
         zeros = zeros[zeros < P]

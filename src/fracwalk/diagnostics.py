@@ -85,7 +85,12 @@ def ks_distance(
     if projection == "first":
         values = ensemble.sorted_first_coordinate() if sorted_first is None else sorted_first
     elif projection == "radial":
-        values = np.sort(np.linalg.norm(ensemble.final_positions, axis=1))
+        # |x| summed one axis at a time, in np.linalg.norm's order and bits
+        values = np.zeros(ensemble.n_walkers)
+        for column in ensemble.lattice_positions.T:
+            x = column * ensemble.h
+            values += np.multiply(x, x, out=x)
+        np.sqrt(values, out=values).sort()
     else:
         raise ValueError(f"unknown projection {projection!r}")
     m = len(values)

@@ -237,13 +237,13 @@ class WalkEnsemble:
     def to_csv(self, path) -> None:
         """Header ``x1,...``, one row of ``repr`` floats per walker, CRLF ends.
 
-        ``repr`` runs once per distinct coordinate of each column, and rows
-        are written in fixed-size blocks; the bytes are those of
-        ``csv.writer`` fed ``repr(float(x))`` fields.
+        ``repr`` runs once per distinct coordinate of each column (found by
+        :func:`_distinct`), and rows are written in fixed-size blocks; the
+        bytes are those of ``csv.writer`` fed ``repr(float(x))`` fields.
         """
         columns = []
         for axis in range(self.dim):
-            values, inverse = np.unique(self.lattice_positions[:, axis], return_inverse=True)
+            values, inverse = _distinct(self.lattice_positions[:, axis])
             text = np.array([repr(x) for x in (values * self.h).tolist()], dtype=object)
             columns.append((text, inverse))
         with open(path, "w", newline="") as f:
@@ -293,6 +293,18 @@ class WalkEnsemble:
             },
             "histogram": hist.to_json_dict(max_bins=200),
         }
+
+
+def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(column, return_inverse=True)`` of an int64 column, counted by
+    one ``bincount`` when its values span fewer than 4 integers per entry."""
+    if len(column):
+        lo = int(column.min())
+        if int(column.max()) - lo < 4 * len(column):
+            offset = column - lo
+            present = np.bincount(offset) > 0
+            return np.flatnonzero(present) + lo, (np.cumsum(present) - 1)[offset]
+    return np.unique(column, return_inverse=True)
 
 
 def _quantiles(x: np.ndarray, levels) -> np.ndarray:

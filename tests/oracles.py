@@ -245,6 +245,17 @@ def ks_distance_every_value(ensemble, cdf, projection: str) -> float:
     return float(max(np.max(np.arange(1, m + 1) / m - f), np.max(f - np.arange(0, m) / m)))
 
 
+def ks_distance_by_norm(ensemble, cdf) -> float:
+    """Radial KS distance with the radii taken by ``np.linalg.norm``, the CDF
+    evaluated once per distinct radius."""
+    values = np.sort(np.linalg.norm(ensemble.final_positions, axis=1))
+    m = len(values)
+    start = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    end = np.append(start[1:], m)
+    f = np.asarray(cdf(values[start]), dtype=float)
+    return float(max(np.max(end / m - f), np.max(f - start / m)))
+
+
 def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two arrays by direct summation.
 

@@ -28,7 +28,7 @@ from fracwalk.diagnostics import (
 )
 from fracwalk.kernel import enumerate_shells
 from fracwalk.montecarlo import Histogram
-from oracles import ks_distance_every_value, total_variation_dense
+from oracles import ks_distance_by_norm, ks_distance_every_value, total_variation_dense
 
 SINGLE = OrderMeasure.single(1.0)
 SYM_1D = DiffusionSymbol(SINGLE, 1)
@@ -151,6 +151,31 @@ class TestKsDistance:
         d = ks_distance(ens, cdf, projection)
         assert d == ks_distance_every_value(ens, cdf, projection)
         assert 0.0 < d < 1.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("span", [3, 5_000])
+    def test_radii_are_those_of_np_linalg_norm(self, dim, span):
+        # small spans tie heavily (sign flips, permutations, 3-4-5 triples);
+        # a mesh width that is no power of two rounds every square
+        rng = np.random.default_rng(10 * dim + span)
+        lattice = rng.integers(-span, span + 1, size=(20_000, dim))
+        tied = np.array([[3, 4, 0], [-4, 3, 0], [0, 5, 0], [5, 0, 0], [0, 0, 0], [1, 2, 2],
+                         [2, -2, 1], [-3, 0, 0]])
+        lattice[: len(tied)] = tied[:, :dim]
+        lattice.setflags(write=False)
+        ens = WalkEnsemble(dim=dim, h=0.037, tau=0.01, n_steps=3, n_walkers=len(lattice),
+                           seed=0, lattice_positions=lattice)
+        seen = []
+
+        def cdf(r):
+            seen.append(np.array(r))
+            return np.clip(r / (0.037 * span * math.sqrt(dim)), 0.0, 1.0)
+
+        d = ks_distance(ens, cdf, "radial")
+        assert d == ks_distance_by_norm(ens, cdf)
+        assert seen[0].tobytes() == seen[1].tobytes()  # the distinct radii, bit for bit
+        if span == 3:
+            assert len(seen[0]) < len(lattice) // 100  # heavily tied
 
     def test_empty_and_bad_projection(self):
         ens = run_walks(build_sampler(_bench_kernel(0.1)[0]), 1, 10, seed=2)

@@ -548,3 +548,26 @@ class TestCsvWriter:
         path = tmp_path / "ensemble.csv"
         ens.to_csv(path)
         assert path.read_bytes() == _csv_writer_bytes(ens)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["wide", "single", "constant", "negative"])
+    def test_census_and_sort_match_csv_writer(self, dim, case, tmp_path):
+        # "wide" spans 2^41 sites, beyond the dense census; the others take it
+        rng = np.random.default_rng(dim)
+        lattice = {
+            "wide": rng.choice([-(2**40), 0, 2**40, 7], size=(500, dim)),
+            "single": np.array([[-3, 0, 12][:dim]]),
+            "constant": np.full((300, dim), -17),
+            "negative": rng.integers(-900, -400, size=(300, dim)),
+        }[case].astype(np.int64)
+        lattice.setflags(write=False)
+        ens = WalkEnsemble(dim=dim, h=0.1, tau=0.01, n_steps=7, n_walkers=len(lattice),
+                           seed=0, lattice_positions=lattice)
+        for column in lattice.T:
+            values, inverse = montecarlo._distinct(column)
+            want_values, want_inverse = np.unique(column, return_inverse=True)
+            assert values.tobytes() == want_values.tobytes()
+            np.testing.assert_array_equal(inverse, want_inverse)
+        path = tmp_path / "ensemble.csv"
+        ens.to_csv(path)
+        assert path.read_bytes() == _csv_writer_bytes(ens)

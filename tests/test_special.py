@@ -9,7 +9,7 @@ from scipy import fft as scipy_fft
 from scipy import special as scipy_special
 
 from fracwalk import DiffusionSymbol, OrderMeasure, analytic, green_density
-from fracwalk.analytic import _osc_zeros
+from fracwalk.analytic import _MAX_ZEROS, _j0_zeros, _osc_zeros
 from fracwalk.kernel import _lattice_zetas
 from fracwalk.special import fht, gammainc_upper_scaled, j0, loggamma, next_fast_len
 from oracles import lattice_zeta_mpmath
@@ -51,6 +51,22 @@ def test_j0_zeros_match_scipy():
     np.testing.assert_allclose(j0(exact), at_zeros, rtol=0, atol=1e-15)
     # a count served from the cache of a larger one gives the same zeros
     np.testing.assert_array_equal(_osc_zeros(2, 2162)[:600], zeros)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 600, 2000, 2162])
+def test_zero_table_prefix_is_the_smaller_solve(count):
+    assert _MAX_ZEROS == 2162
+    assert _osc_zeros(2, count).tobytes() == _j0_zeros.__wrapped__(count).tobytes()
+
+
+def test_one_zero_table_per_process():
+    _j0_zeros.cache_clear()
+    green_density(DiffusionSymbol(OrderMeasure(atoms=((0.7, 1.0), (1.4, 0.5))), 2), 1.0)
+    info = _j0_zeros.cache_info()
+    assert info.misses == 1 and info.hits > 0
+    with pytest.raises(ValueError, match="2162"):
+        _osc_zeros(2, _MAX_ZEROS + 1)
+    assert _j0_zeros.cache_info().misses == 1
 
 
 def test_loggamma_matches_scipy():
