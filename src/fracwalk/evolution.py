@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.fft import fft, irfft, irfftn, rfft
@@ -26,10 +27,13 @@ from .special import next_fast_len
 # mass is tracked in ``mass_deficit`` rather than silently renormalized.
 DEFAULT_MAX_RADIUS = 4096
 
-# Largest working set one FFT convolution may claim.  ``evolve`` steps
-# instead of taking one FFT power when the full support would exceed it, and
-# raises ValueError with the estimate when even one step would.
+# Largest working set one FFT convolution may claim; a product whose circle
+# would exceed it raises ValueError with the estimate before allocating.
 MEMORY_BUDGET_BYTES = 2 * 2**30
+
+# Mass per unit of start mass that ``evolve`` may leave beyond its box or let
+# wrap around its FFT circle, certified by a Chernoff bound (:func:`_tail_reach`).
+TAIL_EPSILON = 2.0**-53
 
 # Peak bytes per site of the FFT circle during one product, measured with
 # tracemalloc: a complex product holds at most two complex half spectra and
@@ -52,6 +56,7 @@ class LatticeDistribution:
     time_index: int = 0
     mass_deficit: float = 0.0
     tau: float | None = None  # time step of the kernel that evolved this law
+    wrap_bound: float = 0.0  # certified bound on the mass wrapped into the box
 
     def __post_init__(self):
         m = np.asarray(self.mass, dtype=float)
@@ -104,6 +109,7 @@ class LatticeDistribution:
             "tau": self.tau,
             "time_index": self.time_index,
             "mass_deficit": self.mass_deficit,
+            "wrap_bound": self.wrap_bound,
             "sites": sites.tolist(),
             "mass": [float(y) for y in masses],
         }
@@ -129,13 +135,13 @@ def _fft_bytes(radius: int, dim: int) -> int:
 
 
 def _check_budget(radius: int, dim: int) -> None:
-    """Raise ValueError, before allocating, if an FFT product of this support radius won't fit."""
+    """Raise ValueError, before allocating, if the FFT circle of this radius won't fit."""
     need = _fft_bytes(radius, dim)
     if need > MEMORY_BUDGET_BYTES:
         raise ValueError(
-            f"an FFT convolution on a {'x'.join([str(2 * radius + 1)] * dim)} grid needs "
+            f"an FFT convolution on a {'x'.join([str(_grid_side(radius))] * dim)} circle needs "
             f"about {need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
-            "memory budget; reduce the steps, the truncation radius or max_radius"
+            "memory budget; reduce the steps, the truncation radius or the inputs' support"
         )
 
 
@@ -184,9 +190,8 @@ def _spectrum(cube: np.ndarray, side: int, even: bool = False) -> np.ndarray:
 
 
 def _keep(kept: np.ndarray, clipped: bool, total: float) -> tuple[np.ndarray, float]:
-    """``kept`` with negative rounding clamped at 0, and the mass lost: the
-    circle's ``total`` minus the mass kept (0 when nothing was clipped or
-    clamped)."""
+    """``kept`` with negative rounding clamped at 0, and the mass lost: the circle's
+    ``total`` minus the mass kept (0 when nothing was clipped or clamped)."""
     if not clipped and kept.min() >= 0.0:
         return kept, 0.0
     np.maximum(kept, 0.0, out=kept)
@@ -194,35 +199,28 @@ def _keep(kept: np.ndarray, clipped: bool, total: float) -> tuple[np.ndarray, fl
 
 
 def _fft_power(
-    a: np.ndarray, b: np.ndarray, n: int, max_radius: int, even: bool = False
+    a: np.ndarray, b: np.ndarray, n: int, radius: int, max_radius: int, even: bool = False
 ) -> tuple[np.ndarray, float]:
-    """a convolved with ``n`` copies of b by one FFT product, clipped at
-    ``max_radius``, and the mass lost.
+    """a convolved with ``n`` copies of b by one FFT product on a circle of
+    ``next_fast_len(2 radius + 1)`` nodes per axis (origin at node 0), read
+    off the box of radius r = min(``radius``, ``max_radius``), and the mass lost.
 
-    Both centred cubes lie on a circle of ``next_fast_len(2R + 1)`` nodes per
-    axis, R the product's support radius, with the origin at node 0, where an
-    even cube has an even spectrum.  The product ``a_hat * b_hat**n`` is
-    taken on ``rfftn``'s complex half spectrum and inverted by ``irfftn``.
-    ``even=True`` says b is even in every coordinate (a jump kernel): its
-    spectrum S is then real and even in every frequency (:func:`_spectrum`),
-    and when a is one site of mass m (the origin), whose spectrum is the
-    constant m, the n-step law m S**n is real and even too.  S**n is then
-    taken in float64 on the half grid and inverted by one ``irfft`` per
-    axis, keeping sites 0..r of each axis, mirrored into the box of radius
-    r = min(R, ``max_radius``): no complex transform and no complex power.
+    The product ``a_hat * b_hat**n`` is taken on ``rfftn``'s complex half
+    spectrum.  ``even=True`` says b is even in every coordinate (a jump
+    kernel), so its spectrum S is real and even (:func:`_spectrum`); when a
+    is one site of mass m, the law m S**n is then taken in float64 on the
+    half grid and inverted by one ``irfft`` per axis, keeping sites 0..r of
+    each axis mirrored into the box: no complex transform or power.
 
-    Nothing wraps around, so the product is exact up to FFT rounding, about
-    1e-17 absolute per entry; negative entries are clamped at 0.  The mass
-    lost is the circle's total minus the mass kept (for a one-site law the
-    total is the spectrum at frequency 0, m S(0)**n), so kept plus lost
-    equals the product's total by construction; clamping adds mass, so when
-    nothing is clipped the loss can be slightly negative.
+    Mass beyond ``radius`` wraps around (the caller bounds it); negative
+    rounding, about 1e-17 per entry, is clamped at 0.  The mass lost is the
+    circle's total (m S(0)**n for one site) minus the mass kept, so kept plus
+    lost is the total by construction (slightly negative when nothing is lost).
     """
     dim = a.ndim
-    R = a.shape[0] // 2 + n * (b.shape[0] // 2)
-    _check_budget(R, dim)
-    side = _grid_side(R)
-    r = min(R, max_radius)
+    side = _grid_side(radius)
+    r = min(radius, max_radius)
+    clipped = r < a.shape[0] // 2 + n * (b.shape[0] // 2)
     if even and a.size == 1:
         power = _spectrum(b, side, even=True)
         power **= n
@@ -233,13 +231,13 @@ def _fft_power(
         for axis in reversed(range(dim)):
             rows = irfft(np.moveaxis(orthant, axis, -1), side)
             orthant = np.moveaxis(rows[..., : r + 1], -1, axis)
-        return _keep(_box(orthant, r, slice(r, 0, -1)), r < R, total)
+        return _keep(_box(orthant, r, slice(r, 0, -1)), clipped, total)
     spec = _spectrum(b, side)
     spec **= n
     spec *= _spectrum(a, side)
     circle = irfftn(spec, (side,) * dim, tuple(range(dim)))
     del spec
-    return _keep(_box(circle, r, slice(side - r, side)), r < R, circle.sum())
+    return _keep(_box(circle, r, slice(side - r, side)), clipped, circle.sum())
 
 
 def convolve(
@@ -254,32 +252,55 @@ def convolve(
     """
     if p.dim != q.dim or p.h != q.h:
         raise ValueError("convolution requires matching dim and mesh width")
-    mass, lost = _fft_power(p.mass, q.mass, 1, max_radius)
-    return LatticeDistribution(
-        dim=p.dim,
-        h=p.h,
+    radius = p.support_radius + q.support_radius
+    _check_budget(radius, p.dim)
+    mass, lost = _fft_power(p.mass, q.mass, 1, radius, max_radius)
+    return replace(
+        p,
         mass=mass,
         tau=p.tau if p.tau is not None else q.tau,
         time_index=p.time_index + q.time_index,
         mass_deficit=p.mass_deficit + q.mass_deficit + lost,
+        wrap_bound=p.wrap_bound + q.wrap_bound,
     )
 
 
-def _advance(
-    dist: LatticeDistribution,
-    kernel: LatticeKernel,
-    n_steps: int,
-    mass: np.ndarray,
-    lost: float,
-) -> LatticeDistribution:
-    return LatticeDistribution(
-        dim=dist.dim,
-        h=dist.h,
-        mass=mass,
-        tau=kernel.tau,
-        time_index=dist.time_index + n_steps,
-        mass_deficit=dist.mass_deficit + lost,
-    )
+def _tail_reach(kernel: LatticeKernel, n_steps: int) -> tuple[int, float]:
+    """The n-step walk's reach x and a bound <= ``TAIL_EPSILON`` on leaving
+    the cube of radius x - 1; (nK + 1, 0) if no x <= nK has one.
+
+    The kernel is even and symmetric under axis permutations, so by a union
+    bound over the 2N half-axes and Chernoff's inequality that probability is
+    at most 2N M(l)**n exp(-l x) for every l > 0, M the exact moment generating
+    function of the first-axis marginal.  Each l certifies every x at or above
+    x(l) = (n log M(l) + log(2N / eps)) / l, unimodal in l as log M is convex,
+    so l is bisected in log l on the sign of l x'(l).
+    """
+    K, n = kernel.trunc_radius, n_steps
+    sites, shell = kernel.shells.sites, kernel.shells.site_shell
+    marginal = np.zeros(2 * K + 1)
+    marginal[K] = kernel.p0
+    for i in range(0, len(sites), 1 << 14):  # blocks keep the working set small
+        block = slice(i, i + (1 << 14))
+        marginal += np.bincount(sites[block, 0] + K, kernel.shell_prob[shell[block]], 2 * K + 1)
+    k = np.flatnonzero(marginal)
+    log_p, k = np.log(marginal[k]), k - float(K)
+    log_c = math.log(2 * kernel.dim / TAIL_EPSILON)
+
+    def log_mgf(l):  # log M(l) and the tilted mean M'(l) / M(l)
+        e = l * k + log_p
+        w = np.exp(e - e.max())
+        return e.max() + math.log(w.sum()), (w @ k) / w.sum()
+
+    lo, hi = math.log(1e-6 / K), math.log(1e4 / K)  # far below and above the optimum
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        log_m, mean = log_mgf(math.exp(mid))
+        lo, hi = (mid, hi) if n * (math.exp(mid) * mean - log_m) < log_c else (lo, mid)
+    l = math.exp(hi)
+    reach = (n * log_mgf(l)[0] + log_c) / l
+    x = math.ceil(reach)  # 2N M(l)**n exp(-l x) = eps exp(l (reach - x)) <= eps
+    return (x, TAIL_EPSILON * math.exp(l * (reach - x))) if x <= n * K else (n * K + 1, 0.0)
 
 
 def step(
@@ -287,7 +308,7 @@ def step(
     kernel: LatticeKernel,
     max_radius: int = DEFAULT_MAX_RADIUS,
 ) -> LatticeDistribution:
-    """One master-equation step: convolve the law with the jump kernel."""
+    """One master-equation step: ``evolve(dist, kernel, 1, max_radius)``."""
     return evolve(dist, kernel, 1, max_radius)
 
 
@@ -297,37 +318,35 @@ def evolve(
     n_steps: int,
     max_radius: int = DEFAULT_MAX_RADIUS,
 ) -> LatticeDistribution:
-    """Apply ``n_steps`` master-equation steps.
+    """Apply ``n_steps`` master-equation steps by one FFT product
+    ``dist_hat * kernel_hat**n`` (:func:`_fft_power`).
 
-    The n-step law is ``dist`` convolved with the n-th convolution power of
-    the kernel: one FFT product ``dist_hat * kernel_hat**n`` on the exact
-    support (side 2(R + nK) + 1 per axis) gives it exactly up to FFT
-    rounding, with ``kernel_hat`` the kernel's real spectrum (a one-site
-    ``dist`` never takes a complex transform, see :func:`_fft_power`); it is
-    clipped once at ``max_radius``, so the deficit gained is
-    the mass outside the box (with FFT rounding noise clamped at 0, kept
-    mass plus deficit stays the exact total).  If that grid exceeds
-    ``MEMORY_BUDGET_BYTES``, the law steps one kernel convolution at a time,
-    each product clipped at ``max_radius``; if even the largest step product
-    exceeds the budget, ValueError names the estimate before anything is
-    allocated.
+    The walk leaves the cube of radius x - 1, x its reach (:func:`_tail_reach`),
+    with probability at most ``TAIL_EPSILON``, so the law is kept on the box of
+    radius R + x - 1 (R that of ``dist``; at least K), on a circle where only
+    moves of x or more wrap into it.  ``mass_deficit`` gains the mass outside the box,
+    which ``max_radius`` clips further, and ``wrap_bound`` the bound on what
+    wrapped in.  A circle over ``MEMORY_BUDGET_BYTES`` raises ValueError first.
     """
     if dist.dim != kernel.dim or dist.h != kernel.h:
         raise ValueError("distribution and kernel must share dim and mesh width")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    if n_steps == 0 or kernel.tau == 0.0 or kernel.sigma == 0.0:
-        return _advance(dist, kernel, n_steps, dist.mass, 0.0)
-    R, K, dim = dist.support_radius, kernel.trunc_radius, dist.dim
-    if _fft_bytes(R + n_steps * K, dim) <= MEMORY_BUDGET_BYTES:
-        kept, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, max_radius, even=True)
-        return _advance(dist, kernel, n_steps, kept, lost)
-    # the step products grow up to this grid: fail before the first one
-    _check_budget(max(R, min(R + n_steps * K, max_radius)) + K, dim)
-    cube = kernel.mass_cube()
-    for _ in range(n_steps):
-        dist = _advance(dist, kernel, 1, *_fft_power(dist.mass, cube, 1, max_radius, even=True))
-    return dist
+    mass, lost, wrapped = dist.mass, 0.0, 0.0
+    if n_steps > 0 and kernel.tau != 0.0 and kernel.sigma != 0.0:
+        reach, bound = _tail_reach(kernel, n_steps)
+        radius = max(dist.support_radius + reach - 1, kernel.trunc_radius)
+        _check_budget(radius, dist.dim)
+        mass, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, radius, max_radius, True)
+        wrapped = bound * float(np.abs(dist.mass).sum())
+    return replace(
+        dist,
+        mass=mass,
+        tau=kernel.tau,
+        time_index=dist.time_index + n_steps,
+        mass_deficit=dist.mass_deficit + lost,
+        wrap_bound=dist.wrap_bound + wrapped,
+    )
 
 
 def characteristic_function(dist: LatticeDistribution, xi) -> np.ndarray:

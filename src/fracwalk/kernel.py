@@ -379,11 +379,6 @@ class LatticeKernel:
             folded[(slice(None),) * axis + (slice(1, None),)] *= 2.0
         return 1.0 - phase_sum(folded, self.h, xi, even=True)
 
-    def normalization_defect(self) -> float:
-        """|p0 + sum_k p_k - 1|, float-rounding sized by construction."""
-        off = float(np.sum(self.shells.multiplicity * self.shell_prob))
-        return abs(self.p0 + off - 1.0)
-
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,

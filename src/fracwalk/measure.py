@@ -55,9 +55,6 @@ class OrderMeasure:
         """All (alpha, weight) pairs, atoms first."""
         return self.atoms + self.density_nodes
 
-    def total_weight(self) -> float:
-        return float(sum(w for _, w in self.terms))
-
     @classmethod
     def single(cls, alpha: float, weight: float = 1.0) -> "OrderMeasure":
         return cls(atoms=((alpha, weight),))

@@ -88,13 +88,6 @@ class JumpSampler:
         odd = np.arange(1, 2 * self.n_outcomes, 2, dtype=np.uint64) << _SHIFT33
         return self.keys - odd + np.uint64(1)
 
-    def induced_probabilities(self) -> np.ndarray:
-        """Outcome law the table actually samples from (for exactness checks)."""
-        n = self.n_outcomes
-        p = self.accept / n
-        np.add.at(p, self.alias, (1.0 - self.accept) / n)
-        return p
-
     def sample(self, rng: Generator, size: int) -> np.ndarray:
         """Draw ``size`` outcome indices from ``size`` 32-bit draws of ``rng``
         (used for single-law statistics)."""
@@ -445,10 +438,6 @@ class Histogram:
     @property
     def density(self) -> np.ndarray:
         return self.counts / (self.n_samples * self.bin_width**self.dim)
-
-    def bin_centers_first_axis(self) -> np.ndarray:
-        n = self.counts.shape[0]
-        return (np.arange(n) + self.origin_index[0]) * self.bin_width
 
     def to_json_dict(self, max_bins: int | None = None) -> dict:
         idx = np.argwhere(self.counts > 0)

@@ -7,8 +7,11 @@ jump-strength coefficient term by term, a density's forward transform, the
 kernel CF from a dense phase matrix, the empirical CF of an ensemble, the
 lattice shells by sorting the whole cube, walks summed axis by axis, the
 KS distance with the reference CDF evaluated at every sample, lattice
-convolution by direct summation, and the total variation between a
-histogram and a law laid on one box that holds both.
+convolution by direct summation, a walk's far tail by exponential tilting,
+and the total variation between a histogram and a law laid on one box that
+holds both.  It also holds the accessors only the tests use: the law an
+alias table samples, a histogram's bin centres, a measure's total weight
+and a kernel's normalization defect.
 """
 
 import math
@@ -275,6 +278,55 @@ def direct_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             s = int(np.ravel_multi_index(lead + (0,), shape))
             out[s:] += np.convolve(flat, b[lead])[: flat.size - s]
     return out.reshape(shape)
+
+
+def walk_tail(marginal: np.ndarray, n: int, x: int) -> float:
+    """P(S >= x), S the sum of n independent draws from ``marginal``, a law
+    on -K..K, by exponential tilting.
+
+    The tilted law q_k = p_k e^(l k) / M(l), with l the Chernoff optimum at
+    x on a grid, puts the sum's bulk near x.  Its n-fold power is taken by
+    one FFT on the full support, where rounding is absolute in q, and is
+    weighed back by M(l)^n e^(-l j), so the tail keeps its relative accuracy
+    however small it is.
+    """
+    K = len(marginal) // 2
+    if x > n * K:
+        return 0.0
+    k = np.arange(-K, K + 1)
+    lams = np.geomspace(1e-4, 1e2, 400) / K
+    log_m = np.log(np.exp(np.outer(lams, k)) @ marginal)
+    lam = lams[np.argmin(n * log_m - lams * x)]
+    q = marginal * np.exp(lam * k)
+    m = q.sum()
+    size = 2 * n * K + 1  # the full support: nothing wraps
+    power = np.fft.irfft(np.fft.rfft(q / m, size) ** n, size)
+    j = np.arange(x, n * K + 1)
+    return float(np.exp(n * math.log(m) - lam * j) @ power[j + n * K])
+
+
+def induced_probabilities(sampler) -> np.ndarray:
+    """Outcome law the alias table actually samples from."""
+    n = sampler.n_outcomes
+    p = sampler.accept / n
+    np.add.at(p, sampler.alias, (1.0 - sampler.accept) / n)
+    return p
+
+
+def bin_centers_first_axis(hist) -> np.ndarray:
+    """Centres of a histogram's bins along its first axis."""
+    return (np.arange(hist.counts.shape[0]) + hist.origin_index[0]) * hist.bin_width
+
+
+def total_weight(measure) -> float:
+    """Total weight of an order measure, atoms and density nodes together."""
+    return float(sum(w for _, w in measure.terms))
+
+
+def normalization_defect(kernel) -> float:
+    """|p0 + sum_k p_k - 1|, float-rounding sized by construction."""
+    off = float(np.sum(kernel.shells.multiplicity * kernel.shell_prob))
+    return abs(kernel.p0 + off - 1.0)
 
 
 def total_variation_dense(hist, dist) -> float:

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -17,10 +18,36 @@ from fracwalk import (
     step,
 )
 from fracwalk import kernel as kernel_module
-from fracwalk.evolution import DEFAULT_MAX_RADIUS
-from oracles import direct_convolve
+from fracwalk.evolution import DEFAULT_MAX_RADIUS, TAIL_EPSILON
+from oracles import direct_convolve, walk_tail
 
 KERNEL = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=16)
+
+
+def _cut_radius(start, kernel, n):
+    """The box evolve keeps: the start's radius plus the walk's certified
+    reach, less one (at least K, so that the circle holds the kernel)."""
+    reach = evolution._tail_reach(kernel, n)[0]
+    return max(start.support_radius + reach - 1, kernel.trunc_radius)
+
+
+def _inner(mass, r):
+    """The centred cube of radius r of a centred cube."""
+    c = mass.shape[0] // 2
+    return mass[(slice(c - r, c + r + 1),) * mass.ndim]
+
+
+def _mass_outside(mass, r):
+    """Mass of a centred cube outside its centred cube of radius r, summed
+    from the outside entries themselves."""
+    out = mass.copy()
+    _inner(out, r)[...] = 0.0
+    return out.sum()
+
+
+def _marginal(kernel):
+    """The kernel's first-axis marginal on -K..K, summed from its mass cube."""
+    return kernel.mass_cube().sum(axis=tuple(range(1, kernel.dim)))
 
 
 def test_delta_is_convolution_identity():
@@ -187,8 +214,9 @@ def test_evolve_matches_direct_convolution(dim, h, K, n):
         for _ in range(n):
             ref = direct_convolve(ref, cube)
         d = evolve(start, k, n)
-        assert d.support_radius == start.support_radius + n * K
-        np.testing.assert_allclose(d.mass, ref, rtol=0, atol=1e-15)
+        r = _cut_radius(start, k, n)
+        assert d.support_radius == r and _mass_outside(ref, r) <= TAIL_EPSILON
+        np.testing.assert_allclose(d.mass, _inner(ref, r), rtol=0, atol=1e-15)
         assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, rel=0, abs=1e-13)
 
 
@@ -216,6 +244,17 @@ def test_csv_and_json_round_trip(tmp_path):
     assert sum(doc["mass"]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_wrap_bound_accumulates_and_is_written(tmp_path):
+    bound = evolution._tail_reach(KERNEL, 64)[1]
+    start = LatticeDistribution.delta(1, 0.1)
+    once = evolve(start, KERNEL, 64)
+    twice = evolve(once, KERNEL, 64)
+    assert start.wrap_bound == 0.0 and 0.0 < once.wrap_bound == bound
+    assert twice.wrap_bound == pytest.approx(2 * bound, rel=1e-12)
+    once.to_json(tmp_path / "law.json")
+    assert json.loads((tmp_path / "law.json").read_text())["wrap_bound"] == once.wrap_bound
+
+
 def _master_eq_kernel():
     m = OrderMeasure.single(1.5)
     return build_kernel(m, 2, 0.2, 0.5 * stability_sigma(m, 2, 0.2, 0.0).tau_max, 16)
@@ -224,13 +263,15 @@ def _master_eq_kernel():
 def test_fft_power_matches_step_loop():
     k = _master_eq_kernel()
     n = 27
-    d = evolve(LatticeDistribution.delta(2, 0.2), k, n)
-    ref, cube = LatticeDistribution.delta(2, 0.2).mass, k.mass_cube()
+    d0 = LatticeDistribution.delta(2, 0.2)
+    d = evolve(d0, k, n)
+    ref, cube = d0.mass, k.mass_cube()
     for _ in range(n):
         ref = direct_convolve(ref, cube)
     assert d.time_index == n and d.tau == k.tau
-    assert d.support_radius == ref.shape[0] // 2 == n * 16
-    np.testing.assert_allclose(d.mass, ref, rtol=0, atol=1e-15)
+    assert ref.shape[0] // 2 == n * 16 and d.support_radius == _cut_radius(d0, k, n) == 105
+    assert _mass_outside(ref, d.support_radius) <= TAIL_EPSILON
+    np.testing.assert_allclose(d.mass, _inner(ref, d.support_radius), rtol=0, atol=1e-15)
     assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, abs=1e-12)
     rho = np.array([0.5, 2.0, 5.0])
     xi = np.vstack([np.column_stack([rho, 0 * rho]), np.column_stack([rho, rho]) / np.sqrt(2)])
@@ -239,11 +280,15 @@ def test_fft_power_matches_step_loop():
 
 def test_fft_power_clips_once_and_counts_mass_outside_box():
     n, box = 3000, 128
-    full = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=n * 16)
-    d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
-    assert full.support_radius == n * 16 and abs(full.mass_deficit) < 1e-11  # FFT noise
+    start = LatticeDistribution.delta(1, 0.1)
+    full = evolve(start, KERNEL, n, max_radius=n * 16)
+    d = evolve(start, KERNEL, n, max_radius=box)
+    cut = _cut_radius(start, KERNEL, n)
+    assert full.support_radius == cut and abs(full.mass_deficit) < 1e-11  # FFT noise
+    # the walk's exact mass beyond the cut box
+    assert 2 * walk_tail(_marginal(KERNEL), n, cut + 1) <= TAIL_EPSILON
     assert d.support_radius == box
-    inside = full.mass[n * 16 - box : n * 16 + box + 1]
+    inside = full.mass[cut - box : cut + box + 1]
     np.testing.assert_array_equal(d.mass, inside)
     outside = full.total_mass() - inside.sum()
     assert outside > 0.01
@@ -253,29 +298,95 @@ def test_fft_power_clips_once_and_counts_mass_outside_box():
 def test_fft_power_conserves_mass_on_a_large_grid():
     # 420,001 sites, where clamping the FFT noise at 0 adds about 1e-12 of mass
     k = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=1000)
+    start = LatticeDistribution.delta(1, 0.1)
+    cut = _cut_radius(start, k, 210)
+    assert 2 * walk_tail(_marginal(k), 210, cut + 1) <= TAIL_EPSILON  # exact mass beyond the cut
     for box in (DEFAULT_MAX_RADIUS, 210 * 1000):
-        d = evolve(LatticeDistribution.delta(1, 0.1), k, 210, max_radius=box)
-        assert d.support_radius == box and np.all(d.mass >= 0.0)
+        d = evolve(start, k, 210, max_radius=box)
+        assert d.support_radius == min(box, cut) and np.all(d.mass >= 0.0)
         assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
-def test_over_budget_grid_falls_back_to_step_loop(monkeypatch):
+def test_small_budget_gives_the_free_walk(monkeypatch):
     n, box = 600, 1000
-    exact = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
-    # too small for the exact grid (19201 sites) or a 4001-site squared
-    # kernel, large enough for every step product (2033 sites)
+    free = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
+    # too small for the full support (19201 sites), large enough for the
+    # circle of the certified reach
     monkeypatch.setattr(evolution, "MEMORY_BUDGET_BYTES", 60_000)
     d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
-    ref = LatticeDistribution.delta(1, 0.1)
-    for _ in range(n):
-        ref = step(ref, KERNEL, box)
-    np.testing.assert_array_equal(d.mass, ref.mass)
-    assert d.mass_deficit == ref.mass_deficit
-    assert d.time_index == n and d.tau == KERNEL.tau and d.support_radius == box
+    assert evolution._fft_bytes(n * 16, 1) > evolution.MEMORY_BUDGET_BYTES
+    np.testing.assert_allclose(d.mass, free.mass, rtol=0, atol=1e-15)
+    assert d.time_index == n and d.tau == KERNEL.tau
+    assert d.support_radius == _cut_radius(LatticeDistribution.delta(1, 0.1), KERNEL, n) < box
     assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, abs=1e-12)
-    # clipping every step only removes mass from the exact law
-    assert np.all(d.mass <= exact.mass + 1e-15)
-    assert d.mass_deficit >= exact.mass_deficit - 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5])
+@pytest.mark.parametrize("dim, h, K, n", [(1, 0.1, 16, 40), (2, 0.2, 8, 10), (3, 0.2, 3, 8)])
+def test_tail_bound_never_under_reports(dim, h, K, n, alpha):
+    m = OrderMeasure.single(alpha)
+    k = build_kernel(m, dim, h, 0.5 * stability_sigma(m, dim, h, 0.0).tau_max, K)
+    reach, bound = evolution._tail_reach(k, n)
+    assert reach <= n * K and bound <= TAIL_EPSILON  # the cut is active in every case
+    # the exact tail of the n-fold first-axis marginal, one half-axis of 2N
+    power = np.array([1.0])
+    for _ in range(n):
+        power = np.convolve(power, _marginal(k))
+    assert power[n * K + reach :].sum() <= bound / (2 * dim)
+    assert walk_tail(_marginal(k), n, reach) == pytest.approx(power[n * K + reach :].sum(), rel=1e-9)
+    cube = k.mass_cube()
+    for start in (LatticeDistribution.delta(dim, h), _asymmetric_start(dim, 7, dim, h)):
+        ref = start.mass
+        for _ in range(n):
+            ref = direct_convolve(ref, cube)
+        d = evolve(start, k, n)
+        assert d.support_radius == _cut_radius(start, k, n)
+        np.testing.assert_allclose(d.mass, _inner(ref, d.support_radius), rtol=0, atol=1e-15)
+        assert _mass_outside(ref, d.support_radius) <= TAIL_EPSILON
+        assert d.wrap_bound == pytest.approx(bound, rel=1e-15) and d.wrap_bound <= TAIL_EPSILON
+
+
+def test_reach_inside_the_kernel_keeps_the_kernel_on_the_circle():
+    # at tau = 1e-15 one step leaves the origin by 16 sites with less than
+    # eps / 2 probability, so the reach (16) is below K + 1 and the circle
+    # is sized for the kernel's cube instead
+    k = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 1e-15, trunc_radius=16)
+    reach, bound = evolution._tail_reach(k, 1)
+    assert reach <= 16 and 0.0 < bound <= TAIL_EPSILON
+    d = step(LatticeDistribution.delta(1, 0.1), k)
+    assert d.support_radius == 16 and d.wrap_bound == bound
+    np.testing.assert_allclose(d.mass, k.mass_cube(), rtol=0, atol=1e-15)
+
+
+def test_master_eq_reach_against_the_exact_tail():
+    k, n = _master_eq_kernel(), 27
+    reach, bound = evolution._tail_reach(k, n)
+    power = np.array([1.0])
+    for _ in range(n):
+        power = np.convolve(power, _marginal(k))
+    exact = power[n * 16 + reach :].sum()  # P(S_1 >= 106), S_1 the first coordinate
+    assert reach == 106 and exact == pytest.approx(8.37e-19, rel=1e-3)
+    assert exact <= bound / 4 <= TAIL_EPSILON / 4
+
+
+def test_law_over_budget_at_full_support_evolves():
+    m = OrderMeasure(atoms=((0.7, 1.0), (1.4, 0.5)))
+    tau = 0.5 * stability_sigma(m, 2, 0.1, 0.0).tau_max
+    k, n = build_kernel(m, 2, 0.1, tau, 128), 47
+    assert math.ceil(1.0 / tau) == n
+    assert evolution._fft_bytes(n * 128, 2) > evolution.MEMORY_BUDGET_BYTES  # 3.4 GiB
+    start = LatticeDistribution.delta(2, 0.1)
+    r = _cut_radius(start, k, n)
+    assert evolution._grid_side(r) == 1600
+    tracemalloc.start()
+    try:
+        d = evolve(start, k, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.support_radius == r and peak <= evolution._fft_bytes(r, 2)
+    assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, rel=0, abs=1e-12)
+    assert 0.0 < d.wrap_bound <= TAIL_EPSILON
 
 
 def _peak_bytes(fn, *args, **kwargs):

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from fracwalk import OrderMeasure, discretize_density
+from oracles import total_weight
 
 
 def test_requires_some_mass():
@@ -26,7 +27,7 @@ def test_rejects_nonpositive_weights():
 def test_terms_concatenates_atoms_and_nodes():
     m = OrderMeasure(atoms=((0.5, 1.0),), density_nodes=((1.5, 0.25),))
     assert m.terms == ((0.5, 1.0), (1.5, 0.25))
-    assert m.total_weight() == pytest.approx(1.25)
+    assert total_weight(m) == pytest.approx(1.25)
 
 
 def test_density_discretization_matches_adaptive_quadrature():
@@ -70,7 +71,7 @@ def test_with_density_combines_atoms():
     )
     assert m.atoms == ((0.8, 1.0),)
     assert len(m.density_nodes) == 16
-    assert m.total_weight() == pytest.approx(2.0, abs=1e-12)
+    assert total_weight(m) == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf")])

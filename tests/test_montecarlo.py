@@ -26,7 +26,7 @@ from fracwalk import (
 from fracwalk import montecarlo
 from fracwalk.evolution import characteristic_function
 from fracwalk.montecarlo import STREAM_VERSION, WalkEnsemble
-from oracles import empirical_cf, per_axis_walk
+from oracles import bin_centers_first_axis, empirical_cf, induced_probabilities, per_axis_walk
 
 BENCH = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=64)
 SAMPLER = build_sampler(BENCH)
@@ -39,7 +39,7 @@ ENGINE_SAMPLERS = {
 
 class TestSampler:
     def test_alias_reproduces_kernel_probabilities(self):
-        induced = SAMPLER.induced_probabilities()
+        induced = induced_probabilities(SAMPLER)
         np.testing.assert_allclose(induced, SAMPLER.weights, atol=1e-15)
         assert SAMPLER.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -199,7 +199,7 @@ class TestHistogram:
         ens = run_walks(SAMPLER, 16, 50_000, seed=31)
         x = ens.final_positions[:, 0]
         hist = histogram(ens, bin_width=0.1)
-        centers = hist.bin_centers_first_axis()
+        centers = bin_centers_first_axis(hist)
         dens = dict(zip(np.round(centers, 6), hist.density))
         asym = 0.0
         for c, d in dens.items():
@@ -218,7 +218,7 @@ class TestHistogram:
         k = build_kernel(m, 1, h, tau, trunc_radius=1024)
         ens = run_walks(build_sampler(k), n, 100_000, seed=303)
         hist = histogram(ens, bin_width=h)
-        centers = hist.bin_centers_first_axis()
+        centers = bin_centers_first_axis(hist)
         central = hist.density[np.argmin(np.abs(centers))]
         assert central == pytest.approx(1.0 / math.pi, rel=0.10)
 
@@ -232,7 +232,7 @@ class TestHistogram:
         n, walkers = 32, 200_000
         x = np.abs(run_walks(SAMPLER, n, walkers, seed=555).final_positions[:, 0])
         law = evolve(LatticeDistribution.delta(1, BENCH.h), BENCH, n)
-        assert abs(law.mass_deficit) < 1e-12  # unclipped: rounding only
+        assert abs(law.mass_deficit) < 1e-12  # cut at the certified reach: 2**-53 and rounding
         r = np.abs(np.arange(law.mass.size) - law.support_radius) * BENCH.h
         far = 10 * n * BENCH.tau
         mean, second = law.mass @ r, law.mass @ r**2
@@ -361,7 +361,7 @@ class TestAliasTables:
         full = np.flatnonzero(sampler.accept == 1.0)
         np.testing.assert_array_equal(sampler.alias[full], full)
         np.testing.assert_allclose(
-            sampler.induced_probabilities(), sampler.weights, rtol=0, atol=1e-13
+            induced_probabilities(sampler), sampler.weights, rtol=0, atol=1e-13
         )
 
     @pytest.mark.parametrize("weights", [
