@@ -20,8 +20,6 @@ from .evolution import (
     characteristic_function,
     convolve,
     evolve,
-    kernel_distribution,
-    step,
 )
 from .montecarlo import (
     JumpSampler,
@@ -32,7 +30,6 @@ from .montecarlo import (
 )
 from .analytic import (
     DiffusionSymbol,
-    QuadParams,
     RadialDensity,
     green_density,
     symbol_oracle,
@@ -64,15 +61,12 @@ __all__ = [
     "characteristic_function",
     "convolve",
     "evolve",
-    "kernel_distribution",
-    "step",
     "JumpSampler",
     "WalkEnsemble",
     "build_sampler",
     "histogram",
     "run_walks",
     "DiffusionSymbol",
-    "QuadParams",
     "RadialDensity",
     "green_density",
     "symbol_oracle",

@@ -58,16 +58,8 @@ _MAX_DIRECT_PANELS = 2000  # panels summed directly before Aitken acceleration
 _ACC_PANELS = 160  # panels the acceleration extrapolates from
 _CUTOFF_TOL = 1e-14  # envelope value at the frequency cutoff
 _MAX_ZEROS = _MAX_DIRECT_PANELS + _ACC_PANELS + 2  # the most zeros a radial point asks for
-
-
-@dataclass(frozen=True)
-class QuadParams:
-    """Error tolerance of the analytic quadratures; their panels are module constants."""
-
-    tol: float = 1e-7
-
-
-DEFAULT_QUAD = QuadParams()
+_MAX_DROP = 3.0  # largest log drop of the envelope across one smooth panel
+_TAIL_TARGET = 0.01  # mass the default radial grid may leave to the power-law tail
 
 
 @dataclass(frozen=True)
@@ -154,13 +146,13 @@ def _cutoff(sym: DiffusionSymbol, t: float, cut_tol: float) -> float:
     return float(fine[first_below(fine)])
 
 
-def _refine_by_decay(edges: np.ndarray, log_env, max_drop: float = 3.0) -> np.ndarray:
-    """Split panels until the envelope drops at most e^max_drop per panel."""
+def _refine_by_decay(edges: np.ndarray, log_env) -> np.ndarray:
+    """Split panels until the envelope drops at most e^_MAX_DROP per panel."""
     edges = np.asarray(edges, dtype=float)
     for _ in range(40):
         lv = log_env(edges)
         drop = np.abs(np.diff(lv))
-        bad = drop > max_drop
+        bad = drop > _MAX_DROP
         if not np.any(bad):
             return edges
         mids = 0.5 * (edges[:-1][bad] + edges[1:][bad])
@@ -249,7 +241,6 @@ def default_radial_grid(
     sym: DiffusionSymbol,
     t: float,
     points: int = 512,
-    tail_target: float = 0.01,
     r_max: float | None = None,
 ) -> np.ndarray:
     """Geometric radial grid from inside the bulk out to ``r_max``.
@@ -257,7 +248,7 @@ def default_radial_grid(
     Starts at 1e-4 of the bulk scale min(t^(1/alpha_min), t^(1/alpha_max)),
     inside the flat core of G (or at 1e-4 r_max, if that is smaller).  By
     default r_max is at least 50 * t^(1/alpha_min) and far enough out that
-    the power-law tail beyond it holds at most ``tail_target`` of the mass,
+    the power-law tail beyond it holds at most ``_TAIL_TARGET`` of the mass,
     so that edge corrections stay within the 1e-3 mass budget.
     """
     alphas = [a for a, _ in sym.measure.terms]
@@ -265,10 +256,10 @@ def default_radial_grid(
     if r_max is None:
         r_max = 50.0 * t ** (1.0 / sym.alpha_min)
         lo, hi = 1.0, 1e12
-        if _tail_mass(sym.measure, sym.dim, t, lo) > tail_target:
+        if _tail_mass(sym.measure, sym.dim, t, lo) > _TAIL_TARGET:
             for _ in range(80):
                 mid = math.sqrt(lo * hi)
-                if _tail_mass(sym.measure, sym.dim, t, mid) > tail_target:
+                if _tail_mass(sym.measure, sym.dim, t, mid) > _TAIL_TARGET:
                     lo = mid
                 else:
                     hi = mid
@@ -483,6 +474,8 @@ class RadialDensity:
     def __post_init__(self):
         r = np.array(self.r, dtype=float)
         values = np.array(self.values, dtype=float)
+        if values.shape != r.shape:
+            raise ValueError(f"values of shape {values.shape} do not match r of shape {r.shape}")
         if np.any(values < -POSITIVITY_FLOOR):
             raise ValueError("tabulated density below the quadrature noise floor")
         _checked_radii(r)
@@ -571,12 +564,7 @@ class RadialDensity:
             json.dump(self.to_json_dict(), f, indent=2)
 
 
-def green_density(
-    sym: DiffusionSymbol,
-    t: float,
-    r_grid=None,
-    quad_params: QuadParams | None = None,
-) -> RadialDensity:
+def green_density(sym: DiffusionSymbol, t: float, r_grid=None, tol: float = 1e-7) -> RadialDensity:
     """Tabulate the fundamental solution G(t, r) and its radial CDF.
 
     Two FFTLog transforms give G and the CDF on a log grid through the
@@ -584,7 +572,7 @@ def green_density(
     the largest of their changes under doubled resolution and the deviation
     of G from the panel quadrature (plus the quadrature's own estimate) at
     r = 0 and ``_CHECK_RADII`` table nodes.  The CDF's change must meet
-    ``quad_params.tol``; G's parts must meet it times max(1, G(t, 0)).
+    ``tol``; G's parts must meet it times max(1, G(t, 0)).
     A geometric grid takes its values from the table nodes.  r = 0, every
     radius of any other grid, and every radius once the certificate misses
     take the quadrature; the last case keeps the requested grid as its table.
@@ -594,7 +582,6 @@ def green_density(
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    qp = quad_params or DEFAULT_QUAD
     r = (
         default_radial_grid(sym, t)
         if r_grid is None
@@ -618,7 +605,7 @@ def green_density(
         # G's rounding scales with its peak, so above a peak of 1 its error is
         # held to the tolerance relative to G(t, 0); the CDF has no units and
         # is held to it absolutely
-        if g_error <= qp.tol * max(1.0, origin[0]) and cdf_spread <= qp.tol:
+        if g_error <= tol * max(1.0, origin[0]) and cdf_spread <= tol:
             table = (np.insert(table_r, 0, 0.0), np.insert(g, 0, origin[0]), np.insert(cdf, 0, 0.0))
             if stride is not None:
                 values = np.concatenate([[origin[0]], g[::stride]]) if r[0] == 0.0 else g[::stride]
@@ -627,9 +614,9 @@ def green_density(
         for i, ri in enumerate(r):
             values[i], est = quadrature(float(ri))
             worst = max(worst, est)
-            if est > qp.tol:
+            if est > tol:
                 raise QuadratureError(
-                    f"inverse transform at r={ri:.6g} missed tolerance {qp.tol:g}",
+                    f"inverse transform at r={ri:.6g} missed tolerance {tol:g}",
                     values[i],
                     est,
                 )
@@ -667,9 +654,7 @@ def _spherical_mean_defect(u: np.ndarray, dim: int) -> np.ndarray:
     return np.where(small, series, exact)
 
 
-def symbol_oracle(
-    alpha: float, dim: int, xi, quad_params: QuadParams | None = None
-) -> float:
+def symbol_oracle(alpha: float, dim: int, xi, tol: float = 1e-7) -> float:
     """Recover the operator symbol at xi from the hypersingular integral.
 
     Evaluates b(alpha) * int_RN (2 cos(y.xi) - 2) / |y|^(N+alpha) dy by
@@ -679,7 +664,6 @@ def symbol_oracle(
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie strictly inside (0, 2)")
-    qp = quad_params or DEFAULT_QUAD
     q = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
     if q == 0.0:
         return 0.0
@@ -709,7 +693,7 @@ def symbol_oracle(
     value = factor * (head_int + const_tail + osc_int)
     estimate = factor * (osc_err + 5e-15 * (abs(head_int) + float(np.sum(np.abs(direct)))))
     scale = max(q**alpha, 1.0)
-    if estimate > qp.tol * scale:
+    if estimate > tol * scale:
         raise QuadratureError(
             f"symbol oracle at alpha={alpha}, dim={dim}, |xi|={q} missed tolerance",
             value,

@@ -20,7 +20,6 @@ import click
 from . import __version__
 from .analytic import (
     DiffusionSymbol,
-    QuadParams,
     default_radial_grid,
     green_density,
     symbol_oracle,
@@ -137,9 +136,7 @@ def simulate(config_path: str, out: str | None, seed: int | None, threads: int |
 
     t_sim = ensemble.n_steps * ensemble.tau
     if reference != "none" and t_sim > 0.0:
-        cdf, projection = reference_cdf(
-            cfg.measure, r["dim"], t_sim, QuadParams(tol=r["quad_tol"])
-        )
+        cdf, projection = reference_cdf(cfg.measure, r["dim"], t_sim, r["quad_tol"])
         summary["ks"] = ks_distance(ensemble, cdf, projection, sorted_first=first)
         summary["ks_reference"] = reference
     summary.update(cfg.echo())
@@ -165,7 +162,7 @@ def density(config_path: str, out: str | None, selfcheck: bool) -> None:
         raise ConfigError("density requires t > 0")
     sym = DiffusionSymbol(cfg.measure, r["dim"])
     r_grid = default_radial_grid(sym, r["t"], r["r_points"], r_max=r["r_max"])
-    dens = green_density(sym, r["t"], r_grid, QuadParams(tol=r["quad_tol"]))
+    dens = green_density(sym, r["t"], r_grid, r["quad_tol"])
 
     out_dir = _out_dir(out, cfg)
     csv_path = out_dir / "density.csv"
@@ -211,7 +208,7 @@ def study(config_path: str, out: str | None, seed: int | None, threads: int | No
         xi_points=r["xi_points"],
         trunc_radius=r["trunc_radius"],
         threads=threads if threads is not None else r["threads"],
-        quad_params=QuadParams(tol=r["quad_tol"]),
+        tol=r["quad_tol"],
     )
     out_dir = _out_dir(out, cfg)
     payload = report.to_json_dict()

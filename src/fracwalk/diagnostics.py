@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .analytic import DiffusionSymbol, QuadParams, green_density
+from .analytic import DiffusionSymbol, green_density
 from .evolution import LatticeDistribution
 from .kernel import (
     DEFAULT_TRUNC_RADIUS, LatticeKernel, build_kernel, frequency_rows, stability_sigma,
@@ -109,9 +109,7 @@ def is_cauchy(measure: OrderMeasure, dim: int) -> bool:
     return dim == 1 and len(measure.terms) == 1 and abs(measure.terms[0][0] - 1.0) < 1e-12
 
 
-def reference_cdf(
-    measure: OrderMeasure, dim: int, t: float, quad_params: QuadParams | None = None
-):
+def reference_cdf(measure: OrderMeasure, dim: int, t: float, tol: float = 1e-7):
     """``(cdf, projection)``: the CDF of the limit law at time t and the
     :func:`ks_distance` projection it applies to.  The Cauchy law's CDF is
     closed-form; other laws tabulate the analytic density once and use its
@@ -120,7 +118,7 @@ def reference_cdf(
     if is_cauchy(measure, dim):
         scale = measure.terms[0][1] * t
         return (lambda x: 0.5 + np.arctan(x / scale) / math.pi), "first"
-    density = green_density(DiffusionSymbol(measure, dim), t, quad_params=quad_params)
+    density = green_density(DiffusionSymbol(measure, dim), t, tol=tol)
     if dim == 1:
         return density.axis_cdf, "first"
     return density.radial_cdf, "radial"
@@ -204,7 +202,7 @@ def refinement_study(
     xi_points: int = 101,
     trunc_radius: int | None = None,
     threads: int = 1,
-    quad_params: QuadParams | None = None,
+    tol: float = 1e-7,
 ) -> ConvergenceReport:
     """CF and KS convergence metrics along a strictly decreasing mesh list.
 
@@ -224,7 +222,7 @@ def refinement_study(
     if not 0.0 < theta <= 1.0:
         raise ValueError("safety factor theta must lie in (0, 1]")
     sym = DiffusionSymbol(measure, dim)
-    cdf, projection = reference_cdf(measure, dim, t, quad_params)
+    cdf, projection = reference_cdf(measure, dim, t, tol)
     # one fixed compact for every row, inside the coarsest row's Nyquist band
     xi_reach = min(xi_max, math.pi / h_arr[0])
     xi_grid = default_xi_grid(dim, xi_reach, xi_points)

@@ -23,10 +23,6 @@ from numpy.fft import fft, irfft, irfftn, rfft
 from .kernel import LatticeKernel, lattice_vector, phase_sum
 from .special import next_fast_len
 
-# Support is clipped at this many sites from the origin per axis; the lost
-# mass is tracked in ``mass_deficit`` rather than silently renormalized.
-DEFAULT_MAX_RADIUS = 4096
-
 # Largest working set one FFT convolution may claim; a product whose circle
 # would exceed it raises ValueError with the estimate before allocating.
 MEMORY_BUDGET_BYTES = 2 * 2**30
@@ -119,13 +115,6 @@ class LatticeDistribution:
             json.dump(self.to_json_dict(), f, indent=2)
 
 
-def kernel_distribution(kernel: LatticeKernel) -> LatticeDistribution:
-    """The one-step jump law viewed as a distribution (time_index 0)."""
-    return LatticeDistribution(
-        dim=kernel.dim, h=kernel.h, mass=kernel.mass_cube(), tau=kernel.tau
-    )
-
-
 def _grid_side(radius: int) -> int:
     return next_fast_len(2 * radius + 1, real=True)
 
@@ -199,11 +188,11 @@ def _keep(kept: np.ndarray, clipped: bool, total: float) -> tuple[np.ndarray, fl
 
 
 def _fft_power(
-    a: np.ndarray, b: np.ndarray, n: int, radius: int, max_radius: int, even: bool = False
+    a: np.ndarray, b: np.ndarray, n: int, r: int, even: bool = False
 ) -> tuple[np.ndarray, float]:
     """a convolved with ``n`` copies of b by one FFT product on a circle of
-    ``next_fast_len(2 radius + 1)`` nodes per axis (origin at node 0), read
-    off the box of radius r = min(``radius``, ``max_radius``), and the mass lost.
+    ``next_fast_len(2r + 1)`` nodes per axis (origin at node 0), read off
+    the box of radius r, and the mass lost.
 
     The product ``a_hat * b_hat**n`` is taken on ``rfftn``'s complex half
     spectrum.  ``even=True`` says b is even in every coordinate (a jump
@@ -212,15 +201,14 @@ def _fft_power(
     half grid and inverted by one ``irfft`` per axis, keeping sites 0..r of
     each axis mirrored into the box: no complex transform or power.
 
-    Mass beyond ``radius`` wraps around (the caller bounds it); negative
+    Mass beyond r wraps around (the caller bounds it); negative
     rounding, about 1e-17 per entry, is clamped at 0.  The mass lost is the
     circle's total (m S(0)**n for one site) minus the mass kept, so kept plus
     lost is the total by construction (slightly negative when nothing is lost).
     """
     dim = a.ndim
-    side = _grid_side(radius)
-    r = min(radius, max_radius)
-    clipped = r < a.shape[0] // 2 + n * (b.shape[0] // 2)
+    side = _grid_side(r)
+    clipped = r < a.shape[0] // 2 + n * (b.shape[0] // 2)  # the Chernoff cut is active
     if even and a.size == 1:
         power = _spectrum(b, side, even=True)
         power **= n
@@ -240,21 +228,17 @@ def _fft_power(
     return _keep(_box(circle, r, slice(side - r, side)), clipped, circle.sum())
 
 
-def convolve(
-    p: LatticeDistribution,
-    q: LatticeDistribution,
-    max_radius: int = DEFAULT_MAX_RADIUS,
-) -> LatticeDistribution:
+def convolve(p: LatticeDistribution, q: LatticeDistribution) -> LatticeDistribution:
     """Discrete convolution (p * q)_j = sum_k p_k q_{j-k}.
 
-    The support radius of the result is the sum of the input radii, clipped
-    at ``max_radius`` with the lost mass added to the deficit.
+    The support radius of the result is the sum of the input radii: the
+    product's full support, nothing clipped.
     """
     if p.dim != q.dim or p.h != q.h:
         raise ValueError("convolution requires matching dim and mesh width")
     radius = p.support_radius + q.support_radius
     _check_budget(radius, p.dim)
-    mass, lost = _fft_power(p.mass, q.mass, 1, radius, max_radius)
+    mass, lost = _fft_power(p.mass, q.mass, 1, radius)
     return replace(
         p,
         mass=mass,
@@ -303,47 +287,33 @@ def _tail_reach(kernel: LatticeKernel, n_steps: int) -> tuple[int, float]:
     return (x, TAIL_EPSILON * math.exp(l * (reach - x))) if x <= n * K else (n * K + 1, 0.0)
 
 
-def step(
-    dist: LatticeDistribution,
-    kernel: LatticeKernel,
-    max_radius: int = DEFAULT_MAX_RADIUS,
-) -> LatticeDistribution:
-    """One master-equation step: ``evolve(dist, kernel, 1, max_radius)``."""
-    return evolve(dist, kernel, 1, max_radius)
-
-
-def evolve(
-    dist: LatticeDistribution,
-    kernel: LatticeKernel,
-    n_steps: int,
-    max_radius: int = DEFAULT_MAX_RADIUS,
-) -> LatticeDistribution:
+def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> LatticeDistribution:
     """Apply ``n_steps`` master-equation steps by one FFT product
     ``dist_hat * kernel_hat**n`` (:func:`_fft_power`).
 
     The walk leaves the cube of radius x - 1, x its reach (:func:`_tail_reach`),
     with probability at most ``TAIL_EPSILON``, so the law is kept on the box of
     radius R + x - 1 (R that of ``dist``; at least K), on a circle where only
-    moves of x or more wrap into it.  ``mass_deficit`` gains the mass outside the box,
-    which ``max_radius`` clips further, and ``wrap_bound`` the bound on what
-    wrapped in.  A circle over ``MEMORY_BUDGET_BYTES`` raises ValueError first.
+    moves of x or more wrap into it.  ``mass_deficit`` gains the mass outside
+    the box, and ``wrap_bound`` the bound on what wrapped in.  A circle over
+    ``MEMORY_BUDGET_BYTES`` raises ValueError first.
     """
     if dist.dim != kernel.dim or dist.h != kernel.h:
         raise ValueError("distribution and kernel must share dim and mesh width")
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     mass, lost, wrapped = dist.mass, 0.0, 0.0
     if n_steps > 0 and kernel.tau != 0.0 and kernel.sigma != 0.0:
         reach, bound = _tail_reach(kernel, n_steps)
         radius = max(dist.support_radius + reach - 1, kernel.trunc_radius)
         _check_budget(radius, dist.dim)
-        mass, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, radius, max_radius, True)
+        mass, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, radius, True)
         wrapped = bound * float(np.abs(dist.mass).sum())
     return replace(
         dist,
         mass=mass,
         tau=kernel.tau,
-        time_index=dist.time_index + n_steps,
+        time_index=dist.time_index + int(n_steps),
         mass_deficit=dist.mass_deficit + lost,
         wrap_bound=dist.wrap_bound + wrapped,
     )

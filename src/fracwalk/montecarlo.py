@@ -45,6 +45,9 @@ STREAM_VERSION = "0.4.0"
 # Rows formatted per write in ``WalkEnsemble.to_csv``.
 _CSV_BLOCK_ROWS = 1 << 16
 
+# First-coordinate quantiles reported by ``WalkEnsemble.summary_dict``.
+_QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+
 _SHIFT32 = np.uint64(32)
 _SHIFT33 = np.uint64(33)
 _LOW32 = np.uint64(0xFFFFFFFF)
@@ -257,9 +260,7 @@ class WalkEnsemble:
         """
         return np.sort(self.lattice_positions[:, 0]) * self.h
 
-    def summary_dict(
-        self, quantile_levels=(0.05, 0.25, 0.5, 0.75, 0.95), sorted_first=None,
-    ) -> dict:
+    def summary_dict(self, sorted_first=None) -> dict:
         """Moments, first-coordinate quantiles and a histogram, JSON-ready.
 
         ``sorted_first`` optionally holds :meth:`sorted_first_coordinate`,
@@ -269,7 +270,7 @@ class WalkEnsemble:
         first = x[:, 0]
         if sorted_first is None:
             sorted_first = self.sorted_first_coordinate()
-        qs = _quantiles(sorted_first, quantile_levels)
+        qs = _quantiles(sorted_first, _QUANTILE_LEVELS)
         hist = _bin(self, self.h if self.dim == 1 else 4 * self.h, positions=x)
         return {
             "dim": self.dim,
@@ -282,7 +283,7 @@ class WalkEnsemble:
             "mean": x.mean(axis=0).tolist(),
             "mean_abs_first_coordinate": float(np.abs(first).mean()),
             "quantiles_first_coordinate": {
-                str(q): float(v) for q, v in zip(quantile_levels, qs)
+                str(q): float(v) for q, v in zip(_QUANTILE_LEVELS, qs)
             },
             "histogram": hist.to_json_dict(max_bins=200),
         }
@@ -377,8 +378,9 @@ def run_walks(
     threads: int = 1,
 ) -> WalkEnsemble:
     """Simulate walkers; output depends only on (kernel, seed, n_steps, n_walkers)."""
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
+        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+    n_steps = int(n_steps)  # a numpy integer here makes PCG64DXSM.advance raise
     if n_walkers < 1:
         raise ValueError("n_walkers must be >= 1")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:

@@ -16,6 +16,9 @@ import functools
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+# Aitken delta-squared sweeps that ``aitken_limit`` applies at most.
+_AITKEN_SWEEPS = 8
+
 
 class QuadratureError(RuntimeError):
     """Requested tolerance not reached; carries the value and error estimate."""
@@ -69,7 +72,7 @@ def graded_edges(a: float, b: float, levels: int = 45) -> np.ndarray:
     return np.concatenate([[a], a + offsets])
 
 
-def aitken_limit(partial_sums: np.ndarray, max_sweeps: int = 8) -> tuple[float, float]:
+def aitken_limit(partial_sums: np.ndarray) -> tuple[float, float]:
     """Iterated Aitken delta-squared extrapolation of a sequence limit.
 
     Returns (limit, error estimate).  Intended for partial sums of
@@ -81,7 +84,7 @@ def aitken_limit(partial_sums: np.ndarray, max_sweeps: int = 8) -> tuple[float, 
         return float(s[-1]), abs(float(s[-1] - s[0]))
     prev_last = s[-1]
     est = abs(s[-1] - s[-2])
-    for _ in range(max_sweeps):
+    for _ in range(_AITKEN_SWEEPS):
         if len(s) < 3:
             break
         d1 = s[1:-1] - s[:-2]

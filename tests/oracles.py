@@ -10,8 +10,8 @@ KS distance with the reference CDF evaluated at every sample, lattice
 convolution by direct summation, a walk's far tail by exponential tilting,
 and the total variation between a histogram and a law laid on one box that
 holds both.  It also holds the accessors only the tests use: the law an
-alias table samples, a histogram's bin centres, a measure's total weight
-and a kernel's normalization defect.
+alias table samples, a histogram's bin centres, a measure's total weight,
+a kernel's normalization defect and its one-step law as a distribution.
 """
 
 import math
@@ -21,7 +21,13 @@ import numpy as np
 from numpy.random import Generator, PCG64DXSM
 from scipy import special
 
-from fracwalk import DiffusionSymbol, OrderMeasure, RadialDensity, norming_constant
+from fracwalk import (
+    DiffusionSymbol,
+    LatticeDistribution,
+    OrderMeasure,
+    RadialDensity,
+    norming_constant,
+)
 from fracwalk.analytic import _osc_zeros
 from fracwalk.kernel import Shells, enumerate_shells, frequency_rows, surface_area
 from fracwalk.quadrature import panel_integrals
@@ -327,6 +333,13 @@ def normalization_defect(kernel) -> float:
     """|p0 + sum_k p_k - 1|, float-rounding sized by construction."""
     off = float(np.sum(kernel.shells.multiplicity * kernel.shell_prob))
     return abs(kernel.p0 + off - 1.0)
+
+
+def kernel_distribution(kernel) -> LatticeDistribution:
+    """The one-step jump law viewed as a distribution (time_index 0)."""
+    return LatticeDistribution(
+        dim=kernel.dim, h=kernel.h, mass=kernel.mass_cube(), tau=kernel.tau
+    )
 
 
 def total_variation_dense(hist, dist) -> float:

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from fracwalk import (
     DiffusionSymbol,
     OrderMeasure,
-    QuadParams,
     RadialDensity,
     green_density,
     symbol_oracle,
@@ -189,9 +188,8 @@ class TestGreenDensity:
     def test_tolerance_failure_raises(self):
         from fracwalk import QuadratureError
 
-        strict = QuadParams(tol=1e-18)
         with pytest.raises(QuadratureError) as err:
-            green_density(CAUCHY_1D, 1.0, np.linspace(0, 5, 11), strict)
+            green_density(CAUCHY_1D, 1.0, np.linspace(0, 5, 11), tol=1e-18)
         assert err.value.estimate > 1e-18
 
 
@@ -238,6 +236,13 @@ class TestRadialDensity:
             RadialDensity(
                 dim=1, t=1.0, r=np.array([0.0, 1.0]),
                 values=np.array([0.5, -1e-6]), measure=OrderMeasure.single(1.0),
+            )
+
+    def test_values_must_match_the_radii(self):
+        with pytest.raises(ValueError, match="shape"):
+            RadialDensity(
+                dim=1, t=1.0, r=[0.0, 1.0, 2.0, 3.0],
+                values=[0.3, 0.2], measure=OrderMeasure.single(1.0),
             )
 
     def test_is_immutable(self):
@@ -307,5 +312,5 @@ def test_symbol_oracle_tolerance_failure():
     from fracwalk import QuadratureError
 
     with pytest.raises(QuadratureError) as err:
-        symbol_oracle(0.5, 1, 1.0, QuadParams(tol=1e-30))
+        symbol_oracle(0.5, 1, 1.0, tol=1e-30)
     assert err.value.estimate > 1e-30

@@ -13,13 +13,11 @@ from fracwalk import (
     convolve,
     evolution,
     evolve,
-    kernel_distribution,
     stability_sigma,
-    step,
 )
 from fracwalk import kernel as kernel_module
-from fracwalk.evolution import DEFAULT_MAX_RADIUS, TAIL_EPSILON
-from oracles import direct_convolve, walk_tail
+from fracwalk.evolution import TAIL_EPSILON
+from oracles import direct_convolve, kernel_distribution, walk_tail
 
 KERNEL = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=16)
 
@@ -82,11 +80,11 @@ def test_mismatched_mesh_rejected():
     with pytest.raises(ValueError):
         convolve(p, q)
     with pytest.raises(ValueError):
-        step(q, KERNEL)
+        evolve(q, KERNEL, 1)
 
 
 def test_step_from_delta_reproduces_kernel():
-    out = step(LatticeDistribution.delta(1, 0.1), KERNEL)
+    out = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, 1)
     assert out.time_index == 1
     assert out.value([0]) == pytest.approx(KERNEL.p0, abs=1e-15)
     for k in (1, -1, 5):
@@ -95,8 +93,8 @@ def test_step_from_delta_reproduces_kernel():
 
 def test_step_with_frozen_kernel_is_identity():
     frozen = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.0, trunc_radius=8)
-    d = step(LatticeDistribution.delta(1, 0.1), KERNEL)
-    out = step(d, frozen)
+    d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, 1)
+    out = evolve(d, frozen, 1)
     np.testing.assert_array_equal(out.mass, d.mass)
     assert out.time_index == d.time_index + 1
 
@@ -110,7 +108,7 @@ def test_mass_conserved_over_many_steps():
 
 
 def test_cf_factorization_over_64_steps():
-    one = step(LatticeDistribution.delta(1, 0.1), KERNEL)
+    one = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, 1)
     xi = np.linspace(0.0, 10.0, 26)
     base = characteristic_function(one, xi)
     # the one-step law's CF is the kernel CF evaluated with the mesh factor
@@ -128,7 +126,7 @@ def test_cf_trivial_values():
     d = LatticeDistribution.delta(1, 0.1)
     assert characteristic_function(d, [0.0])[0] == pytest.approx(1.0)
     assert np.allclose(characteristic_function(d, np.linspace(-5, 5, 7)), 1.0)
-    one = step(d, KERNEL)
+    one = evolve(d, KERNEL, 1)
     vals = characteristic_function(one, np.linspace(0, 30, 16))
     assert np.allclose(vals.imag, 0.0, atol=1e-14)  # symmetric law
     assert np.all(np.abs(vals) <= 1.0 + 1e-14)
@@ -136,13 +134,13 @@ def test_cf_trivial_values():
 
 
 def test_evolved_law_symmetric():
-    for n, box in ((5, DEFAULT_MAX_RADIUS), (3000, 128)):
-        d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
+    for n in (5, 3000):  # the Chernoff cut is active at 3000 steps
+        d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n)
         np.testing.assert_allclose(d.mass, d.mass[::-1], atol=1e-16)
 
 
 def test_zero_steps_keep_the_law_and_negative_steps_are_rejected():
-    d = step(LatticeDistribution.delta(1, 0.1), KERNEL)
+    d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, 1)
     same = evolve(d, KERNEL, 0)
     np.testing.assert_array_equal(same.mass, d.mass)
     assert same.time_index == d.time_index and same.mass_deficit == d.mass_deficit
@@ -150,11 +148,26 @@ def test_zero_steps_keep_the_law_and_negative_steps_are_rejected():
         evolve(d, KERNEL, -1)
 
 
+def test_step_count_must_be_an_integer():
+    d = LatticeDistribution.delta(1, 0.1)
+    for n_steps in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match="n_steps"):
+            evolve(d, KERNEL, n_steps)
+    out = evolve(d, KERNEL, np.int64(5))
+    assert type(out.time_index) is int and out.time_index == 5
+    np.testing.assert_array_equal(out.mass, evolve(d, KERNEL, 5).mass)
+
+
 def test_truncation_tracks_deficit():
     d = LatticeDistribution.delta(1, 0.1)
-    out = evolve(d, KERNEL, 4, max_radius=24)
-    assert out.support_radius == 24
-    assert out.mass_deficit > 0.0
+    out = evolve(d, KERNEL, 40)
+    r = _cut_radius(d, KERNEL, 40)
+    assert out.support_radius == r < 40 * 16  # the Chernoff cut is active
+    ref = d.mass
+    for _ in range(40):
+        ref = direct_convolve(ref, KERNEL.mass_cube())
+    assert _mass_outside(ref, r) <= TAIL_EPSILON  # the exact mass beyond the cut
+    assert abs(out.mass_deficit) < 1e-11  # FFT noise
     assert out.total_mass() + out.mass_deficit == pytest.approx(1.0, abs=1e-12)
 
 
@@ -230,7 +243,7 @@ def test_two_dimensional_step():
 
 
 def test_csv_and_json_round_trip(tmp_path):
-    d = step(LatticeDistribution.delta(1, 0.1), KERNEL)
+    d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, 1)
     csv_path = tmp_path / "dist.csv"
     d.to_csv(csv_path)
     lines = csv_path.read_text().strip().splitlines()
@@ -279,45 +292,51 @@ def test_fft_power_matches_step_loop():
 
 
 def test_fft_power_clips_once_and_counts_mass_outside_box():
-    n, box = 3000, 128
+    n = 3000
     start = LatticeDistribution.delta(1, 0.1)
-    full = evolve(start, KERNEL, n, max_radius=n * 16)
-    d = evolve(start, KERNEL, n, max_radius=box)
+    d = evolve(start, KERNEL, n)
     cut = _cut_radius(start, KERNEL, n)
-    assert full.support_radius == cut and abs(full.mass_deficit) < 1e-11  # FFT noise
+    assert d.support_radius == cut < n * 16 and abs(d.mass_deficit) < 1e-11  # FFT noise
     # the walk's exact mass beyond the cut box
     assert 2 * walk_tail(_marginal(KERNEL), n, cut + 1) <= TAIL_EPSILON
-    assert d.support_radius == box
-    inside = full.mass[cut - box : cut + box + 1]
-    np.testing.assert_array_equal(d.mass, inside)
-    outside = full.total_mass() - inside.sum()
-    assert outside > 0.01
-    assert d.mass_deficit - full.mass_deficit == pytest.approx(outside, rel=0, abs=1e-15)
+    assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
+def test_cauchy_walk_law_keeps_the_whole_certified_box():
+    # the cauchy_walk benchmark's kernel: its certified box, far wider than
+    # 4096 sites, comes back whole, so the deficit is FFT noise
+    m = OrderMeasure.single(1.0)
+    k = build_kernel(m, 1, 0.025, 0.5 * stability_sigma(m, 1, 0.025, 0.0).tau_max, 4096)
+    n, start = 84, LatticeDistribution.delta(1, 0.025)
+    assert math.ceil(1.0 / k.tau) == n
+    d = evolve(start, k, n)
+    assert d.support_radius == _cut_radius(start, k, n) == 18594
+    assert abs(d.mass_deficit) <= 1e-11
 
 
 def test_fft_power_conserves_mass_on_a_large_grid():
-    # 420,001 sites, where clamping the FFT noise at 0 adds about 1e-12 of mass
+    # a 10,071-site box (the full support has 420,001), where clamping the FFT
+    # noise at 0 adds 1.6e-14 of mass
     k = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=1000)
     start = LatticeDistribution.delta(1, 0.1)
     cut = _cut_radius(start, k, 210)
     assert 2 * walk_tail(_marginal(k), 210, cut + 1) <= TAIL_EPSILON  # exact mass beyond the cut
-    for box in (DEFAULT_MAX_RADIUS, 210 * 1000):
-        d = evolve(start, k, 210, max_radius=box)
-        assert d.support_radius == min(box, cut) and np.all(d.mass >= 0.0)
-        assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, rel=0, abs=1e-12)
+    d = evolve(start, k, 210)
+    assert d.support_radius == cut and np.all(d.mass >= 0.0)
+    assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 def test_small_budget_gives_the_free_walk(monkeypatch):
-    n, box = 600, 1000
-    free = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
+    n = 600
+    free = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n)
     # too small for the full support (19201 sites), large enough for the
     # circle of the certified reach
     monkeypatch.setattr(evolution, "MEMORY_BUDGET_BYTES", 60_000)
-    d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n, max_radius=box)
+    d = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, n)
     assert evolution._fft_bytes(n * 16, 1) > evolution.MEMORY_BUDGET_BYTES
     np.testing.assert_allclose(d.mass, free.mass, rtol=0, atol=1e-15)
     assert d.time_index == n and d.tau == KERNEL.tau
-    assert d.support_radius == _cut_radius(LatticeDistribution.delta(1, 0.1), KERNEL, n) < box
+    assert d.support_radius == _cut_radius(LatticeDistribution.delta(1, 0.1), KERNEL, n)
     assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, abs=1e-12)
 
 
@@ -353,7 +372,7 @@ def test_reach_inside_the_kernel_keeps_the_kernel_on_the_circle():
     k = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 1e-15, trunc_radius=16)
     reach, bound = evolution._tail_reach(k, 1)
     assert reach <= 16 and 0.0 < bound <= TAIL_EPSILON
-    d = step(LatticeDistribution.delta(1, 0.1), k)
+    d = evolve(LatticeDistribution.delta(1, 0.1), k, 1)
     assert d.support_radius == 16 and d.wrap_bound == bound
     np.testing.assert_allclose(d.mass, k.mass_cube(), rtol=0, atol=1e-15)
 
@@ -404,12 +423,11 @@ def test_fft_bytes_bound_the_measured_peak(dim, K, n):
     k = build_kernel(m, dim, 0.2, 0.5 * stability_sigma(m, dim, 0.2, 0.0).tau_max, K)
     for start in (LatticeDistribution.delta(dim, 0.2), _asymmetric_start(dim, 21, 4, 0.2)):
         R = start.support_radius + n * K
-        for box in (DEFAULT_MAX_RADIUS, 64):
-            peak = _peak_bytes(evolve, start, k, n, max_radius=box)
-            assert peak <= evolution._fft_bytes(R, dim)
-            if dim == 1 and start.mass.size == 1:
-                # a complex half grid and the real circle, 16 B per site
-                assert peak <= 17 * evolution._grid_side(R)
+        peak = _peak_bytes(evolve, start, k, n)
+        assert peak <= evolution._fft_bytes(R, dim)
+        if dim == 1 and start.mass.size == 1:
+            # a complex half grid and the real circle, 16 B per site
+            assert peak <= 17 * evolution._grid_side(R)
     q = _asymmetric_start(dim, 2 * n * K + 1, 5)
     peak = _peak_bytes(convolve, q, q)
     assert peak <= evolution._fft_bytes(2 * n * K, dim)

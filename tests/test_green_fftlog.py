@@ -12,9 +12,8 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from fracwalk import DiffusionSymbol, OrderMeasure, QuadParams, QuadratureError, green_density
+from fracwalk import DiffusionSymbol, OrderMeasure, QuadratureError, green_density
 from fracwalk.analytic import (
-    DEFAULT_QUAD,
     _fftlog_tables,
     _radial_point,
     _smooth_panels,
@@ -58,7 +57,7 @@ def test_fftlog_matches_quadrature_on_default_grid(name, dim):
     ref = _quadrature(sym, 1.0, dens.r)
     bound = 1e-12 * (ref[0] if (name, dim) in LARGE_PEAK else 1.0)
     assert np.max(np.abs(dens.values - ref)) <= bound
-    assert dens.error_estimate <= DEFAULT_QUAD.tol
+    assert dens.error_estimate <= 1e-7  # green_density's default tol
 
 
 def _cauchy_cdf(r, dim, t):
@@ -87,7 +86,7 @@ def test_fallback_radial_cdf_matches_cauchy_closed_forms(dim):
     # without the FFTLog table the CDF integrates the requested grid
     sym = DiffusionSymbol(OrderMeasure.single(1.0), dim)
     certified = green_density(sym, 1.0)
-    dens = green_density(sym, 1.0, quad_params=QuadParams(tol=0.5 * certified.error_estimate))
+    dens = green_density(sym, 1.0, tol=0.5 * certified.error_estimate)
     assert not _from_fftlog(dens)
     r = dens.r[1:]
     probe = np.concatenate([[0.0], r, np.sqrt(r[1:] * r[:-1]), [0.3, 1.0, 7.0]])
@@ -112,7 +111,7 @@ def test_missed_certificate_falls_back_to_the_quadrature():
     grid = default_radial_grid(sym, 1.0, 64)
     certified = green_density(sym, 1.0, grid)
     tol = 0.5 * certified.error_estimate
-    dens = green_density(sym, 1.0, grid, QuadParams(tol=tol))
+    dens = green_density(sym, 1.0, grid, tol=tol)
     assert not _from_fftlog(dens)
     np.testing.assert_array_equal(dens.values, _quadrature(sym, 1.0, grid))
     assert dens.error_estimate <= tol
@@ -126,11 +125,11 @@ def test_large_peak_scales_only_the_density_certificate():
     sym = DiffusionSymbol(OrderMeasure.single(0.3), 3)
     r = default_radial_grid(sym, 1.0)
     cdf_spread = _fftlog_tables(sym, 1.0, r)[3][1]
-    dens = green_density(sym, 1.0, r, QuadParams(tol=2.0 * cdf_spread))
+    dens = green_density(sym, 1.0, r, tol=2.0 * cdf_spread)
     assert _from_fftlog(dens)
     assert dens.error_estimate > 2.0 * cdf_spread
     with pytest.raises(QuadratureError):
-        green_density(sym, 1.0, r, QuadParams(tol=0.5 * cdf_spread))
+        green_density(sym, 1.0, r, tol=0.5 * cdf_spread)
 
 
 @pytest.mark.parametrize("r_max_scale", [None, 10.0])

@@ -12,13 +12,12 @@ from fracwalk import (
     build_kernel,
     characteristic_function,
     evolve,
-    kernel_distribution,
     stability_sigma,
 )
 from fracwalk import kernel as kernel_module
 from fracwalk.diagnostics import default_xi_grid
 from fracwalk.kernel import _CF_BLOCK_ENTRIES, frequency_rows, phase_sum
-from oracles import dense_kernel_cf
+from oracles import dense_kernel_cf, kernel_distribution
 
 TWO_ATOMS = OrderMeasure.from_atoms([(0.7, 1.0), (1.4, 0.5)])
 

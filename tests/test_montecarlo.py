@@ -470,6 +470,14 @@ class TestStream:
         with pytest.raises(ValueError, match="seed"):
             run_walks(SAMPLER, 3, 4, seed=seed)
 
+    def test_step_count_must_be_an_integer(self):
+        for n_steps in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match="n_steps"):
+                run_walks(SAMPLER, n_steps, 4, seed=0)
+        ens = run_walks(SAMPLER, np.int64(5), 10, seed=3)
+        assert type(ens.n_steps) is int and ens.n_steps == 5
+        np.testing.assert_array_equal(ens.lattice_positions, run_walks(SAMPLER, 5, 10, seed=3).lattice_positions)
+
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_walks_the_end_seeds_of_the_range(self, seed):
         ens = run_walks(SAMPLER, 5, 10, seed=seed)
