@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import fft, irfft, irfftn, rfft
 
-from .kernel import LatticeKernel, lattice_vector, phase_sum
+from .kernel import LatticeKernel, integer_count, lattice_vector, phase_sum
 from .special import next_fast_len
 
 # Largest working set one FFT convolution may claim; a product whose circle
@@ -35,7 +35,9 @@ TAIL_EPSILON = 2.0**-53
 # tracemalloc: a complex product holds at most two complex half spectra and
 # a real circle (24 B per site in dims 1-3, plus the rows of a wide first
 # input); the real one-site ``evolve`` product peaks at 16 B in dims 1-3.
-_FFT_BYTES_PER_SITE = 25
+# Each site of the input cubes adds up to 48 B: in 1D, ``_tail_reach`` and
+# ``mass_cube`` hold six arrays as long as the kernel cube.
+_FFT_BYTES_PER_SITE, _CUBE_BYTES_PER_SITE = 25, 48
 
 
 @dataclass(frozen=True)
@@ -119,13 +121,14 @@ def _grid_side(radius: int) -> int:
     return next_fast_len(2 * radius + 1, real=True)
 
 
-def _fft_bytes(radius: int, dim: int) -> int:
-    return _FFT_BYTES_PER_SITE * _grid_side(radius) ** dim
+def _fft_bytes(radius: int, dim: int, inputs: int = 0) -> int:
+    """Peak bytes of one FFT product: its circle and ``inputs`` sites of input cubes."""
+    return _FFT_BYTES_PER_SITE * _grid_side(radius) ** dim + _CUBE_BYTES_PER_SITE * inputs
 
 
-def _check_budget(radius: int, dim: int) -> None:
+def _check_budget(radius: int, dim: int, inputs: int) -> None:
     """Raise ValueError, before allocating, if the FFT circle of this radius won't fit."""
-    need = _fft_bytes(radius, dim)
+    need = _fft_bytes(radius, dim, inputs)
     if need > MEMORY_BUDGET_BYTES:
         raise ValueError(
             f"an FFT convolution on a {'x'.join([str(_grid_side(radius))] * dim)} circle needs "
@@ -237,7 +240,7 @@ def convolve(p: LatticeDistribution, q: LatticeDistribution) -> LatticeDistribut
     if p.dim != q.dim or p.h != q.h:
         raise ValueError("convolution requires matching dim and mesh width")
     radius = p.support_radius + q.support_radius
-    _check_budget(radius, p.dim)
+    _check_budget(radius, p.dim, p.mass.size + q.mass.size)
     mass, lost = _fft_power(p.mass, q.mass, 1, radius)
     return replace(
         p,
@@ -300,20 +303,19 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
     """
     if dist.dim != kernel.dim or dist.h != kernel.h:
         raise ValueError("distribution and kernel must share dim and mesh width")
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
-        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+    n_steps = integer_count(n_steps, "n_steps", 0)
     mass, lost, wrapped = dist.mass, 0.0, 0.0
     if n_steps > 0 and kernel.tau != 0.0 and kernel.sigma != 0.0:
         reach, bound = _tail_reach(kernel, n_steps)
         radius = max(dist.support_radius + reach - 1, kernel.trunc_radius)
-        _check_budget(radius, dist.dim)
+        _check_budget(radius, dist.dim, dist.mass.size + (2 * kernel.trunc_radius + 1) ** dist.dim)
         mass, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, radius, True)
         wrapped = bound * float(np.abs(dist.mass).sum())
     return replace(
         dist,
         mass=mass,
         tau=kernel.tau,
-        time_index=dist.time_index + int(n_steps),
+        time_index=dist.time_index + n_steps,
         mass_deficit=dist.mass_deficit + lost,
         wrap_bound=dist.wrap_bound + wrapped,
     )

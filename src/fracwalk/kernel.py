@@ -91,6 +91,15 @@ def lattice_vector(k, dim: int) -> np.ndarray:
     return k.astype(np.int64).ravel()
 
 
+def integer_count(value, name: str, least: int) -> int:
+    """``value`` as a Python int; ValueError naming ``name`` for a bool, a
+    non-integer or a value below ``least`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Lattice shells
 
@@ -359,10 +368,7 @@ class LatticeKernel:
     def mass_cube(self) -> np.ndarray:
         """The jump law on the cube [-K, K]^dim, origin (p0) at index (K,...,K)."""
         K = self.trunc_radius
-        m = np.zeros((2 * K + 1,) * self.dim)
-        m[(K,) * self.dim] = self.p0
-        m[tuple((self.shells.sites + K).T)] = self.site_probabilities
-        return m
+        return self._shell_lookup(_norm_grid(np.arange(-K, K + 1), self.dim))
 
     def cf(self, xi) -> np.ndarray:
         """One-step characteristic function of the rescaled walk, p-hat(-h xi).

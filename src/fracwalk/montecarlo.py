@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from threading import Thread
 
 import numpy as np
-from numpy.random import Generator, PCG64DXSM
+from numpy.random import PCG64DXSM
 
-from .kernel import LatticeKernel
+from .kernel import LatticeKernel, integer_count
 
 # Raw words drawn per walk tile: small enough that its work arrays
 # stay in cache, large enough that per-tile overhead does not matter.
@@ -55,14 +55,14 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 
 @dataclass(frozen=True)
 class JumpSampler:
-    """Alias table over every kernel outcome (the stay-put outcome included).
+    """Alias table over every kernel outcome: the stay-put outcome 0, then
+    the sites of ``kernel.shells.sites`` in order.
 
-    ``displacements[i]`` is the integer jump of outcome i; a draw picks slot
-    i uniformly and takes it with probability ``accept[i]``, otherwise takes
-    ``alias[i]``.  A draw is a 32-bit u: slot i holds the c_i values from
-    ceil(i 2^32 / N) up to the next slot's first value, and keeps those
-    below ``limit[i]``, that first value plus min(round(accept[i] 2^32 / N),
-    c_i), computed exactly.  ``codes[2i]`` and ``codes[2i + 1]`` pack the
+    A draw is a 32-bit u: slot i = (u N) >> 32 holds the c_i values from
+    ceil(i 2^32 / N) up to the next slot's first value, takes i for those
+    below its limit, that first value plus min(round(accept[i] 2^32 / N),
+    c_i) computed exactly from Walker's float table (:func:`_alias_table`),
+    and ``alias[i]`` for the rest.  ``codes[2i]`` and ``codes[2i + 1]`` pack the
     displacements of ``alias[i]`` and of i into one int64, one
     base-2^(63 // dim) digit per axis offset by the truncation radius K, so
     a walk step is one gather at the code index ``2 slot + keep`` in any
@@ -73,30 +73,13 @@ class JumpSampler:
     """
 
     kernel: LatticeKernel
-    displacements: np.ndarray  # (n_outcomes, dim) int64
-    weights: np.ndarray        # (n_outcomes,) the exact outcome probabilities
-    accept: np.ndarray         # (n_outcomes,) float64 in [0, 1]
-    alias: np.ndarray          # (n_outcomes,) int64; alias[i] == i where accept[i] == 1
-    keys: np.ndarray           # (n_outcomes,) uint64, (2i + 1) 2^33 + limit[i] - 1
-    codes: np.ndarray          # (2 n_outcomes,) int64, packed displacements[alias[i]], displacements[i]
-    block_steps: int           # codes summed without a carry: block_steps * 2K < 2^(63 // dim)
+    keys: np.ndarray   # (n_outcomes,) uint64, (2i + 1) 2^33 + limit[i] - 1
+    codes: np.ndarray  # (2 n_outcomes,) int64, packed displacements of alias[i], then of i
+    block_steps: int   # codes summed without a carry: block_steps * 2K < 2^(63 // dim)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.weights)
-
-    @property
-    def limit(self) -> np.ndarray:
-        """(n_outcomes,) uint64: the first u value of slot i that takes ``alias[i]``."""
-        odd = np.arange(1, 2 * self.n_outcomes, 2, dtype=np.uint64) << _SHIFT33
-        return self.keys - odd + np.uint64(1)
-
-    def sample(self, rng: Generator, size: int) -> np.ndarray:
-        """Draw ``size`` outcome indices from ``size`` 32-bit draws of ``rng``
-        (used for single-law statistics)."""
-        index = _draw(self, rng.integers(0, 2**32, size, dtype=np.uint64))
-        slot = index >> 1
-        return np.where(index & 1, slot, self.alias[slot])
+        return len(self.keys)
 
 
 def _draw(sampler: JumpSampler, u: np.ndarray, work: tuple | None = None) -> np.ndarray:
@@ -168,14 +151,14 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_sampler(kernel: LatticeKernel) -> JumpSampler:
-    """Alias table over origin + all retained sites."""
+    """Packed alias table over origin + all retained sites."""
     sites = kernel.shells.sites
-    displacements = np.vstack([np.zeros((1, kernel.dim), dtype=np.int64), sites])
-    weights = np.concatenate([[kernel.p0], kernel.site_probabilities])
-    n = len(weights)
+    n = len(sites) + 1
     if n > 2**30:
         raise ValueError("an alias table draws at most 2^30 outcomes")
+    weights = np.concatenate([[kernel.p0], kernel.site_probabilities])
     accept, alias = _alias_table(weights)
+    del weights  # arrays of N numbers set the peak memory: hold few at once
     # slot i takes the u values from ceil(i 2^32 / N) up to ceil((i + 1) 2^32 / N)
     edge = np.arange(n + 1, dtype=np.uint64)
     edge <<= _SHIFT32
@@ -191,26 +174,21 @@ def build_sampler(kernel: LatticeKernel) -> JumpSampler:
     del kept
     keys -= np.uint64(1)  # wraps at a limit of 0 and wraps back below
     keys += np.arange(1, 2 * n, 2, dtype=np.uint64) << _SHIFT33
-    K, bits = kernel.trunc_radius, _digit_bits(kernel.dim)
-    codes = np.zeros(2 * len(weights), dtype=np.int64)
-    own, digit = codes[1::2], np.empty(len(weights), dtype=np.int64)
+    K, bits = kernel.trunc_radius, 63 // kernel.dim  # bits per axis digit
+    codes = np.zeros(2 * n, dtype=np.int64)
+    own, digit = codes[1::2], np.empty(n - 1, dtype=np.int64)
+    own[0] = sum(K << (axis * bits) for axis in range(kernel.dim))  # the origin
     for axis in range(kernel.dim):
-        np.add(displacements[:, axis], K, out=digit)
+        np.add(sites[:, axis], K, out=digit)
         digit <<= axis * bits
-        own += digit
+        own[1:] += digit
     del digit
     codes[0::2] = own[alias]
 
-    fields = (displacements, weights, accept, alias, keys, codes)
-    for arr in fields:
-        arr.setflags(write=False)
+    keys.setflags(write=False)
+    codes.setflags(write=False)
     # the cube guard of enumerate_shells keeps 2K far below 2^bits
-    return JumpSampler(kernel, *fields, block_steps=((1 << bits) - 1) // (2 * K))
-
-
-def _digit_bits(dim: int) -> int:
-    """Bits per axis digit of a packed displacement code."""
-    return 63 // dim
+    return JumpSampler(kernel, keys, codes, block_steps=((1 << bits) - 1) // (2 * K))
 
 
 @dataclass(frozen=True)
@@ -335,7 +313,7 @@ def _run_chunks(
     on every tile, which doubles the walk time.
     """
     kernel = sampler.kernel
-    bits = _digit_bits(kernel.dim)
+    bits = 63 // kernel.dim
     mask = (1 << bits) - 1
     words = (n_steps + 1) // 2
     span = min(n_steps, 2 * _CHUNK_WORDS)
@@ -378,11 +356,9 @@ def run_walks(
     threads: int = 1,
 ) -> WalkEnsemble:
     """Simulate walkers; output depends only on (kernel, seed, n_steps, n_walkers)."""
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) or n_steps < 0:
-        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
-    n_steps = int(n_steps)  # a numpy integer here makes PCG64DXSM.advance raise
-    if n_walkers < 1:
-        raise ValueError("n_walkers must be >= 1")
+    n_steps = integer_count(n_steps, "n_steps", 0)  # PCG64DXSM.advance takes no numpy integer
+    n_walkers = integer_count(n_walkers, "n_walkers", 1)
+    threads = integer_count(threads, "threads", 1)
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     kernel = sampler.kernel
@@ -459,8 +435,8 @@ class Histogram:
 
 def histogram(ensemble: WalkEnsemble, bin_width: float) -> Histogram:
     """Bin the ensemble; densities integrate to 1 over the binned volume."""
-    if bin_width < ensemble.h:
-        raise ValueError("bin_width must be at least the mesh width h")
+    if not ensemble.h <= bin_width < math.inf:
+        raise ValueError(f"bin_width must be finite and at least the mesh width h: {bin_width!r}")
     return _bin(ensemble, bin_width)
 
 

@@ -9,9 +9,11 @@ lattice shells by sorting the whole cube, walks summed axis by axis, the
 KS distance with the reference CDF evaluated at every sample, lattice
 convolution by direct summation, a walk's far tail by exponential tilting,
 and the total variation between a histogram and a law laid on one box that
-holds both.  It also holds the accessors only the tests use: the law an
-alias table samples, a histogram's bin centres, a measure's total weight,
-a kernel's normalization defect and its one-step law as a distribution.
+holds both.  It also holds the accessors only the tests use: a sampler's
+outcome law, displacements, float alias table, limits and single draws, the
+law an alias table samples, a histogram's bin centres, a measure's total
+weight, a kernel's normalization defect, its jump law scattered onto the
+cube and its one-step law as a distribution.
 """
 
 import math
@@ -28,6 +30,7 @@ from fracwalk import (
     RadialDensity,
     norming_constant,
 )
+from fracwalk import montecarlo
 from fracwalk.analytic import _osc_zeros
 from fracwalk.kernel import Shells, enumerate_shells, frequency_rows, surface_area
 from fracwalk.quadrature import panel_integrals
@@ -228,16 +231,18 @@ def per_axis_walk(sampler, n_steps: int, n_walkers: int, seed: int) -> np.ndarra
     of it: slot (u N) >> 32, kept when u is below the slot's limit.  Per
     axis, a step adds the alias displacement and, where the slot is kept,
     the difference to the slot's own displacement: two gathers, one multiply
-    and two row sums.
+    and two row sums.  The displacements and aliases come from the kernel
+    and its float table, not from the sampler's packed codes.
     """
     draws = 2 * ((n_steps + 1) // 2)
     rng = Generator(PCG64DXSM(seed))
     u = rng.integers(0, 2**32, size=n_walkers * draws, dtype=np.uint64)
     u = u.reshape(n_walkers, draws)[:, :n_steps]
     slot = (u * np.uint64(sampler.n_outcomes) >> np.uint64(32)).astype(np.int64)
-    keep = u < sampler.limit[slot]
-    alias_columns = sampler.displacements[sampler.alias].T
-    keep_columns = sampler.displacements.T - alias_columns
+    keep = u < sampler_limits(sampler)[slot]
+    displacements = outcome_displacements(sampler.kernel)
+    alias_columns = displacements[float_table(sampler.kernel)[1]].T
+    keep_columns = displacements.T - alias_columns
     positions = np.zeros((n_walkers, sampler.kernel.dim), dtype=np.int64)
     for axis in range(sampler.kernel.dim):
         kept = (keep_columns[axis][slot] * keep).sum(axis=1)
@@ -311,11 +316,42 @@ def walk_tail(marginal: np.ndarray, n: int, x: int) -> float:
     return float(np.exp(n * math.log(m) - lam * j) @ power[j + n * K])
 
 
+def outcome_weights(kernel) -> np.ndarray:
+    """The exact law a sampler of ``kernel`` draws from: p0, then the
+    probability of each site of ``kernel.shells.sites``."""
+    return np.concatenate([[kernel.p0], kernel.site_probabilities])
+
+
+def outcome_displacements(kernel) -> np.ndarray:
+    """(n_outcomes, dim) int64 jump of each sampler outcome: the origin, then the sites."""
+    return np.vstack([np.zeros((1, kernel.dim), dtype=np.int64), kernel.shells.sites])
+
+
+def float_table(kernel) -> tuple[np.ndarray, np.ndarray]:
+    """(accept, alias): Walker's float alias table of the outcome law, which
+    ``build_sampler`` rounds into its integer limits."""
+    return montecarlo._alias_table(outcome_weights(kernel))
+
+
+def sampler_limits(sampler) -> np.ndarray:
+    """(n_outcomes,) uint64: the first u value of slot i that takes ``alias[i]``."""
+    odd = np.arange(1, 2 * sampler.n_outcomes, 2, dtype=np.uint64) << np.uint64(33)
+    return sampler.keys - odd + np.uint64(1)
+
+
+def sample_outcomes(sampler, rng: Generator, size: int) -> np.ndarray:
+    """Outcome indices of ``size`` 32-bit draws of ``rng``, drawn as a walk step is."""
+    index = montecarlo._draw(sampler, rng.integers(0, 2**32, size, dtype=np.uint64))
+    slot = index >> 1
+    return np.where(index & 1, slot, float_table(sampler.kernel)[1][slot])
+
+
 def induced_probabilities(sampler) -> np.ndarray:
-    """Outcome law the alias table actually samples from."""
+    """Outcome law the float alias table samples from."""
+    accept, alias = float_table(sampler.kernel)
     n = sampler.n_outcomes
-    p = sampler.accept / n
-    np.add.at(p, sampler.alias, (1.0 - sampler.accept) / n)
+    p = accept / n
+    np.add.at(p, alias, (1.0 - accept) / n)
     return p
 
 
@@ -333,6 +369,16 @@ def normalization_defect(kernel) -> float:
     """|p0 + sum_k p_k - 1|, float-rounding sized by construction."""
     off = float(np.sum(kernel.shells.multiplicity * kernel.shell_prob))
     return abs(kernel.p0 + off - 1.0)
+
+
+def mass_cube_by_scatter(kernel) -> np.ndarray:
+    """The jump law on the cube [-K, K]^dim, p0 put at the centre and every
+    site's probability scattered to it through ``kernel.shells.sites``."""
+    K = kernel.trunc_radius
+    m = np.zeros((2 * K + 1,) * kernel.dim)
+    m[(K,) * kernel.dim] = kernel.p0
+    m[tuple((kernel.shells.sites + K).T)] = kernel.site_probabilities
+    return m
 
 
 def kernel_distribution(kernel) -> LatticeDistribution:

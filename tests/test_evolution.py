@@ -150,7 +150,7 @@ def test_zero_steps_keep_the_law_and_negative_steps_are_rejected():
 
 def test_step_count_must_be_an_integer():
     d = LatticeDistribution.delta(1, 0.1)
-    for n_steps in (2.5, 3.0, True):
+    for n_steps in (2.5, 3.0, True, "3", None):
         with pytest.raises(ValueError, match="n_steps"):
             evolve(d, KERNEL, n_steps)
     out = evolve(d, KERNEL, np.int64(5))
@@ -417,20 +417,36 @@ def _peak_bytes(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("dim, K, n", [(1, 1000, 60), (1, 16, 2000), (2, 16, 27), (2, 40, 8)])
-def test_fft_bytes_bound_the_measured_peak(dim, K, n):
+def _evolve_peak_within_estimate(dim, K, n, start):
+    """evolve's tracemalloc peak, checked against ``_fft_bytes`` of the box
+    it keeps (on the circle it allocates) and of its input cubes."""
     m = OrderMeasure.single(1.5)
     k = build_kernel(m, dim, 0.2, 0.5 * stability_sigma(m, dim, 0.2, 0.0).tau_max, K)
+    r = max(start.support_radius + evolution._tail_reach(k, n)[0] - 1, K)
+    peak = _peak_bytes(evolve, start, k, n)
+    assert peak <= evolution._fft_bytes(r, dim, start.mass.size + (2 * K + 1) ** dim)
+    return peak
+
+
+@pytest.mark.parametrize(
+    "dim, K, n", [(1, 1000, 60), (1, 16, 2000), (2, 16, 27), (2, 40, 8), (3, 6, 4)]
+)
+def test_fft_bytes_bound_the_measured_peak(dim, K, n):
     for start in (LatticeDistribution.delta(dim, 0.2), _asymmetric_start(dim, 21, 4, 0.2)):
         R = start.support_radius + n * K
-        peak = _peak_bytes(evolve, start, k, n)
-        assert peak <= evolution._fft_bytes(R, dim)
+        peak = _evolve_peak_within_estimate(dim, K, n, start)
         if dim == 1 and start.mass.size == 1:
             # a complex half grid and the real circle, 16 B per site
             assert peak <= 17 * evolution._grid_side(R)
     q = _asymmetric_start(dim, 2 * n * K + 1, 5)
     peak = _peak_bytes(convolve, q, q)
     assert peak <= evolution._fft_bytes(2 * n * K, dim)
+
+
+def test_fft_bytes_count_the_kernel_cube():
+    # one step of a wide 1D kernel: the kernel cube and its marginal, not
+    # the circle, set the peak, at about 45 B per circle site
+    _evolve_peak_within_estimate(1, 4096, 1, LatticeDistribution.delta(1, 0.2))
 
 
 def test_over_budget_request_raises_before_allocating():

@@ -1,6 +1,6 @@
 """The |k|^2 layout of a kernel on the lattice: shell enumeration against the
-sort-the-whole-cube oracle, its memory, the shell-table lookup behind ``prob``
-and ``cf``, and the integer check on lattice vectors."""
+sort-the-whole-cube oracle, its memory, the shell-table lookup behind ``prob``,
+``mass_cube`` and ``cf``, and the integer check on lattice vectors."""
 
 import os
 import subprocess
@@ -13,7 +13,7 @@ import yaml
 
 from fracwalk import LatticeDistribution, OrderMeasure, build_kernel, stability_sigma
 from fracwalk.kernel import enumerate_shells
-from oracles import enumerate_shells_bruteforce
+from oracles import enumerate_shells_bruteforce, mass_cube_by_scatter
 
 SHELL_FIELDS = ("norm_sq", "multiplicity", "sites", "site_shell")
 
@@ -75,6 +75,14 @@ def test_prob_reads_the_shell_table_at_its_edges(dim):
     # |k|^2 past the int64 range used to wrap round to 0 and read p0
     assert k.prob([2**32] * dim) == 0.0
     assert k.prob([-(2**61)] + [0] * (dim - 1)) == 0.0
+
+
+@pytest.mark.parametrize("dim, K", [(1, 64), (1, 4096), (2, 16), (2, 128), (3, 16)])
+def test_mass_cube_equals_the_site_scatter(dim, K):
+    measure = OrderMeasure(atoms=((0.7, 1.0), (1.4, 0.5)))
+    tau = 0.5 * stability_sigma(measure, dim, 0.2, 1.0).tau_max
+    k = build_kernel(measure, dim, 0.2, tau, K)
+    assert np.array_equal(k.mass_cube(), mass_cube_by_scatter(k))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -14,6 +14,7 @@ from numpy.random import Generator, PCG64DXSM, Philox
 from scipy import stats
 
 from fracwalk import (
+    JumpSampler,
     LatticeDistribution,
     OrderMeasure,
     build_kernel,
@@ -26,7 +27,17 @@ from fracwalk import (
 from fracwalk import montecarlo
 from fracwalk.evolution import characteristic_function
 from fracwalk.montecarlo import STREAM_VERSION, WalkEnsemble
-from oracles import bin_centers_first_axis, empirical_cf, induced_probabilities, per_axis_walk
+from oracles import (
+    bin_centers_first_axis,
+    empirical_cf,
+    float_table,
+    induced_probabilities,
+    outcome_displacements,
+    outcome_weights,
+    per_axis_walk,
+    sample_outcomes,
+    sampler_limits,
+)
 
 BENCH = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=64)
 SAMPLER = build_sampler(BENCH)
@@ -40,8 +51,30 @@ ENGINE_SAMPLERS = {
 class TestSampler:
     def test_alias_reproduces_kernel_probabilities(self):
         induced = induced_probabilities(SAMPLER)
-        np.testing.assert_allclose(induced, SAMPLER.weights, atol=1e-15)
-        assert SAMPLER.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        weights = outcome_weights(BENCH)
+        np.testing.assert_allclose(induced, weights, atol=1e-15)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_sampler_holds_only_the_packed_table(self):
+        fields = [f.name for f in dataclasses.fields(JumpSampler)]
+        assert fields == ["kernel", "keys", "codes", "block_steps"]
+        assert not hasattr(SAMPLER, "sample") and not hasattr(SAMPLER, "limit")
+        assert not SAMPLER.keys.flags.writeable and not SAMPLER.codes.flags.writeable
+
+    def test_sampler_memory_per_outcome(self):
+        # keys and codes, 24 B per outcome, are all a sampler keeps; the
+        # float alias table they are rounded from is built and dropped
+        m = OrderMeasure.single(1.5)
+        k = build_kernel(m, 2, 0.1, 0.5 * stability_sigma(m, 2, 0.1, 0.0).tau_max, 400)
+        tracemalloc.start()
+        try:
+            sampler = build_sampler(k)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sampler.n_outcomes == 502_625
+        assert retained <= 25 * sampler.n_outcomes
+        assert peak <= 50 * sampler.n_outcomes
 
     def test_frozen_kernel_always_stays(self):
         k0 = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.0, trunc_radius=8)
@@ -52,16 +85,17 @@ class TestSampler:
     def test_single_jump_frequencies(self):
         rng = Generator(Philox(key=17))
         draws = 1_000_000
-        idx = SAMPLER.sample(rng, draws)
+        idx = sample_outcomes(SAMPLER, rng, draws)
         counts = np.bincount(idx, minlength=SAMPLER.n_outcomes)
-        p0 = SAMPLER.weights[0]
+        weights = outcome_weights(BENCH)
+        p0 = weights[0]
         sd = math.sqrt(draws * p0 * (1 - p0))
         assert abs(counts[0] - draws * p0) <= 4 * sd
         # symmetric sites agree within 4 joint standard deviations
-        disp = SAMPLER.displacements[:, 0]
+        disp = outcome_displacements(BENCH)[:, 0]
         i_plus = int(np.where(disp == 1)[0][0])
         i_minus = int(np.where(disp == -1)[0][0])
-        p1 = SAMPLER.weights[i_plus]
+        p1 = weights[i_plus]
         joint_sd = math.sqrt(2 * draws * p1)
         assert abs(counts[i_plus] - counts[i_minus]) <= 4 * joint_sd
 
@@ -70,9 +104,9 @@ class TestSampler:
         # distinguishable from the kernel law
         rng = Generator(Philox(key=2024))
         draws = 1_000_000
-        idx = SAMPLER.sample(rng, draws)
+        idx = sample_outcomes(SAMPLER, rng, draws)
         counts = np.bincount(idx, minlength=SAMPLER.n_outcomes).astype(float)
-        expected = SAMPLER.weights * draws
+        expected = outcome_weights(BENCH) * draws
         order = np.argsort(expected)[::-1]
         pooled_obs, pooled_exp = [], []
         acc_o = acc_e = 0.0
@@ -190,8 +224,9 @@ class TestHistogram:
 
     def test_rejects_sub_mesh_bins(self):
         ens = run_walks(SAMPLER, 1, 10, seed=5)
-        with pytest.raises(ValueError):
-            histogram(ens, bin_width=0.05)
+        for width in (0.05, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                histogram(ens, bin_width=width)
 
     def test_symmetry_under_sign_flip_resampling(self):
         # flipping the signs of half the walkers leaves the binned law
@@ -310,7 +345,8 @@ def _realized_law(sampler):
     ``alias[i]`` for the rest.
     """
     n = sampler.n_outcomes
-    limit = sampler.limit.tolist()
+    limit = sampler_limits(sampler).tolist()
+    alias = float_table(sampler.kernel)[1]
 
     def ceil_div(a, b):
         return -(-a // b)
@@ -320,7 +356,7 @@ def _realized_law(sampler):
         start, end = ceil_div(i * 2**32, n), ceil_div((i + 1) * 2**32, n)
         assert start <= limit[i] <= end
         law[i] += limit[i] - start
-        law[int(sampler.alias[i])] += end - limit[i]
+        law[int(alias[i])] += end - limit[i]
     assert sum(law) == 2**32
     return law
 
@@ -351,17 +387,19 @@ class TestAliasTables:
         ):
             law = _realized_law(sampler)
             n = sampler.n_outcomes
-            tv = 0.5 * sum(abs(c / 2**32 - w) for c, w in zip(law, sampler.weights.tolist()))
+            weights = outcome_weights(sampler.kernel).tolist()
+            tv = 0.5 * sum(abs(c / 2**32 - w) for c, w in zip(law, weights))
             assert tv <= n * 2.0**-32
 
     def test_sweep_table_on_the_study_2d_kernel(self):
         sampler = build_sampler(_study_2d_kernel())
         assert sampler.n_outcomes == 51_433
-        assert np.all((sampler.accept >= 0.0) & (sampler.accept <= 1.0))
-        full = np.flatnonzero(sampler.accept == 1.0)
-        np.testing.assert_array_equal(sampler.alias[full], full)
+        accept, alias = float_table(sampler.kernel)
+        assert np.all((accept >= 0.0) & (accept <= 1.0))
+        full = np.flatnonzero(accept == 1.0)
+        np.testing.assert_array_equal(alias[full], full)
         np.testing.assert_allclose(
-            induced_probabilities(sampler), sampler.weights, rtol=0, atol=1e-13
+            induced_probabilities(sampler), outcome_weights(sampler.kernel), rtol=0, atol=1e-13
         )
 
     @pytest.mark.parametrize("weights", [
@@ -388,18 +426,18 @@ class TestAliasTables:
         for sampler in (SAMPLER, *ENGINE_SAMPLERS.values()):
             n = sampler.n_outcomes
             assert sampler.keys.dtype == np.uint64
-            limit = sampler.limit.tolist()
-            for i, a in enumerate(sampler.accept.tolist()):
+            limit = sampler_limits(sampler).tolist()
+            accept, alias = float_table(sampler.kernel)
+            displacements = outcome_displacements(sampler.kernel)
+            for i, a in enumerate(accept.tolist()):
                 start, end = -(-i * 2**32 // n), -(-(i + 1) * 2**32 // n)
                 assert limit[i] == start + min(round(a * 2**32 / n), end - start)
                 assert int(sampler.keys[i]) == (2 * i + 1) * 2**33 + limit[i] - 1
             assert sampler.codes.dtype == np.int64
             np.testing.assert_array_equal(
-                _decode(sampler, sampler.codes[0::2]), sampler.displacements[sampler.alias]
+                _decode(sampler, sampler.codes[0::2]), displacements[alias]
             )
-            np.testing.assert_array_equal(
-                _decode(sampler, sampler.codes[1::2]), sampler.displacements
-            )
+            np.testing.assert_array_equal(_decode(sampler, sampler.codes[1::2]), displacements)
 
     def test_code_index_at_the_slot_edges(self):
         # each slot's first and last draw and the draws either side of its
@@ -407,7 +445,8 @@ class TestAliasTables:
         for sampler in (SAMPLER, *ENGINE_SAMPLERS.values()):
             n = sampler.n_outcomes
             u, slot = [], []
-            for i, limit in enumerate(sampler.limit.tolist()):
+            limits = sampler_limits(sampler)
+            for i, limit in enumerate(limits.tolist()):
                 start, end = -(-i * 2**32 // n), -(-(i + 1) * 2**32 // n)
                 for v in (start, limit - 1, limit, end - 1):
                     u.append(min(max(v, start), end - 1))
@@ -415,7 +454,7 @@ class TestAliasTables:
             u, slot = np.array(u, dtype=np.uint64), np.array(slot)
             index = montecarlo._draw(sampler, u)
             np.testing.assert_array_equal(index >> 1, slot)
-            np.testing.assert_array_equal(index & 1, u < sampler.limit[slot])
+            np.testing.assert_array_equal(index & 1, u < limits[slot])
 
     def test_block_is_the_longest_carry_free_sum(self):
         # block_steps codes of the largest digit 2K still fit below the base
@@ -426,12 +465,12 @@ class TestAliasTables:
     def test_walk_steps_are_sampler_draws_of_the_walker_window(self):
         # walker w of an n-step walk uses the 32-bit draws [2 w W, 2 w W + n)
         # of the seed's stream, W = ceil(n / 2) words, the low half of a
-        # word before its high half, drawn the same way as JumpSampler.sample
+        # word before its high half, drawn the same way as sample_outcomes
         for n, window in ((5, 6), (9, 10), (16, 16)):
             walkers = 300
             ens = run_walks(SAMPLER, n, walkers, seed=19)
-            outcomes = SAMPLER.sample(Generator(PCG64DXSM(19)), walkers * window)
-            steps = SAMPLER.displacements[outcomes.reshape(walkers, window)[:, :n]]
+            outcomes = sample_outcomes(SAMPLER, Generator(PCG64DXSM(19)), walkers * window)
+            steps = outcome_displacements(BENCH)[outcomes.reshape(walkers, window)[:, :n]]
             np.testing.assert_array_equal(ens.lattice_positions, steps.sum(axis=1))
 
 
@@ -469,6 +508,23 @@ class TestStream:
     def test_rejects_seeds_outside_the_config_range(self, seed):
         with pytest.raises(ValueError, match="seed"):
             run_walks(SAMPLER, 3, 4, seed=seed)
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_steps", -1), ("n_steps", 2.5), ("n_steps", True),
+        ("n_walkers", 0), ("n_walkers", -3), ("n_walkers", 2.5), ("n_walkers", True),
+        ("threads", 0), ("threads", -3), ("threads", 2.5), ("threads", True),
+    ])
+    def test_rejects_counts_that_are_not_integers_in_range(self, name, value):
+        counts = {"n_steps": 5, "n_walkers": 4, "threads": 1, name: value}
+        with pytest.raises(ValueError, match=name):
+            run_walks(SAMPLER, seed=0, **counts)
+
+    def test_numpy_integer_counts_give_a_json_ready_summary(self):
+        import json
+
+        ens = run_walks(SAMPLER, 5, np.int64(3), 1, threads=np.int64(2))
+        assert type(ens.n_walkers) is int and ens.n_walkers == 3
+        assert json.loads(json.dumps(ens.summary_dict()))["n_walkers"] == 3
 
     def test_step_count_must_be_an_integer(self):
         for n_steps in (2.5, 3.0, True):
