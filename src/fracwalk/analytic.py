@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import norming_constant, surface_area
+from .kernel import _check_dim, norming_constant, surface_area
 from .measure import OrderMeasure
 from .quadrature import (
     QuadratureError,
@@ -70,15 +70,17 @@ class DiffusionSymbol:
     dim: int
 
     def __post_init__(self):
-        if not 1 <= self.dim <= 3:
-            raise ValueError("dim must be 1, 2 or 3")
+        _check_dim(self.dim)
 
     def radial(self, rho) -> np.ndarray:
-        """B as a function of |xi| (vectorized)."""
+        """B as a function of |xi| (vectorized): one log |xi| per point, then
+        |xi|^alpha = exp(alpha log |xi|) in place per term, 0 at |xi| = 0."""
         rho = np.abs(np.asarray(rho, dtype=float))
-        out = np.zeros_like(rho)
+        log_rho = np.log(rho, out=np.full_like(rho, -np.inf), where=rho != 0.0)
+        out, power = np.zeros_like(rho), np.empty_like(rho)
         for a, w in self.measure.terms:
-            out -= w * rho**a
+            np.exp(np.multiply(log_rho, a, out=power), out=power)
+            out -= np.multiply(power, w, out=power)
         return out
 
     @property
@@ -228,13 +230,13 @@ def _radial_point(
 # Tail law and default grid
 
 
-def _tail_mass(measure: OrderMeasure, dim: int, t: float, r):
-    """First-order mass beyond radius r from the stable tail
-    G ~ 2t sum_i a_i b(alpha_i) r^-(N+alpha_i), i.e.
-    omega_N 2t sum_i a_i b(alpha_i) r^-alpha_i / alpha_i."""
-    return surface_area(dim) * 2.0 * t * sum(
-        w * norming_constant(a, dim) * r ** (-a) / a for a, w in measure.terms
-    )
+def _tail_mass(measure: OrderMeasure, dim: int, t: float):
+    """r -> first-order mass beyond radius r from the stable tail
+    G ~ 2t sum_i a_i b(alpha_i) r^-(N+alpha_i): omega_N 2t sum_i a_i b(alpha_i)
+    r^-alpha_i / alpha_i, the constants a_i b(alpha_i) taken once."""
+    scale = surface_area(dim) * 2.0 * t
+    terms = [(w * norming_constant(a, dim), a) for a, w in measure.terms]
+    return lambda r: scale * sum(c * r ** (-a) / a for c, a in terms)
 
 
 def default_radial_grid(
@@ -251,15 +253,17 @@ def default_radial_grid(
     the power-law tail beyond it holds at most ``_TAIL_TARGET`` of the mass,
     so that edge corrections stay within the 1e-3 mass budget.
     """
+    if not points >= 2:
+        raise ValueError(f"points must be at least 2, got {points!r}")
     alphas = [a for a, _ in sym.measure.terms]
     bulk = min(t ** (1.0 / min(alphas)), t ** (1.0 / max(alphas)))
     if r_max is None:
         r_max = 50.0 * t ** (1.0 / sym.alpha_min)
-        lo, hi = 1.0, 1e12
-        if _tail_mass(sym.measure, sym.dim, t, lo) > _TAIL_TARGET:
+        lo, hi, tail_mass = 1.0, 1e12, _tail_mass(sym.measure, sym.dim, t)
+        if tail_mass(lo) > _TAIL_TARGET:
             for _ in range(80):
                 mid = math.sqrt(lo * hi)
-                if _tail_mass(sym.measure, sym.dim, t, mid) > _TAIL_TARGET:
+                if tail_mass(mid) > _TAIL_TARGET:
                     lo = mid
                 else:
                     hi = mid
@@ -302,12 +306,6 @@ def _geometric_step(radii: np.ndarray) -> float | None:
     return float(step)
 
 
-def _hankel(a: np.ndarray, v0: float, u0: float, dln: float, mu: float, bias: float):
-    """FFTLog of samples a_j at p_j = exp(v0 + j dln), at r_k = exp(u0 + k dln):
-    r_k int_0^inf a(p) J_mu(p r_k) dp."""
-    return fht(a, dln, mu, offset=v0 + u0 + (len(a) - 1) * dln, bias=bias)
-
-
 def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
     """G and the radial CDF on a log grid spanning the positive ``radii``.
 
@@ -315,9 +313,8 @@ def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
     starts at the first radius, so every radius is a table node.  Returns
     ``(table_r, G, cdf, spread, stride)``: ``spread`` holds the largest
     changes of G and of the CDF when the transform resolution doubles, and
-    ``stride``
-    the table nodes per grid step (None off a geometric grid).  Returns None
-    when the window would need more than ``_MAX_NODES`` nodes.
+    ``stride`` the table nodes per grid step (None off a geometric grid).
+    Returns None when the window would need more than ``_MAX_NODES`` nodes.
     """
     dim = sym.dim
     pos = radii[radii > 0.0]
@@ -371,13 +368,15 @@ def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
 
     def transform(w: int, a: np.ndarray, mu: float, bias: float):
         """Doubled-resolution transform at the table nodes, and the base
-        transform at every other table node."""
+        transform at every other table node: r_k int_0^inf a(p) J_mu(p r_k) dp
+        at r_k = exp(u0 + k s) from a_j at p_j = exp(v0 + j s).  The fine one
+        runs first: the base one reads prefixes of its log-gamma lines."""
         start = n - drops[w] - sizes[w]
         first = (2 * sizes[w] - count) // 4  # the table sits mid-window
         u0 = u_first - first * dln
         a = a[2 * start : 2 * (start + sizes[w])]
-        base = _hankel(a[::2], v[2 * start], u0, dln, mu, bias)
-        fine = _hankel(a, v[2 * start], u0, h, mu, bias)
+        fine, base = (fht(x, s, mu, offset=v[2 * start] + u0 + (len(x) - 1) * s, bias=bias)
+                      for x, s in ((a, h), (a[::2], dln)))
         return fine[2 * first : 2 * first + count], base[first : first + (count + 1) // 2]
 
     table_r = np.exp(u_first + h * np.arange(count))
@@ -405,10 +404,15 @@ def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
 # Tabulated radial density
 
 
-def _checked_radii(r: np.ndarray) -> np.ndarray:
-    if not (r.ndim == 1 and r[0] >= 0.0 and r[-1] > 0.0 and np.all(np.diff(r) > 0.0)):
-        raise ValueError("radii must be nonnegative and strictly increasing, with one above 0")
+def _checked_radii(r: np.ndarray, name: str = "r") -> np.ndarray:
+    if not (r.ndim == 1 and r[0] >= 0.0 and 0.0 < r[-1] < math.inf and np.all(np.diff(r) > 0.0)):
+        raise ValueError(f"{name} must be finite, nonnegative, strictly increasing, not all 0")
     return r
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _hermite(x: np.ndarray, u: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -515,9 +519,8 @@ class RadialDensity:
     def mass(self) -> float:
         """Total integral over R^N: the density table plus the analytic tail."""
         tr, tg, _ = self.table
-        return float(_cumulative_mass(tr, tg, self.dim)[-1]) + _tail_mass(
-            self.measure, self.dim, self.t, tr[-1]
-        )
+        tail_mass = _tail_mass(self.measure, self.dim, self.t)
+        return float(_cumulative_mass(tr, tg, self.dim)[-1]) + tail_mass(tr[-1])
 
     def radial_cdf(self, r) -> np.ndarray:
         """P(|X| <= r), clamped to [0, 1]; beyond the grid uses the tail law."""
@@ -530,7 +533,7 @@ class RadialDensity:
             out = np.where(r > tr[1], _hermite(x, np.log(tr[1:]), tc[1:], slope), out)
         beyond = r > tr[-1]
         if np.any(beyond):
-            tails = _tail_mass(self.measure, self.dim, self.t, np.maximum(r, tr[-1]))
+            tails = _tail_mass(self.measure, self.dim, self.t)(np.maximum(r, tr[-1]))
             out = np.where(beyond, np.maximum(1.0 - tails, tc[-1]), out)
         return np.clip(out, 0.0, 1.0)
 
@@ -580,17 +583,14 @@ def green_density(sym: DiffusionSymbol, t: float, r_grid=None, tol: float = 1e-7
     Raises :class:`QuadratureError` when the quadrature misses the tolerance,
     absolutely (the achieved estimate rides along in the exception).
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _check_positive("t", t)
+    _check_positive("tol", tol)
     r = (
         default_radial_grid(sym, t)
         if r_grid is None
-        else _checked_radii(np.asarray(r_grid, dtype=float))
+        else _checked_radii(np.asarray(r_grid, dtype=float), "r_grid")
     )
-    smooth = _smooth_panels(sym, t)
-
-    def quadrature(r: float) -> tuple[float, float]:
-        return _radial_point(sym, t, r, smooth)
+    quadrature = functools.partial(_radial_point, sym, t, smooth=_smooth_panels(sym, t))
 
     origin = quadrature(0.0)
     values, estimate, table = None, 0.0, None
@@ -664,7 +664,11 @@ def symbol_oracle(alpha: float, dim: int, xi, tol: float = 1e-7) -> float:
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie strictly inside (0, 2)")
+    _check_dim(dim)
+    _check_positive("tol", tol)
     q = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
+    if not math.isfinite(q):
+        raise ValueError(f"xi must be finite, got {xi!r}")
     if q == 0.0:
         return 0.0
 

@@ -77,7 +77,7 @@ def norming_constant(alpha: float, dim: int) -> float:
 
 
 def _check_dim(dim: int) -> None:
-    if not isinstance(dim, (int, np.integer)) or not 1 <= dim <= MAX_DIM:
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dim must be an integer in [1, {MAX_DIM}], got {dim!r}")
 
 

@@ -48,6 +48,21 @@ def loggamma(z) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _held_line(c: float, step: float) -> list:
+    return [np.empty(0, dtype=complex)]  # the longest line of (c, step) so far
+
+
+def _loggamma_line(c: float, step: float, count: int) -> np.ndarray:
+    """log Gamma(c + i k step), k < count.  The FFTLog line of n nodes at log
+    step dln has step pi / (n dln), so that of every other node (n / 2 at
+    2 dln) is its prefix; an unbiased transform reads one line twice."""
+    held = _held_line(c, step)
+    if len(held[0]) < count:
+        held[0] = loggamma(c + 1j * step * np.arange(count))
+    return held[0][:count]
+
+
 def fht(a: np.ndarray, dln: float, mu: float, offset: float = 0.0, bias: float = 0.0) -> np.ndarray:
     """Fast Hankel transform A(k) = int_0^inf a(r) J_mu(k r) k dr of log-spaced
     samples (FFTLog; Hamilton 2000, App. B), with ``scipy.fft.fht``'s conventions.
@@ -63,9 +78,10 @@ def fht(a: np.ndarray, dln: float, mu: float, offset: float = 0.0, bias: float =
         a = a * np.exp(-bias * j * dln)
     # u_m = (k r)^(-i 2 pi m / (n dln)) U_mu(bias + i 2 pi m / (n dln)),
     # U_mu(x) = 2^x Gamma((mu + 1 + x) / 2) / Gamma((mu + 1 - x) / 2)
-    y = np.linspace(0.0, math.pi * (n // 2) / (n * dln), n // 2 + 1)
-    plus = loggamma(0.5 * (mu + 1.0 + bias) + 1j * y)
-    minus = loggamma(0.5 * (mu + 1.0 - bias) + 1j * y)
+    step = math.pi / (n * dln)
+    y = step * np.arange(n // 2 + 1)
+    plus = _loggamma_line(0.5 * (mu + 1.0 + bias), step, len(y))
+    minus = _loggamma_line(0.5 * (mu + 1.0 - bias), step, len(y))
     u = np.exp(
         plus.real - minus.real + _LN2 * bias
         + 1j * (plus.imag + minus.imag + 2.0 * (_LN2 - offset) * y)

@@ -1,7 +1,8 @@
 """Reference computations that the tests compare the library against.
 
 Each one evaluates a quantity by a slower, more direct route than the
-library uses: the symbol and Green CF at a vector frequency, the Gaussian
+library uses: the symbol term by term and at a vector frequency, the
+stable tail's mass term by term, the Green CF, the Gaussian
 and Cauchy closed forms, partial lattice sums with a tail bound, the
 jump-strength coefficient term by term, a density's forward transform, the
 kernel CF from a dense phase matrix, the empirical CF of an ensemble, the
@@ -34,6 +35,23 @@ from fracwalk import montecarlo
 from fracwalk.analytic import _osc_zeros
 from fracwalk.kernel import Shells, enumerate_shells, frequency_rows, surface_area
 from fracwalk.quadrature import panel_integrals
+
+
+def symbol_per_term(sym: DiffusionSymbol, rho) -> np.ndarray:
+    """B(|xi|) = -sum_i a_i |xi|^alpha_i, one power per term."""
+    rho = np.abs(np.asarray(rho, dtype=float))
+    out = np.zeros_like(rho)
+    for a, w in sym.measure.terms:
+        out -= w * rho**a
+    return out
+
+
+def tail_mass_per_term(measure: OrderMeasure, dim: int, t: float, r):
+    """omega_N 2t sum_i a_i b(alpha_i) r^-alpha_i / alpha_i, the mass beyond
+    radius r of the stable tail, with b(alpha_i) recomputed on every call."""
+    return surface_area(dim) * 2.0 * t * sum(
+        w * norming_constant(a, dim) * r ** (-a) / a for a, w in measure.terms
+    )
 
 
 def symbol_eval(sym: DiffusionSymbol, xi) -> float | np.ndarray:

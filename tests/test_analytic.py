@@ -11,10 +11,23 @@ from fracwalk import (
     green_density,
     symbol_oracle,
 )
-from fracwalk.analytic import default_radial_grid
-from oracles import cauchy_density, forward_cf, gaussian_density, green_cf, symbol_eval
+from fracwalk import analytic
+from fracwalk.analytic import _cumulative_mass, default_radial_grid
+from oracles import (
+    cauchy_density,
+    forward_cf,
+    gaussian_density,
+    green_cf,
+    symbol_eval,
+    symbol_per_term,
+    tail_mass_per_term,
+)
 
 CAUCHY_1D = DiffusionSymbol(OrderMeasure.single(1.0), 1)
+# the 34-term measure of the density benchmark: 32 density nodes and 2 atoms
+MIXED = OrderMeasure.with_density(
+    lambda a: np.ones_like(a), 0.5, 1.5, atoms=[(0.8, 1.0), (1.6, 0.5)]
+)
 
 
 class TestSymbol:
@@ -42,6 +55,22 @@ class TestSymbol:
         sym = DiffusionSymbol(OrderMeasure.from_atoms([(0.3, 0.5), (1.2, 1.5)]), 2)
         for q in (0.01, 1.0, 40.0):
             assert sym.radial(q) < 0.0
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("measure", [MIXED, OrderMeasure.single(0.7)], ids=["mixed", "one-atom"])
+    def test_radial_matches_the_per_term_powers(self, dim, measure):
+        sym = DiffusionSymbol(measure, dim)
+        rho = np.concatenate([[0.0], np.geomspace(1e-8, 1e30, 761)])
+        got = sym.radial(rho)
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got, symbol_per_term(sym, rho), rtol=1e-13, atol=0)
+        assert sym.radial(-2.0) == sym.radial(2.0)
+
+    @pytest.mark.parametrize("dim", [True, 0, 4, 1.0, "1"])
+    def test_rejects_a_dimension_outside_1_to_3(self, dim):
+        with pytest.raises(ValueError, match="^dim must"):
+            DiffusionSymbol(CAUCHY_1D.measure, dim)
 
 
 class TestGreenCF:
@@ -185,6 +214,53 @@ class TestGreenDensity:
         with pytest.raises(ValueError):
             green_density(CAUCHY_1D, 0.0, [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            ({"t": math.nan}, "t"),
+            ({"t": math.inf}, "t"),
+            ({"t": -1.0}, "t"),
+            ({"r_grid": [0.0, 1.0, math.inf]}, "r_grid"),
+            ({"r_grid": [0.0, math.nan, 1.0]}, "r_grid"),
+            ({"r_grid": [0.0, 2.0, 1.0]}, "r_grid"),
+            ({"tol": math.nan}, "tol"),
+            ({"tol": 0.0}, "tol"),
+        ],
+    )
+    def test_rejects_bad_arguments_by_name(self, bad, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            green_density(CAUCHY_1D, **{"t": 1.0, "r_grid": [0.0, 1.0], **bad})
+
+    @pytest.mark.parametrize("points", [1, 0, -3, True])
+    def test_default_grid_needs_two_points(self, points):
+        with pytest.raises(ValueError, match="^points must"):
+            default_radial_grid(CAUCHY_1D, 1.0, points)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("t", [0.05, 1.0, 20.0])
+    def test_default_grid_and_mass_match_the_per_term_tail_mass(self, monkeypatch, dim, t):
+        sym = DiffusionSymbol(MIXED, dim)
+        got = default_radial_grid(sym, t)
+        table = (got, np.exp(-got), np.zeros_like(got))
+        dens = RadialDensity(dim=dim, t=t, r=got, values=table[1], measure=MIXED, table=table)
+        got_mass = dens.mass()
+        monkeypatch.setattr(
+            analytic, "_tail_mass", lambda m, d, t: lambda r: tail_mass_per_term(m, d, t, r)
+        )
+        assert np.array_equal(got, default_radial_grid(sym, t))
+        assert got[-1] > 50.0 * t ** (1.0 / sym.alpha_min)  # the bisection set r_max
+        assert got_mass == dens.mass()
+        assert got_mass == (
+            _cumulative_mass(got, table[1], dim)[-1] + tail_mass_per_term(MIXED, dim, t, got[-1])
+        )
+
+    def test_default_grid_takes_each_norming_constant_once(self, monkeypatch):
+        calls = []
+        real = analytic.norming_constant
+        monkeypatch.setattr(analytic, "norming_constant", lambda a, d: calls.append(a) or real(a, d))
+        default_radial_grid(DiffusionSymbol(MIXED, 2), 1.0)
+        assert 0 < len(calls) <= len(MIXED.terms)
+
     def test_tolerance_failure_raises(self):
         from fracwalk import QuadratureError
 
@@ -297,6 +373,22 @@ class TestSymbolOracle:
             symbol_oracle(2.0, 1, 1.0)
         with pytest.raises(ValueError):
             symbol_oracle(0.0, 1, 1.0)
+
+    @pytest.mark.parametrize(
+        "bad, name",
+        [
+            ({"xi": math.nan}, "xi"),
+            ({"xi": math.inf}, "xi"),
+            ({"xi": [1.0, -math.inf]}, "xi"),
+            ({"dim": 4}, "dim"),
+            ({"dim": True}, "dim"),
+            ({"tol": math.nan}, "tol"),
+            ({"tol": -1e-7}, "tol"),
+        ],
+    )
+    def test_rejects_bad_arguments_by_name(self, bad, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            symbol_oracle(**{"alpha": 1.5, "dim": 1, "xi": 1.0, **bad})
 
 
 def test_j0_zero_asymptote_matches_scipy():

@@ -419,25 +419,27 @@ def _peak_bytes(fn, *args, **kwargs):
 
 def _evolve_peak_within_estimate(dim, K, n, start):
     """evolve's tracemalloc peak, checked against ``_fft_bytes`` of the box
-    it keeps (on the circle it allocates) and of its input cubes."""
+    it keeps (on the circle it allocates) and of its input cubes, and the
+    radius of that box."""
     m = OrderMeasure.single(1.5)
     k = build_kernel(m, dim, 0.2, 0.5 * stability_sigma(m, dim, 0.2, 0.0).tau_max, K)
     r = max(start.support_radius + evolution._tail_reach(k, n)[0] - 1, K)
     peak = _peak_bytes(evolve, start, k, n)
     assert peak <= evolution._fft_bytes(r, dim, start.mass.size + (2 * K + 1) ** dim)
-    return peak
+    return peak, r
 
 
 @pytest.mark.parametrize(
-    "dim, K, n", [(1, 1000, 60), (1, 16, 2000), (2, 16, 27), (2, 40, 8), (3, 6, 4)]
+    "dim, K, n",
+    [(1, 1000, 60), (1, 16, 2000), (1, 4096, 84), (2, 16, 27), (2, 40, 8), (3, 6, 4)],
 )
 def test_fft_bytes_bound_the_measured_peak(dim, K, n):
     for start in (LatticeDistribution.delta(dim, 0.2), _asymmetric_start(dim, 21, 4, 0.2)):
-        R = start.support_radius + n * K
-        peak = _evolve_peak_within_estimate(dim, K, n, start)
+        peak, r = _evolve_peak_within_estimate(dim, K, n, start)
         if dim == 1 and start.mass.size == 1:
-            # a complex half grid and the real circle, 16 B per site
-            assert peak <= 17 * evolution._grid_side(R)
+            # a complex half grid and the real circle it allocates, 16 B per
+            # node; the measured peak is 18.7 to 19.2 B per node
+            assert peak <= 20 * evolution._grid_side(r)
     q = _asymmetric_start(dim, 2 * n * K + 1, 5)
     peak = _peak_bytes(convolve, q, q)
     assert peak <= evolution._fft_bytes(2 * n * K, dim)

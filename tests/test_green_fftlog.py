@@ -12,7 +12,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from fracwalk import DiffusionSymbol, OrderMeasure, QuadratureError, green_density
+from fracwalk import DiffusionSymbol, OrderMeasure, QuadratureError, green_density, special
 from fracwalk.analytic import (
     _fftlog_tables,
     _radial_point,
@@ -153,3 +153,16 @@ def test_grid_starts_inside_the_bulk(tmp_path, alpha, dim, t, r_max_scale):
     if r_max_scale is not None:
         assert rG[-1, 0] == pytest.approx(config["r_max"])
     assert rG[1, 1] >= 0.5 * rG[0, 1]
+
+
+@pytest.mark.parametrize("dim, lines", [(1, 3), (2, 3), (3, 5)])
+def test_each_log_gamma_line_is_computed_once_per_call(monkeypatch, dim, lines):
+    # G's unbiased transforms read one line for both gammas, the CDF's biased
+    # one two; 3D adds the biased core transform's two.  Each base transform
+    # reads a prefix of its fine transform's lines.
+    lengths = []
+    real = special.loggamma
+    monkeypatch.setattr(special, "loggamma", lambda z: lengths.append(len(z)) or real(z))
+    special._held_line.cache_clear()
+    green_density(DiffusionSymbol(MIXED, dim), 1.0)
+    assert len(lengths) == lines
