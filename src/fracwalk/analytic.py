@@ -253,8 +253,10 @@ def default_radial_grid(
     the power-law tail beyond it holds at most ``_TAIL_TARGET`` of the mass,
     so that edge corrections stay within the 1e-3 mass budget.
     """
-    if not points >= 2:
-        raise ValueError(f"points must be at least 2, got {points!r}")
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
+        raise ValueError(f"points must be an integer of at least 2, got {points!r}")
+    for name, value in (("t", t), ("r_max", 1.0 if r_max is None else r_max)):
+        _check_positive(name, value)
     alphas = [a for a, _ in sym.measure.terms]
     bulk = min(t ** (1.0 / min(alphas)), t ** (1.0 / max(alphas)))
     if r_max is None:
@@ -405,8 +407,10 @@ def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
 
 
 def _checked_radii(r: np.ndarray, name: str = "r") -> np.ndarray:
-    if not (r.ndim == 1 and r[0] >= 0.0 and 0.0 < r[-1] < math.inf and np.all(np.diff(r) > 0.0)):
-        raise ValueError(f"{name} must be finite, nonnegative, strictly increasing, not all 0")
+    if not (r.ndim == 1 and len(r) and r[0] >= 0.0 and 0.0 < r[-1] < math.inf
+            and np.all(np.diff(r) > 0.0)):
+        raise ValueError(f"{name} must be a nonempty 1-D grid: finite, nonnegative, "
+                         "strictly increasing, not all 0")
     return r
 
 

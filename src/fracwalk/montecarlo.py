@@ -1,24 +1,28 @@
 """Monte Carlo sampling of lattice walks S_n = h(X_1 + ... + X_n).
 
-Sampling is exact with respect to the (truncated, renormalized) kernel up to
-the 32-bit resolution of the draws: an alias table over the finitely many
-jump outcomes gives O(1) draws whose law is within total variation N * 2^-32
-of the kernel's (N outcomes).  Positions are accumulated in integer lattice
-coordinates and scaled by the mesh width only on output, so no float drift
-can move a walker off the lattice.
+A draw moves a walker by an exact m-step law p^{*m} (Chapman-Kolmogorov):
+an n-step walk takes D = ceil(n / M) draws, M the largest m <= ceil(n / 2)
+with (2 m K + 1)^dim <= ``_TABLE_SITES`` (at least 1), the first D - e of
+a = ceil(n / D) steps and the last e = D a - n of a - 1.  An alias table
+over a law's N outcomes draws within total variation N * 2^-32 of it; an
+m-step table holds ``evolve``'s law on its whole box (N fixed, bits from
+the FFT), about 1e-14 from p^{*m}; a walk is within about D N_max 2^-32.
+Positions are summed in integer lattice coordinates and scaled by the mesh
+width only on output, so no float drift can move a walker off the lattice.
 
 Determinism contract
 --------------------
-Walker ``w`` of an n-step run with seed ``s`` consumes a dedicated, fixed
-window of one PCG64DXSM sequence (numpy's recommended PCG variant, O'Neill
-2014) seeded through ``SeedSequence(s)``: the ceil(n / 2) raw 64-bit words
-from word ceil(n / 2) w on, reached by ``advance``.  Each step takes one
-32-bit draw, two per word (its low half, then its high half, the order of
-numpy's own ``next_uint32``).  A draw u picks the alias slot (u N) >> 32 by
+Walker ``w`` of a run with seed ``s`` consumes a dedicated, fixed window of
+one PCG64DXSM sequence (numpy's recommended PCG variant, O'Neill 2014)
+seeded through ``SeedSequence(s)``: the ceil(D / 2) raw 64-bit words from
+word ceil(D / 2) w on, reached by ``advance``.  Draw j takes 32-bit half j,
+two per word (its low half, then its high half, the order of numpy's own
+``next_uint32``).  A draw u picks the alias slot (u N) >> 32 by
 multiply-shift and keeps it iff u is below the slot's integer limit.  The
-window depends only on (s, w), so the ensemble is identical for any
-chunking or thread count.  This is walk stream ``STREAM_VERSION``;
-README.md lists what earlier versions drew.
+plan depends only on (kernel, n) and the window only on (s, w), so the
+ensemble is identical for any chunking or thread count.  Walk stream
+``STREAM_VERSION`` is 0.4.0 where M = 1; where M > 1 it moved the
+ensembles, their statistics and ``ks_distance``, no law (README.md).
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ import math
 import os
 from dataclasses import dataclass
 from threading import Thread
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import PCG64DXSM
 
+from .evolution import LatticeDistribution, evolve
 from .kernel import LatticeKernel, integer_count
 
 # Raw words drawn per walk tile: small enough that its work arrays
@@ -40,7 +46,11 @@ _CHUNK_WORDS = 3 << 14
 
 # Version of the seed -> ensemble mapping; README.md ("Determinism") says
 # what each version draws and which earlier ensembles it does not reproduce.
-STREAM_VERSION = "0.4.0"
+STREAM_VERSION = "0.5.0"
+
+# Most box sites of an m-step table: 1.5 MiB at 24 B per outcome, an L2-sized
+# compromise between workloads (README.md, "Determinism", has the sweep).
+_TABLE_SITES = 1 << 16
 
 # Rows formatted per write in ``WalkEnsemble.to_csv``.
 _CSV_BLOCK_ROWS = 1 << 16
@@ -82,19 +92,28 @@ class JumpSampler:
         return len(self.keys)
 
 
-def _draw(sampler: JumpSampler, u: np.ndarray, work: tuple | None = None) -> np.ndarray:
-    """Code index ``2 slot + keep`` of each 32-bit draw ``u`` (uint64, any shape).
+class _Table(NamedTuple):
+    """A packed table as in :class:`JumpSampler`, its digits offset by ``radius``."""
+
+    keys: np.ndarray
+    codes: np.ndarray
+    block_steps: int
+    radius: int
+
+
+def _draw(table, u: np.ndarray, work: tuple | None = None) -> np.ndarray:
+    """Code index ``2 slot + keep`` in a packed ``table`` of each 32-bit draw ``u`` (uint64).
 
     The slot is ``(u * N) >> 32`` (Lemire's multiply-shift), kept iff ``u``
     is below its limit.  ``work`` optionally holds two uint64 arrays shaped
     like ``u``; the index is returned in the second, viewed as int64.
     """
     slot, index = work or (None, None)
-    slot = np.multiply(u, np.uint64(sampler.n_outcomes), out=slot)
+    slot = np.multiply(u, np.uint64(len(table.keys)), out=slot)
     slot >>= _SHIFT32
     # keys[slot] - u = (2 slot + 1) 2^33 + (limit - 1 - u), where the last
     # term lies in [0, 2^32) when u < limit and in [-2^32, 0) otherwise
-    index = np.take(sampler.keys, slot.view(np.int64), out=index, mode="clip")
+    index = np.take(table.keys, slot.view(np.int64), out=index, mode="clip")
     index -= u
     index >>= _SHIFT33
     return index.view(np.int64)
@@ -150,15 +169,10 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return accept, alias
 
 
-def build_sampler(kernel: LatticeKernel) -> JumpSampler:
-    """Packed alias table over origin + all retained sites."""
-    sites = kernel.shells.sites
-    n = len(sites) + 1
-    if n > 2**30:
-        raise ValueError("an alias table draws at most 2^30 outcomes")
-    weights = np.concatenate([[kernel.p0], kernel.site_probabilities])
-    accept, alias = _alias_table(weights)
-    del weights  # arrays of N numbers set the peak memory: hold few at once
+def _pack(accept: np.ndarray, alias: np.ndarray, sites: np.ndarray, radius: int) -> _Table:
+    """Packed table of Walker's float table (accept, alias) over N outcomes: the rows
+    of ``sites`` (within ``radius`` per axis), after a stay-put one if there are N - 1."""
+    n, dim = len(accept), sites.shape[1]
     # slot i takes the u values from ceil(i 2^32 / N) up to ceil((i + 1) 2^32 / N)
     edge = np.arange(n + 1, dtype=np.uint64)
     edge <<= _SHIFT32
@@ -174,21 +188,54 @@ def build_sampler(kernel: LatticeKernel) -> JumpSampler:
     del kept
     keys -= np.uint64(1)  # wraps at a limit of 0 and wraps back below
     keys += np.arange(1, 2 * n, 2, dtype=np.uint64) << _SHIFT33
-    K, bits = kernel.trunc_radius, 63 // kernel.dim  # bits per axis digit
+    bits = 63 // dim  # bits per axis digit
     codes = np.zeros(2 * n, dtype=np.int64)
-    own, digit = codes[1::2], np.empty(n - 1, dtype=np.int64)
-    own[0] = sum(K << (axis * bits) for axis in range(kernel.dim))  # the origin
-    for axis in range(kernel.dim):
-        np.add(sites[:, axis], K, out=digit)
+    own, digit = codes[1::2], np.empty(len(sites), dtype=np.int64)
+    lead = n - len(sites)
+    own[:lead] = sum(radius << (axis * bits) for axis in range(dim))  # the origin
+    for axis in range(dim):
+        np.add(sites[:, axis], radius, out=digit)
         digit <<= axis * bits
-        own[1:] += digit
+        own[lead:] += digit
     del digit
     codes[0::2] = own[alias]
 
     keys.setflags(write=False)
     codes.setflags(write=False)
-    # the cube guard of enumerate_shells keeps 2K far below 2^bits
-    return JumpSampler(kernel, keys, codes, block_steps=((1 << bits) - 1) // (2 * K))
+    # the cube guard of enumerate_shells and the table budget keep 2 radius far below 2^bits
+    return _Table(keys, codes, ((1 << bits) - 1) // (2 * radius), radius)
+
+
+def build_sampler(kernel: LatticeKernel) -> JumpSampler:
+    """Packed alias table over origin + all retained sites."""
+    sites = kernel.shells.sites
+    if len(sites) + 1 > 2**30:
+        raise ValueError("an alias table draws at most 2^30 outcomes")
+    weights = np.concatenate([[kernel.p0], kernel.site_probabilities])
+    accept, alias = _alias_table(weights)
+    del weights  # arrays of N numbers set the peak memory: hold few at once
+    return JumpSampler(kernel, *_pack(accept, alias, sites, kernel.trunc_radius)[:3])
+
+
+def _composite(kernel: LatticeKernel, steps: int) -> _Table:
+    """Packed table of ``evolve``'s ``steps``-step law from the origin, normalized, over
+    every site of its box, mass 0 included: N is fixed by the box, not FFT rounding."""
+    law = evolve(LatticeDistribution.delta(kernel.dim, kernel.h), kernel, steps)
+    sites = np.indices(law.mass.shape).reshape(kernel.dim, -1).T - law.support_radius
+    return _pack(*_alias_table(law.mass.ravel() / law.mass.sum()), sites, law.support_radius)
+
+
+def _plan(sampler: JumpSampler, n_steps: int) -> list[tuple[_Table, int]]:
+    """(table, draws) of a walker's draws in draw order (see the module docstring)."""
+    kernel = sampler.kernel
+    side = int(_TABLE_SITES ** (1 / kernel.dim) + 1e-9)  # the largest cube that fits
+    # at least two draws for n > 1: no walk is one draw of an n-step law
+    longest = max(1, min(-(-n_steps // 2), (side - 1) // (2 * kernel.trunc_radius)))
+    draws = -(-n_steps // longest)
+    steps = -(-n_steps // draws)
+    one = _Table(sampler.keys, sampler.codes, sampler.block_steps, kernel.trunc_radius)
+    pairs = ((steps, n_steps - draws * (steps - 1)), (steps - 1, draws * steps - n_steps))
+    return [(one if m == 1 else _composite(kernel, m), count) for m, count in pairs if count]
 
 
 @dataclass(frozen=True)
@@ -299,26 +346,24 @@ def _quantiles(x: np.ndarray, levels) -> np.ndarray:
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
-def _run_chunks(
-    sampler: JumpSampler, seed: int, n_steps: int, chunks: list, out: np.ndarray,
-) -> None:
+def _run_chunks(plan: list, seed: int, draws: int, chunks: list, out: np.ndarray) -> None:
     """Walk ``(first, count)`` chunks of walkers in tiles, reusing one set of arrays.
 
     A tile is the whole chunk, or the next span of at most ``_CHUNK_WORDS``
-    words of a walker whose window is longer; step s is draw s of the
-    walker's window either way.  The low halves of a tile's words take the
-    even steps and the high halves the odd ones; a position is an order-free
-    sum of codes, so each half is walked as one block.  Fresh temporaries
-    per tile would go back to the operating system and be faulted in again
-    on every tile, which doubles the walk time.
+    words of a walker whose window is longer; draw j is draw j of the
+    walker's window either way, from its table in ``plan``.  Low halves of
+    a tile's words take the even draws, high halves the odd ones; a position
+    is an order-free sum of codes, so each half's draws from one table are
+    walked as one block.  Fresh temporaries per tile would go back to the
+    operating system and be faulted in on every tile, doubling walk time.
     """
-    kernel = sampler.kernel
-    bits = 63 // kernel.dim
+    dim, bits = out.shape[1], 63 // out.shape[1]
     mask = (1 << bits) - 1
-    words = (n_steps + 1) // 2
-    span = min(n_steps, 2 * _CHUNK_WORDS)
+    words = (draws + 1) // 2
+    span = min(draws, 2 * _CHUNK_WORDS)
     size = max(count for _, count in chunks) * ((span + 1) // 2)
     work = [np.empty(size, np.uint64) for _ in range(3)]
+    ends = np.cumsum([count for _, count in plan]).tolist()  # each table's last draw + 1
     # one generator, rewound per chunk: seeding hashes the seed afresh,
     # which costs several times a rewind
     bitgen = PCG64DXSM(seed)
@@ -327,8 +372,8 @@ def _run_chunks(
         rows = slice(first, first + count)
         bitgen.state = origin
         bitgen.advance(first * words)
-        for start in range(0, n_steps, span):
-            length = min(span, n_steps - start)
+        for start in range(0, draws, span):
+            length = min(span, draws - start)
             # the chunk's windows, or the next span of one walker's window
             stride = (length + 1) // 2
             raw = bitgen.random_raw(count * stride).reshape(count, stride)
@@ -336,16 +381,25 @@ def _run_chunks(
             np.bitwise_and(raw, _LOW32, out=low)
             raw >>= _SHIFT32  # the high halves
             # an odd length leaves the last high half of each row unused
-            for u, steps in ((low, stride), (raw, length // 2)):
+            for half, (u, used) in enumerate(((low, stride), (raw, length // 2))):
                 # the draws are spent once indexed: their buffer takes the codes
                 codes = u.view(np.int64)
-                np.take(sampler.codes, _draw(sampler, u, (slot, index)), out=codes, mode="clip")
-                for lo in range(0, steps, sampler.block_steps):
-                    block = codes[:, lo : min(steps, lo + sampler.block_steps)]
-                    total = np.einsum("ij->i", block)  # faster than sum on short rows
-                    for axis in range(kernel.dim):
-                        digit = (total >> (axis * bits)) & mask
-                        out[rows, axis] += digit - block.shape[1] * kernel.trunc_radius
+                edge = 0  # column c of this half is draw start + 2 c + half
+                for (table, _), end in zip(plan, ends):
+                    stop = min(used, max(edge, (end - start - half + 1) // 2))
+                    if stop == edge:
+                        continue
+                    # the last table also indexes the unused column: whole rows are faster
+                    cols = slice(edge, stride if stop == used else stop)
+                    picked = _draw(table, u[:, cols], (slot[:, cols], index[:, cols]))
+                    np.take(table.codes, picked, out=codes[:, cols], mode="clip")
+                    for lo in range(edge, stop, table.block_steps):
+                        block = codes[:, lo : min(stop, lo + table.block_steps)]
+                        total = np.einsum("ij->i", block)  # faster than sum on short rows
+                        for axis in range(dim):
+                            digit = (total >> (axis * bits)) & mask
+                            out[rows, axis] += digit - block.shape[1] * table.radius
+                    edge = stop
 
 
 def run_walks(
@@ -364,22 +418,24 @@ def run_walks(
     kernel = sampler.kernel
     positions = np.zeros((n_walkers, kernel.dim), dtype=np.int64)
     if n_steps > 0 and kernel.sigma > 0.0:
+        plan = _plan(sampler, n_steps)
+        draws = sum(count for _, count in plan)
         # cap per-tile buffers; tile boundaries never affect results because
         # each walker owns a fixed stream window
-        chunk = max(1, _CHUNK_WORDS // ((n_steps + 1) // 2))
+        chunk = max(1, _CHUNK_WORDS // ((draws + 1) // 2))
         chunks = [
             (start, min(chunk, n_walkers - start))
             for start in range(0, n_walkers, chunk)
         ]
         workers = min(threads, len(chunks), os.cpu_count() or 1)
         if workers <= 1:
-            _run_chunks(sampler, seed, n_steps, chunks, positions)
+            _run_chunks(plan, seed, draws, chunks, positions)
         else:
             errors = [None] * workers
 
             def walk(w: int) -> None:
                 try:
-                    _run_chunks(sampler, seed, n_steps, chunks[w::workers], positions)
+                    _run_chunks(plan, seed, draws, chunks[w::workers], positions)
                 except BaseException as exc:  # re-raised in the calling thread
                     errors[w] = exc
 

@@ -1,22 +1,26 @@
 """Reference computations that the tests compare the library against.
 
 Each one evaluates a quantity by a slower, more direct route than the
-library uses: the symbol term by term and at a vector frequency, the
-stable tail's mass term by term, the Green CF, the Gaussian
-and Cauchy closed forms, partial lattice sums with a tail bound, the
-jump-strength coefficient term by term, a density's forward transform, the
-kernel CF from a dense phase matrix, the empirical CF of an ensemble, the
-lattice shells by sorting the whole cube, walks summed axis by axis, the
-KS distance with the reference CDF evaluated at every sample, lattice
+library uses: the symbol term by term and at a vector frequency, the stable
+tail's mass term by term, the Green CF, the Gaussian and Cauchy closed
+forms, partial lattice sums with a tail bound, the jump-strength
+coefficient term by term, a density's forward transform, the kernel CF from
+a dense phase matrix, the empirical CF of an ensemble, the lattice shells
+by sorting the whole cube, walks summed axis by axis over each walker's
+draw plan, a kernel's convolution powers by direct summation, the KS
+distance with the reference CDF evaluated at every sample, lattice
 convolution by direct summation, a walk's far tail by exponential tilting,
 and the total variation between a histogram and a law laid on one box that
-holds both.  It also holds the accessors only the tests use: a sampler's
-outcome law, displacements, float alias table, limits and single draws, the
-law an alias table samples, a histogram's bin centres, a measure's total
-weight, a kernel's normalization defect, its jump law scattered onto the
-cube and its one-step law as a distribution.
+holds both, with a bound on what sampling alone puts between them.  It also
+holds the accessors only the tests use: a sampler's outcome law,
+displacements, float alias table, limits and single draws, a walker's draw
+plan and the law of each of its tables, the law an alias table samples, a
+histogram's bin centres, a measure's total weight, a kernel's normalization
+defect, its jump law scattered onto the cube and its one-step law as a
+distribution.
 """
 
+import itertools
 import math
 
 import mpmath as mp
@@ -29,6 +33,7 @@ from fracwalk import (
     LatticeDistribution,
     OrderMeasure,
     RadialDensity,
+    evolve,
     norming_constant,
 )
 from fracwalk import montecarlo
@@ -240,32 +245,99 @@ def enumerate_shells_bruteforce(dim: int, trunc_radius: int) -> Shells:
     return Shells(dim, K, norm_sq, multiplicity, sites, inverse)
 
 
+def draw_plan(kernel, n_steps: int) -> list[int]:
+    """Steps taken by each draw of an n-step walker, in draw order.
+
+    M is the largest m <= ceil(n / 2), found by counting up from 1, whose
+    box (2 m K + 1)^dim holds at most ``montecarlo._TABLE_SITES`` sites (at
+    least 1); the walker makes D = ceil(n / M) draws, the first D - e of
+    a = ceil(n / D) steps and the last e = D a - n of a - 1.
+    """
+    K, dim, m = kernel.trunc_radius, kernel.dim, 1
+    while 2 * m < n_steps and (2 * (m + 1) * K + 1) ** dim <= montecarlo._TABLE_SITES:
+        m += 1
+    draws = -(-n_steps // m)
+    a = -(-n_steps // draws)
+    e = draws * a - n_steps
+    return [a] * (draws - e) + [a - 1] * e
+
+
+def step_law(kernel, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(displacements, weights) of the outcomes of a table of ``steps``-step
+    draws: the kernel's outcomes for one step, else every site of the box
+    of ``evolve``'s law from the origin in C order, its mass normalized."""
+    if steps == 1:
+        return outcome_displacements(kernel), outcome_weights(kernel)
+    law = evolve(LatticeDistribution.delta(kernel.dim, kernel.h), kernel, steps)
+    R = law.support_radius
+    sites = np.array(list(itertools.product(range(-R, R + 1), repeat=kernel.dim)))
+    return sites, law.mass.ravel() / law.mass.sum()
+
+
 def per_axis_walk(sampler, n_steps: int, n_walkers: int, seed: int) -> np.ndarray:
     """Final lattice positions, (n_walkers, dim) int64, one axis at a time.
 
-    Every walker's whole window, 2 ceil(n / 2) 32-bit draws, is drawn at
-    once by numpy's own ``integers`` (which takes the low half of each
-    PCG64DXSM word, then its high half), and step s of a walker takes draw s
-    of it: slot (u N) >> 32, kept when u is below the slot's limit.  Per
-    axis, a step adds the alias displacement and, where the slot is kept,
+    Every walker's whole window, 2 ceil(D / 2) 32-bit draws for the D draws
+    of :func:`draw_plan`, is drawn at once by numpy's own ``integers``
+    (which takes the low half of each PCG64DXSM word, then its high half),
+    and draw j of a walker takes draw j of it from the table of its step
+    count: slot (u N) >> 32, kept when u is below the slot's limit.  Per
+    axis, a draw adds the alias displacement and, where the slot is kept,
     the difference to the slot's own displacement: two gathers, one multiply
-    and two row sums.  The displacements and aliases come from the kernel
-    and its float table, not from the sampler's packed codes.
+    and two row sums.  The displacements and aliases come from
+    :func:`step_law` and its float table, not from the packed codes; only
+    the limits are read off the sampler or ``montecarlo._composite``.
     """
-    draws = 2 * ((n_steps + 1) // 2)
+    plan = np.array(draw_plan(sampler.kernel, n_steps))
+    window = 2 * ((len(plan) + 1) // 2)
     rng = Generator(PCG64DXSM(seed))
-    u = rng.integers(0, 2**32, size=n_walkers * draws, dtype=np.uint64)
-    u = u.reshape(n_walkers, draws)[:, :n_steps]
-    slot = (u * np.uint64(sampler.n_outcomes) >> np.uint64(32)).astype(np.int64)
-    keep = u < sampler_limits(sampler)[slot]
-    displacements = outcome_displacements(sampler.kernel)
-    alias_columns = displacements[float_table(sampler.kernel)[1]].T
-    keep_columns = displacements.T - alias_columns
+    u = rng.integers(0, 2**32, size=n_walkers * window, dtype=np.uint64)
+    u = u.reshape(n_walkers, window)[:, : len(plan)]
     positions = np.zeros((n_walkers, sampler.kernel.dim), dtype=np.int64)
-    for axis in range(sampler.kernel.dim):
-        kept = (keep_columns[axis][slot] * keep).sum(axis=1)
-        positions[:, axis] = kept + alias_columns[axis][slot].sum(axis=1)
+    for steps in np.unique(plan).tolist():
+        table = sampler if steps == 1 else montecarlo._composite(sampler.kernel, steps)
+        displacements, weights = step_law(sampler.kernel, steps)
+        draws = u[:, plan == steps]
+        slot = (draws * np.uint64(len(table.keys)) >> np.uint64(32)).astype(np.int64)
+        keep = draws < sampler_limits(table)[slot]
+        alias_columns = displacements[montecarlo._alias_table(weights)[1]].T
+        keep_columns = displacements.T - alias_columns
+        for axis in range(sampler.kernel.dim):
+            kept = (keep_columns[axis][slot] * keep).sum(axis=1)
+            positions[:, axis] += kept + alias_columns[axis][slot].sum(axis=1)
     return positions
+
+
+def convolution_power(kernel, steps: int) -> np.ndarray:
+    """The ``steps``-step jump law on the cube of radius steps K (origin at
+    its centre) by direct summation, no FFT: repeated ``np.convolve`` with
+    the kernel cube in 1D; in 2D and 3D, per step, the law shifted by every
+    jump and weighted by its probability, added up."""
+    cube = kernel.mass_cube()
+    law = cube
+    for _ in range(steps - 1):
+        if kernel.dim == 1:
+            law = np.convolve(law, cube)
+            continue
+        out = np.zeros(tuple(np.add(law.shape, cube.shape) - 1))
+        for jump in zip(*np.nonzero(cube)):
+            out[tuple(slice(j, j + n) for j, n in zip(jump, law.shape))] += cube[jump] * law
+        law = out
+    return law
+
+
+def tv_sampling_bound(mass: np.ndarray, walkers: int, false_alarm: float = 1e-6) -> float:
+    """Upper bound on the TV distance between a lattice law and the histogram
+    of ``walkers`` independent draws from it, exceeded with probability
+    below ``false_alarm``.
+
+    Per site E|count/n - p| <= min(sqrt(p(1-p)/n), 2p), so half their sum
+    bounds E[TV]; moving one walker changes TV by at most 1/n, so McDiarmid's
+    inequality adds sqrt(ln(1/a) / 2n).
+    """
+    p = mass.ravel()
+    per_site = np.minimum(np.sqrt(p * (1.0 - p) / walkers), 2.0 * p)
+    return float(0.5 * per_site.sum() + math.sqrt(math.log(1 / false_alarm) / (2 * walkers)))
 
 
 def ks_distance_every_value(ensemble, cdf, projection: str) -> float:
@@ -352,8 +424,9 @@ def float_table(kernel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sampler_limits(sampler) -> np.ndarray:
-    """(n_outcomes,) uint64: the first u value of slot i that takes ``alias[i]``."""
-    odd = np.arange(1, 2 * sampler.n_outcomes, 2, dtype=np.uint64) << np.uint64(33)
+    """(n_outcomes,) uint64: the first u value of slot i that takes ``alias[i]``,
+    of a sampler or of any packed table."""
+    odd = np.arange(1, 2 * len(sampler.keys), 2, dtype=np.uint64) << np.uint64(33)
     return sampler.keys - odd + np.uint64(1)
 
 

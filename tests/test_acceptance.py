@@ -14,6 +14,7 @@ import yaml
 from click.testing import CliRunner
 
 import fracwalk as fw
+from fracwalk import montecarlo
 from fracwalk.cli import main as cli_main
 from fracwalk.diagnostics import (
     cf_sup_error,
@@ -217,19 +218,26 @@ def test_criterion_6_analytic_inversion():
             ok, f"sup err {worst:.2e}, mass {mass:.6f}, {elapsed:.1f}s")
 
 
-def test_criterion_7_walkers_match_master_equation():
+def test_criterion_7_walkers_match_master_equation(monkeypatch):
     start = time.monotonic()
     kernel = fw.build_kernel(SINGLE, 1, 0.1, 0.01, trunc_radius=64)
     sampler = fw.build_sampler(kernel)
     tvs = {}
-    for n in (8, 32):
-        exact = fw.evolve(fw.LatticeDistribution.delta(1, 0.1), kernel, n)
-        ens = fw.run_walks(sampler, n, 100_000, seed=424242)
-        tvs[n] = total_variation(fw.histogram(ens, bin_width=0.1), exact)
+    # each walk with one step per draw (a one-site table budget), the
+    # kernel's own table, and at the default budget, D >= 2 draws of
+    # m-step tables: neither is one draw of the law it is checked against
+    for budget in (1, montecarlo._TABLE_SITES):
+        monkeypatch.setattr(montecarlo, "_TABLE_SITES", budget)
+        for n in (8, 32):
+            draws = sum(count for _, count in montecarlo._plan(sampler, n))
+            exact = fw.evolve(fw.LatticeDistribution.delta(1, 0.1), kernel, n)
+            ens = fw.run_walks(sampler, n, 100_000, seed=424242)
+            tvs[n, draws] = total_variation(fw.histogram(ens, bin_width=0.1), exact)
     elapsed = time.monotonic() - start
-    ok = all(tv <= 0.02 for tv in tvs.values())
+    ok = all(tv <= 0.02 and draws > 1 for (_, draws), tv in tvs.items())
     _report(7, "Monte Carlo vs master equation (TV <= 0.02, n <= 32)",
-            ok, f"TV {dict((n, round(v, 5)) for n, v in tvs.items())}, {elapsed:.1f}s")
+            ok, f"TV by (n, draws) {dict((k, round(v, 5)) for k, v in tvs.items())}, "
+            f"{elapsed:.1f}s")
 
 
 def test_criterion_8_simulate_determinism(tmp_path):

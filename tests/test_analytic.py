@@ -231,6 +231,21 @@ class TestGreenDensity:
         with pytest.raises(ValueError, match=f"^{name} must"):
             green_density(CAUCHY_1D, **{"t": 1.0, "r_grid": [0.0, 1.0], **bad})
 
+    @pytest.mark.parametrize("r_grid", [[], np.empty(0), [[0.0, 1.0], [2.0, 3.0]], 1.0])
+    def test_rejects_empty_or_shaped_grids_by_name(self, r_grid):
+        with pytest.raises(ValueError, match="^r_grid must"):
+            green_density(CAUCHY_1D, 1.0, r_grid)
+
+    @pytest.mark.parametrize("bad, name", [
+        ({"t": math.nan}, "t"), ({"t": math.inf}, "t"), ({"t": 0.0}, "t"), ({"t": -1.0}, "t"),
+        ({"points": 2.5}, "points"), ({"points": 2.0}, "points"), ({"points": False}, "points"),
+        ({"r_max": math.nan}, "r_max"), ({"r_max": math.inf}, "r_max"),
+        ({"r_max": 0.0}, "r_max"), ({"r_max": -5.0}, "r_max"),
+    ])
+    def test_default_grid_rejects_bad_arguments_by_name(self, bad, name):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            default_radial_grid(CAUCHY_1D, **{"t": 1.0, "points": 16, **bad})
+
     @pytest.mark.parametrize("points", [1, 0, -3, True])
     def test_default_grid_needs_two_points(self, points):
         with pytest.raises(ValueError, match="^points must"):

@@ -26,6 +26,7 @@ from fracwalk.diagnostics import (
     refinement_study,
     total_variation,
 )
+from fracwalk import montecarlo
 from fracwalk.kernel import enumerate_shells
 from fracwalk.montecarlo import Histogram
 from oracles import ks_distance_by_norm, ks_distance_every_value, total_variation_dense
@@ -184,14 +185,20 @@ class TestKsDistance:
 
 
 class TestTotalVariation:
-    def test_mc_agrees_with_master_equation(self):
+    def test_mc_agrees_with_master_equation(self, monkeypatch):
         k = build_kernel(SINGLE, 1, 0.1, 0.01, trunc_radius=64)
         s = build_sampler(k)
-        for n in (8, 32):
-            dist = evolve(LatticeDistribution.delta(1, 0.1), k, n)
-            ens = run_walks(s, n, 100_000, seed=424242)
-            tv = total_variation(histogram(ens, bin_width=0.1), dist)
-            assert tv <= 0.02
+        # one step per draw (a one-site table budget), then the default
+        # plan of two n / 2-step draws
+        for budget in (1, montecarlo._TABLE_SITES):
+            monkeypatch.setattr(montecarlo, "_TABLE_SITES", budget)
+            for n in (8, 32):
+                draws = sum(count for _, count in montecarlo._plan(s, n))
+                assert draws == (n if budget == 1 else 2)
+                dist = evolve(LatticeDistribution.delta(1, 0.1), k, n)
+                ens = run_walks(s, n, 100_000, seed=424242)
+                tv = total_variation(histogram(ens, bin_width=0.1), dist)
+                assert tv <= 0.02
 
     def test_identical_laws_give_zero(self):
         k = build_kernel(SINGLE, 1, 0.1, 0.01, trunc_radius=8)

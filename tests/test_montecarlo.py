@@ -23,12 +23,15 @@ from fracwalk import (
     histogram,
     run_walks,
     stability_sigma,
+    total_variation,
 )
 from fracwalk import montecarlo
 from fracwalk.evolution import characteristic_function
 from fracwalk.montecarlo import STREAM_VERSION, WalkEnsemble
 from oracles import (
     bin_centers_first_axis,
+    convolution_power,
+    draw_plan,
     empirical_cf,
     float_table,
     induced_probabilities,
@@ -37,6 +40,8 @@ from oracles import (
     per_axis_walk,
     sample_outcomes,
     sampler_limits,
+    step_law,
+    tv_sampling_bound,
 )
 
 BENCH = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=64)
@@ -147,6 +152,32 @@ class TestRunWalks:
         np.testing.assert_array_equal(
             small.lattice_positions, large.lattice_positions[:1_000]
         )
+
+    def test_composite_walks_are_prefix_stable_and_thread_free(self, monkeypatch):
+        # 47 steps in 2D are 5 draws, 2 of 10 steps and 3 of 9; tiles of 30
+        # words hold 10 walkers, so a run has many chunks to share out
+        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 30)
+        sampler, walkers = ENGINE_SAMPLERS[2], 500
+        assert draw_plan(sampler.kernel, 47) == [10, 10, 9, 9, 9]
+        small = run_walks(sampler, 47, walkers, seed=6)
+        for threads in (1, 2, 7):
+            large = run_walks(sampler, 47, 2 * walkers, seed=6, threads=threads)
+            np.testing.assert_array_equal(
+                small.lattice_positions, large.lattice_positions[:walkers]
+            )
+            if threads > 1:
+                np.testing.assert_array_equal(base.lattice_positions, large.lattice_positions)
+            base = large
+
+    def test_composite_walks_match_the_master_equation(self):
+        # 200k walkers of 47 steps in 2D by 5 composite draws against the
+        # exact law: TV within what sampling alone explains
+        sampler, n, walkers = ENGINE_SAMPLERS[2], 47, 200_000
+        assert max(draw_plan(sampler.kernel, n)) > 1
+        law = evolve(LatticeDistribution.delta(2, sampler.kernel.h), sampler.kernel, n)
+        ens = run_walks(sampler, n, walkers, seed=424242, threads=2)
+        tv = total_variation(histogram(ens, bin_width=sampler.kernel.h), law)
+        assert tv <= tv_sampling_bound(law.mass, walkers)
 
     def test_seed_changes_output(self):
         a = run_walks(SAMPLER, 9, 1_000, seed=1)
@@ -337,16 +368,18 @@ class TestExports:
         assert json.loads(encoded)["seed"] == 2
 
 
-def _realized_law(sampler):
+def _realized_law(sampler, alias=None):
     """Exact outcome law of the limit table, as integers over 2^32.
 
     Slot i holds the ceil((i+1) 2^32 / N) - ceil(i 2^32 / N) draws u from
     ceil(i 2^32 / N) on, takes i for those below ``limit[i]`` and
-    ``alias[i]`` for the rest.
+    ``alias[i]`` for the rest; ``alias`` defaults to the float table of a
+    sampler's kernel.
     """
-    n = sampler.n_outcomes
+    n = len(sampler.keys)
     limit = sampler_limits(sampler).tolist()
-    alias = float_table(sampler.kernel)[1]
+    if alias is None:
+        alias = float_table(sampler.kernel)[1]
 
     def ceil_div(a, b):
         return -(-a // b)
@@ -361,17 +394,19 @@ def _realized_law(sampler):
     return law
 
 
-def _decode(sampler, codes):
-    """Displacement rows of packed codes (each a single step, so no carries)."""
-    bits, K = 63 // sampler.kernel.dim, sampler.kernel.trunc_radius
-    digits = [(codes >> (axis * bits)) & ((1 << bits) - 1) for axis in range(sampler.kernel.dim)]
-    return np.stack(digits, axis=1) - K
+def _decode(codes, dim, radius):
+    """Displacement rows of packed codes (each a single draw, so no carries)
+    with digits offset by ``radius``."""
+    bits = 63 // dim
+    digits = [(codes >> (axis * bits)) & ((1 << bits) - 1) for axis in range(dim)]
+    return np.stack(digits, axis=1) - radius
 
 
-def _study_2d_kernel():
-    # the finer mesh of the study_2d benchmark (K = 32 anchored at h = 0.2)
+def _study_2d_kernel(h=0.1, K=128):
+    # the meshes of the study_2d benchmark (K = 32 anchored at h = 0.2); the
+    # finer one by default
     m = OrderMeasure(atoms=((0.7, 1.0), (1.4, 0.5)))
-    return build_kernel(m, 2, 0.1, 0.5 * stability_sigma(m, 2, 0.1, 0.0).tau_max, 128)
+    return build_kernel(m, 2, h, 0.5 * stability_sigma(m, 2, h, 0.0).tau_max, K)
 
 
 class TestAliasTables:
@@ -390,6 +425,41 @@ class TestAliasTables:
             weights = outcome_weights(sampler.kernel).tolist()
             tv = 0.5 * sum(abs(c / 2**32 - w) for c, w in zip(law, weights))
             assert tv <= n * 2.0**-32
+
+    @pytest.mark.parametrize("sampler, n_steps, tables", [
+        (ENGINE_SAMPLERS[1], 821, [411, 410]),
+        (ENGINE_SAMPLERS[2], 47, [10, 9]),
+        (ENGINE_SAMPLERS[3], 8, [3, 2]),
+        (build_sampler(_study_2d_kernel(0.2, 32)), 9, [3]),
+    ])
+    def test_composite_tables_within_total_variation_bound(self, sampler, n_steps, tables):
+        # each m-step table samples, exactly, a law within total variation
+        # N 2^-32 of the m-fold convolution power summed directly; its N
+        # outcomes are every site of its box, its codes decode to them and
+        # its block is the longest carry-free sum
+        plan = montecarlo._plan(sampler, n_steps)
+        assert sorted(set(draw_plan(sampler.kernel, n_steps)), reverse=True) == tables
+        dim, K = sampler.kernel.dim, sampler.kernel.trunc_radius
+        for (table, _), steps in zip(plan, tables):
+            n = len(table.keys)
+            assert n == (2 * table.radius + 1) ** dim <= montecarlo._TABLE_SITES
+            assert table.radius <= steps * K
+            sites, weights = step_law(sampler.kernel, steps)
+            alias = montecarlo._alias_table(weights)[1]
+            own, other = (_decode(table.codes[i::2], dim, table.radius) for i in (1, 0))
+            np.testing.assert_array_equal(own, sites)
+            np.testing.assert_array_equal(other, sites[alias])
+            block, largest = table.block_steps, 2 * table.radius
+            assert block * largest < 2 ** (63 // dim) <= (block + 1) * largest
+            exact = convolution_power(sampler.kernel, steps)
+            law = np.array(_realized_law(table, alias), dtype=float) / 2**32
+            at = tuple((sites + steps * K).T)
+            outside = exact.sum() - exact[at].sum()
+            tv = 0.5 * (np.abs(law - exact[at]).sum() + outside)
+            assert tv <= n * 2.0**-32
+            # evolve's own part, its tail cut, wrap and rounding, lies far
+            # below that (measured 6e-15 to 3.5e-14)
+            assert 0.5 * (np.abs(weights - exact[at]).sum() + outside) <= 2.0**-40
 
     def test_sweep_table_on_the_study_2d_kernel(self):
         sampler = build_sampler(_study_2d_kernel())
@@ -424,7 +494,7 @@ class TestAliasTables:
         # count), exactly; keys pack it with the code index 2i + 1; and the
         # code table decodes to the alias and own displacements
         for sampler in (SAMPLER, *ENGINE_SAMPLERS.values()):
-            n = sampler.n_outcomes
+            n, dim, K = sampler.n_outcomes, sampler.kernel.dim, sampler.kernel.trunc_radius
             assert sampler.keys.dtype == np.uint64
             limit = sampler_limits(sampler).tolist()
             accept, alias = float_table(sampler.kernel)
@@ -435,9 +505,9 @@ class TestAliasTables:
                 assert int(sampler.keys[i]) == (2 * i + 1) * 2**33 + limit[i] - 1
             assert sampler.codes.dtype == np.int64
             np.testing.assert_array_equal(
-                _decode(sampler, sampler.codes[0::2]), displacements[alias]
+                _decode(sampler.codes[0::2], dim, K), displacements[alias]
             )
-            np.testing.assert_array_equal(_decode(sampler, sampler.codes[1::2]), displacements)
+            np.testing.assert_array_equal(_decode(sampler.codes[1::2], dim, K), displacements)
 
     def test_code_index_at_the_slot_edges(self):
         # each slot's first and last draw and the draws either side of its
@@ -462,10 +532,13 @@ class TestAliasTables:
             bits, largest = 63 // sampler.kernel.dim, 2 * sampler.kernel.trunc_radius
             assert sampler.block_steps * largest < 2**bits <= (sampler.block_steps + 1) * largest
 
-    def test_walk_steps_are_sampler_draws_of_the_walker_window(self):
-        # walker w of an n-step walk uses the 32-bit draws [2 w W, 2 w W + n)
-        # of the seed's stream, W = ceil(n / 2) words, the low half of a
-        # word before its high half, drawn the same way as sample_outcomes
+    def test_walk_steps_are_sampler_draws_of_the_walker_window(self, monkeypatch):
+        # with a table budget below every m-step box each draw is one step
+        # (the 0.4.0 stream): walker w of an n-step walk uses the 32-bit
+        # draws [2 w W, 2 w W + n) of the seed's stream, W = ceil(n / 2)
+        # words, the low half of a word before its high half, drawn the
+        # same way as sample_outcomes
+        monkeypatch.setattr(montecarlo, "_TABLE_SITES", 1)
         for n, window in ((5, 6), (9, 10), (16, 16)):
             walkers = 300
             ens = run_walks(SAMPLER, n, walkers, seed=19)
@@ -484,14 +557,24 @@ class TestWalkEngine:
         walkers = 40
         if small_tiles:
             # a window over 14 words takes several tiles of 14 words (28
-            # steps), and a tile half of more than 2 draws several
-            # carry-free blocks of 2
+            # draws), and a tile half of more than 2 draws from one table
+            # several carry-free blocks of 2
             monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 14)
             sampler = dataclasses.replace(sampler, block_steps=2)
+            composite = montecarlo._composite
+            monkeypatch.setattr(
+                montecarlo, "_composite", lambda k, m: composite(k, m)._replace(block_steps=2)
+            )
             walkers = 12 if n_steps > 12 else walkers
-        ens = run_walks(sampler, n_steps, walkers, seed=dim + 60, threads=threads)
-        expected = per_axis_walk(sampler, n_steps, walkers, seed=dim + 60)
-        np.testing.assert_array_equal(ens.lattice_positions, expected)
+        # once with one step per draw (a one-site table budget), once at the
+        # default budget, where every walk of more than two steps takes m > 1
+        for budget in (1, montecarlo._TABLE_SITES):
+            monkeypatch.setattr(montecarlo, "_TABLE_SITES", budget)
+            plan = draw_plan(sampler.kernel, n_steps)
+            assert (max(plan) > 1) == (budget > 1 and n_steps > 2)
+            ens = run_walks(sampler, n_steps, walkers, seed=dim + 60, threads=threads)
+            expected = per_axis_walk(sampler, n_steps, walkers, seed=dim + 60)
+            np.testing.assert_array_equal(ens.lattice_positions, expected)
 
     def test_long_walk_memory_does_not_grow_with_steps(self):
         tracemalloc.start()
@@ -544,13 +627,73 @@ class TestStream:
         (1, "7aee9a54a36ad49d7f549746299b6f8862335970421ebf69767256b615a9eecd"),
         (2, "d16c8b01b049932f1730393cb4d030bc89e6f2c8953ba5118126bb3d14a88cff"),
     ])
-    def test_ensemble_digest_is_pinned_to_the_stream_version(self, dim, digest):
+    def test_ensemble_digest_is_pinned_to_the_stream_version(self, dim, digest, monkeypatch):
         # SHA-256 of the little-endian int64 lattice positions under stream
-        # 0.4.0: a change to the seed -> ensemble mapping must come with a
-        # new STREAM_VERSION and new digests
+        # 0.4.0, which 0.5.0 reproduces when every draw is one step (here
+        # forced by a one-site table budget)
+        monkeypatch.setattr(montecarlo, "_TABLE_SITES", 1)
         ens = run_walks(ENGINE_SAMPLERS[dim], 27, 1000, seed=2024, threads=2)
         lattice = ens.lattice_positions.astype("<i8").tobytes()
-        assert (STREAM_VERSION, hashlib.sha256(lattice).hexdigest()) == ("0.4.0", digest)
+        assert hashlib.sha256(lattice).hexdigest() == digest
+
+    @pytest.mark.parametrize("dim, digest", [
+        (1, "41dde55f4c40a6e3fba496812bd5d491a1d54d3eef8c5580ebc32c7108c64a9e"),
+        (2, "ab50296f26c08091803cc88b669f17bc2f87882469a1d1da888d4cddf326203e"),
+        (3, "da63151dff71237055b53da5713a684ed87cd6f60df226fd2202944ff5c889ce"),
+    ])
+    def test_composite_digest_is_pinned_to_the_stream_version(self, dim, digest):
+        # the same walks at the default table budget, 14 + 13, 3 x 9 and
+        # 9 x 3 steps: a change to the seed -> ensemble mapping must
+        # come with a new STREAM_VERSION and new digests
+        plans = {1: [14, 13], 2: [9] * 3, 3: [3] * 9}
+        assert draw_plan(ENGINE_SAMPLERS[dim].kernel, 27) == plans[dim]
+        ens = run_walks(ENGINE_SAMPLERS[dim], 27, 1000, seed=2024, threads=2)
+        lattice = ens.lattice_positions.astype("<i8").tobytes()
+        assert (STREAM_VERSION, hashlib.sha256(lattice).hexdigest()) == ("0.5.0", digest)
+
+
+class TestDrawBudget:
+    """Each walker draws ceil(D / 2) words; a return to one draw per step
+    shows here as a word count, without a benchmark run."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        words = []
+
+        class Counting(PCG64DXSM):
+            def random_raw(self, size=None, output=True):
+                words.append(int(np.prod(size)))
+                return super().random_raw(size, output)
+
+        monkeypatch.setattr(montecarlo, "PCG64DXSM", Counting)
+        return words
+
+    def test_cauchy_walk_draws_six_words_per_walker(self, counted):
+        # the cauchy_walk benchmark kernel: 84 steps are 12 draws of 7, where
+        # one draw per step took 42 words
+        cauchy = OrderMeasure.single(1.0)
+        tau = 0.5 * stability_sigma(cauchy, 1, 0.025, 0.0).tau_max
+        sampler = build_sampler(build_kernel(cauchy, 1, 0.025, tau, trunc_radius=4096))
+        assert math.ceil(1.0 / tau) == 84
+        run_walks(sampler, 84, 3000, seed=5, threads=2)
+        assert sum(counted) == 6 * 3000
+        # the outcomes are the box of evolve's 7-step law, radius 13 817
+        assert [len(t.keys) for t, _ in montecarlo._plan(sampler, 84)] == [27_635]
+
+    def test_wide_kernel_keeps_one_draw_per_step(self, counted):
+        # 2D K = 128: even a 2-step box exceeds the budget, so 47 steps take 24 words
+        sampler = build_sampler(_study_2d_kernel())
+        run_walks(sampler, 47, 500, seed=5)
+        assert sum(counted) == 24 * 500
+        [(table, draws)] = montecarlo._plan(sampler, 47)
+        assert table.keys is sampler.keys and draws == 47
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_steps", [2, 27, 4097])
+    def test_no_table_exceeds_the_budget(self, dim, n_steps):
+        for table, _ in montecarlo._plan(ENGINE_SAMPLERS[dim], n_steps):
+            assert len(table.keys) <= montecarlo._TABLE_SITES
+            assert (2 * table.radius + 1) ** dim <= montecarlo._TABLE_SITES
 
 
 class TestThreadPool:
@@ -570,6 +713,7 @@ class TestThreadPool:
                 pass
 
         monkeypatch.setattr(montecarlo, "Thread", Recorder)
+        monkeypatch.setattr(montecarlo, "_TABLE_SITES", 1)  # one draw per step
         n_steps, walkers = 13, 50_000
         chunks = -(-walkers // (montecarlo._CHUNK_WORDS // 7))
         base = run_walks(SAMPLER, n_steps, walkers, seed=41, threads=1)
@@ -579,11 +723,12 @@ class TestThreadPool:
         np.testing.assert_array_equal(base.lattice_positions, wide.lattice_positions)
 
     def test_first_worker_error_is_raised(self, monkeypatch):
-        def failing(sampler, seed, n_steps, chunks, out):
+        def failing(plan, seed, draws, chunks, out):
             raise RuntimeError(f"chunk {chunks[0][0]}")
 
         monkeypatch.setattr(montecarlo, "_run_chunks", failing)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_TABLE_SITES", 1)  # one draw per step
         walkers = 3 * (montecarlo._CHUNK_WORDS // 7)  # 3 chunks of 13-step walkers
         with pytest.raises(RuntimeError, match="^chunk 0$"):
             run_walks(SAMPLER, 13, walkers, seed=41, threads=3)
