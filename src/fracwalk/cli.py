@@ -11,7 +11,6 @@ failure, 2 validation failure.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,8 +24,8 @@ from .analytic import (
     symbol_oracle,
 )
 from .config import ConfigError, DEFAULTS, RunConfig, defaults_yaml
-from .diagnostics import is_cauchy, ks_distance, reference_cdf, refinement_study
-from .kernel import StabilityError, build_kernel, stability_sigma
+from .diagnostics import is_cauchy, ks_distance, reference_cdf, refinement_study, resolve_run
+from .kernel import StabilityError
 from .montecarlo import build_sampler, run_walks
 from .quadrature import QuadratureError
 
@@ -65,14 +64,6 @@ def _write_json(path: Path, payload: dict) -> None:
         json.dump(payload, f, indent=2)
 
 
-def _resolve_kernel(cfg: RunConfig):
-    r = cfg.resolved
-    report = stability_sigma(cfg.measure, r["dim"], r["h"], 0.0)
-    tau = r["tau"] if r["tau"] is not None else r["theta"] * report.tau_max
-    kernel = build_kernel(cfg.measure, r["dim"], r["h"], tau, r["trunc_radius"])
-    return kernel, report
-
-
 @click.group()
 @click.version_option(__version__)
 def main() -> None:
@@ -86,15 +77,17 @@ def main() -> None:
 def kernel(config_path: str, out: str | None) -> None:
     """Build the transition kernel and write it as JSON."""
     cfg = RunConfig.from_file(config_path)
-    k, report = _resolve_kernel(cfg)
+    r = cfg.resolved
+    k, _, tau_max = resolve_run(cfg.measure, r["dim"], r["h"], r["t"], r["theta"], r["tau"],
+                                r["trunc_radius"], r["n_steps"])
     payload = k.to_json_dict()
-    payload["tau_max"] = report.tau_max
+    payload["tau_max"] = tau_max
     payload.update(cfg.echo())
     path = _out_dir(out, cfg) / "kernel.json"
     _write_json(path, payload)
     click.echo(
         f"kernel: dim={k.dim} h={k.h} tau={k.tau:.10g} K={k.trunc_radius}\n"
-        f"  sigma={k.sigma:.10g}  p0={k.p0:.10g}  tau_max={report.tau_max:.10g}\n"
+        f"  sigma={k.sigma:.10g}  p0={k.p0:.10g}  tau_max={tau_max:.10g}\n"
         f"  tail_mass={k.tail_mass:.3e}"
         + ("  [WARNING: truncation tail exceeds 10% of sigma]" if k.tail_warning else "")
         + f"\n  written to {path}"
@@ -112,17 +105,15 @@ def simulate(config_path: str, out: str | None, seed: int | None, threads: int |
     cfg = RunConfig.from_file(config_path)
     r = cfg.resolved
     reference = r["ks_reference"]
-    if reference == "auto":
-        reference = "cauchy" if is_cauchy(cfg.measure, r["dim"]) else "none"
-    elif reference == "cauchy" and not is_cauchy(cfg.measure, r["dim"]):
+    if reference == "cauchy" and not is_cauchy(cfg.measure, r["dim"]):
         raise ConfigError("ks_reference cauchy needs one atom at alpha = 1 in dim 1")
-    k, _ = _resolve_kernel(cfg)
-    if r["n_steps"] is not None:
-        n_steps = r["n_steps"]
-    elif k.tau > 0.0:
-        n_steps = math.ceil(r["t"] / k.tau)
-    else:
-        n_steps = 0  # frozen walk: no jumps regardless of step count
+    k, n_steps, _ = resolve_run(cfg.measure, r["dim"], r["h"], r["t"], r["theta"], r["tau"],
+                                r["trunc_radius"], r["n_steps"])
+    moves = n_steps > 0 and k.tau > 0.0  # simulated time n_steps * tau is positive
+    if reference == "auto":
+        reference = "cauchy" if moves and is_cauchy(cfg.measure, r["dim"]) else "none"
+    elif reference != "none" and not moves:
+        raise ConfigError(f"ks_reference {reference} needs a positive simulated time n_steps * tau")
     use_seed = seed if seed is not None else r["seed"]
     use_threads = threads if threads is not None else r["threads"]
     ensemble = run_walks(build_sampler(k), n_steps, r["walkers"], use_seed, use_threads)
@@ -134,9 +125,8 @@ def simulate(config_path: str, out: str | None, seed: int | None, threads: int |
     summary = ensemble.summary_dict(sorted_first=first)
     summary["tail_mass"] = k.tail_mass
 
-    t_sim = ensemble.n_steps * ensemble.tau
-    if reference != "none" and t_sim > 0.0:
-        cdf, projection = reference_cdf(cfg.measure, r["dim"], t_sim, r["quad_tol"])
+    if reference != "none":
+        cdf, projection = reference_cdf(cfg.measure, r["dim"], n_steps * k.tau, r["quad_tol"])
         summary["ks"] = ks_distance(ensemble, cdf, projection, sorted_first=first)
         summary["ks_reference"] = reference
     summary.update(cfg.echo())
@@ -196,6 +186,9 @@ def study(config_path: str, out: str | None, seed: int | None, threads: int | No
     r = cfg.resolved
     if r["h_list"] is None:
         raise ConfigError("study requires h_list (strictly decreasing)")
+    for name in ("tau", "n_steps"):
+        if r[name] is not None:
+            raise ConfigError(f"study derives {name} per mesh from theta and t; leave {name} unset")
     report = refinement_study(
         cfg.measure,
         r["dim"],

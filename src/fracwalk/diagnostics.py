@@ -143,6 +143,22 @@ def total_variation(hist: Histogram, dist: LatticeDistribution) -> float:
     return float(0.5 * (inside + law_outside + walkers_outside / n))
 
 
+def resolve_run(
+    measure: OrderMeasure, dim: int, h: float, t: float, theta: float = 0.5,
+    tau: float | None = None, trunc_radius: int | None = None, n_steps: int | None = None,
+) -> tuple[LatticeKernel, int, float]:
+    """``(kernel, n_steps, tau_max)`` on mesh h up to time t: tau = theta * tau_max(h) and
+    n_steps = ceil(t / tau), 0 at tau = 0, unless given.  ValueError if t / tau overflows."""
+    tau_max = stability_sigma(measure, dim, h, 0.0).tau_max
+    tau = theta * tau_max if tau is None else tau
+    kernel = build_kernel(measure, dim, h, tau, trunc_radius)
+    if n_steps is None:
+        if tau > 0.0 and t / tau == math.inf:
+            raise ValueError(f"step count t / tau overflows: t = {t!r}, tau = {tau!r}")
+        n_steps = math.ceil(t / tau) if tau > 0.0 else 0
+    return kernel, n_steps, tau_max
+
+
 @dataclass(frozen=True)
 class ConvergenceRow:
     h: float
@@ -206,9 +222,9 @@ def refinement_study(
 ) -> ConvergenceReport:
     """CF and KS convergence metrics along a strictly decreasing mesh list.
 
-    For each h the time step is theta * tau_max(h) and n = ceil(t / tau), so
-    n * tau lands in [t, t + tau).  The KS reference is :func:`reference_cdf`
-    at t, computed once: it does not depend on h.
+    Each row's tau and n come from :func:`resolve_run` at its h, so n * tau
+    lands in [t, t + tau).  The KS reference is :func:`reference_cdf` at t,
+    computed once: it does not depend on h.
 
     The truncation radius is anchored at the coarsest mesh (``trunc_radius``
     or the per-dimension default) and grows like 1/h^2 along the refinement:
@@ -232,16 +248,14 @@ def refinement_study(
     k_cap = {1: 10_000_000, 2: 2_700, 3: 150}[dim]
     rows = []
     for h in h_arr:
-        tau = theta * stability_sigma(measure, dim, h, 0.0).tau_max
-        n = math.ceil(t / tau)
         K = min(math.ceil(anchor_K * (h_arr[0] / h) ** 2), k_cap)
-        kernel = build_kernel(measure, dim, h, tau, K)
+        kernel, n, _ = resolve_run(measure, dim, h, t, theta, trunc_radius=K)
         cf_err = cf_sup_error(kernel, n, sym, t, xi_grid)
         ensemble = run_walks(build_sampler(kernel), n, walkers, seed, threads)
         ks = ks_distance(ensemble, cdf, projection)
         rows.append(
             ConvergenceRow(
-                h=h, tau=tau, n_steps=n, cf_sup_error=cf_err,
+                h=h, tau=kernel.tau, n_steps=n, cf_sup_error=cf_err,
                 ks_distance=ks, tail_mass=kernel.tail_mass,
             )
         )

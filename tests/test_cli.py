@@ -130,7 +130,7 @@ class TestSimulateCommand:
         assert doc["ks"] == ks_distance_every_value(ens, cdf, projection)
 
     def test_outputs_and_readme_name_the_stream_version(self, runner, tmp_path):
-        cfg = _write(tmp_path, "c.yaml", dict(BENCH, h_list=[0.2], t=0.5, walkers=200))
+        cfg = _write(tmp_path, "c.yaml", dict(UNSET_TAU, h_list=[0.2], t=0.5, walkers=200))
         for command in ("simulate", "study"):
             res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
             assert res.exit_code == 0, res.output
@@ -171,6 +171,24 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["ks_reference"] == "analytic"
         assert 0.0 < summary["ks"] < 1.0
+
+    @pytest.mark.parametrize("reference", ["analytic", "cauchy"])
+    @pytest.mark.parametrize("frozen", [{"n_steps": 0}, {"tau": 0.0}])
+    def test_explicit_reference_at_zero_time_exits_2(self, runner, tmp_path, reference, frozen):
+        cfg = _write(tmp_path, "c.yaml", dict(BENCH, ks_reference=reference, **frozen))
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.output == (
+            f"error: ks_reference {reference} needs a positive simulated time n_steps * tau\n"
+        )
+        assert not (tmp_path / "ensemble.csv").exists()
+
+    def test_auto_reference_at_zero_time_writes_no_ks(self, runner, tmp_path):
+        cfg = _write(tmp_path, "c.yaml", dict(BENCH, tau=0.0, walkers=3))
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["n_steps"] == 0 and "ks" not in summary
 
 
 class TestDensityCommand:
@@ -255,6 +273,24 @@ class TestStudyCommand:
         cfg = _write(tmp_path, "c.yaml", BENCH)
         res = runner.invoke(main, ["study", "--config", cfg, "--out", str(tmp_path)])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("key, value", [("tau", 0.001), ("n_steps", 3)])
+    def test_tau_and_n_steps_rejected(self, runner, tmp_path, key, value):
+        # each row takes its own tau and n; a fixed one used to be ignored silently
+        doc = dict(UNSET_TAU, h_list=[0.2, 0.1], walkers=100, **{key: value})
+        cfg = _write(tmp_path, "c.yaml", doc)
+        res = runner.invoke(main, ["study", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error: ") and res.output.count("\n") == 1
+        assert key in res.output
+        assert not (tmp_path / "study.json").exists()
+
+    def test_null_tau_and_n_steps_run(self, runner, tmp_path):
+        # `fracwalk defaults` prints both as null
+        doc = dict(UNSET_TAU, h_list=[0.2], t=0.5, walkers=100, tau=None, n_steps=None)
+        cfg = _write(tmp_path, "c.yaml", doc)
+        res = runner.invoke(main, ["study", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
 
 
 class TestOracleCommand:
@@ -381,6 +417,7 @@ KERNEL_VALUES = {
     "theta": st.floats(0.0, 1.0, exclude_min=True),
     "tau": st.floats(0.0, 1.0),
     "trunc_radius": st.integers(1, 32),
+    "t": st.floats(0.0, 1e308),  # kernel never walks, so a huge t / tau cannot hang
 }
 JUNK = st.one_of(
     st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
@@ -601,3 +638,35 @@ def test_grid_sizes_are_capped(runner, tmp_path, command, key):
     assert key in res.output
     assert peak < 64 * 2**20
     assert RunConfig.from_dict({**BENCH, key: 2**16}).resolved[key] == 2**16
+
+
+@pytest.mark.parametrize("command", ["kernel", "simulate"])
+@pytest.mark.parametrize("run", [{"tau": 1.0e-320}, {"t": 1.0e300, "tau": 1.0e-10}])
+def test_step_count_past_float_range_exits_2(runner, tmp_path, command, run):
+    # ceil(t / tau) used to raise OverflowError with a traceback
+    cfg = _write(tmp_path, "c.yaml", dict(BENCH, **run))
+    res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+    assert f"t = {float(run.get('t', 1.0))!r}, tau = {run['tau']!r}" in res.output
+    assert not (tmp_path / "kernel.json").exists() and not (tmp_path / "ensemble.csv").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    {"measure": {"atoms": [[1.0, 1.0]]}, "dim": 1, "h": 0.1, "t": 0.5},
+    {"measure": {"atoms": [[0.7, 1.0], [1.4, 0.5]]}, "dim": 2, "h": 0.2, "t": 0.5,
+     "trunc_radius": 12},
+])
+def test_every_command_resolves_the_same_run(runner, tmp_path, doc):
+    cfg = _write(tmp_path, "c.yaml", dict(doc, h_list=[doc["h"]], walkers=200, xi_points=11))
+    for command in ("kernel", "simulate", "study"):
+        res = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+    kernel = json.loads((tmp_path / "kernel.json").read_text())
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    (row,) = json.loads((tmp_path / "study.json").read_text())["rows"]
+    assert kernel["tau"] == summary["tau"] == row["tau"] == 0.5 * kernel["tau_max"]
+    assert summary["n_steps"] == row["n_steps"] == math.ceil(doc["t"] / kernel["tau"])
+    # the truncation radius K shows in every output's tail mass
+    assert kernel["K"] == doc.get("trunc_radius", 64)
+    assert kernel["tail_mass"] == summary["tail_mass"] == row["tail_mass"]

@@ -24,6 +24,7 @@ from fracwalk.diagnostics import (
     ks_distance,
     reference_cdf,
     refinement_study,
+    resolve_run,
     total_variation,
 )
 from fracwalk import montecarlo
@@ -254,6 +255,29 @@ class TestReferenceCdf:
         np.testing.assert_array_equal(cdf(xs), dens.radial_cdf(xs))
 
 
+class TestResolveRun:
+    def test_defaults_tie_tau_to_the_stability_boundary(self):
+        kernel, n, tau_max = resolve_run(SINGLE, 1, 0.1, 1.0, theta=0.25)
+        assert tau_max == stability_sigma(SINGLE, 1, 0.1, 0.0).tau_max
+        assert kernel.tau == 0.25 * tau_max and kernel.trunc_radius == 64
+        assert n == math.ceil(1.0 / kernel.tau)
+
+    def test_given_tau_n_and_radius_are_kept(self):
+        kernel, n, _ = resolve_run(SINGLE, 1, 0.1, 1.0, tau=0.01, trunc_radius=8, n_steps=3)
+        assert (kernel.tau, kernel.trunc_radius, n) == (0.01, 8, 3)
+        assert resolve_run(SINGLE, 1, 0.1, 1.0, tau=0.01)[1] == 100
+
+    def test_frozen_walk_takes_no_steps(self):
+        kernel, n, _ = resolve_run(SINGLE, 1, 0.1, 1.0, tau=0.0)
+        assert n == 0 and kernel.sigma == 0.0
+
+    @pytest.mark.parametrize("t, tau", [(1.0, 1e-320), (1e300, 1e-10)])
+    def test_step_count_past_float_range_raises(self, t, tau):
+        with pytest.raises(ValueError) as err:
+            resolve_run(SINGLE, 1, 0.1, t, tau=tau)
+        assert f"t = {t!r}, tau = {tau!r}" in str(err.value)
+
+
 class TestRefinementStudy:
     def test_shell_cache_stays_bounded(self):
         # each mesh of a study enumerates a larger cube; only the last few stay cached
@@ -291,6 +315,16 @@ class TestRefinementStudy:
         assert cf[0] > cf[1] > cf[2]
         ks = [row.ks_distance for row in report.rows]
         assert all(k <= 0.05 for k in ks)
+
+    @pytest.mark.parametrize("dim, h_list, anchor_K", [(1, [0.2, 0.1], 16), (2, [0.4, 0.2], 6)])
+    def test_rows_follow_resolve_run(self, dim, h_list, anchor_K):
+        report = refinement_study(
+            SINGLE, dim, 0.5, h_list, walkers=100, seed=1, xi_points=11, trunc_radius=anchor_K,
+        )
+        for row in report.rows:
+            K = math.ceil(anchor_K * (h_list[0] / row.h) ** 2)
+            kernel, n, _ = resolve_run(SINGLE, dim, row.h, 0.5, trunc_radius=K)
+            assert (row.tau, row.n_steps, row.tail_mass) == (kernel.tau, n, kernel.tail_mass)
 
     def test_rejects_bad_h_list(self):
         with pytest.raises(ValueError):
