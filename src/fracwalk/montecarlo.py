@@ -351,11 +351,13 @@ def _run_chunks(plan: list, seed: int, draws: int, chunks: list, out: np.ndarray
 
     A tile is the whole chunk, or the next span of at most ``_CHUNK_WORDS``
     words of a walker whose window is longer; draw j is draw j of the
-    walker's window either way, from its table in ``plan``.  Low halves of
-    a tile's words take the even draws, high halves the odd ones; a position
-    is an order-free sum of codes, so each half's draws from one table are
-    walked as one block.  Fresh temporaries per tile would go back to the
-    operating system and be faulted in on every tile, doubling walk time.
+    walker's window either way, from its table in ``plan``.  The tile's
+    words are walked draw-major, one row of walkers per word: the low
+    halves of its rows are the even draws, the high halves the odd ones, so
+    each table's draws in a half are a run of whole rows, and a position is
+    an order-free sum of codes, summed a block of rows at a time.  Fresh
+    temporaries per tile would go back to the operating system and be
+    faulted in on every tile, doubling walk time.
     """
     dim, bits = out.shape[1], 63 // out.shape[1]
     mask = (1 << bits) - 1
@@ -363,7 +365,7 @@ def _run_chunks(plan: list, seed: int, draws: int, chunks: list, out: np.ndarray
     span = min(draws, 2 * _CHUNK_WORDS)
     size = max(count for _, count in chunks) * ((span + 1) // 2)
     work = [np.empty(size, np.uint64) for _ in range(3)]
-    ends = np.cumsum([count for _, count in plan]).tolist()  # each table's last draw + 1
+    ends = np.cumsum([0] + [count for _, count in plan]).tolist()  # each table's draws
     # one generator, rewound per chunk: seeding hashes the seed afresh,
     # which costs several times a rewind
     bitgen = PCG64DXSM(seed)
@@ -376,30 +378,31 @@ def _run_chunks(plan: list, seed: int, draws: int, chunks: list, out: np.ndarray
             length = min(span, draws - start)
             # the chunk's windows, or the next span of one walker's window
             stride = (length + 1) // 2
-            raw = bitgen.random_raw(count * stride).reshape(count, stride)
-            low, slot, index = (w[: count * stride].reshape(count, stride) for w in work)
-            np.bitwise_and(raw, _LOW32, out=low)
-            raw >>= _SHIFT32  # the high halves
-            # an odd length leaves the last high half of each row unused
-            for half, (u, used) in enumerate(((low, stride), (raw, length // 2))):
+            raw = bitgen.random_raw(count * stride)
+            # draw-major: row r of each half holds word r of every walker
+            high, low, index = (w[: count * stride].reshape(stride, count) for w in work)
+            np.copyto(high, raw.reshape(count, stride).T)
+            slot = raw.reshape(stride, count)  # copied: its buffer takes the slots
+            np.bitwise_and(high, _LOW32, out=low)
+            high >>= _SHIFT32
+            for half, u in enumerate((low, high)):  # row r is draw start + 2 r + half
                 # the draws are spent once indexed: their buffer takes the codes
                 codes = u.view(np.int64)
-                edge = 0  # column c of this half is draw start + 2 c + half
-                for (table, _), end in zip(plan, ends):
-                    stop = min(used, max(edge, (end - start - half + 1) // 2))
-                    if stop == edge:
+                for (table, _), lo, hi in zip(plan, ends, ends[1:]):
+                    lo, hi = ((min(max(e - start, 0), length) + 1 - half) // 2 for e in (lo, hi))
+                    if lo == hi:
                         continue
-                    # the last table also indexes the unused column: whole rows are faster
-                    cols = slice(edge, stride if stop == used else stop)
-                    picked = _draw(table, u[:, cols], (slot[:, cols], index[:, cols]))
-                    np.take(table.codes, picked, out=codes[:, cols], mode="clip")
-                    for lo in range(edge, stop, table.block_steps):
-                        block = codes[:, lo : min(stop, lo + table.block_steps)]
-                        total = np.einsum("ij->i", block)  # faster than sum on short rows
+                    picked = _draw(table, u[lo:hi], (slot[lo:hi], index[lo:hi]))
+                    np.take(table.codes, picked, out=codes[lo:hi], mode="clip")
+                    for first_row in range(lo, hi, table.block_steps):
+                        block = codes[first_row : min(hi, first_row + table.block_steps)]
+                        total = np.sum(block, axis=0, out=slot[0].view(np.int64))
+                        digit = index[0].view(np.int64)
                         for axis in range(dim):
-                            digit = (total >> (axis * bits)) & mask
-                            out[rows, axis] += digit - block.shape[1] * table.radius
-                    edge = stop
+                            np.right_shift(total, axis * bits, out=digit)
+                            digit &= mask
+                            digit -= len(block) * table.radius
+                            out[rows, axis] += digit
 
 
 def run_walks(
