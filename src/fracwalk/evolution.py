@@ -252,32 +252,37 @@ def convolve(p: LatticeDistribution, q: LatticeDistribution) -> LatticeDistribut
     )
 
 
-def _tail_reach(kernel: LatticeKernel, n_steps: int) -> tuple[int, float]:
-    """The n-step walk's reach x and a bound <= ``TAIL_EPSILON`` on leaving
-    the cube of radius x - 1; (nK + 1, 0) if no x <= nK has one.
-
-    The kernel is even and symmetric under axis permutations, so by a union
-    bound over the 2N half-axes and Chernoff's inequality that probability is
-    at most 2N M(l)**n exp(-l x) for every l > 0, M the exact moment generating
-    function of the first-axis marginal.  Each l certifies every x at or above
-    x(l) = (n log M(l) + log(2N / eps)) / l, unimodal in l as log M is convex,
-    so l is bisected in log l on the sign of l x'(l).
-    """
-    K, n = kernel.trunc_radius, n_steps
-    sites, shell = kernel.shells.sites, kernel.shells.site_shell
+def _first_marginal(kernel: LatticeKernel) -> tuple[np.ndarray, np.ndarray]:
+    """(k, log p) of the kernel's first-axis marginal at the k (floats) it reaches."""
+    K, sites, shell = kernel.trunc_radius, kernel.shells.sites, kernel.shells.site_shell
     marginal = np.zeros(2 * K + 1)
     marginal[K] = kernel.p0
     for i in range(0, len(sites), 1 << 14):  # blocks keep the working set small
         block = slice(i, i + (1 << 14))
         marginal += np.bincount(sites[block, 0] + K, kernel.shell_prob[shell[block]], 2 * K + 1)
     k = np.flatnonzero(marginal)
-    log_p, k = np.log(marginal[k]), k - float(K)
+    return k - float(K), np.log(marginal[k])
+
+
+def _tail_reach(kernel: LatticeKernel, n_steps: int, marginal=None) -> tuple[int, float]:
+    """The n-step walk's reach x and a bound <= ``TAIL_EPSILON`` on leaving
+    the cube of radius x - 1; (nK + 1, 0) if no x <= nK has one.
+
+    The kernel is even and symmetric under axis permutations, so by a union
+    bound over the 2N half-axes and Chernoff's inequality that probability is
+    at most 2N M(l)**n exp(-l x) for every l > 0, M the exact moment generating
+    function of the first-axis ``marginal`` (:func:`_first_marginal`).  Each l
+    certifies every x at or above x(l) = (n log M(l) + log(2N / eps)) / l,
+    unimodal in l as log M is convex, so l is bisected in log l on the sign of l x'(l).
+    """
+    K, n = kernel.trunc_radius, n_steps
+    k, log_p = marginal or _first_marginal(kernel)
     log_c = math.log(2 * kernel.dim / TAIL_EPSILON)
 
     def log_mgf(l):  # log M(l) and the tilted mean M'(l) / M(l)
         e = l * k + log_p
-        w = np.exp(e - e.max())
-        return e.max() + math.log(w.sum()), (w @ k) / w.sum()
+        w = np.exp(e - (top := e.max()))
+        return top + math.log(w.sum()), (w @ k) / w.sum()
 
     lo, hi = math.log(1e-6 / K), math.log(1e4 / K)  # far below and above the optimum
     for _ in range(24):

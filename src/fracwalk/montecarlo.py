@@ -1,14 +1,14 @@
 """Monte Carlo sampling of lattice walks S_n = h(X_1 + ... + X_n).
 
 A draw moves a walker by an exact m-step law p^{*m} (Chapman-Kolmogorov):
-an n-step walk takes D = ceil(n / M) draws, M the largest m <= ceil(n / 2)
-with (2 m K + 1)^dim <= ``_TABLE_SITES`` (at least 1), the first D - e of
-a = ceil(n / D) steps and the last e = D a - n of a - 1.  An alias table
-over a law's N outcomes draws within total variation N * 2^-32 of it; an
-m-step table holds ``evolve``'s law on its whole box (N fixed, bits from
-the FFT), about 1e-14 from p^{*m}; a walk is within about D N_max 2^-32.
-Positions are summed in integer lattice coordinates and scaled by the mesh
-width only on output, so no float drift can move a walker off the lattice.
+an n-step walk takes the fewest draws D (at least 2 for n > 1) whose tables
+hold at most ``_TABLE_SITES`` outcomes together, the first D - e of
+a = ceil(n / D) steps and the last e = D a - n of a - 1.  An m-step table
+holds ``evolve``'s law on its whole Chernoff box (N fixed, bits from the
+FFT), about 1e-14 from p^{*m}; the one-step table is the sampler's, and an
+alias table over N outcomes draws within total variation N * 2^-32 of its
+law, so a walk is within about D N_max 2^-32.  Positions are summed in
+integer lattice coordinates and scaled by the mesh width only on output.
 
 Determinism contract
 --------------------
@@ -21,12 +21,13 @@ two per word (its low half, then its high half, the order of numpy's own
 multiply-shift and keeps it iff u is below the slot's integer limit.  The
 plan depends only on (kernel, n) and the window only on (s, w), so the
 ensemble is identical for any chunking or thread count.  Walk stream
-``STREAM_VERSION`` is 0.4.0 where M = 1; where M > 1 it moved the
-ensembles, their statistics and ``ks_distance``, no law (README.md).
+``STREAM_VERSION`` is 0.4.0 where every draw is one step; elsewhere each
+version moved the ensembles, their statistics and ``ks_distance``, no law.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import PCG64DXSM
 
-from .evolution import LatticeDistribution, evolve
+from .evolution import _fft_power, _first_marginal, _tail_reach
 from .kernel import LatticeKernel, integer_count
 
 # Raw words drawn per walk tile: small enough that its work arrays
@@ -46,7 +47,7 @@ _CHUNK_WORDS = 3 << 14
 
 # Version of the seed -> ensemble mapping; README.md ("Determinism") says
 # what each version draws and which earlier ensembles it does not reproduce.
-STREAM_VERSION = "0.5.0"
+STREAM_VERSION = "0.6.0"
 
 # Most box sites of an m-step table: 1.5 MiB at 24 B per outcome, an L2-sized
 # compromise between workloads (README.md, "Determinism", has the sweep).
@@ -217,25 +218,45 @@ def build_sampler(kernel: LatticeKernel) -> JumpSampler:
     return JumpSampler(kernel, *_pack(accept, alias, sites, kernel.trunc_radius)[:3])
 
 
-def _composite(kernel: LatticeKernel, steps: int) -> _Table:
-    """Packed table of ``evolve``'s ``steps``-step law from the origin, normalized, over
-    every site of its box, mass 0 included: N is fixed by the box, not FFT rounding."""
-    law = evolve(LatticeDistribution.delta(kernel.dim, kernel.h), kernel, steps)
-    sites = np.indices(law.mass.shape).reshape(kernel.dim, -1).T - law.support_radius
-    return _pack(*_alias_table(law.mass.ravel() / law.mass.sum()), sites, law.support_radius)
+def _composite(kernel: LatticeKernel, steps: int, radius: int) -> _Table:
+    """Packed table of ``evolve``'s ``steps``-step law from the origin (its FFT power) on its
+    box of ``radius``, normalized, every site an outcome, mass 0 included: N is fixed."""
+    law = _fft_power(np.ones((1,) * kernel.dim), kernel.mass_cube(), steps, radius, True)[0]
+    sites = np.indices(law.shape).reshape(kernel.dim, -1).T - radius
+    return _pack(*_alias_table(law.ravel() / law.sum()), sites, radius)
 
 
 def _plan(sampler: JumpSampler, n_steps: int) -> list[tuple[_Table, int]]:
     """(table, draws) of a walker's draws in draw order (see the module docstring)."""
-    kernel = sampler.kernel
-    side = int(_TABLE_SITES ** (1 / kernel.dim) + 1e-9)  # the largest cube that fits
-    # at least two draws for n > 1: no walk is one draw of an n-step law
-    longest = max(1, min(-(-n_steps // 2), (side - 1) // (2 * kernel.trunc_radius)))
-    draws = -(-n_steps // longest)
+    kernel, K, dim = sampler.kernel, sampler.kernel.trunc_radius, sampler.kernel.dim
+    mgf = functools.cache(lambda: _first_marginal(kernel))
+    box = functools.cache(lambda m: max(_tail_reach(kernel, m, mgf())[0] - 1, K))  # its radius
+
+    def fits(*steps):  # do these tables hold at most _TABLE_SITES outcomes? radii lie in [K, mK]
+        held = lambda radius: sum((2 * radius(m) + 1) ** dim for m in steps if m > 1) <= _TABLE_SITES
+        return held(lambda m: K) and (held(lambda m: m * K) or held(box))
+
+    def largest(fits, hi):  # the largest m <= hi that fits: hi, or gallop up from 1 and bisect
+        lo, step = (hi, 0) if fits(hi) else (1, 1)
+        while step and lo + step < hi and fits(lo + step):
+            step *= 2
+        lo, hi = lo + step // 2, min(lo + step, hi)
+        while hi - lo > 1:
+            lo, hi = (mid, hi) if fits(mid := (lo + hi) // 2) else (lo, mid)
+        return lo
+
+    # longest draws: alone, and beside one a step shorter; >= 2 draws for n > 1, m an exact float
+    single = largest(fits, min(-(-n_steps // 2), 1 << 53))
+    pair = single if n_steps % single == 0 else largest(lambda m: fits(m, m - 1), single)
+    # fewer than ceil(n / pair) draws only as n / a, a | n in (pair, single]: scan the shorter range
+    first, draws = -(-n_steps // single), -(-n_steps // pair)
+    divisors = (range(first, draws) if draws - first < single - pair
+                else (n_steps // a for a in range(single, pair, -1) if n_steps % a == 0))
+    draws = next((d for d in divisors if n_steps % d == 0), draws)
     steps = -(-n_steps // draws)
-    one = _Table(sampler.keys, sampler.codes, sampler.block_steps, kernel.trunc_radius)
+    one = _Table(sampler.keys, sampler.codes, sampler.block_steps, K)
     pairs = ((steps, n_steps - draws * (steps - 1)), (steps - 1, draws * steps - n_steps))
-    return [(one if m == 1 else _composite(kernel, m), count) for m, count in pairs if count]
+    return [(one if m == 1 else _composite(kernel, m, box(m)), count) for m, count in pairs if count]
 
 
 @dataclass(frozen=True)
@@ -351,13 +372,11 @@ def _run_chunks(plan: list, seed: int, draws: int, chunks: list, out: np.ndarray
 
     A tile is the whole chunk, or the next span of at most ``_CHUNK_WORDS``
     words of a walker whose window is longer; draw j is draw j of the
-    walker's window either way, from its table in ``plan``.  The tile's
-    words are walked draw-major, one row of walkers per word: the low
-    halves of its rows are the even draws, the high halves the odd ones, so
-    each table's draws in a half are a run of whole rows, and a position is
-    an order-free sum of codes, summed a block of rows at a time.  Fresh
-    temporaries per tile would go back to the operating system and be
-    faulted in on every tile, doubling walk time.
+    walker's window either way, from its table in ``plan``.  A tile is
+    walked draw-major, a row of walkers per word: each table's draws in the
+    low (even) or high (odd) halves are whole rows, and a position is an
+    order-free sum of codes.  Fresh temporaries per tile would go back to
+    the operating system and be faulted in on every tile, doubling walk time.
     """
     dim, bits = out.shape[1], 63 // out.shape[1]
     mask = (1 << bits) - 1
@@ -390,19 +409,15 @@ def _run_chunks(plan: list, seed: int, draws: int, chunks: list, out: np.ndarray
                 codes = u.view(np.int64)
                 for (table, _), lo, hi in zip(plan, ends, ends[1:]):
                     lo, hi = ((min(max(e - start, 0), length) + 1 - half) // 2 for e in (lo, hi))
-                    if lo == hi:
-                        continue
                     picked = _draw(table, u[lo:hi], (slot[lo:hi], index[lo:hi]))
                     np.take(table.codes, picked, out=codes[lo:hi], mode="clip")
-                    for first_row in range(lo, hi, table.block_steps):
-                        block = codes[first_row : min(hi, first_row + table.block_steps)]
+                    out[rows] -= (hi - lo) * table.radius  # the digits' offsets
+                    for row in range(lo, hi, table.block_steps):
+                        block = codes[row : min(hi, row + table.block_steps)]
                         total = np.sum(block, axis=0, out=slot[0].view(np.int64))
-                        digit = index[0].view(np.int64)
                         for axis in range(dim):
-                            np.right_shift(total, axis * bits, out=digit)
-                            digit &= mask
-                            digit -= len(block) * table.radius
-                            out[rows, axis] += digit
+                            digit = np.right_shift(total, axis * bits, out=index[0].view(np.int64))
+                            out[rows, axis] += np.bitwise_and(digit, mask, out=digit)
 
 
 def run_walks(
@@ -426,10 +441,7 @@ def run_walks(
         # cap per-tile buffers; tile boundaries never affect results because
         # each walker owns a fixed stream window
         chunk = max(1, _CHUNK_WORDS // ((draws + 1) // 2))
-        chunks = [
-            (start, min(chunk, n_walkers - start))
-            for start in range(0, n_walkers, chunk)
-        ]
+        chunks = [(start, min(chunk, n_walkers - start)) for start in range(0, n_walkers, chunk)]
         workers = min(threads, len(chunks), os.cpu_count() or 1)
         if workers <= 1:
             _run_chunks(plan, seed, draws, chunks, positions)

@@ -245,21 +245,39 @@ def enumerate_shells_bruteforce(dim: int, trunc_radius: int) -> Shells:
     return Shells(dim, K, norm_sq, multiplicity, sites, inverse)
 
 
+# outcomes of the box of evolve's m-step law from the origin, per kernel by id;
+# the kernel is kept beside them, so no other kernel takes its id
+_BOXES = {}
+
+
 def draw_plan(kernel, n_steps: int) -> list[int]:
     """Steps taken by each draw of an n-step walker, in draw order.
 
-    M is the largest m <= ceil(n / 2), found by counting up from 1, whose
-    box (2 m K + 1)^dim holds at most ``montecarlo._TABLE_SITES`` sites (at
-    least 1); the walker makes D = ceil(n / M) draws, the first D - e of
-    a = ceil(n / D) steps and the last e = D a - n of a - 1.
+    m counts up from 1 while m <= ceil(n / 2) and the box of ``evolve``'s
+    m-step law from the origin holds at most ``montecarlo._TABLE_SITES``
+    sites.  Each m gives D = ceil(n / m) draws, the first D - e of
+    a = ceil(n / D) steps and the last e = D a - n of a - 1; the plan is the
+    one with the fewest draws whose a-step table and, if e > 0, (a - 1)-step
+    table hold at most ``_TABLE_SITES`` outcomes together, the one-step
+    table counting none.
     """
-    K, dim, m = kernel.trunc_radius, kernel.dim, 1
-    while 2 * m < n_steps and (2 * (m + 1) * K + 1) ** dim <= montecarlo._TABLE_SITES:
+    boxes = _BOXES.setdefault(id(kernel), (kernel, {1: 0}))[1]
+
+    def outcomes(m):
+        if m not in boxes:
+            law = evolve(LatticeDistribution.delta(kernel.dim, kernel.h), kernel, m)
+            boxes[m] = law.mass.size
+        return boxes[m]
+
+    budget, plan, m = montecarlo._TABLE_SITES, [1] * n_steps, 1
+    while 2 * m < n_steps and outcomes(m + 1) <= budget:
         m += 1
-    draws = -(-n_steps // m)
-    a = -(-n_steps // draws)
-    e = draws * a - n_steps
-    return [a] * (draws - e) + [a - 1] * e
+        draws = -(-n_steps // m)
+        a = -(-n_steps // draws)
+        e = draws * a - n_steps
+        if draws < len(plan) and outcomes(a) + (outcomes(a - 1) if e else 0) <= budget:
+            plan = [a] * (draws - e) + [a - 1] * e
+    return plan
 
 
 def step_law(kernel, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -295,8 +313,9 @@ def per_axis_walk(sampler, n_steps: int, n_walkers: int, seed: int) -> np.ndarra
     u = u.reshape(n_walkers, window)[:, : len(plan)]
     positions = np.zeros((n_walkers, sampler.kernel.dim), dtype=np.int64)
     for steps in np.unique(plan).tolist():
-        table = sampler if steps == 1 else montecarlo._composite(sampler.kernel, steps)
         displacements, weights = step_law(sampler.kernel, steps)
+        radius = int(displacements.max())  # of the box
+        table = sampler if steps == 1 else montecarlo._composite(sampler.kernel, steps, radius)
         draws = u[:, plan == steps]
         slot = (draws * np.uint64(len(table.keys)) >> np.uint64(32)).astype(np.int64)
         keep = draws < sampler_limits(table)[slot]

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -154,11 +155,11 @@ class TestRunWalks:
         )
 
     def test_composite_walks_are_prefix_stable_and_thread_free(self, monkeypatch):
-        # 47 steps in 2D are 5 draws, 2 of 10 steps and 3 of 9; tiles of 30
-        # words hold 10 walkers, so a run has many chunks to share out
+        # 47 steps in 2D are 2 draws, of 24 steps and 23; tiles of 30 words
+        # hold 30 walkers, so a run has many chunks to share out
         monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", 30)
         sampler, walkers = ENGINE_SAMPLERS[2], 500
-        assert draw_plan(sampler.kernel, 47) == [10, 10, 9, 9, 9]
+        assert draw_plan(sampler.kernel, 47) == [24, 23]
         small = run_walks(sampler, 47, walkers, seed=6)
         for threads in (1, 2, 7):
             large = run_walks(sampler, 47, 2 * walkers, seed=6, threads=threads)
@@ -170,7 +171,7 @@ class TestRunWalks:
             base = large
 
     def test_composite_walks_match_the_master_equation(self):
-        # 200k walkers of 47 steps in 2D by 5 composite draws against the
+        # 200k walkers of 47 steps in 2D by 2 composite draws against the
         # exact law: TV within what sampling alone explains
         sampler, n, walkers = ENGINE_SAMPLERS[2], 47, 200_000
         assert max(draw_plan(sampler.kernel, n)) > 1
@@ -428,7 +429,7 @@ class TestAliasTables:
 
     @pytest.mark.parametrize("sampler, n_steps, tables", [
         (ENGINE_SAMPLERS[1], 821, [411, 410]),
-        (ENGINE_SAMPLERS[2], 47, [10, 9]),
+        (ENGINE_SAMPLERS[2], 47, [24, 23]),
         (ENGINE_SAMPLERS[3], 8, [3, 2]),
         (build_sampler(_study_2d_kernel(0.2, 32)), 9, [3]),
     ])
@@ -563,7 +564,7 @@ class TestWalkEngine:
             sampler = dataclasses.replace(sampler, block_steps=2)
             composite = montecarlo._composite
             monkeypatch.setattr(
-                montecarlo, "_composite", lambda k, m: composite(k, m)._replace(block_steps=2)
+                montecarlo, "_composite", lambda *args: composite(*args)._replace(block_steps=2)
             )
             walkers = 12 if n_steps > 12 else walkers
         # once with one step per draw (a one-site table budget), once at the
@@ -575,6 +576,23 @@ class TestWalkEngine:
             ens = run_walks(sampler, n_steps, walkers, seed=dim + 60, threads=threads)
             expected = per_axis_walk(sampler, n_steps, walkers, seed=dim + 60)
             np.testing.assert_array_equal(ens.lattice_positions, expected)
+
+    @pytest.mark.parametrize("threads", [1, 2, 7])
+    @pytest.mark.parametrize("n_steps, tile_words, edge", [(43, 4, 13), (44, 7, 14)])
+    def test_table_edge_inside_a_tile_and_at_a_span_edge(
+        self, n_steps, tile_words, edge, threads, monkeypatch
+    ):
+        # 3D: 15 draws, the first `edge` of 3 steps and the rest of 2.  Tiles
+        # of 4 words (8 draws) put the table edge in the second tile, of 7
+        # draws: its low half holds three rows of the 3-step table and one of
+        # the 2-step, its high half two and one.  Tiles of 7 words end the
+        # 3-step draws at a span edge and leave a last tile of one draw.
+        monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", tile_words)
+        sampler = ENGINE_SAMPLERS[3]
+        assert draw_plan(sampler.kernel, n_steps) == [3] * edge + [2] * (15 - edge)
+        ens = run_walks(sampler, n_steps, 20, seed=71, threads=threads)
+        expected = per_axis_walk(sampler, n_steps, 20, seed=71)
+        np.testing.assert_array_equal(ens.lattice_positions, expected)
 
     def test_long_walk_memory_does_not_grow_with_steps(self):
         tracemalloc.start()
@@ -638,18 +656,18 @@ class TestStream:
 
     @pytest.mark.parametrize("dim, digest", [
         (1, "41dde55f4c40a6e3fba496812bd5d491a1d54d3eef8c5580ebc32c7108c64a9e"),
-        (2, "ab50296f26c08091803cc88b669f17bc2f87882469a1d1da888d4cddf326203e"),
+        (2, "8ef6493472de785425e67fcd75628ec7104ffd627bf5e5ad1d1acd1718efa34a"),
         (3, "da63151dff71237055b53da5713a684ed87cd6f60df226fd2202944ff5c889ce"),
     ])
     def test_composite_digest_is_pinned_to_the_stream_version(self, dim, digest):
-        # the same walks at the default table budget, 14 + 13, 3 x 9 and
+        # the same walks at the default table budget, 14 + 13, 14 + 13 and
         # 9 x 3 steps: a change to the seed -> ensemble mapping must
         # come with a new STREAM_VERSION and new digests
-        plans = {1: [14, 13], 2: [9] * 3, 3: [3] * 9}
+        plans = {1: [14, 13], 2: [14, 13], 3: [3] * 9}
         assert draw_plan(ENGINE_SAMPLERS[dim].kernel, 27) == plans[dim]
         ens = run_walks(ENGINE_SAMPLERS[dim], 27, 1000, seed=2024, threads=2)
         lattice = ens.lattice_positions.astype("<i8").tobytes()
-        assert (STREAM_VERSION, hashlib.sha256(lattice).hexdigest()) == ("0.5.0", digest)
+        assert (STREAM_VERSION, hashlib.sha256(lattice).hexdigest()) == ("0.6.0", digest)
 
 
 class TestDrawBudget:
@@ -668,17 +686,41 @@ class TestDrawBudget:
         monkeypatch.setattr(montecarlo, "PCG64DXSM", Counting)
         return words
 
-    def test_cauchy_walk_draws_six_words_per_walker(self, counted):
-        # the cauchy_walk benchmark kernel: 84 steps are 12 draws of 7, where
-        # one draw per step took 42 words
+    def test_cauchy_walk_draws_one_word_per_walker(self, counted):
+        # the cauchy_walk benchmark kernel: 84 steps are 2 draws of 42, where
+        # one draw per step took 42 words and draws of 7 steps 6
         cauchy = OrderMeasure.single(1.0)
         tau = 0.5 * stability_sigma(cauchy, 1, 0.025, 0.0).tau_max
         sampler = build_sampler(build_kernel(cauchy, 1, 0.025, tau, trunc_radius=4096))
         assert math.ceil(1.0 / tau) == 84
         run_walks(sampler, 84, 3000, seed=5, threads=2)
-        assert sum(counted) == 6 * 3000
-        # the outcomes are the box of evolve's 7-step law, radius 13 817
-        assert [len(t.keys) for t, _ in montecarlo._plan(sampler, 84)] == [27_635]
+        assert sum(counted) == 3000
+        # the outcomes are the box of evolve's 42-step law, radius 17 060
+        plan = montecarlo._plan(sampler, 84)
+        assert [(len(t.keys), draws) for t, draws in plan] == [(34_121, 2)]
+
+    def test_master_eq_2d_draws_one_word_per_walker(self, counted):
+        # the master_eq_2d benchmark kernel: 27 steps are 14 + 13, whose
+        # tables hold 32 761 + 31 329 outcomes, together within the budget
+        measure = OrderMeasure.single(1.5)
+        tau = 0.5 * stability_sigma(measure, 2, 0.2, 0.0).tau_max
+        sampler = build_sampler(build_kernel(measure, 2, 0.2, tau, trunc_radius=16))
+        assert math.ceil(1.0 / tau) == 27
+        run_walks(sampler, 27, 2000, seed=5, threads=2)
+        assert sum(counted) == 2000
+        plan = montecarlo._plan(sampler, 27)
+        assert [(len(t.keys), draws) for t, draws in plan] == [(32_761, 1), (31_329, 1)]
+
+    def test_study_2d_coarse_row_keeps_four_words(self, counted):
+        # study_2d's h = 0.2 row: 21 steps stay 7 draws of 3 from one
+        # 36 481-outcome table, since 6 draws would take 4- and 3-step
+        # tables of 61 009 + 36 481 outcomes, over the budget together
+        sampler = build_sampler(_study_2d_kernel(0.2, 32))
+        assert math.ceil(1.0 / sampler.kernel.tau) == 21
+        run_walks(sampler, 21, 500, seed=5)
+        assert sum(counted) == 4 * 500
+        plan = montecarlo._plan(sampler, 21)
+        assert [(len(t.keys), draws) for t, draws in plan] == [(36_481, 7)]
 
     def test_wide_kernel_keeps_one_draw_per_step(self, counted):
         # 2D K = 128: even a 2-step box exceeds the budget, so 47 steps take 24 words
@@ -691,9 +733,24 @@ class TestDrawBudget:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("n_steps", [2, 27, 4097])
     def test_no_table_exceeds_the_budget(self, dim, n_steps):
-        for table, _ in montecarlo._plan(ENGINE_SAMPLERS[dim], n_steps):
-            assert len(table.keys) <= montecarlo._TABLE_SITES
-            assert (2 * table.radius + 1) ** dim <= montecarlo._TABLE_SITES
+        # a plan's tables hold at most the budget together, the sampler's
+        # counting none; each m-step table is its whole box
+        sampler = ENGINE_SAMPLERS[dim]
+        tables = [t for t, _ in montecarlo._plan(sampler, n_steps) if t.keys is not sampler.keys]
+        assert sum(len(t.keys) for t in tables) <= montecarlo._TABLE_SITES
+        for table in tables:
+            assert len(table.keys) == (2 * table.radius + 1) ** dim
+
+    def test_plans_a_step_count_past_the_float_range(self):
+        # n = 10^400 is no float: the search keeps m exact and takes O(log n)
+        # reach bounds, so a plan of two tables at most comes at once
+        sampler = build_sampler(build_kernel(OrderMeasure.single(1.5), 1, 0.2, 0.02, 16))
+        start = time.perf_counter()
+        plan = montecarlo._plan(sampler, 10**400)
+        assert time.perf_counter() - start < 1.0
+        draws = sum(count for _, count in plan)
+        assert 2 <= draws < 10**400 and len(plan) <= 2
+        assert sum(len(t.keys) for t, _ in plan) <= montecarlo._TABLE_SITES
 
 
 class TestThreadPool:
