@@ -281,7 +281,7 @@ def _tail_reach(kernel: LatticeKernel, n_steps: int, marginal=None) -> tuple[int
 
     def log_mgf(l):  # log M(l) and the tilted mean M'(l) / M(l)
         e = l * k + log_p
-        w = np.exp(e - (top := e.max()))
+        w = np.exp(np.subtract(e, top := e.max(), out=e), out=e)
         return top + math.log(w.sum()), (w @ k) / w.sum()
 
     lo, hi = math.log(1e-6 / K), math.log(1e4 / K)  # far below and above the optimum

@@ -49,8 +49,8 @@ _CHUNK_WORDS = 3 << 14
 # what each version draws and which earlier ensembles it does not reproduce.
 STREAM_VERSION = "0.6.0"
 
-# Most box sites of an m-step table: 1.5 MiB at 24 B per outcome, an L2-sized
-# compromise between workloads (README.md, "Determinism", has the sweep).
+# Most outcomes of a walk's m-step tables together: 1.5 MiB at 24 B per outcome,
+# an L2-sized compromise between workloads (README.md, "Determinism").
 _TABLE_SITES = 1 << 16
 
 # Rows formatted per write in ``WalkEnsemble.to_csv``.
@@ -230,11 +230,11 @@ def _plan(sampler: JumpSampler, n_steps: int) -> list[tuple[_Table, int]]:
     """(table, draws) of a walker's draws in draw order (see the module docstring)."""
     kernel, K, dim = sampler.kernel, sampler.kernel.trunc_radius, sampler.kernel.dim
     mgf = functools.cache(lambda: _first_marginal(kernel))
-    box = functools.cache(lambda m: max(_tail_reach(kernel, m, mgf())[0] - 1, K))  # its radius
+    radius = functools.cache(lambda m: max(_tail_reach(kernel, m, mgf())[0] - 1, K))  # of a box
 
     def fits(*steps):  # do these tables hold at most _TABLE_SITES outcomes? radii lie in [K, mK]
-        held = lambda radius: sum((2 * radius(m) + 1) ** dim for m in steps if m > 1) <= _TABLE_SITES
-        return held(lambda m: K) and (held(lambda m: m * K) or held(box))
+        held = lambda r: sum((2 * r(m) + 1) ** dim for m in steps if m > 1) <= _TABLE_SITES
+        return held(lambda m: K) and (held(lambda m: m * K) or held(radius))
 
     def largest(fits, hi):  # the largest m <= hi that fits: hi, or gallop up from 1 and bisect
         lo, step = (hi, 0) if fits(hi) else (1, 1)
@@ -256,7 +256,7 @@ def _plan(sampler: JumpSampler, n_steps: int) -> list[tuple[_Table, int]]:
     steps = -(-n_steps // draws)
     one = _Table(sampler.keys, sampler.codes, sampler.block_steps, K)
     pairs = ((steps, n_steps - draws * (steps - 1)), (steps - 1, draws * steps - n_steps))
-    return [(one if m == 1 else _composite(kernel, m, box(m)), count) for m, count in pairs if count]
+    return [(one if m == 1 else _composite(kernel, m, radius(m)), count) for m, count in pairs if count]
 
 
 @dataclass(frozen=True)

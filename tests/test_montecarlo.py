@@ -742,8 +742,8 @@ class TestDrawBudget:
             assert len(table.keys) == (2 * table.radius + 1) ** dim
 
     def test_plans_a_step_count_past_the_float_range(self):
-        # n = 10^400 is no float: the search keeps m exact and takes O(log n)
-        # reach bounds, so a plan of two tables at most comes at once
+        # n = 10^400 is past the float range: the search keeps m an exact
+        # float and takes O(log n) reach bounds, so planning is quick
         sampler = build_sampler(build_kernel(OrderMeasure.single(1.5), 1, 0.2, 0.02, 16))
         start = time.perf_counter()
         plan = montecarlo._plan(sampler, 10**400)
