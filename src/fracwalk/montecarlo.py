@@ -42,7 +42,7 @@ from .kernel import LatticeKernel, integer_count
 
 # Raw words drawn per walk tile: small enough that its work arrays
 # stay in cache, large enough that per-tile overhead does not matter.
-# A tile holds four uint64 arrays of this length, 1.5 MiB in all.
+# A tile holds them and three draw-major uint64 work arrays, 1.5 MiB in all.
 _CHUNK_WORDS = 3 << 14
 
 # Version of the seed -> ensemble mapping; README.md ("Determinism") says
