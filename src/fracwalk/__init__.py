@@ -18,7 +18,6 @@ from .kernel import (
 from .evolution import (
     LatticeDistribution,
     characteristic_function,
-    convolve,
     evolve,
 )
 from .montecarlo import (
@@ -59,7 +58,6 @@ __all__ = [
     "stability_sigma",
     "LatticeDistribution",
     "characteristic_function",
-    "convolve",
     "evolve",
     "JumpSampler",
     "WalkEnsemble",

@@ -32,6 +32,7 @@ import csv
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -665,43 +666,49 @@ def symbol_oracle(alpha: float, dim: int, xi, tol: float = 1e-7) -> float:
     radializing to the sphere mean Omega_N, subtracting the quadratic Taylor
     part on the head interval (restored in closed form), and Aitken-summing
     the alternating oscillatory tail.  The result must equal -|xi|^alpha.
+    The integral is taken at unit frequency, in u = |xi| s, and scaled by
+    |xi|^alpha once, so it raises ValueError unless that is a normal float.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie strictly inside (0, 2)")
     _check_dim(dim)
     _check_positive("tol", tol)
-    q = float(np.linalg.norm(np.atleast_1d(np.asarray(xi, dtype=float))))
-    if not math.isfinite(q):
+    x = np.atleast_1d(np.asarray(xi, dtype=float))
+    if not np.all(np.isfinite(x)):
         raise ValueError(f"xi must be finite, got {xi!r}")
+    q = math.hypot(*x.ravel())  # |xi| without squaring it
     if q == 0.0:
         return 0.0
+    with np.errstate(over="ignore"):
+        power = float(np.float64(q) ** alpha)
+    if not sys.float_info.min <= power < math.inf:
+        raise ValueError(f"xi must have |xi|^alpha a normal float, got |xi| = {q:g}, alpha = {alpha:g}")
 
-    A = float(_osc_zeros(dim, 1)[0]) / q  # first zero of the sphere mean
+    A = float(_osc_zeros(dim, 1)[0])  # first zero of the sphere mean
 
-    def head(s):
-        return _spherical_mean_defect(s * q, dim) * s ** (-1.0 - alpha)
+    def head(u):
+        return _spherical_mean_defect(u, dim) * u ** (-1.0 - alpha)
 
     head_edges = graded_edges(0.0, A, _GRADED_LEVELS + 20)
     head_vals = panel_integrals(head, head_edges, _ORDER)
     head_int = float(np.sum(head_vals))
     # restore the subtracted quadratic part and the constant -1 beyond A
-    head_int -= (q * q / (2.0 * dim)) * A ** (2.0 - alpha) / (2.0 - alpha)
+    head_int -= A ** (2.0 - alpha) / (2.0 * dim * (2.0 - alpha))
     const_tail = -(A ** -alpha) / alpha
 
-    def osc(s):
-        return _spherical_mean(s * q, dim) * s ** (-1.0 - alpha)
+    def osc(u):
+        return _spherical_mean(u, dim) * u ** (-1.0 - alpha)
 
-    bp = _osc_zeros(dim, 32 + _ACC_PANELS + 2) / q
+    bp = _osc_zeros(dim, 32 + _ACC_PANELS + 2)
     direct = panel_integrals(osc, bp[: 32 + 1], _ORDER)
     tail_terms = panel_integrals(osc, bp[32 : 32 + _ACC_PANELS + 1], _ORDER)
     sums = float(np.sum(direct)) + np.cumsum(tail_terms)
     osc_int, osc_err = aitken_limit(sums)
 
-    factor = norming_constant(alpha, dim) * 2.0 * surface_area(dim)
+    factor = norming_constant(alpha, dim) * 2.0 * surface_area(dim) * power
     value = factor * (head_int + const_tail + osc_int)
     estimate = factor * (osc_err + 5e-15 * (abs(head_int) + float(np.sum(np.abs(direct)))))
-    scale = max(q**alpha, 1.0)
-    if estimate > tol * scale:
+    if estimate > tol * max(power, 1.0):
         raise QuadratureError(
             f"symbol oracle at alpha={alpha}, dim={dim}, |xi|={q} missed tolerance",
             value,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .measure import OrderMeasure, discretize_density
+from .measure import DENSITY_NODES, DENSITY_PANELS, OrderMeasure, discretize_density
 
 
 @dataclass(frozen=True)
@@ -58,10 +58,6 @@ SCHEMA: dict[str, Key] = {
 }
 
 DEFAULTS: dict = {name: key.default for name, key in SCHEMA.items()}
-
-# quadrature defaults for the measure's continuous part
-DENSITY_NODES = 32
-DENSITY_PANELS = 4
 
 
 class ConfigError(ValueError):
@@ -219,8 +215,8 @@ def defaults_yaml() -> str:
             "family": "constant",
             "support": [0.5, 1.5],
             "coeff": 1.0,
-            "nodes": 32,
-            "panels": 4,
+            "nodes": DENSITY_NODES,
+            "panels": DENSITY_PANELS,
         },
     }
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=None)

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.fft import fft, irfft, irfftn, rfft
+from numpy.fft import irfft, rfft
 
 from .kernel import LatticeKernel, integer_count, lattice_vector, phase_sum
 from .special import next_fast_len
@@ -32,11 +32,12 @@ MEMORY_BUDGET_BYTES = 2 * 2**30
 TAIL_EPSILON = 2.0**-53
 
 # Peak bytes per site of the FFT circle during one product, measured with
-# tracemalloc: a complex product holds at most two complex half spectra and
-# a real circle (24 B per site in dims 1-3, plus the rows of a wide first
-# input); the real one-site ``evolve`` product peaks at 16 B in dims 1-3.
-# Each site of the input cubes adds up to 48 B: in 1D, ``_tail_reach`` and
-# ``mass_cube`` hold six arrays as long as the kernel cube.
+# tracemalloc: in 1D the real half spectrum, its complex copy and the real
+# circle ``irfft`` returns (16 B per site; 19 B measured), and with a start
+# of several sites its zero-padded row and complex ``rfft`` besides (23 B
+# measured); dims 2 and 3 peak lower, at 12 to 16 B.  Each site of the
+# input cubes adds up to 48 B: in 1D, ``_tail_reach`` and ``mass_cube``
+# hold six arrays as long as the kernel cube.
 _FFT_BYTES_PER_SITE, _CUBE_BYTES_PER_SITE = 25, 48
 
 
@@ -126,130 +127,75 @@ def _fft_bytes(radius: int, dim: int, inputs: int = 0) -> int:
     return _FFT_BYTES_PER_SITE * _grid_side(radius) ** dim + _CUBE_BYTES_PER_SITE * inputs
 
 
-def _check_budget(radius: int, dim: int, inputs: int) -> None:
-    """Raise ValueError, before allocating, if the FFT circle of this radius won't fit."""
-    need = _fft_bytes(radius, dim, inputs)
-    if need > MEMORY_BUDGET_BYTES:
-        raise ValueError(
-            f"an FFT convolution on a {'x'.join([str(_grid_side(radius))] * dim)} circle needs "
-            f"about {need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
-            "memory budget; reduce the steps, the truncation radius or the inputs' support"
-        )
-
-
-def _box(source: np.ndarray, r: int, negatives: slice) -> np.ndarray:
-    """The centred cube of radius r read off ``source``, whose every axis
-    holds sites 0..r at nodes 0..r and sites -r..-1 at ``negatives``: the
-    last r nodes of a circle with the origin at node 0, or nodes r..1 of
-    the orthant of a law even in every coordinate."""
-    dim = source.ndim
+def _box(orthant: np.ndarray, r: int) -> np.ndarray:
+    """The centred cube of radius r of a law even in every coordinate, read
+    off its ``orthant``: sites 0..r of every axis at nodes 0..r, and sites
+    -r..-1 mirrored from nodes r..1."""
+    dim = orthant.ndim
     cube = np.empty((2 * r + 1,) * dim)
     halves = [(slice(r, 2 * r + 1), slice(0, r + 1))]
     if r:
-        halves.append((slice(0, r), negatives))
+        halves.append((slice(0, r), slice(r, 0, -1)))
     for pairs in itertools.product(halves, repeat=dim):
-        cube[tuple(c for c, _ in pairs)] = source[tuple(g for _, g in pairs)]
+        cube[tuple(c for c, _ in pairs)] = orthant[tuple(g for _, g in pairs)]
     return cube
 
 
-def _spectrum(cube: np.ndarray, side: int, even: bool = False) -> np.ndarray:
-    """rfftn of the centred cube laid on the circle with its origin at node 0.
+def _spectrum(cube: np.ndarray, side: int) -> np.ndarray:
+    """Spectrum of a centred cube even in every coordinate, laid on the
+    circle with its origin at node 0: real and even in every frequency, so
+    kept on the half grid, frequencies 0..side//2 per axis.
 
-    One axis at a time, in ``rfftn``'s order (the last by ``rfft``, then the
-    others by ``fft``), the rows that still carry mass (2r+1 per axis not yet
-    transformed) are laid on the circle and transformed; the full circle is
-    never built.  ``even=True`` takes a cube even in every coordinate, whose
-    spectrum is real and even in every frequency: every axis then takes an
-    ``rfft`` and keeps its real part (the imaginary part is rounding), so
-    the result is real on the half grid, frequencies 0..side//2 per axis.
+    One axis at a time, in ``rfftn``'s order (the last, then the others),
+    the rows that still carry mass (2r+1 per axis not yet transformed) are
+    laid on the circle and take an ``rfft``, keeping its real part (the
+    imaginary part is rounding); the full circle is never built.
     """
     r, last = cube.shape[0] // 2, cube.ndim - 1
     spec = cube
     for axis in (last, *range(last)):
         rows = np.moveaxis(spec, axis, -1)
-        circle = np.zeros(rows.shape[:-1] + (side,), rows.dtype)
+        circle = np.zeros(rows.shape[:-1] + (side,))
         circle[..., : r + 1] = rows[..., r:]
         circle[..., side - r :] = rows[..., :r]
         del rows, spec
-        if even:
-            circle = rfft(circle).real
-        elif axis == last:
-            circle = rfft(circle)
-        else:
-            circle = fft(circle)
-        spec = np.moveaxis(circle, -1, axis)
-    return np.ascontiguousarray(spec) if even else spec
+        spec = np.moveaxis(rfft(circle).real, -1, axis)
+        del circle
+    return np.ascontiguousarray(spec)
 
 
-def _keep(kept: np.ndarray, clipped: bool, total: float) -> tuple[np.ndarray, float]:
-    """``kept`` with negative rounding clamped at 0, and the mass lost: the circle's
-    ``total`` minus the mass kept (0 when nothing was clipped or clamped)."""
-    if not clipped and kept.min() >= 0.0:
-        return kept, 0.0
-    np.maximum(kept, 0.0, out=kept)
-    return kept, float(total - kept.sum())
-
-
-def _fft_power(
-    a: np.ndarray, b: np.ndarray, n: int, r: int, even: bool = False
-) -> tuple[np.ndarray, float]:
+def _fft_power(a: np.ndarray, b: np.ndarray, n: int, r: int) -> tuple[np.ndarray, float]:
     """a convolved with ``n`` copies of b by one FFT product on a circle of
     ``next_fast_len(2r + 1)`` nodes per axis (origin at node 0), read off
     the box of radius r, and the mass lost.
 
-    The product ``a_hat * b_hat**n`` is taken on ``rfftn``'s complex half
-    spectrum.  ``even=True`` says b is even in every coordinate (a jump
-    kernel), so its spectrum S is real and even (:func:`_spectrum`); when a
-    is one site of mass m, the law m S**n is then taken in float64 on the
-    half grid and inverted by one ``irfft`` per axis, keeping sites 0..r of
-    each axis mirrored into the box: no complex transform or power.
+    a and b are even in every coordinate, so their spectra S_a and S_b are
+    real and even (:func:`_spectrum`): the law S_a S_b**n is taken in float64
+    on the half grid (S_a is the constant m when a is one site of mass m) and
+    inverted by one ``irfft`` per axis, keeping sites 0..r of each axis
+    mirrored into the box.
 
     Mass beyond r wraps around (the caller bounds it); negative
     rounding, about 1e-17 per entry, is clamped at 0.  The mass lost is the
-    circle's total (m S(0)**n for one site) minus the mass kept, so kept plus
-    lost is the total by construction (slightly negative when nothing is lost).
+    circle's total S_a(0) S_b(0)**n minus the mass kept (0 when nothing was
+    clipped or clamped), so kept plus lost is the total by construction.
     """
-    dim = a.ndim
     side = _grid_side(r)
     clipped = r < a.shape[0] // 2 + n * (b.shape[0] // 2)  # the Chernoff cut is active
-    if even and a.size == 1:
-        power = _spectrum(b, side, even=True)
-        power **= n
-        power *= a.item()
-        total = power[(0,) * dim]
-        orthant = power.astype(complex)  # irfft would make this copy, and keep power too
-        del power
-        for axis in reversed(range(dim)):
-            rows = irfft(np.moveaxis(orthant, axis, -1), side)
-            orthant = np.moveaxis(rows[..., : r + 1], -1, axis)
-        return _keep(_box(orthant, r, slice(r, 0, -1)), clipped, total)
-    spec = _spectrum(b, side)
-    spec **= n
-    spec *= _spectrum(a, side)
-    circle = irfftn(spec, (side,) * dim, tuple(range(dim)))
-    del spec
-    return _keep(_box(circle, r, slice(side - r, side)), clipped, circle.sum())
-
-
-def convolve(p: LatticeDistribution, q: LatticeDistribution) -> LatticeDistribution:
-    """Discrete convolution (p * q)_j = sum_k p_k q_{j-k}.
-
-    The support radius of the result is the sum of the input radii: the
-    product's full support, nothing clipped.
-    """
-    if p.dim != q.dim or p.h != q.h:
-        raise ValueError("convolution requires matching dim and mesh width")
-    radius = p.support_radius + q.support_radius
-    _check_budget(radius, p.dim, p.mass.size + q.mass.size)
-    mass, lost = _fft_power(p.mass, q.mass, 1, radius)
-    return replace(
-        p,
-        mass=mass,
-        tau=p.tau if p.tau is not None else q.tau,
-        time_index=p.time_index + q.time_index,
-        mass_deficit=p.mass_deficit + q.mass_deficit + lost,
-        wrap_bound=p.wrap_bound + q.wrap_bound,
-    )
+    power = _spectrum(b, side)
+    power **= n
+    power *= a.item() if a.size == 1 else _spectrum(a, side)
+    total = power[(0,) * a.ndim]
+    orthant = power.astype(complex)  # irfft would make this copy, and keep power too
+    del power
+    for axis in reversed(range(a.ndim)):
+        rows = irfft(np.moveaxis(orthant, axis, -1), side)
+        orthant = np.moveaxis(rows[..., : r + 1], -1, axis)
+    kept = _box(orthant, r)
+    if not clipped and kept.min() >= 0.0:
+        return kept, 0.0
+    np.maximum(kept, 0.0, out=kept)
+    return kept, float(total - kept.sum())
 
 
 def _first_marginal(kernel: LatticeKernel) -> tuple[np.ndarray, np.ndarray]:
@@ -299,6 +245,9 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
     """Apply ``n_steps`` master-equation steps by one FFT product
     ``dist_hat * kernel_hat**n`` (:func:`_fft_power`).
 
+    The start must be even in every coordinate, as the walk's start at the
+    origin and every law ``evolve`` returns are; any other raises ValueError.
+
     The walk leaves the cube of radius x - 1, x its reach (:func:`_tail_reach`),
     with probability at most ``TAIL_EPSILON``, so the law is kept on the box of
     radius R + x - 1 (R that of ``dist``; at least K), on a circle where only
@@ -308,13 +257,22 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
     """
     if dist.dim != kernel.dim or dist.h != kernel.h:
         raise ValueError("distribution and kernel must share dim and mesh width")
+    if not all(np.array_equal(dist.mass, np.flip(dist.mass, axis)) for axis in range(dist.dim)):
+        raise ValueError("evolve needs a start even in every coordinate")
     n_steps = integer_count(n_steps, "n_steps", 0)
     mass, lost, wrapped = dist.mass, 0.0, 0.0
     if n_steps > 0 and kernel.tau != 0.0 and kernel.sigma != 0.0:
         reach, bound = _tail_reach(kernel, n_steps)
         radius = max(dist.support_radius + reach - 1, kernel.trunc_radius)
-        _check_budget(radius, dist.dim, dist.mass.size + (2 * kernel.trunc_radius + 1) ** dist.dim)
-        mass, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, radius, True)
+        inputs = dist.mass.size + (2 * kernel.trunc_radius + 1) ** dist.dim
+        need = _fft_bytes(radius, dist.dim, inputs)
+        if need > MEMORY_BUDGET_BYTES:  # raised before allocating
+            raise ValueError(
+                f"an FFT convolution on a {'x'.join([str(_grid_side(radius))] * dist.dim)} circle "
+                f"needs about {need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
+                "memory budget; reduce the steps, the truncation radius or the inputs' support"
+            )
+        mass, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, radius)
         wrapped = bound * float(np.abs(dist.mass).sum())
     return replace(
         dist,

@@ -20,6 +20,10 @@ from numpy.polynomial.legendre import leggauss
 # exponent 0 carries no diffusion; density supports must keep this gap to both.
 ENDPOINT_GAP = 1e-6
 
+# Default composite Gauss-Legendre rule for a measure's continuous part: the
+# nodes in total, and the equal panels they are split over.
+DENSITY_NODES, DENSITY_PANELS = 32, 4
+
 
 @dataclass(frozen=True)
 class OrderMeasure:
@@ -69,8 +73,8 @@ class OrderMeasure:
         density: Callable[[np.ndarray], np.ndarray],
         lo: float,
         hi: float,
-        nodes: int = 32,
-        panels: int = 4,
+        nodes: int = DENSITY_NODES,
+        panels: int = DENSITY_PANELS,
         atoms: Sequence[tuple[float, float]] = (),
     ) -> "OrderMeasure":
         """Attach a continuous density on [lo, hi] via composite Gauss-Legendre.
@@ -96,8 +100,8 @@ def discretize_density(
     density: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    nodes: int = 32,
-    panels: int = 4,
+    nodes: int = DENSITY_NODES,
+    panels: int = DENSITY_PANELS,
 ) -> tuple[tuple[float, float], ...]:
     """Composite Gauss-Legendre nodes/weights for a density on [lo, hi].
 

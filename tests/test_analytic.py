@@ -383,6 +383,23 @@ class TestSymbolOracle:
         got = symbol_oracle(0.8, 2, [3.0, 4.0])
         assert got == pytest.approx(-(5.0**0.8), rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.5, 1.9])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("q", [1e-160, 1e-100, 1e100])
+    def test_extreme_frequencies_keep_full_relative_accuracy(self, alpha, dim, q):
+        # integrated at unit frequency and scaled by |xi|^alpha once
+        want = -(q**alpha)
+        assert abs(symbol_oracle(alpha, dim, q) - want) <= 1e-14 * abs(want)
+
+    def test_large_vector_norm_is_taken_without_squaring(self):
+        got = symbol_oracle(1.0, 2, [3e200, 4e200])
+        assert got == pytest.approx(-5e200, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha, q", [(1.9, 1e-300), (1.5, 1e-250), (1.9, 1e200), (1.0, 1e-310)])
+    def test_power_outside_the_normal_floats_is_rejected(self, alpha, q):
+        with pytest.raises(ValueError, match=r"^xi must have \|xi\|\^alpha a normal float"):
+            symbol_oracle(alpha, 1, q)
+
     def test_alpha_domain(self):
         with pytest.raises(ValueError):
             symbol_oracle(2.0, 1, 1.0)

@@ -21,7 +21,6 @@ PUBLIC = [
     "build_sampler",
     "cf_sup_error",
     "characteristic_function",
-    "convolve",
     "default_xi_grid",
     "discretize_density",
     "evolve",
@@ -42,5 +41,5 @@ def test_public_names_are_pinned():
     assert sorted(fracwalk.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(fracwalk, name)
-    for gone in ("step", "kernel_distribution", "QuadParams"):
+    for gone in ("step", "kernel_distribution", "QuadParams", "convolve"):
         assert not hasattr(fracwalk, gone)

@@ -315,6 +315,20 @@ class TestOracleCommand:
         doc = json.loads((tmp_path / "oracle.json").read_text())
         assert len(doc["cases"]) == 2
 
+    @pytest.mark.parametrize("xi", [1.0e-300, 1.0e200])
+    def test_frequency_out_of_float_range_exits_2(self, runner, tmp_path, xi):
+        doc = {
+            "measure": {"atoms": [[1.0, 1.0]]},
+            "oracle_alphas": [1.9],
+            "oracle_dims": [1],
+            "oracle_xis": [xi],
+        }
+        cfg = _write(tmp_path, "c.yaml", doc)
+        res = runner.invoke(main, ["oracle", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+        assert res.output.splitlines()[-1].startswith("error: xi must have |xi|^alpha a normal float")
+        assert not (tmp_path / "oracle.json").exists()
+
 
 class TestDefaultsCommand:
     def test_prints_parseable_yaml(self, runner):

@@ -10,7 +10,6 @@ from fracwalk import (
     OrderMeasure,
     build_kernel,
     characteristic_function,
-    convolve,
     evolution,
     evolve,
     stability_sigma,
@@ -48,26 +47,9 @@ def _marginal(kernel):
     return kernel.mass_cube().sum(axis=tuple(range(1, kernel.dim)))
 
 
-def test_delta_is_convolution_identity():
-    q = kernel_distribution(KERNEL)
-    d = LatticeDistribution.delta(1, 0.1)
-    out = convolve(d, q)
-    sites, masses = out.nonzero_sites()
-    for site, mass in zip(sites, masses):
-        assert mass == pytest.approx(q.value(site), abs=1e-15)
-
-
-def test_convolution_commutes():
-    k2 = build_kernel(OrderMeasure.single(0.6), 1, 0.1, 0.005, trunc_radius=8)
-    p, q = kernel_distribution(KERNEL), kernel_distribution(k2)
-    ab = convolve(p, q)
-    ba = convolve(q, p)
-    np.testing.assert_allclose(ab.mass, ba.mass, atol=1e-15)
-
-
 def test_two_step_cf_is_square_of_one_step():
     q = kernel_distribution(KERNEL)
-    two = convolve(q, q)
+    two = evolve(q, KERNEL, 1)
     xi = np.linspace(-20.0, 20.0, 41)
     cf1 = characteristic_function(q, xi)
     cf2 = characteristic_function(two, xi)
@@ -75,10 +57,7 @@ def test_two_step_cf_is_square_of_one_step():
 
 
 def test_mismatched_mesh_rejected():
-    p = LatticeDistribution.delta(1, 0.1)
     q = LatticeDistribution.delta(1, 0.2)
-    with pytest.raises(ValueError):
-        convolve(p, q)
     with pytest.raises(ValueError):
         evolve(q, KERNEL, 1)
 
@@ -171,39 +150,13 @@ def test_truncation_tracks_deficit():
     assert out.total_mass() + out.mass_deficit == pytest.approx(1.0, abs=1e-12)
 
 
-def _law(mass):
-    return LatticeDistribution(dim=mass.ndim, h=0.1, mass=mass / mass.sum())
-
-
-def test_direct_and_fft_convolution_agree():
-    rng = np.random.default_rng(5)
-    a, b = _law(rng.random(301)), _law(rng.random(41))
-    np.testing.assert_allclose(convolve(a, b).mass, direct_convolve(a.mass, b.mass), atol=1e-10)
-    # 2-D as well
-    a2 = _law(rng.random((21, 21)))
-    np.testing.assert_allclose(convolve(a2, a2).mass, direct_convolve(a2.mass, a2.mass), atol=1e-10)
-
-
-def _asymmetric_start(dim, side, seed, h=0.1):
-    """A law on a cube of ``side`` sites per axis, ten times lighter on the
-    negative half of the first axis."""
+def _even_start(dim, side, seed, h=0.1):
+    """A random law on a cube of ``side`` sites per axis, made even in every
+    coordinate by adding its mirror image along each axis in turn."""
     mass = np.random.default_rng(seed).random((side,) * dim)
-    mass[: side // 2] *= 0.1
+    for axis in range(dim):
+        mass = mass + np.flip(mass, axis)
     return LatticeDistribution(dim=dim, h=h, mass=mass / mass.sum())
-
-
-def test_one_site_law_convolves_to_the_other_input():
-    # neither input of convolve is assumed even: an asymmetric q comes back
-    # as it is, scaled by the mass of the one-site law (q spreads its unit
-    # mass over a few hundred sites, so FFT rounding stays below 1e-17)
-    for dim, side in ((1, 301), (2, 21), (3, 7)):
-        q = _asymmetric_start(dim, side, 8)
-        one = LatticeDistribution.delta(dim, 0.1)
-        for p in (one, LatticeDistribution(dim=dim, h=0.1, mass=0.25 * one.mass)):
-            out = convolve(p, q)
-            np.testing.assert_allclose(out.mass, p.total_mass() * q.mass, rtol=0, atol=1e-17)
-            out = convolve(q, p)
-            np.testing.assert_allclose(out.mass, p.total_mass() * q.mass, rtol=0, atol=1e-17)
 
 
 def test_one_site_start_of_other_mass_scales_the_law():
@@ -222,7 +175,7 @@ def test_evolve_matches_direct_convolution(dim, h, K, n):
     m = OrderMeasure.single(1.3)
     k = build_kernel(m, dim, h, 0.5 * stability_sigma(m, dim, h, 0.0).tau_max, K)
     cube = k.mass_cube()
-    for start in (LatticeDistribution.delta(dim, h), _asymmetric_start(dim, 7, dim, h)):
+    for start in (LatticeDistribution.delta(dim, h), _even_start(dim, 7, dim, h)):
         ref = start.mass
         for _ in range(n):
             ref = direct_convolve(ref, cube)
@@ -231,6 +184,32 @@ def test_evolve_matches_direct_convolution(dim, h, K, n):
         assert d.support_radius == r and _mass_outside(ref, r) <= TAIL_EPSILON
         np.testing.assert_allclose(d.mass, _inner(ref, r), rtol=0, atol=1e-15)
         assert d.total_mass() + d.mass_deficit == pytest.approx(1.0, rel=0, abs=1e-13)
+
+
+@pytest.mark.parametrize("dim, h, K", [(1, 0.1, 16), (2, 0.2, 11), (3, 0.2, 3)])
+def test_start_uneven_in_one_coordinate_is_rejected(dim, h, K):
+    m = OrderMeasure.single(1.3)
+    k = build_kernel(m, dim, h, 0.5 * stability_sigma(m, dim, h, 0.0).tau_max, K)
+    even = _even_start(dim, 5, dim, h)
+    evolve(even, k, 3)  # accepted
+    for axis in range(dim):
+        mass = even.mass.copy()
+        np.moveaxis(mass, axis, 0)[0] *= 1.5  # even in every other coordinate still
+        start = LatticeDistribution(dim=dim, h=h, mass=mass)
+        for n in (0, 3):
+            with pytest.raises(ValueError, match="even in every coordinate"):
+                evolve(start, k, n)
+
+
+@pytest.mark.parametrize("dim, h, K, a, b", [(1, 0.1, 16, 5, 7), (2, 0.2, 11, 2, 3), (3, 0.2, 3, 3, 2)])
+def test_evolving_an_evolved_law_composes_the_steps(dim, h, K, a, b):
+    m = OrderMeasure.single(1.3)
+    k = build_kernel(m, dim, h, 0.5 * stability_sigma(m, dim, h, 0.0).tau_max, K)
+    start = LatticeDistribution.delta(dim, h)
+    twice, once = evolve(evolve(start, k, a), k, b), evolve(start, k, a + b)
+    assert twice.time_index == once.time_index == a + b
+    r = min(twice.support_radius, once.support_radius)
+    np.testing.assert_allclose(_inner(twice.mass, r), _inner(once.mass, r), rtol=0, atol=1e-15)
 
 
 def test_two_dimensional_step():
@@ -354,7 +333,7 @@ def test_tail_bound_never_under_reports(dim, h, K, n, alpha):
     assert power[n * K + reach :].sum() <= bound / (2 * dim)
     assert walk_tail(_marginal(k), n, reach) == pytest.approx(power[n * K + reach :].sum(), rel=1e-9)
     cube = k.mass_cube()
-    for start in (LatticeDistribution.delta(dim, h), _asymmetric_start(dim, 7, dim, h)):
+    for start in (LatticeDistribution.delta(dim, h), _even_start(dim, 7, dim, h)):
         ref = start.mass
         for _ in range(n):
             ref = direct_convolve(ref, cube)
@@ -434,15 +413,12 @@ def _evolve_peak_within_estimate(dim, K, n, start):
     [(1, 1000, 60), (1, 16, 2000), (1, 4096, 84), (2, 16, 27), (2, 40, 8), (3, 6, 4)],
 )
 def test_fft_bytes_bound_the_measured_peak(dim, K, n):
-    for start in (LatticeDistribution.delta(dim, 0.2), _asymmetric_start(dim, 21, 4, 0.2)):
+    for start in (LatticeDistribution.delta(dim, 0.2), _even_start(dim, 21, 4, 0.2)):
         peak, r = _evolve_peak_within_estimate(dim, K, n, start)
         if dim == 1 and start.mass.size == 1:
             # a complex half grid and the real circle it allocates, 16 B per
             # node; the measured peak is 18.7 to 19.2 B per node
             assert peak <= 20 * evolution._grid_side(r)
-    q = _asymmetric_start(dim, 2 * n * K + 1, 5)
-    peak = _peak_bytes(convolve, q, q)
-    assert peak <= evolution._fft_bytes(2 * n * K, dim)
 
 
 def test_fft_bytes_count_the_kernel_cube():
