@@ -210,9 +210,10 @@ def _first_marginal(kernel: LatticeKernel) -> tuple[np.ndarray, np.ndarray]:
     return k - float(K), np.log(marginal[k])
 
 
-def _tail_reach(kernel: LatticeKernel, n_steps: int, marginal=None) -> tuple[int, float]:
-    """The n-step walk's reach x and a bound <= ``TAIL_EPSILON`` on leaving
-    the cube of radius x - 1; (nK + 1, 0) if no x <= nK has one.
+def _tail_reach(kernel: LatticeKernel, n_steps: int, marginal=None,
+                eps: float = TAIL_EPSILON) -> tuple[int, float]:
+    """The n-step walk's reach x and a bound <= ``eps`` on leaving the cube
+    of radius x - 1; (nK + 1, 0) if no x <= nK has one.
 
     The kernel is even and symmetric under axis permutations, so by a union
     bound over the 2N half-axes and Chernoff's inequality that probability is
@@ -223,7 +224,7 @@ def _tail_reach(kernel: LatticeKernel, n_steps: int, marginal=None) -> tuple[int
     """
     K, n = kernel.trunc_radius, n_steps
     k, log_p = marginal or _first_marginal(kernel)
-    log_c = math.log(2 * kernel.dim / TAIL_EPSILON)
+    log_c = math.log(2 * kernel.dim / eps)
 
     def log_mgf(l):  # log M(l) and the tilted mean M'(l) / M(l)
         e = l * k + log_p
@@ -238,7 +239,7 @@ def _tail_reach(kernel: LatticeKernel, n_steps: int, marginal=None) -> tuple[int
     l = math.exp(hi)
     reach = (n * log_mgf(l)[0] + log_c) / l
     x = math.ceil(reach)  # 2N M(l)**n exp(-l x) = eps exp(l (reach - x)) <= eps
-    return (x, TAIL_EPSILON * math.exp(l * (reach - x))) if x <= n * K else (n * K + 1, 0.0)
+    return (x, eps * math.exp(l * (reach - x))) if x <= n * K else (n * K + 1, 0.0)
 
 
 def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> LatticeDistribution:

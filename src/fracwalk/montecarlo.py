@@ -4,11 +4,14 @@ A draw moves a walker by an exact m-step law p^{*m} (Chapman-Kolmogorov):
 an n-step walk takes the fewest draws D (at least 2 for n > 1) whose tables
 hold at most ``_TABLE_SITES`` outcomes together, the first D - e of
 a = ceil(n / D) steps and the last e = D a - n of a - 1.  An m-step table
-holds ``evolve``'s law on its whole Chernoff box (N fixed, bits from the
-FFT), about 1e-14 from p^{*m}; the one-step table is the sampler's, and an
-alias table over N outcomes draws within total variation N * 2^-32 of its
-law, so a walk is within about D N_max 2^-32.  Positions are summed in
-integer lattice coordinates and scaled by the mesh width only on output.
+holds the m-step law (``evolve``'s FFT power) on the whole box that the
+Chernoff bound certifies at ``_TABLE_EPSILON`` = 2^-41 (N fixed), within
+2^-40 of p^{*m}, as a 32-bit draw resolves only 2^-32 per slot; the
+one-step table is the sampler's.  An alias table over N outcomes draws
+within total variation N * 2^-32 of its law, so a walk is within about
+D N_max 2^-32.  Positions are summed in integer lattice coordinates, one
+decode per block of a tile's codes, and scaled by the mesh width only on
+output.
 
 Determinism contract
 --------------------
@@ -47,11 +50,20 @@ _CHUNK_WORDS = 3 << 14
 
 # Version of the seed -> ensemble mapping; README.md ("Determinism") says
 # what each version draws and which earlier ensembles it does not reproduce.
-STREAM_VERSION = "0.6.0"
+STREAM_VERSION = "0.7.0"
 
 # Most outcomes of a walk's m-step tables together: 1.5 MiB at 24 B per outcome,
 # an L2-sized compromise between workloads (README.md, "Determinism").
 _TABLE_SITES = 1 << 16
+
+# Mass an m-step table may leave beyond its box, and as much again may wrap
+# into it: 2^-9 of the 2^-32 that one 32-bit draw value stands for (README.md,
+# "Determinism").  ``evolve`` keeps TAIL_EPSILON.
+_TABLE_EPSILON = 2.0**-41
+
+# Draw or step counts tried as divisors of n for a plan of fewer draws; the
+# rest of a plan takes O(log n) Chernoff bounds, however large n is.
+_DIVISOR_SCAN = 1 << 12
 
 # Rows formatted per write in ``WalkEnsemble.to_csv``.
 _CSV_BLOCK_ROWS = 1 << 16
@@ -149,7 +161,12 @@ def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.cumsum(np.subtract(1.0, light_q, out=light_q), out=deficit[1:])
     del light_q
     deficit_start, deficit_end = deficit[:-1], deficit[1:]
-    serving = np.searchsorted(surplus_end, deficit_start, side="right")
+    # a light slot is served by the heavy slot after every surplus that ends at or
+    # before its deficit's start: place the few surplus ends among the many sorted
+    # starts and count them up
+    ends_before = np.searchsorted(deficit_start, surplus_end)
+    serving = np.cumsum(np.bincount(ends_before, minlength=len(light_slots) + 1)[:-1])
+    del ends_before
     alias = np.arange(n, dtype=np.int64)
     # the last heavy slot serves the deficits that rounding leaves past every surplus
     alias[light_slots] = np.take(heavy_slots, serving, out=serving, mode="clip")
@@ -219,7 +236,7 @@ def build_sampler(kernel: LatticeKernel) -> JumpSampler:
 
 
 def _composite(kernel: LatticeKernel, steps: int, radius: int) -> _Table:
-    """Packed table of ``evolve``'s ``steps``-step law from the origin (its FFT power) on its
+    """Packed table of the ``steps``-step law from the origin, ``evolve``'s FFT power on the
     box of ``radius``, normalized, every site an outcome, mass 0 included: N is fixed."""
     law = _fft_power(np.ones((1,) * kernel.dim), kernel.mass_cube(), steps, radius)[0]
     sites = np.indices(law.shape).reshape(kernel.dim, -1).T - radius
@@ -230,7 +247,8 @@ def _plan(sampler: JumpSampler, n_steps: int) -> list[tuple[_Table, int]]:
     """(table, draws) of a walker's draws in draw order (see the module docstring)."""
     kernel, K, dim = sampler.kernel, sampler.kernel.trunc_radius, sampler.kernel.dim
     mgf = functools.cache(lambda: _first_marginal(kernel))
-    radius = functools.cache(lambda m: max(_tail_reach(kernel, m, mgf())[0] - 1, K))  # of a box
+    radius = functools.cache(  # of a box
+        lambda m: max(_tail_reach(kernel, m, mgf(), _TABLE_EPSILON)[0] - 1, K))
 
     def fits(*steps):  # do these tables hold at most _TABLE_SITES outcomes? radii lie in [K, mK]
         held = lambda r: sum((2 * r(m) + 1) ** dim for m in steps if m > 1) <= _TABLE_SITES
@@ -248,11 +266,14 @@ def _plan(sampler: JumpSampler, n_steps: int) -> list[tuple[_Table, int]]:
     # longest draws: alone, and beside one a step shorter; >= 2 draws for n > 1, m an exact float
     single = largest(fits, min(-(-n_steps // 2), 1 << 53))
     pair = single if n_steps % single == 0 else largest(lambda m: fits(m, m - 1), single)
-    # fewer than ceil(n / pair) draws only as n / a, a | n in (pair, single]: scan the shorter range
+    # fewer than ceil(n / pair) draws only as n / a, a | n in (pair, single]: scan the
+    # first _DIVISOR_SCAN candidates of the shorter range
     first, draws = -(-n_steps // single), -(-n_steps // pair)
-    divisors = (range(first, draws) if draws - first < single - pair
-                else (n_steps // a for a in range(single, pair, -1) if n_steps % a == 0))
-    draws = next((d for d in divisors if n_steps % d == 0), draws)
+    if draws - first < single - pair:
+        draws = next((d for d in range(first, draws)[:_DIVISOR_SCAN] if n_steps % d == 0), draws)
+    else:
+        lengths = range(single, pair, -1)[:_DIVISOR_SCAN]
+        draws = next((n_steps // a for a in lengths if n_steps % a == 0), draws)
     steps = -(-n_steps // draws)
     one = _Table(sampler.keys, sampler.codes, sampler.block_steps, K)
     pairs = ((steps, n_steps - draws * (steps - 1)), (steps - 1, draws * steps - n_steps))
@@ -373,51 +394,65 @@ def _run_chunks(plan: list, seed: int, draws: int, chunks: list, out: np.ndarray
     A tile is the whole chunk, or the next span of at most ``_CHUNK_WORDS``
     words of a walker whose window is longer; draw j is draw j of the
     walker's window either way, from its table in ``plan``.  A tile is
-    walked draw-major, a row of walkers per word: each table's draws in the
-    low (even) or high (odd) halves are whole rows, and a position is an
-    order-free sum of codes.  Fresh temporaries per tile would go back to
-    the operating system and be faulted in on every tile, doubling walk time.
+    walked draw-major, a row of walkers per word: the low (even) halves of
+    its words, then the high (odd) halves, so each table's draws are whole
+    rows and the tile's codes its first rows.  A position is an order-free
+    sum of codes, so those rows are summed in blocks short enough for every
+    table's digits (the plan's least ``block_steps``) and each block sum is
+    decoded into the chunk's axis-major positions, which start at minus the
+    digits' offsets.  Fresh temporaries per tile would go back to the
+    operating system and be faulted in on every tile, doubling walk time.
     """
     dim, bits = out.shape[1], 63 // out.shape[1]
     mask = (1 << bits) - 1
     words = (draws + 1) // 2
     span = min(draws, 2 * _CHUNK_WORDS)
-    size = max(count for _, count in chunks) * ((span + 1) // 2)
-    work = [np.empty(size, np.uint64) for _ in range(3)]
+    most = max(count for _, count in chunks)
+    size = most * ((span + 1) // 2)
+    halves, work = np.empty(2 * size, np.uint64), np.empty(size, np.uint64)
+    position = np.empty((dim, most), np.int64)
     ends = np.cumsum([0] + [count for _, count in plan]).tolist()  # each table's draws
+    block = min(table.block_steps for table, _ in plan)
+    offset = sum(count * table.radius for table, count in plan)  # of every axis
     # one generator, rewound per chunk: seeding hashes the seed afresh,
     # which costs several times a rewind
     bitgen = PCG64DXSM(seed)
     origin = bitgen.state
     for first, count in chunks:
-        rows = slice(first, first + count)
         bitgen.state = origin
         bitgen.advance(first * words)
+        walked = position[:, :count]
+        walked.fill(-offset)
         for start in range(0, draws, span):
             length = min(span, draws - start)
             # the chunk's windows, or the next span of one walker's window
             stride = (length + 1) // 2
             raw = bitgen.random_raw(count * stride)
             # draw-major: row r of each half holds word r of every walker
-            high, low, index = (w[: count * stride].reshape(stride, count) for w in work)
+            u = halves[: 2 * count * stride].reshape(2 * stride, count)
+            low, high = u[:stride], u[stride:]
+            index = work[: count * stride].reshape(stride, count)
             np.copyto(high, raw.reshape(count, stride).T)
             slot = raw.reshape(stride, count)  # copied: its buffer takes the slots
             np.bitwise_and(high, _LOW32, out=low)
             high >>= _SHIFT32
-            for half, u in enumerate((low, high)):  # row r is draw start + 2 r + half
+            for half, drawn in enumerate((low, high)):  # row r is draw start + 2 r + half
                 # the draws are spent once indexed: their buffer takes the codes
-                codes = u.view(np.int64)
+                codes = drawn.view(np.int64)
                 for (table, _), lo, hi in zip(plan, ends, ends[1:]):
                     lo, hi = ((min(max(e - start, 0), length) + 1 - half) // 2 for e in (lo, hi))
-                    picked = _draw(table, u[lo:hi], (slot[lo:hi], index[lo:hi]))
+                    picked = _draw(table, drawn[lo:hi], (slot[lo:hi], index[lo:hi]))
                     np.take(table.codes, picked, out=codes[lo:hi], mode="clip")
-                    out[rows] -= (hi - lo) * table.radius  # the digits' offsets
-                    for row in range(lo, hi, table.block_steps):
-                        block = codes[row : min(hi, row + table.block_steps)]
-                        total = np.sum(block, axis=0, out=slot[0].view(np.int64))
-                        for axis in range(dim):
-                            digit = np.right_shift(total, axis * bits, out=index[0].view(np.int64))
-                            out[rows, axis] += np.bitwise_and(digit, mask, out=digit)
+            # the low half's stride rows and the high half's first length - stride
+            codes = u[:length].view(np.int64)
+            digit = index[0].view(np.int64)
+            for row in range(0, length, block):
+                total = np.sum(codes[row : row + block], axis=0, out=slot[0].view(np.int64))
+                for axis in range(dim - 1):
+                    walked[axis] += np.bitwise_and(total, mask, out=digit)
+                    total >>= bits
+                walked[dim - 1] += total
+        out[first : first + count] = walked.T
 
 
 def run_walks(
@@ -515,18 +550,22 @@ def _bin(ensemble: WalkEnsemble, bin_width: float, positions=None) -> Histogram:
     """Histogram on cubic bins of ``bin_width``; ``positions`` may hold the
     ``final_positions``.  Bins of width h are the lattice sites themselves:
     floor(k h / h + 0.5) = k for every |k| < 2^50."""
-    # one contiguous row of bin indices per axis: reductions along rows are
-    # fast, where a column reduction of the (M, dim) layout is not
+    # one row of bin indices per axis, reduced along the row: a column
+    # reduction of the (M, dim) layout is slow
     if bin_width == ensemble.h:
-        bins = np.array(ensemble.lattice_positions.T, order="C")
+        bins = ensemble.lattice_positions.T  # a view: no copy of the positions
     else:
         x = ensemble.final_positions if positions is None else positions
         bins = np.floor(x.T / bin_width + 0.5).astype(np.int64, order="C")
-    lo = bins.min(axis=1)
-    shape = tuple(bins.max(axis=1) - lo + 1)
-    bins -= lo[:, None]
-    counts = np.bincount(np.ravel_multi_index(tuple(bins), shape), minlength=math.prod(shape))
-    counts = counts.reshape(shape)
+    lo = np.array([row.min() for row in bins])
+    shape = tuple(int(row.max()) - low + 1 for row, low in zip(bins, lo.tolist()))
+    # the C-order flat bin index, built one axis at a time in one array
+    flat = np.subtract(bins[0], lo[0])
+    for row, low, side in zip(bins[1:], lo[1:], shape[1:]):
+        flat *= side
+        flat += row
+        flat -= low
+    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
     counts.setflags(write=False)
     return Histogram(
         dim=ensemble.dim,

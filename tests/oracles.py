@@ -17,7 +17,8 @@ displacements, float alias table, limits and single draws, a walker's draw
 plan and the law of each of its tables, the law an alias table samples, a
 histogram's bin centres, a measure's total weight, a kernel's normalization
 defect, its jump law scattered onto the cube and its one-step law as a
-distribution.
+distribution, and Walker's alias table swept with one binary search per
+light slot.
 """
 
 import itertools
@@ -33,10 +34,9 @@ from fracwalk import (
     LatticeDistribution,
     OrderMeasure,
     RadialDensity,
-    evolve,
     norming_constant,
 )
-from fracwalk import montecarlo
+from fracwalk import evolution, montecarlo
 from fracwalk.analytic import _osc_zeros
 from fracwalk.kernel import Shells, enumerate_shells, frequency_rows, surface_area
 from fracwalk.quadrature import panel_integrals
@@ -245,17 +245,24 @@ def enumerate_shells_bruteforce(dim: int, trunc_radius: int) -> Shells:
     return Shells(dim, K, norm_sq, multiplicity, sites, inverse)
 
 
-# outcomes of the box of evolve's m-step law from the origin, per kernel by id
-# (the kernel is kept beside them, so no other kernel takes its id): a 4097-step
-# plan counts m up to 2049, about a second of evolve calls per kernel
+# outcomes of the box of each m-step table, per kernel by id (the kernel is
+# kept beside them, so no other kernel takes its id): a 4097-step plan counts
+# m up to 2049, one Chernoff bound each
 _BOXES = {}
+
+
+def table_radius(kernel, steps: int) -> int:
+    """Radius of the box of a ``steps``-step table: the walk's Chernoff reach
+    at ``montecarlo._TABLE_EPSILON``, less one, and at least K."""
+    reach = evolution._tail_reach(kernel, steps, eps=montecarlo._TABLE_EPSILON)[0]
+    return max(reach - 1, kernel.trunc_radius)
 
 
 def draw_plan(kernel, n_steps: int) -> list[int]:
     """Steps taken by each draw of an n-step walker, in draw order.
 
-    m counts up from 1 while m <= ceil(n / 2) and the box of ``evolve``'s
-    m-step law from the origin holds at most ``montecarlo._TABLE_SITES``
+    m counts up from 1 while m <= ceil(n / 2) and the box of the m-step
+    table (:func:`table_radius`) holds at most ``montecarlo._TABLE_SITES``
     sites.  Each m gives D = ceil(n / m) draws, the first D - e of
     a = ceil(n / D) steps and the last e = D a - n of a - 1; the plan is the
     one with the fewest draws whose a-step table and, if e > 0, (a - 1)-step
@@ -266,8 +273,7 @@ def draw_plan(kernel, n_steps: int) -> list[int]:
 
     def outcomes(m):
         if m not in boxes:
-            law = evolve(LatticeDistribution.delta(kernel.dim, kernel.h), kernel, m)
-            boxes[m] = law.mass.size
+            boxes[m] = (2 * table_radius(kernel, m) + 1) ** kernel.dim
         return boxes[m]
 
     budget, plan, m = montecarlo._TABLE_SITES, [1] * n_steps, 1
@@ -283,14 +289,15 @@ def draw_plan(kernel, n_steps: int) -> list[int]:
 
 def step_law(kernel, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """(displacements, weights) of the outcomes of a table of ``steps``-step
-    draws: the kernel's outcomes for one step, else every site of the box
-    of ``evolve``'s law from the origin in C order, its mass normalized."""
+    draws: the kernel's outcomes for one step, else every site of the
+    table's box (:func:`table_radius`) in C order, with the mass that
+    ``evolve``'s FFT power from the origin puts there, normalized."""
     if steps == 1:
         return outcome_displacements(kernel), outcome_weights(kernel)
-    law = evolve(LatticeDistribution.delta(kernel.dim, kernel.h), kernel, steps)
-    R = law.support_radius
+    R = table_radius(kernel, steps)
+    mass = evolution._fft_power(np.ones((1,) * kernel.dim), kernel.mass_cube(), steps, R)[0]
     sites = np.array(list(itertools.product(range(-R, R + 1), repeat=kernel.dim)))
-    return sites, law.mass.ravel() / law.mass.sum()
+    return sites, mass.ravel() / mass.sum()
 
 
 def per_axis_walk(sampler, n_steps: int, n_walkers: int, seed: int) -> np.ndarray:
@@ -441,6 +448,38 @@ def float_table(kernel) -> tuple[np.ndarray, np.ndarray]:
     """(accept, alias): Walker's float alias table of the outcome law, which
     ``build_sampler`` rounds into its integer limits."""
     return montecarlo._alias_table(outcome_weights(kernel))
+
+
+def alias_table_by_search(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(accept, alias) of Walker's alias method by the prefix-sum sweep of
+    ``montecarlo._alias_table``, its light slots served by one binary
+    search each: the heavy slot after every surplus that ends at or before
+    the light slot's deficit starts."""
+    n = len(weights)
+    q = weights * n
+    heavy = q >= 1.0
+    heavy[np.argmax(q)] = True  # rounding can leave every q just below 1
+    light_slots, heavy_slots = np.flatnonzero(~heavy), np.flatnonzero(heavy)
+    accept = np.ones(n)
+    if len(light_slots) == 0:
+        return accept, np.arange(n, dtype=np.int64)
+    accept[light_slots] = q[light_slots]
+    surplus_end = np.cumsum(q[heavy_slots] - 1.0)
+    deficit = np.concatenate([[0.0], np.cumsum(1.0 - q[light_slots])])
+    deficit_start, deficit_end = deficit[:-1], deficit[1:]
+    serving = np.searchsorted(surplus_end, deficit_start, side="right")
+    alias = np.arange(n, dtype=np.int64)
+    alias[light_slots] = heavy_slots[np.minimum(serving, len(heavy_slots) - 1)]
+    ends = surplus_end[:-1]
+    crossing = np.minimum(np.searchsorted(deficit_end, ends), len(deficit_end) - 1)
+    inside = (deficit_start[crossing] < ends) & (deficit_end[crossing] >= ends)
+    overdraft = np.zeros(len(ends))
+    overdraft[inside] = deficit_end[crossing[inside]] - ends[inside]
+    accept[heavy_slots[:-1]] = np.clip(1.0 - overdraft, 0.0, 1.0)
+    alias[heavy_slots[:-1]] = heavy_slots[1:]
+    full = accept == 1.0
+    alias[full] = np.flatnonzero(full)
+    return accept, alias
 
 
 def sampler_limits(sampler) -> np.ndarray:

@@ -15,8 +15,9 @@ from fracwalk import (
     stability_sigma,
 )
 from fracwalk import kernel as kernel_module
+from fracwalk import montecarlo
 from fracwalk.evolution import TAIL_EPSILON
-from oracles import direct_convolve, kernel_distribution, walk_tail
+from oracles import convolution_power, direct_convolve, kernel_distribution, walk_tail
 
 KERNEL = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=16)
 
@@ -365,6 +366,67 @@ def test_master_eq_reach_against_the_exact_tail():
     exact = power[n * 16 + reach :].sum()  # P(S_1 >= 106), S_1 the first coordinate
     assert reach == 106 and exact == pytest.approx(8.37e-19, rel=1e-3)
     assert exact <= bound / 4 <= TAIL_EPSILON / 4
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5])
+@pytest.mark.parametrize("dim, h, K, n", [(1, 0.1, 16, 40), (2, 0.2, 8, 10), (3, 0.2, 3, 8)])
+def test_table_tail_bound_never_under_reports(dim, h, K, n, alpha):
+    # the walk's m-step tables keep the box the bound certifies at 2^-41:
+    # the exact mass beyond it, summed directly, is at most that, and
+    # evolve's own box, certified at TAIL_EPSILON, holds it
+    eps = montecarlo._TABLE_EPSILON
+    m = OrderMeasure.single(alpha)
+    k = build_kernel(m, dim, h, 0.5 * stability_sigma(m, dim, h, 0.0).tau_max, K)
+    reach, bound = evolution._tail_reach(k, n, eps=eps)
+    assert reach <= n * K and bound <= eps
+    power = np.array([1.0])
+    for _ in range(n):
+        power = np.convolve(power, _marginal(k))
+    assert power[n * K + reach :].sum() <= bound / (2 * dim)
+    exact = convolution_power(k, n)
+    box = max(reach - 1, K)
+    assert _mass_outside(exact, box) <= eps
+    assert evolution._tail_reach(k, n) == evolution._tail_reach(k, n, eps=TAIL_EPSILON)
+    assert evolve(LatticeDistribution.delta(dim, h), k, n).support_radius >= box
+
+
+def _benchmark_kernel(measure, dim, h, K, tau=None):
+    tau = 0.5 * stability_sigma(measure, dim, h, 0.0).tau_max if tau is None else tau
+    return build_kernel(measure, dim, h, tau, K)
+
+
+# the benchmark tables' kernels and step counts: cauchy_walk's 42 steps,
+# master_eq_2d's 14 and 13, study_2d's 3 at h = 0.2, and a 3D kernel's 3 and 4
+TABLE_CASES = [
+    (_benchmark_kernel(OrderMeasure.single(1.0), 1, 0.025, 4096), (42, 84)),
+    (_benchmark_kernel(OrderMeasure.single(1.5), 2, 0.2, 16), (13, 14, 27)),
+    (_benchmark_kernel(OrderMeasure(atoms=((0.7, 1.0), (1.4, 0.5))), 2, 0.2, 32), (3, 21)),
+    (_benchmark_kernel(OrderMeasure.single(1.5), 3, 0.2, 6, 0.005), (3, 4, 27)),
+]
+
+
+@pytest.mark.parametrize("case, radii", zip(TABLE_CASES, [
+    (17060, 18594), (88, 90, 105), (95, 209), (17, 21, 33),
+]))
+def test_evolve_radii_do_not_follow_the_table_box(case, radii):
+    # evolve keeps TAIL_EPSILON: its boxes are those of stream 0.6.0
+    k, steps = case
+    start = LatticeDistribution.delta(k.dim, k.h)
+    assert tuple(evolve(start, k, n).support_radius for n in steps) == radii
+
+
+@pytest.mark.parametrize("case, boxes", zip(TABLE_CASES, [
+    {42: 13680}, {13: 73, 14: 74}, {3: 93}, {3: 16, 4: 18},
+]))
+def test_table_box_against_the_exact_tail(case, boxes):
+    # the 2^-41 box of each table: per half-axis, the exact tail of the walk's
+    # first coordinate beyond it, by exponential tilting, is at most 2^-41
+    # over the 2N half-axes
+    k, eps = case[0], montecarlo._TABLE_EPSILON
+    for n, box in boxes.items():
+        reach, bound = evolution._tail_reach(k, n, eps=eps)
+        assert max(reach - 1, k.trunc_radius) == box and bound <= eps
+        assert 2 * k.dim * walk_tail(_marginal(k), n, box + 1) <= eps
 
 
 def test_law_over_budget_at_full_support_evolves():

@@ -7,10 +7,13 @@ import os
 import subprocess
 import sys
 import time
+import timeit
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, PCG64DXSM, Philox
 from scipy import stats
 
@@ -30,6 +33,7 @@ from fracwalk import montecarlo
 from fracwalk.evolution import characteristic_function
 from fracwalk.montecarlo import STREAM_VERSION, WalkEnsemble
 from oracles import (
+    alias_table_by_search,
     bin_centers_first_axis,
     convolution_power,
     draw_plan,
@@ -254,6 +258,23 @@ class TestHistogram:
             np.add.at(tally, tuple((bins - hist.origin_index).T), 1)
             np.testing.assert_array_equal(hist.counts, tally)
 
+    def test_mesh_bins_hold_one_index_per_walker(self):
+        # 200k walkers in 2D binned at the mesh width: the flat bin index,
+        # 8 B per walker, and the counts are all the binning allocates
+        rng = np.random.default_rng(1)
+        lattice = np.round(rng.standard_cauchy((200_000, 2)) * 8).clip(-150, 150).astype(np.int64)
+        lattice.setflags(write=False)
+        ens = WalkEnsemble(dim=2, h=0.2, tau=0.01, n_steps=27, n_walkers=len(lattice),
+                           seed=0, lattice_positions=lattice)
+        tracemalloc.start()
+        try:
+            hist = histogram(ens, bin_width=ens.h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert hist.counts.shape == (301, 301) and hist.counts.sum() == len(lattice)
+        assert peak <= 8 * len(lattice) + hist.counts.nbytes + 2**16
+
     def test_rejects_sub_mesh_bins(self):
         ens = run_walks(SAMPLER, 1, 10, seed=5)
         for width in (0.05, float("nan"), float("inf")):
@@ -403,6 +424,14 @@ def _decode(codes, dim, radius):
     return np.stack(digits, axis=1) - radius
 
 
+def _assert_is_the_binary_search_sweep(weights, accept, alias):
+    """Placing the surplus ends among the deficit starts serves every light
+    slot as one binary search per light slot does, bit for bit."""
+    want = alias_table_by_search(weights)
+    assert accept.tobytes() == want[0].tobytes()
+    np.testing.assert_array_equal(alias, want[1])
+
+
 def _study_2d_kernel(h=0.1, K=128):
     # the meshes of the study_2d benchmark (K = 32 anchored at h = 0.2); the
     # finer one by default
@@ -430,7 +459,7 @@ class TestAliasTables:
     @pytest.mark.parametrize("sampler, n_steps, tables", [
         (ENGINE_SAMPLERS[1], 821, [411, 410]),
         (ENGINE_SAMPLERS[2], 47, [24, 23]),
-        (ENGINE_SAMPLERS[3], 8, [3, 2]),
+        (ENGINE_SAMPLERS[3], 43, [3, 2]),
         (build_sampler(_study_2d_kernel(0.2, 32)), 9, [3]),
     ])
     def test_composite_tables_within_total_variation_bound(self, sampler, n_steps, tables):
@@ -478,10 +507,12 @@ class TestAliasTables:
         np.array([0.25, 0.25, 0.125, 0.375]),     # full slots beside light and heavy
         np.array([1.0, 0.0, 0.0, 0.0, 0.0]),      # a frozen kernel
         np.full(10, np.nextafter(0.1, 0.0)),      # every N w rounds below 1
+        np.array([0.375, 0.125, 0.125, 0.375]),   # a surplus ends where a deficit starts
         np.random.default_rng(5).dirichlet(np.full(300, 0.2)),
     ])
     def test_sweep_table_on_edge_cases(self, weights):
         accept, alias = montecarlo._alias_table(weights)
+        _assert_is_the_binary_search_sweep(weights, accept, alias)
         n = len(weights)
         assert np.all((accept >= 0.0) & (accept <= 1.0))
         full = np.flatnonzero(accept == 1.0)
@@ -489,6 +520,28 @@ class TestAliasTables:
         induced = accept / n
         np.add.at(induced, alias, (1.0 - accept) / n)
         np.testing.assert_allclose(induced, weights, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("seed, n, concentration", [
+        (1, 1000, 0.05), (2, 4097, 1.0), (3, 20_000, 0.5),
+    ])
+    def test_sweep_is_the_binary_search_sweep_on_dirichlet_draws(self, seed, n, concentration):
+        weights = np.random.default_rng(seed).dirichlet(np.full(n, concentration))
+        _assert_is_the_binary_search_sweep(weights, *montecarlo._alias_table(weights))
+
+    def test_sweep_is_the_binary_search_sweep_on_the_benchmark_tables(self):
+        # the m-step tables of the benchmark plans: cauchy_walk's 42 steps,
+        # master_eq_2d's 14 and 13 and study_2d's 3 at h = 0.2
+        cauchy, levy = OrderMeasure.single(1.0), OrderMeasure.single(1.5)
+        tables = [
+            (build_kernel(cauchy, 1, 0.025, 0.5 * stability_sigma(cauchy, 1, 0.025, 0.0).tau_max,
+                          4096), 42),
+            (build_kernel(levy, 2, 0.2, 0.5 * stability_sigma(levy, 2, 0.2, 0.0).tau_max, 16), 14),
+            (build_kernel(levy, 2, 0.2, 0.5 * stability_sigma(levy, 2, 0.2, 0.0).tau_max, 16), 13),
+            (_study_2d_kernel(0.2, 32), 3),
+        ]
+        for kernel, steps in tables:
+            weights = step_law(kernel, steps)[1]
+            _assert_is_the_binary_search_sweep(weights, *montecarlo._alias_table(weights))
 
     def test_limit_tables_match_the_float_table(self):
         # limit[i] = ceil(i 2^32 / N) + min(round(accept[i] 2^32 / N), slot
@@ -577,19 +630,47 @@ class TestWalkEngine:
             expected = per_axis_walk(sampler, n_steps, walkers, seed=dim + 60)
             np.testing.assert_array_equal(ens.lattice_positions, expected)
 
-    @pytest.mark.parametrize("threads", [1, 2, 7])
-    @pytest.mark.parametrize("n_steps, tile_words, edge", [(43, 4, 13), (44, 7, 14)])
-    def test_table_edge_inside_a_tile_and_at_a_span_edge(
-        self, n_steps, tile_words, edge, threads, monkeypatch
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.sampled_from([1, 2, 3]),
+        n_steps=st.integers(1, 60),
+        walkers=st.integers(1, 25),
+        tile_words=st.integers(1, 20),
+        blocks=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        threads=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_any_tiling_and_blocks_match_the_per_axis_walk(
+        self, dim, n_steps, walkers, tile_words, blocks, threads, seed
     ):
-        # 3D: 15 draws, the first `edge` of 3 steps and the rest of 2.  Tiles
-        # of 4 words (8 draws) put the table edge in the second tile, of 7
-        # draws: its low half holds three rows of the 3-step table and one of
-        # the 2-step, its high half two and one.  Tiles of 7 words end the
-        # 3-step draws at a span edge and leave a last tile of one draw.
+        # a tile's codes are summed across its tables in blocks of the least
+        # block_steps and decoded once per block: any tile size and any
+        # carry-free blocks of the sampler and the m-step tables give the
+        # walks summed axis by axis
+        sampler = dataclasses.replace(ENGINE_SAMPLERS[dim], block_steps=blocks[0])
+        composite = montecarlo._composite
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "_CHUNK_WORDS", tile_words)
+            patch.setattr(montecarlo, "_composite",
+                          lambda *args: composite(*args)._replace(block_steps=blocks[1]))
+            ens = run_walks(sampler, n_steps, walkers, seed=seed, threads=threads)
+        expected = per_axis_walk(sampler, n_steps, walkers, seed=seed)
+        np.testing.assert_array_equal(ens.lattice_positions, expected)
+
+    @pytest.mark.parametrize("threads", [1, 2, 7])
+    @pytest.mark.parametrize("n_steps, tile_words, edge, draws", [(43, 4, 13, 15), (38, 6, 12, 13)])
+    def test_table_edge_inside_a_tile_and_at_a_span_edge(
+        self, n_steps, tile_words, edge, draws, threads, monkeypatch
+    ):
+        # 3D: the first `edge` draws of 3 steps and the rest of 2.  43 steps
+        # are 15 draws: tiles of 4 words (8 draws) put the table edge in the
+        # second tile, of 7 draws: its low half holds three rows of the
+        # 3-step table and one of the 2-step, its high half two and one.  38
+        # steps are 13 draws: tiles of 6 words end the 3-step draws at a span
+        # edge and leave a last tile of one draw.
         monkeypatch.setattr(montecarlo, "_CHUNK_WORDS", tile_words)
         sampler = ENGINE_SAMPLERS[3]
-        assert draw_plan(sampler.kernel, n_steps) == [3] * edge + [2] * (15 - edge)
+        assert draw_plan(sampler.kernel, n_steps) == [3] * edge + [2] * (draws - edge)
         ens = run_walks(sampler, n_steps, 20, seed=71, threads=threads)
         expected = per_axis_walk(sampler, n_steps, 20, seed=71)
         np.testing.assert_array_equal(ens.lattice_positions, expected)
@@ -647,17 +728,17 @@ class TestStream:
     ])
     def test_ensemble_digest_is_pinned_to_the_stream_version(self, dim, digest, monkeypatch):
         # SHA-256 of the little-endian int64 lattice positions under stream
-        # 0.4.0, which 0.5.0 reproduces when every draw is one step (here
-        # forced by a one-site table budget)
+        # 0.4.0, which every later version reproduces when every draw is one
+        # step (here forced by a one-site table budget)
         monkeypatch.setattr(montecarlo, "_TABLE_SITES", 1)
         ens = run_walks(ENGINE_SAMPLERS[dim], 27, 1000, seed=2024, threads=2)
         lattice = ens.lattice_positions.astype("<i8").tobytes()
         assert hashlib.sha256(lattice).hexdigest() == digest
 
     @pytest.mark.parametrize("dim, digest", [
-        (1, "41dde55f4c40a6e3fba496812bd5d491a1d54d3eef8c5580ebc32c7108c64a9e"),
-        (2, "8ef6493472de785425e67fcd75628ec7104ffd627bf5e5ad1d1acd1718efa34a"),
-        (3, "da63151dff71237055b53da5713a684ed87cd6f60df226fd2202944ff5c889ce"),
+        (1, "4cc6bea57db7b72a1f3a2b35358c95bd69d4327d71de79643c63a3720d141c8a"),
+        (2, "c19424647c923723fc72677e93e8ebcb5676767d9c1bc5fb37a84e471083e15a"),
+        (3, "6578e753c8164463b41e9deec256fcc97a774461cf559465516c4f8ba2729dd7"),
     ])
     def test_composite_digest_is_pinned_to_the_stream_version(self, dim, digest):
         # the same walks at the default table budget, 14 + 13, 14 + 13 and
@@ -667,7 +748,7 @@ class TestStream:
         assert draw_plan(ENGINE_SAMPLERS[dim].kernel, 27) == plans[dim]
         ens = run_walks(ENGINE_SAMPLERS[dim], 27, 1000, seed=2024, threads=2)
         lattice = ens.lattice_positions.astype("<i8").tobytes()
-        assert (STREAM_VERSION, hashlib.sha256(lattice).hexdigest()) == ("0.6.0", digest)
+        assert (STREAM_VERSION, hashlib.sha256(lattice).hexdigest()) == ("0.7.0", digest)
 
 
 class TestDrawBudget:
@@ -695,13 +776,13 @@ class TestDrawBudget:
         assert math.ceil(1.0 / tau) == 84
         run_walks(sampler, 84, 3000, seed=5, threads=2)
         assert sum(counted) == 3000
-        # the outcomes are the box of evolve's 42-step law, radius 17 060
+        # the outcomes are the box of the 42-step table, radius 13 680
         plan = montecarlo._plan(sampler, 84)
-        assert [(len(t.keys), draws) for t, draws in plan] == [(34_121, 2)]
+        assert [(len(t.keys), draws) for t, draws in plan] == [(27_361, 2)]
 
     def test_master_eq_2d_draws_one_word_per_walker(self, counted):
         # the master_eq_2d benchmark kernel: 27 steps are 14 + 13, whose
-        # tables hold 32 761 + 31 329 outcomes, together within the budget
+        # tables hold 22 201 + 21 609 outcomes, together within the budget
         measure = OrderMeasure.single(1.5)
         tau = 0.5 * stability_sigma(measure, 2, 0.2, 0.0).tau_max
         sampler = build_sampler(build_kernel(measure, 2, 0.2, tau, trunc_radius=16))
@@ -709,18 +790,18 @@ class TestDrawBudget:
         run_walks(sampler, 27, 2000, seed=5, threads=2)
         assert sum(counted) == 2000
         plan = montecarlo._plan(sampler, 27)
-        assert [(len(t.keys), draws) for t, draws in plan] == [(32_761, 1), (31_329, 1)]
+        assert [(len(t.keys), draws) for t, draws in plan] == [(22_201, 1), (21_609, 1)]
 
     def test_study_2d_coarse_row_keeps_four_words(self, counted):
         # study_2d's h = 0.2 row: 21 steps stay 7 draws of 3 from one
-        # 36 481-outcome table, since 6 draws would take 4- and 3-step
-        # tables of 61 009 + 36 481 outcomes, over the budget together
+        # 34 969-outcome table, since 6 draws would take 4- and 3-step
+        # tables of 50 625 + 34 969 outcomes, over the budget together
         sampler = build_sampler(_study_2d_kernel(0.2, 32))
         assert math.ceil(1.0 / sampler.kernel.tau) == 21
         run_walks(sampler, 21, 500, seed=5)
         assert sum(counted) == 4 * 500
         plan = montecarlo._plan(sampler, 21)
-        assert [(len(t.keys), draws) for t, draws in plan] == [(36_481, 7)]
+        assert [(len(t.keys), draws) for t, draws in plan] == [(34_969, 7)]
 
     def test_wide_kernel_keeps_one_draw_per_step(self, counted):
         # 2D K = 128: even a 2-step box exceeds the budget, so 47 steps take 24 words
@@ -750,6 +831,17 @@ class TestDrawBudget:
         assert time.perf_counter() - start < 1.0
         draws = sum(count for _, count in plan)
         assert 2 <= draws < 10**400 and len(plan) <= 2
+        assert sum(len(t.keys) for t, _ in plan) <= montecarlo._TABLE_SITES
+
+    def test_divisor_scan_is_bounded(self):
+        # n = 2^1000 + 7 offers about 1.5e7 draw lengths to try as divisors
+        # of n; the scan tries the first _DIVISOR_SCAN of them
+        sampler = build_sampler(build_kernel(OrderMeasure.single(1.5), 1, 0.2, 0.02, 16))
+        n = 2**1000 + 7
+        seconds = min(timeit.repeat(lambda: montecarlo._plan(sampler, n), number=1, repeat=3))
+        assert seconds < 0.1
+        plan = montecarlo._plan(sampler, n)
+        assert 2 <= sum(count for _, count in plan) < n
         assert sum(len(t.keys) for t, _ in plan) <= montecarlo._TABLE_SITES
 
 
