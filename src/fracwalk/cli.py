@@ -60,8 +60,8 @@ def _out_dir(out: str | None, cfg: RunConfig | None = None) -> Path:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
+    # one write: json.dump streams the document in about a thousand pieces
+    path.write_text(json.dumps(payload, indent=2))
 
 
 @click.group()
@@ -121,13 +121,13 @@ def simulate(config_path: str, out: str | None, seed: int | None, threads: int |
     out_dir = _out_dir(out, cfg)
     csv_path = out_dir / "ensemble.csv"
     ensemble.to_csv(csv_path)
-    first = ensemble.sorted_first_coordinate()  # for the quantiles and the KS
-    summary = ensemble.summary_dict(sorted_first=first)
+    census = ensemble.census()  # for the quantiles, the histogram and the KS
+    summary = ensemble.summary_dict(census)
     summary["tail_mass"] = k.tail_mass
 
     if reference != "none":
         cdf, projection = reference_cdf(cfg.measure, r["dim"], n_steps * k.tau, r["quad_tol"])
-        summary["ks"] = ks_distance(ensemble, cdf, projection, sorted_first=first)
+        summary["ks"] = ks_distance(ensemble, cdf, projection, census=census)
         summary["ks_reference"] = reference
     summary.update(cfg.echo())
     _write_json(out_dir / "summary.json", summary)

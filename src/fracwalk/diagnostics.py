@@ -28,7 +28,9 @@ from .kernel import (
     DEFAULT_TRUNC_RADIUS, LatticeKernel, build_kernel, frequency_rows, stability_sigma,
 )
 from .measure import OrderMeasure
-from .montecarlo import STREAM_VERSION, Histogram, WalkEnsemble, build_sampler, run_walks
+from .montecarlo import (
+    STREAM_VERSION, Census, Histogram, WalkEnsemble, build_sampler, run_walks,
+)
 
 
 def default_xi_grid(dim: int, xi_max: float = 10.0, points: int = 101) -> np.ndarray:
@@ -70,35 +72,37 @@ def cf_sup_error(
 
 
 def ks_distance(
-    ensemble: WalkEnsemble, analytic_cdf, projection: str = "first", sorted_first=None,
+    ensemble: WalkEnsemble, analytic_cdf, projection: str = "first", census: Census | None = None,
 ) -> float:
     """Kolmogorov-Smirnov sup distance between the ensemble and a CDF.
 
     ``projection`` selects the scalar reduction: "first" takes the first
     coordinate, "radial" the Euclidean norm.  ``analytic_cdf`` must be
-    vectorized over the projected values.  ``sorted_first`` optionally holds
-    ``ensemble.sorted_first_coordinate()``, which the "first" projection
-    then does not sort again.
+    vectorized over the projected values.  The "first" projection reads the
+    distinct coordinates and their counts from ``census``, which defaults to
+    ``ensemble.census()``.
     """
     if ensemble.n_walkers < 1:
         raise ValueError("empty ensemble")
+    m = ensemble.n_walkers
     if projection == "first":
-        values = ensemble.sorted_first_coordinate() if sorted_first is None else sorted_first
+        census = ensemble.census() if census is None else census
+        values, end = census.first * ensemble.h, np.cumsum(census.first_counts)
     elif projection == "radial":
         # |x| summed one axis at a time, in np.linalg.norm's order and bits
-        values = np.zeros(ensemble.n_walkers)
+        radii = np.zeros(m)
         for column in ensemble.lattice_positions.T:
             x = column * ensemble.h
-            values += np.multiply(x, x, out=x)
-        np.sqrt(values, out=values).sort()
+            radii += np.multiply(x, x, out=x)
+        np.sqrt(radii, out=radii).sort()
+        start = np.flatnonzero(np.concatenate(([True], radii[1:] != radii[:-1])))
+        values, end = radii[start], np.append(start[1:], m)
     else:
         raise ValueError(f"unknown projection {projection!r}")
-    m = len(values)
-    # the sup over a run of tied values is reached at its ends: evaluate the
-    # CDF once per distinct value
-    start = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    end = np.append(start[1:], m)  # one past each run
-    f = np.asarray(analytic_cdf(values[start]), dtype=float)
+    # the sup over a run of tied values is reached at its ends (one past the
+    # run's last sorted entry, and its first): evaluate the CDF once per run
+    start = np.concatenate(([0], end[:-1]))
+    f = np.asarray(analytic_cdf(values), dtype=float)
     upper = np.max(end / m - f)
     lower = np.max(f - start / m)
     return float(max(upper, lower))

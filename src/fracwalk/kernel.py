@@ -187,7 +187,9 @@ def _lattice_zetas(alphas: tuple[float, ...], dim: int) -> tuple[float, ...]:
     #
     # with E(a, x) = e^x x^-a Gamma(a, x), the continued fraction of
     # ``gammainc_upper_scaled``.  Every term is positive, and 2/alpha is not
-    # formed as 2/(s - N), which would round alpha.
+    # formed as 2/(s - N), which would round alpha.  A negative alpha gives the
+    # analytic continuation; at s = 0, where 2/s and Gamma(s/2) both have a
+    # pole, Z takes its limit -1.
     sh = enumerate_shells(dim, math.isqrt(_THETA_QMAX))
     keep = sh.norm_sq <= _THETA_QMAX
     x = math.pi * sh.norm_sq[keep].astype(float)
@@ -195,9 +197,11 @@ def _lattice_zetas(alphas: tuple[float, ...], dim: int) -> tuple[float, ...]:
     alpha = np.array(alphas, dtype=float)[:, None]
     s = dim + alpha
     series = gammainc_upper_scaled(0.5 * s, x) + gammainc_upper_scaled(-0.5 * alpha, x)
-    total = (2.0 / alpha - 2.0 / s)[:, 0] + np.sum(series * weight, axis=1)
+    with np.errstate(divide="ignore"):  # 2/s at s = 0, whose Z is taken as the limit
+        total = (2.0 / alpha - 2.0 / s)[:, 0] + np.sum(series * weight, axis=1)
     return tuple(
-        float(math.pi ** (si / 2.0) / math.gamma(si / 2.0) * ti) for si, ti in zip(s[:, 0], total)
+        float(math.pi ** (si / 2.0) / math.gamma(si / 2.0) * ti) if si != 0.0 else -1.0
+        for si, ti in zip(s[:, 0], total)
     )
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import PCG64DXSM
 
-from .evolution import _fft_power, _first_marginal, _tail_reach
+from .evolution import MEMORY_BUDGET_BYTES, _fft_power, _first_marginal, _tail_reach
 from .kernel import LatticeKernel, integer_count
 
 # Raw words drawn per walk tile: small enough that its work arrays
@@ -68,8 +68,13 @@ _DIVISOR_SCAN = 1 << 12
 # Rows formatted per write in ``WalkEnsemble.to_csv``.
 _CSV_BLOCK_ROWS = 1 << 16
 
-# First-coordinate quantiles reported by ``WalkEnsemble.summary_dict``.
+# First-coordinate quantiles and densest histogram bins reported by
+# ``WalkEnsemble.summary_dict``.
 _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+_SUMMARY_BINS = 200
+
+# Bin keys of ``_cells`` stay below this: they are int64.
+_KEY_LIMIT = 1 << 63
 
 _SHIFT32 = np.uint64(32)
 _SHIFT33 = np.uint64(33)
@@ -280,6 +285,24 @@ def _plan(sampler: JumpSampler, n_steps: int) -> list[tuple[_Table, int]]:
     return [(one if m == 1 else _composite(kernel, m, radius(m)), count) for m, count in pairs if count]
 
 
+class Census(NamedTuple):
+    """What the summary statistics and the KS distance read of an ensemble, counted once.
+
+    ``first`` holds the distinct first lattice coordinates in ascending order
+    and ``first_counts`` how many walkers hold each.  ``bins`` holds the
+    summary histogram's occupied bins in C order, as (bins, dim) int64 bin
+    indices, and ``bin_counts`` their walker counts: lattice sites in one
+    dimension, where they are the first coordinates again, and cubes of side
+    ``bin_width`` = 4h beyond.
+    """
+
+    first: np.ndarray
+    first_counts: np.ndarray
+    bin_width: float
+    bins: np.ndarray
+    bin_counts: np.ndarray
+
+
 @dataclass(frozen=True)
 class WalkEnsemble:
     """Final positions of independent walkers after n_steps jumps."""
@@ -301,44 +324,54 @@ class WalkEnsemble:
         """Header ``x1,...``, one row of ``repr`` floats per walker, CRLF ends.
 
         ``repr`` runs once per distinct coordinate of each column (found by
-        :func:`_distinct`), and rows are written in fixed-size blocks; the
-        bytes are those of ``csv.writer`` fed ``repr(float(x))`` fields.
+        :func:`_distinct`), and rows are written in fixed-size blocks, each
+        block's coordinates looked up among the distinct ones; the bytes are
+        those of ``csv.writer`` fed ``repr(float(x))`` fields.
         """
         columns = []
-        for axis in range(self.dim):
-            values, inverse = _distinct(self.lattice_positions[:, axis])
+        for column in self.lattice_positions.T if self.n_walkers else ():  # none: a header alone
+            values, _ = _distinct(column)
             text = np.array([repr(x) for x in (values * self.h).tolist()], dtype=object)
-            columns.append((text, inverse))
+            columns.append((column, _indexer(values, self.n_walkers), text))
         with open(path, "w", newline="") as f:
             f.write(",".join(f"x{i+1}" for i in range(self.dim)) + "\r\n")
             for start in range(0, self.n_walkers, _CSV_BLOCK_ROWS):
                 fields = [
-                    text[inverse[start : start + _CSV_BLOCK_ROWS]].tolist()
-                    for text, inverse in columns
+                    text[index(column[start : start + _CSV_BLOCK_ROWS])].tolist()
+                    for column, index, text in columns
                 ]
                 rows = fields[0] if self.dim == 1 else map(",".join, zip(*fields))
                 f.write("\r\n".join(rows) + "\r\n")
 
-    def sorted_first_coordinate(self) -> np.ndarray:
-        """First coordinates in ascending order.
+    def census(self) -> Census:
+        """The ensemble's :class:`Census`, in memory proportional to the
+        walkers whatever their spread."""
+        first, first_counts = _distinct(self.lattice_positions[:, 0])
+        if self.dim == 1:
+            return Census(first, first_counts, self.h, first[:, None], first_counts)
+        width = 4 * self.h
+        return Census(first, first_counts, width, *_cells(_bin_rows(self, width)))
 
-        Sorts the int64 lattice column and scales it; x = k h is monotone in
-        k, so the result is that of sorting ``final_positions[:, 0]``.
+    def summary_dict(self, census: Census | None = None) -> dict:
+        """Moments, first-coordinate quantiles and the histogram's
+        ``_SUMMARY_BINS`` densest bins, JSON-ready.
+
+        The quantiles and the histogram come from ``census``, :meth:`census`
+        if it is not given.
         """
-        return np.sort(self.lattice_positions[:, 0]) * self.h
-
-    def summary_dict(self, sorted_first=None) -> dict:
-        """Moments, first-coordinate quantiles and a histogram, JSON-ready.
-
-        ``sorted_first`` optionally holds :meth:`sorted_first_coordinate`,
-        for a caller that needs it too.
-        """
+        if census is None:
+            census = self.census()
+        qs = _quantiles(census.first * self.h, census.first_counts, _QUANTILE_LEVELS)
         x = self.final_positions
-        first = x[:, 0]
-        if sorted_first is None:
-            sorted_first = self.sorted_first_coordinate()
-        qs = _quantiles(sorted_first, _QUANTILE_LEVELS)
-        hist = _bin(self, self.h if self.dim == 1 else 4 * self.h, positions=x)
+        mean = x.mean(axis=0).tolist()
+        first = np.abs(x[:, 0], out=x[:, 0])  # x is a copy: its first column turns into |x1|
+        # the densest bins, listed in C order
+        width, bins = census.bin_width, census.bins
+        density = census.bin_counts / (self.n_walkers * width**self.dim)
+        if len(bins) > _SUMMARY_BINS:
+            keep = np.argsort(density)[::-1][:_SUMMARY_BINS]
+            keep.sort()
+            bins, density = bins[keep], density[keep]
         return {
             "dim": self.dim,
             "h": self.h,
@@ -347,42 +380,121 @@ class WalkEnsemble:
             "n_walkers": self.n_walkers,
             "seed": self.seed,
             "stream": STREAM_VERSION,
-            "mean": x.mean(axis=0).tolist(),
-            "mean_abs_first_coordinate": float(np.abs(first).mean()),
+            "mean": mean,
+            "mean_abs_first_coordinate": float(first.mean()),
             "quantiles_first_coordinate": {
                 str(q): float(v) for q, v in zip(_QUANTILE_LEVELS, qs)
             },
-            "histogram": hist.to_json_dict(max_bins=200),
+            "histogram": {
+                "bin_width": width,
+                "n_samples": self.n_walkers,
+                "centers": (bins * width).tolist(),
+                "density": density.tolist(),
+            },
         }
 
 
-def _distinct(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(column, return_inverse=True)`` of an int64 column, counted by
-    one ``bincount`` when its values span fewer than 4 integers per entry."""
-    if len(column):
-        lo = int(column.min())
-        if int(column.max()) - lo < 4 * len(column):
-            offset = column - lo
-            present = np.bincount(offset) > 0
-            return np.flatnonzero(present) + lo, (np.cumsum(present) - 1)[offset]
-    return np.unique(column, return_inverse=True)
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct entries of an int64 array in ascending order and how
+    often each occurs, as ``np.unique(keys, return_counts=True)`` gives them
+    (np.unique imports numpy.ma, 14 ms).
+
+    One ``bincount`` counts them when they span at most 4 integers per entry,
+    a sort and its run boundaries otherwise.  Besides the result, either
+    holds one array of ``len(keys)`` integers (and a sort as many flags).
+    """
+    n = len(keys)
+    lo = int(keys.min())
+    span = int(keys.max()) - lo + 1
+    if span <= 4 * n:
+        counts = np.bincount(np.subtract(keys, lo), minlength=span)
+        values = np.flatnonzero(counts)
+        counts = counts[values]
+        values += lo
+        return values, counts
+    ordered = np.sort(keys)
+    start = np.flatnonzero(ordered[1:] != ordered[:-1])  # the last entry of each run but the last
+    start += 1
+    start = np.concatenate(([0], start))
+    return ordered[start], np.diff(start, append=n)
 
 
-def _quantiles(x: np.ndarray, levels) -> np.ndarray:
-    """``np.quantile(x, levels)`` of an ascending ``x`` by numpy's default
-    "linear" rule, bit for bit.
+def _indexer(values: np.ndarray, n: int):
+    """A function giving the index in the ascending int64 ``values`` of each
+    key, all of them among the values.  It looks keys up in a table over the
+    values' span when that holds at most 4 integers per entry of the n-entry
+    array the values came from (the rule of :func:`_distinct`), and by binary
+    search otherwise."""
+    lo = int(values[0])
+    span = int(values[-1]) - lo + 1
+    if span > 4 * n:
+        return functools.partial(np.searchsorted, values)
+    table = np.empty(span, np.intp)
+    table[values - lo] = np.arange(len(values))
+
+    def index(keys: np.ndarray) -> np.ndarray:
+        offset = np.subtract(keys, lo)
+        return np.take(table, offset, out=offset, mode="clip")  # every offset is in range
+
+    return index
+
+
+def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied cells of per-axis int64 index rows in C order, (cells, dim),
+    and how many entries hold each.
+
+    The rows fold into one int64 key per entry, the first axis most
+    significant: key * side + (row - min).  A fold whose key could reach
+    ``_KEY_LIMIT`` first replaces the key, and if that is not enough the row,
+    by its index among its distinct values: that keeps the order and bounds
+    either by the entry count.  The distinct keys give the cells.
+    """
+    key, span, folds = None, 1, []
+    for row in rows:
+        n, lo = len(row), int(row.min())
+        side, ranked, values = int(row.max()) - lo + 1, None, None
+        if key is not None and span * side >= _KEY_LIMIT:
+            ranked, _ = _distinct(key)
+            key, span = _indexer(ranked, n)(key), len(ranked)
+        if span * side >= _KEY_LIMIT:
+            values, _ = _distinct(row)
+            offset, side = _indexer(values, n)(row), len(values)
+        else:
+            offset = np.subtract(row, lo)
+        if key is None:
+            key = offset
+        else:
+            key *= side
+            key += offset
+        span *= side
+        folds.append((ranked, side, values, lo))
+    keys, counts = _distinct(key)
+    cells = np.empty((len(keys), len(folds)), np.int64)
+    for axis in reversed(range(len(folds))):
+        ranked, side, values, lo = folds[axis]
+        keys, offset = np.divmod(keys, side)
+        cells[:, axis] = offset + lo if values is None else values[offset]
+        if ranked is not None:
+            keys = ranked[keys]
+    return cells, counts
+
+
+def _quantiles(values: np.ndarray, counts: np.ndarray, levels) -> np.ndarray:
+    """``np.quantile`` by numpy's default "linear" rule, bit for bit, of the
+    sample that holds ``counts[i]`` copies of the ascending ``values[i]``.
 
     numpy's own index and interpolation formulas; np.quantile itself
     partitions through np.unique, which imports numpy.ma (14 ms).
     """
-    n = len(x)
+    ends = np.cumsum(counts)  # one past the last sorted entry of each value
+    n = int(ends[-1])
     virtual = (n - 1) * np.asarray(levels, dtype=float)
     below = np.floor(virtual)
     above = below + 1
     top = virtual >= n - 1
-    below[top] = above[top] = -1  # the last value
+    below[top] = above[top] = -1  # the last entry
     below, above = below.astype(np.intp), above.astype(np.intp)
-    a, b = x[below], x[above]
+    a, b = (values[np.searchsorted(ends, entry % n, side="right")] for entry in (below, above))
     t = virtual - below
     diff = b - a
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
@@ -523,45 +635,26 @@ class Histogram:
     def density(self) -> np.ndarray:
         return self.counts / (self.n_samples * self.bin_width**self.dim)
 
-    def to_json_dict(self, max_bins: int | None = None) -> dict:
-        idx = np.argwhere(self.counts > 0)
-        dens = self.density[tuple(idx.T)]
-        if max_bins is not None and len(idx) > max_bins:
-            keep = np.argsort(dens)[::-1][:max_bins]
-            keep.sort()
-            idx, dens = idx[keep], dens[keep]
-        centers = (idx + self.origin_index) * self.bin_width
-        return {
-            "bin_width": self.bin_width,
-            "n_samples": self.n_samples,
-            "centers": centers.tolist(),
-            "density": dens.tolist(),
-        }
-
 
 def histogram(ensemble: WalkEnsemble, bin_width: float) -> Histogram:
-    """Bin the ensemble; densities integrate to 1 over the binned volume."""
+    """Bin the ensemble on cubic bins of ``bin_width`` over the walkers'
+    bounding box; densities integrate to 1 over the binned volume.  A box
+    whose counts, 8 B per bin, would exceed ``MEMORY_BUDGET_BYTES`` raises
+    ValueError before anything is allocated."""
     if not ensemble.h <= bin_width < math.inf:
         raise ValueError(f"bin_width must be finite and at least the mesh width h: {bin_width!r}")
-    return _bin(ensemble, bin_width)
-
-
-def _bin(ensemble: WalkEnsemble, bin_width: float, positions=None) -> Histogram:
-    """Histogram on cubic bins of ``bin_width``; ``positions`` may hold the
-    ``final_positions``.  Bins of width h are the lattice sites themselves:
-    floor(k h / h + 0.5) = k for every |k| < 2^50."""
-    # one row of bin indices per axis, reduced along the row: a column
-    # reduction of the (M, dim) layout is slow
-    if bin_width == ensemble.h:
-        bins = ensemble.lattice_positions.T  # a view: no copy of the positions
-    else:
-        x = ensemble.final_positions if positions is None else positions
-        bins = np.floor(x.T / bin_width + 0.5).astype(np.int64, order="C")
-    lo = np.array([row.min() for row in bins])
-    shape = tuple(int(row.max()) - low + 1 for row, low in zip(bins, lo.tolist()))
+    rows = list(_bin_rows(ensemble, bin_width))
+    lo = np.array([row.min() for row in rows])
+    shape = tuple(int(row.max()) - low + 1 for row, low in zip(rows, lo.tolist()))
+    need = 8 * math.prod(shape)
+    if need > MEMORY_BUDGET_BYTES:
+        raise ValueError(
+            f"a histogram box of {' x '.join(map(str, shape))} bins of width {bin_width!r} needs "
+            f"{need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget"
+        )
     # the C-order flat bin index, built one axis at a time in one array
-    flat = np.subtract(bins[0], lo[0])
-    for row, low, side in zip(bins[1:], lo[1:], shape[1:]):
+    flat = np.subtract(rows[0], lo[0])
+    for row, low, side in zip(rows[1:], lo[1:], shape[1:]):
         flat *= side
         flat += row
         flat -= low
@@ -574,3 +667,18 @@ def _bin(ensemble: WalkEnsemble, bin_width: float, positions=None) -> Histogram:
         counts=counts,
         n_samples=ensemble.n_walkers,
     )
+
+
+def _bin_rows(ensemble: WalkEnsemble, bin_width: float):
+    """Each axis's bin indices floor(x / bin_width + 0.5) of the walkers, one
+    row at a time.  Bins of width h are the lattice sites themselves:
+    floor(k h / h + 0.5) = k for every |k| < 2^50."""
+    # rows, not columns: a column reduction of the (M, dim) layout is slow
+    for column in ensemble.lattice_positions.T:
+        if bin_width == ensemble.h:
+            yield column  # a view: no copy of the positions
+        else:
+            x = column * ensemble.h
+            x /= bin_width
+            x += 0.5
+            yield np.floor(x, out=x).astype(np.int64)

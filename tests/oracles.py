@@ -10,8 +10,10 @@ by sorting the whole cube, walks summed axis by axis over each walker's
 draw plan, a kernel's convolution powers by direct summation, the KS
 distance with the reference CDF evaluated at every sample, lattice
 convolution by direct summation, a walk's far tail by exponential tilting,
-and the total variation between a histogram and a law laid on one box that
-holds both, with a bound on what sampling alone puts between them.  It also
+the total variation between a histogram and a law laid on one box that
+holds both, with a bound on what sampling alone puts between them, and an
+ensemble's summary with its quantiles by ``np.quantile`` and its histogram
+counted on a dense box of bins.  It also
 holds the accessors only the tests use: a sampler's outcome law,
 displacements, float alias table, limits and single draws, a walker's draw
 plan and the law of each of its tables, the law an alias table samples, a
@@ -374,6 +376,56 @@ def ks_distance_every_value(ensemble, cdf, projection: str) -> float:
     m = len(values)
     f = np.asarray(cdf(values), dtype=float)
     return float(max(np.max(np.arange(1, m + 1) / m - f), np.max(f - np.arange(0, m) / m)))
+
+
+def summary_dense(ensemble) -> dict:
+    """``WalkEnsemble.summary_dict`` by the dense route: the whole first
+    coordinate through ``np.quantile``, and the histogram counted on a dense
+    box of bins whose occupied bins ``argwhere`` lists in C order.
+
+    The box holds each axis's distinct bin indices only, in their order, so
+    C order in it is C order in the walkers' bounding box, and walkers far
+    apart need no more bins per axis than there are walkers.
+    """
+    x = ensemble.final_positions
+    first = x[:, 0]
+    dim, n = ensemble.dim, ensemble.n_walkers
+    width = ensemble.h if dim == 1 else 4 * ensemble.h
+    if dim == 1:  # bins of width h are the lattice sites
+        bins = ensemble.lattice_positions
+    else:
+        bins = np.floor(x / width + 0.5).astype(np.int64)
+    axes = [np.unique(column, return_inverse=True) for column in bins.T]
+    counts = np.zeros(tuple(len(values) for values, _ in axes), dtype=np.int64)
+    np.add.at(counts, tuple(inverse for _, inverse in axes), 1)
+    idx = np.argwhere(counts > 0)
+    dens = (counts / (n * width**dim))[tuple(idx.T)]
+    if len(idx) > 200:
+        keep = np.argsort(dens)[::-1][:200]
+        keep.sort()
+        idx, dens = idx[keep], dens[keep]
+    centers = np.column_stack([values[i] for (values, _), i in zip(axes, idx.T)]) * width
+    levels = (0.05, 0.25, 0.5, 0.75, 0.95)
+    return {
+        "dim": dim,
+        "h": ensemble.h,
+        "tau": ensemble.tau,
+        "n_steps": ensemble.n_steps,
+        "n_walkers": n,
+        "seed": ensemble.seed,
+        "stream": montecarlo.STREAM_VERSION,
+        "mean": x.mean(axis=0).tolist(),
+        "mean_abs_first_coordinate": float(np.abs(first).mean()),
+        "quantiles_first_coordinate": {
+            str(q): float(v) for q, v in zip(levels, np.quantile(first, levels))
+        },
+        "histogram": {
+            "bin_width": width,
+            "n_samples": n,
+            "centers": centers.tolist(),
+            "density": dens.tolist(),
+        },
+    }
 
 
 def ks_distance_by_norm(ensemble, cdf) -> float:

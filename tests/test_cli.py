@@ -115,7 +115,7 @@ class TestSimulateCommand:
         assert doc["config"]["seed"] == 99
 
     def test_summary_quantiles_and_ks_match_the_library(self, runner, tmp_path):
-        # simulate sorts the first coordinate once, for the quantiles and the KS
+        # simulate counts the walkers once, in the census the quantiles and the KS read
         cfg = _write(tmp_path, "c.yaml", dict(BENCH, walkers=3_000))
         res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
@@ -128,6 +128,15 @@ class TestSimulateCommand:
             np.quantile(ens.final_positions[:, 0], levels).tolist()
         )
         assert doc["ks"] == ks_distance_every_value(ens, cdf, projection)
+
+    def test_summary_is_written_as_json_dump_writes_it(self, runner, tmp_path):
+        cfg = _write(tmp_path, "c.yaml", dict(BENCH, walkers=2_000))
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / "summary.json").read_text()
+        with open(tmp_path / "dumped.json", "w") as f:
+            json.dump(json.loads(text), f, indent=2)
+        assert (tmp_path / "dumped.json").read_text() == text
 
     def test_outputs_and_readme_name_the_stream_version(self, runner, tmp_path):
         cfg = _write(tmp_path, "c.yaml", dict(UNSET_TAU, h_list=[0.2], t=0.5, walkers=200))

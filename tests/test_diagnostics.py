@@ -154,6 +154,18 @@ class TestKsDistance:
         assert d == ks_distance_every_value(ens, cdf, projection)
         assert 0.0 < d < 1.0
 
+    def test_census_runs_match_every_value_on_a_wide_span(self):
+        # 2^41 sites: the census sorts instead of counting by bincount
+        rng = np.random.default_rng(8)
+        lattice = rng.choice([-(2**40), 0, 2**40], size=(3_000, 1)) + rng.integers(-50, 51, (3_000, 1))
+        lattice.setflags(write=False)
+        ens = WalkEnsemble(dim=1, h=1e-11, tau=0.01, n_steps=3, n_walkers=len(lattice),
+                           seed=0, lattice_positions=lattice)
+        cdf = lambda x: 0.5 + np.arctan(x / 10.0) / math.pi
+        d = ks_distance(ens, cdf)
+        assert d == ks_distance_every_value(ens, cdf, "first")
+        assert d == ks_distance(ens, cdf, census=ens.census())
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("span", [3, 5_000])
     def test_radii_are_those_of_np_linalg_norm(self, dim, span):

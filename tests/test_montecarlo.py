@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -29,7 +30,7 @@ from fracwalk import (
     stability_sigma,
     total_variation,
 )
-from fracwalk import montecarlo
+from fracwalk import diagnostics, montecarlo
 from fracwalk.evolution import characteristic_function
 from fracwalk.montecarlo import STREAM_VERSION, WalkEnsemble
 from oracles import (
@@ -46,6 +47,7 @@ from oracles import (
     sample_outcomes,
     sampler_limits,
     step_law,
+    summary_dense,
     tv_sampling_bound,
 )
 
@@ -275,6 +277,21 @@ class TestHistogram:
         assert hist.counts.shape == (301, 301) and hist.counts.sum() == len(lattice)
         assert peak <= 8 * len(lattice) + hist.counts.nbytes + 2**16
 
+    def test_box_over_the_memory_budget_is_refused_before_allocating(self):
+        # two walkers 2 * 10^6 sites apart on both axes: 4e12 mesh bins, 32 TB
+        lattice = np.array([[-(10**6), 10**6], [10**6, -(10**6)], [0, 0]], dtype=np.int64)
+        lattice.setflags(write=False)
+        ens = WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=1, n_walkers=3, seed=0,
+                           lattice_positions=lattice)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="histogram box of 2000001 x 2000001 bins"):
+                histogram(ens, bin_width=ens.h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_rejects_sub_mesh_bins(self):
         ens = run_walks(SAMPLER, 1, 10, seed=5)
         for width in (0.05, float("nan"), float("inf")):
@@ -352,16 +369,17 @@ class TestExports:
     ])
     def test_quantiles_match_numpy(self, x):
         levels = (0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0)
-        got = montecarlo._quantiles(np.sort(x), levels)
+        got = montecarlo._quantiles(*np.unique(x, return_counts=True), levels)
         assert got.tobytes() == np.quantile(x, levels).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_sorted_lattice_column_is_the_sorted_float_column(self, dim):
         ens = run_walks(ENGINE_SAMPLERS[dim], 20, 5_000, seed=4)
-        first = ens.sorted_first_coordinate()
+        census = ens.census()
+        first = np.repeat(census.first * ens.h, census.first_counts)
         assert first.tobytes() == np.sort(ens.final_positions[:, 0]).tobytes()
         # and summary_dict gives the same document with or without it
-        assert ens.summary_dict(sorted_first=first) == ens.summary_dict()
+        assert ens.summary_dict(census) == ens.summary_dict()
 
     def test_simulate_leaves_numpy_ma_unloaded(self, tmp_path):
         cfg = tmp_path / "run.yaml"
@@ -388,6 +406,69 @@ class TestExports:
         assert "mean" in doc and "histogram" in doc and "quantiles_first_coordinate" in doc
         assert doc["n_walkers"] == 5_000
         assert json.loads(encoded)["seed"] == 2
+
+
+def _ensemble(lattice, h=0.1):
+    lattice = np.asarray(lattice, dtype=np.int64)
+    lattice.setflags(write=False)
+    return WalkEnsemble(dim=lattice.shape[1], h=h, tau=0.01, n_steps=7,
+                        n_walkers=len(lattice), seed=0, lattice_positions=lattice)
+
+
+class TestCensus:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("case", ["walk", "wide", "ties"])
+    @pytest.mark.parametrize("key_limit", [montecarlo._KEY_LIMIT, 1 << 8])
+    def test_summary_matches_the_dense_route(self, dim, case, key_limit, monkeypatch):
+        # a small key limit makes every fold of the bin keys rank them first
+        monkeypatch.setattr(montecarlo, "_KEY_LIMIT", key_limit)
+        rng = np.random.default_rng(dim)
+        if case == "walk":  # compact boxes: the census counts by bincount
+            ens = run_walks(ENGINE_SAMPLERS[dim], 20, 20_000, seed=dim)
+        elif case == "wide":  # 2^41 sites per axis: sorts, and keys past 2^63 bins
+            corners = rng.choice([-(2**40), 0, 2**40, 7], size=(500, dim))
+            ens = _ensemble(corners + rng.integers(-40, 41, size=(500, dim)))
+        else:  # 600 bins of two walkers and 50 of three: a tie at the 200-bin cut
+            side = {1: 1000, 2: 40, 3: 12}[dim]
+            cells = rng.permutation(side**dim)[:650]
+            sites = 4 * np.column_stack(np.unravel_index(cells, (side,) * dim)) - 2 * side
+            ens = _ensemble(np.repeat(sites, [3] * 50 + [2] * 600, axis=0))
+        doc = ens.summary_dict()
+        assert json.dumps(doc, indent=2) == json.dumps(summary_dense(ens), indent=2)
+        if case == "ties":
+            assert len(doc["histogram"]["density"]) == 200
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_far_walkers_take_no_bounding_box(self, dim):
+        # the dense box of 4h bins held 6.1 GB in 2D and raised MemoryError in 3D
+        ens = _ensemble([[-40_000] * dim, [40_000] * dim, [40_000] + [-40_000] * (dim - 1)])
+        tracemalloc.start()
+        try:
+            doc = ens.summary_dict()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert doc["histogram"]["centers"][0] == [-4000.0] * dim
+
+    def test_post_walk_memory_is_a_few_bytes_per_walker(self, tmp_path):
+        # simulate's steps after the walk, on 400k walkers spread like the Cauchy
+        # benchmark: 8.5 B per walker measured, 24 B with a sort and a dense box
+        n = 400_000
+        rng = np.random.default_rng(5)
+        ens = _ensemble(np.round(rng.standard_cauchy((n, 1)) * 40).clip(-6000, 6000), h=0.025)
+        cdf = lambda x: 0.5 + np.arctan(x) / math.pi
+        tracemalloc.start()
+        try:
+            ens.to_csv(tmp_path / "ensemble.csv")
+            census = ens.census()
+            doc = ens.summary_dict(census)
+            doc["ks"] = diagnostics.ks_distance(ens, cdf, census=census)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * n + 2**19
+        assert doc["ks"] == diagnostics.ks_distance(ens, cdf)
 
 
 def _realized_law(sampler, alias=None):
@@ -907,6 +988,12 @@ class TestCsvWriter:
         ens.to_csv(path)
         assert path.read_bytes() == _csv_writer_bytes(ens)
 
+    def test_walkerless_ensemble_writes_its_header(self, tmp_path):
+        ens = WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=7, n_walkers=0, seed=0,
+                           lattice_positions=np.zeros((0, 2), dtype=np.int64))
+        ens.to_csv(tmp_path / "ensemble.csv")
+        assert (tmp_path / "ensemble.csv").read_bytes() == _csv_writer_bytes(ens)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("case", ["wide", "single", "constant", "negative"])
     def test_census_and_sort_match_csv_writer(self, dim, case, tmp_path):
@@ -922,10 +1009,13 @@ class TestCsvWriter:
         ens = WalkEnsemble(dim=dim, h=0.1, tau=0.01, n_steps=7, n_walkers=len(lattice),
                            seed=0, lattice_positions=lattice)
         for column in lattice.T:
-            values, inverse = montecarlo._distinct(column)
-            want_values, want_inverse = np.unique(column, return_inverse=True)
+            values, counts = montecarlo._distinct(column)
+            want_values, want_inverse, want_counts = np.unique(
+                column, return_inverse=True, return_counts=True)
             assert values.tobytes() == want_values.tobytes()
-            np.testing.assert_array_equal(inverse, want_inverse)
+            np.testing.assert_array_equal(counts, want_counts)
+            index = montecarlo._indexer(values, len(column))
+            np.testing.assert_array_equal(index(column), want_inverse)
         path = tmp_path / "ensemble.csv"
         ens.to_csv(path)
         assert path.read_bytes() == _csv_writer_bytes(ens)

@@ -141,3 +141,25 @@ def test_lattice_zeta_matches_mpmath(dim):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
     # one exponent alone gives the value it has among the others
     assert _lattice_zetas(alphas[7:8], dim)[0] == got[7]
+
+
+ALPHAS = [0.3, 0.7, 1.0, 1.4, 1.9]
+
+
+@pytest.mark.parametrize("dim, alpha", [(1, a) for a in ALPHAS + [1.0 - 1e-9, 1.0 + 1e-9]]
+                         + [(2, a) for a in ALPHAS])
+def test_lattice_zeta_continuation_matches_mpmath(dim, alpha):
+    # Z_N(N + alpha - 2), past the pole at s = N: 2 zeta(s) in 1D, where alpha = 1
+    # is s = 0 and its limit -1, and 4 zeta(s/2) beta(s/2) in 2D
+    shifted = alpha - 2.0
+    got = _lattice_zetas((shifted,), dim)[0]
+    with mp.workdps(30):
+        s = dim + mp.mpf(shifted)
+        if dim == 1:
+            want = 2 * mp.zeta(s)
+        else:
+            want = 4 * mp.zeta(s / 2) * mp.dirichlet(s / 2, [0, 1, 0, -1])
+        want = float(want)
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+    if dim == 1 and alpha == 1.0:
+        assert got == -1.0
