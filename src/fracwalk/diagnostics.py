@@ -82,8 +82,6 @@ def ks_distance(
     distinct coordinates and their counts from ``census``, which defaults to
     ``ensemble.census()``.
     """
-    if ensemble.n_walkers < 1:
-        raise ValueError("empty ensemble")
     m = ensemble.n_walkers
     if projection == "first":
         census = ensemble.census() if census is None else census
@@ -134,17 +132,13 @@ def total_variation(hist: Histogram, dist: LatticeDistribution) -> float:
         raise ValueError("total variation needs site-level bins (bin_width == h)")
     if hist.dim != dist.dim:
         raise ValueError("dimension mismatch")
-    # compare only on the overlap of the histogram's box and the law's (empty
-    # if they are disjoint); what lies outside it on either side counts in full
-    R, first, n = dist.support_radius, hist.origin_index, hist.n_samples
-    lo = np.maximum(first, -R)
-    hi = np.maximum(np.minimum(first + np.array(hist.counts.shape), R + 1), lo)
-    counts = hist.counts[tuple(slice(a, b) for a, b in zip(lo - first, hi - first))]
-    mass = dist.mass[tuple(slice(a, b) for a, b in zip(lo + R, hi + R))]
-    law_outside = dist.mass.sum() - mass.sum()
-    walkers_outside = int(hist.counts.sum()) - int(counts.sum())
-    inside = np.abs(counts / n - mass).sum()
-    return float(0.5 * (inside + law_outside + walkers_outside / n))
+    # the law's mass at the occupied sites inside its box; the rest of the law
+    # and the walkers outside it count in full
+    R, n = dist.support_radius, hist.n_samples
+    inside = (np.abs(hist.bins) <= R).all(axis=1)
+    counts, mass = hist.counts[inside], dist.mass[tuple((hist.bins[inside] + R).T)]
+    law_outside, walkers_outside = dist.mass.sum() - mass.sum(), int(hist.counts[~inside].sum())
+    return float(0.5 * (np.abs(counts / n - mass).sum() + law_outside + walkers_outside / n))
 
 
 def resolve_run(

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import PCG64DXSM
 
-from .evolution import MEMORY_BUDGET_BYTES, _fft_power, _first_marginal, _tail_reach
+from .evolution import _fft_power, _first_marginal, _tail_reach
 from .kernel import LatticeKernel, integer_count
 
 # Raw words drawn per walk tile: small enough that its work arrays
@@ -285,27 +285,37 @@ def _plan(sampler: JumpSampler, n_steps: int) -> list[tuple[_Table, int]]:
     return [(one if m == 1 else _composite(kernel, m, radius(m)), count) for m, count in pairs if count]
 
 
-class Census(NamedTuple):
-    """What the summary statistics and the KS distance read of an ensemble, counted once.
+@dataclass(frozen=True)
+class Histogram:
+    """Walker counts on the occupied cubic bins of side ``bin_width``, centred
+    at ``bins * bin_width``: ``bins`` (bins, dim) int64 bin indices in C order."""
 
-    ``first`` holds the distinct first lattice coordinates in ascending order
-    and ``first_counts`` how many walkers hold each.  ``bins`` holds the
-    summary histogram's occupied bins in C order, as (bins, dim) int64 bin
-    indices, and ``bin_counts`` their walker counts: lattice sites in one
-    dimension, where they are the first coordinates again, and cubes of side
-    ``bin_width`` = 4h beyond.
-    """
+    dim: int
+    bin_width: float
+    bins: np.ndarray
+    counts: np.ndarray
+    n_samples: int
+
+    @property
+    def density(self) -> np.ndarray:  # per occupied bin
+        return self.counts / (self.n_samples * self.bin_width**self.dim)
+
+
+class Census(NamedTuple):
+    """What the summary statistics and the KS distance read of an ensemble, counted once:
+    the distinct first lattice coordinates in ascending order, their walker counts, and
+    the summary's :class:`Histogram`, on the lattice sites in one dimension (its bins
+    the first coordinates again) and on cubes of side 4h beyond."""
 
     first: np.ndarray
     first_counts: np.ndarray
-    bin_width: float
-    bins: np.ndarray
-    bin_counts: np.ndarray
+    histogram: Histogram
 
 
 @dataclass(frozen=True)
 class WalkEnsemble:
-    """Final positions of independent walkers after n_steps jumps."""
+    """Final positions of n_walkers >= 1 independent walkers after n_steps
+    jumps, (n_walkers, dim) int64 lattice points; ValueError otherwise."""
 
     dim: int
     h: float
@@ -314,6 +324,13 @@ class WalkEnsemble:
     n_walkers: int
     seed: int
     lattice_positions: np.ndarray  # (n_walkers, dim) int64
+
+    def __post_init__(self):
+        integer_count(self.n_walkers, "n_walkers", 1)
+        sites = self.lattice_positions
+        if not (isinstance(sites, np.ndarray) and sites.dtype == np.int64
+                and sites.shape == (self.n_walkers, self.dim)):
+            raise ValueError(f"lattice_positions must be int64 of shape ({self.n_walkers}, {self.dim})")
 
     @property
     def final_positions(self) -> np.ndarray:
@@ -329,7 +346,7 @@ class WalkEnsemble:
         those of ``csv.writer`` fed ``repr(float(x))`` fields.
         """
         columns = []
-        for column in self.lattice_positions.T if self.n_walkers else ():  # none: a header alone
+        for column in self.lattice_positions.T:
             values, _ = _distinct(column)
             text = np.array([repr(x) for x in (values * self.h).tolist()], dtype=object)
             columns.append((column, _indexer(values, self.n_walkers), text))
@@ -347,10 +364,9 @@ class WalkEnsemble:
         """The ensemble's :class:`Census`, in memory proportional to the
         walkers whatever their spread."""
         first, first_counts = _distinct(self.lattice_positions[:, 0])
-        if self.dim == 1:
-            return Census(first, first_counts, self.h, first[:, None], first_counts)
-        width = 4 * self.h
-        return Census(first, first_counts, width, *_cells(_bin_rows(self, width)))
+        hist = (Histogram(1, self.h, first[:, None], first_counts, self.n_walkers)  # sites: counted
+                if self.dim == 1 else histogram(self, 4 * self.h))
+        return Census(first, first_counts, hist)
 
     def summary_dict(self, census: Census | None = None) -> dict:
         """Moments, first-coordinate quantiles and the histogram's
@@ -366,8 +382,8 @@ class WalkEnsemble:
         mean = x.mean(axis=0).tolist()
         first = np.abs(x[:, 0], out=x[:, 0])  # x is a copy: its first column turns into |x1|
         # the densest bins, listed in C order
-        width, bins = census.bin_width, census.bins
-        density = census.bin_counts / (self.n_walkers * width**self.dim)
+        hist = census.histogram
+        width, bins, density = hist.bin_width, hist.bins, hist.density
         if len(bins) > _SUMMARY_BINS:
             keep = np.argsort(density)[::-1][:_SUMMARY_BINS]
             keep.sort()
@@ -394,7 +410,7 @@ class WalkEnsemble:
         }
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(keys: np.ndarray, lo: int | None = None, span: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of an int64 array in ascending order and how
     often each occurs, as ``np.unique(keys, return_counts=True)`` gives them
     (np.unique imports numpy.ma, 14 ms).
@@ -402,12 +418,15 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     One ``bincount`` counts them when they span at most 4 integers per entry,
     a sort and its run boundaries otherwise.  Besides the result, either
     holds one array of ``len(keys)`` integers (and a sort as many flags).
+    Given bounds lo <= keys < lo + span skip the min/max pass, and at lo = 0
+    the bincount copies nothing.
     """
     n = len(keys)
-    lo = int(keys.min())
-    span = int(keys.max()) - lo + 1
+    if lo is None:
+        lo = int(keys.min())
+        span = int(keys.max()) - lo + 1
     if span <= 4 * n:
-        counts = np.bincount(np.subtract(keys, lo), minlength=span)
+        counts = np.bincount(np.subtract(keys, lo) if lo else keys, minlength=span)
         values = np.flatnonzero(counts)
         counts = counts[values]
         values += lo
@@ -443,11 +462,12 @@ def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
     """The occupied cells of per-axis int64 index rows in C order, (cells, dim),
     and how many entries hold each.
 
-    The rows fold into one int64 key per entry, the first axis most
-    significant: key * side + (row - min).  A fold whose key could reach
-    ``_KEY_LIMIT`` first replaces the key, and if that is not enough the row,
-    by its index among its distinct values: that keeps the order and bounds
-    either by the entry count.  The distinct keys give the cells.
+    The rows fold into one int64 key per entry, built in place, the first
+    axis most significant: key * side + (row - min).  A fold whose key could
+    reach ``_KEY_LIMIT`` first replaces the key, and if that is not enough
+    the row, by its index among its distinct values: that keeps the order and
+    bounds either by the entry count.  The distinct keys give the cells,
+    counted over the fold's span.
     """
     key, span, folds = None, 1, []
     for row in rows:
@@ -458,17 +478,17 @@ def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
             key, span = _indexer(ranked, n)(key), len(ranked)
         if span * side >= _KEY_LIMIT:
             values, _ = _distinct(row)
-            offset, side = _indexer(values, n)(row), len(values)
-        else:
-            offset = np.subtract(row, lo)
+            row, side, lo = _indexer(values, n)(row), len(values), 0
         if key is None:
-            key = offset
-        else:
+            key = np.subtract(row, lo)
+        else:  # wraps past 2^63 at most in between: the result is below span * side
             key *= side
-            key += offset
+            key += row
+            key -= lo
         span *= side
         folds.append((ranked, side, values, lo))
-    keys, counts = _distinct(key)
+    keys, counts = _distinct(key, 0, span)
+    del key
     cells = np.empty((len(keys), len(folds)), np.int64)
     for axis in reversed(range(len(folds))):
         ranked, side, values, lo = folds[axis]
@@ -581,13 +601,17 @@ def run_walks(
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     kernel = sampler.kernel
+    plan = _plan(sampler, n_steps) if n_steps > 0 and kernel.sigma > 0.0 else []
+    draws = sum(count for _, count in plan)
+    words = (draws + 1) // 2  # a walker's window
+    if n_walkers * words > 1 << 128:  # windows past the period would overlap
+        raise ValueError(f"{n_walkers} walker windows of 2^{math.log2(words):.1f} words overrun "
+                         "the generator's period of 2^128 words")
     positions = np.zeros((n_walkers, kernel.dim), dtype=np.int64)
-    if n_steps > 0 and kernel.sigma > 0.0:
-        plan = _plan(sampler, n_steps)
-        draws = sum(count for _, count in plan)
+    if plan:
         # cap per-tile buffers; tile boundaries never affect results because
         # each walker owns a fixed stream window
-        chunk = max(1, _CHUNK_WORDS // ((draws + 1) // 2))
+        chunk = max(1, _CHUNK_WORDS // words)
         chunks = [(start, min(chunk, n_walkers - start)) for start in range(0, n_walkers, chunk)]
         workers = min(threads, len(chunks), os.cpu_count() or 1)
         if workers <= 1:
@@ -621,64 +645,25 @@ def run_walks(
     )
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Density histogram on cubic bins centered at multiples of bin_width."""
-
-    dim: int
-    bin_width: float
-    origin_index: np.ndarray  # (dim,) lattice index of counts[0,...,0]
-    counts: np.ndarray
-    n_samples: int
-
-    @property
-    def density(self) -> np.ndarray:
-        return self.counts / (self.n_samples * self.bin_width**self.dim)
-
-
 def histogram(ensemble: WalkEnsemble, bin_width: float) -> Histogram:
-    """Bin the ensemble on cubic bins of ``bin_width`` over the walkers'
-    bounding box; densities integrate to 1 over the binned volume.  A box
-    whose counts, 8 B per bin, would exceed ``MEMORY_BUDGET_BYTES`` raises
-    ValueError before anything is allocated."""
+    """The ensemble's walkers counted on cubic bins of ``bin_width``, bin
+    floor(x / bin_width + 0.5) on each axis, in memory proportional to the
+    walkers however far apart they land.  Bins of width h are the lattice
+    sites themselves: floor(k h / h + 0.5) = k for every |k| < 2^50."""
     if not ensemble.h <= bin_width < math.inf:
         raise ValueError(f"bin_width must be finite and at least the mesh width h: {bin_width!r}")
-    rows = list(_bin_rows(ensemble, bin_width))
-    lo = np.array([row.min() for row in rows])
-    shape = tuple(int(row.max()) - low + 1 for row, low in zip(rows, lo.tolist()))
-    need = 8 * math.prod(shape)
-    if need > MEMORY_BUDGET_BYTES:
-        raise ValueError(
-            f"a histogram box of {' x '.join(map(str, shape))} bins of width {bin_width!r} needs "
-            f"{need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB memory budget"
-        )
-    # the C-order flat bin index, built one axis at a time in one array
-    flat = np.subtract(rows[0], lo[0])
-    for row, low, side in zip(rows[1:], lo[1:], shape[1:]):
-        flat *= side
-        flat += row
-        flat -= low
-    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
-    counts.setflags(write=False)
-    return Histogram(
-        dim=ensemble.dim,
-        bin_width=float(bin_width),
-        origin_index=lo,
-        counts=counts,
-        n_samples=ensemble.n_walkers,
-    )
 
-
-def _bin_rows(ensemble: WalkEnsemble, bin_width: float):
-    """Each axis's bin indices floor(x / bin_width + 0.5) of the walkers, one
-    row at a time.  Bins of width h are the lattice sites themselves:
-    floor(k h / h + 0.5) = k for every |k| < 2^50."""
-    # rows, not columns: a column reduction of the (M, dim) layout is slow
-    for column in ensemble.lattice_positions.T:
-        if bin_width == ensemble.h:
-            yield column  # a view: no copy of the positions
-        else:
+    def rows():  # one axis at a time: a column reduction of the (M, dim) layout is slow
+        for column in ensemble.lattice_positions.T:
+            if bin_width == ensemble.h:
+                yield column  # a view: no copy of the positions
+                continue
             x = column * ensemble.h
             x /= bin_width
             x += 0.5
             yield np.floor(x, out=x).astype(np.int64)
+
+    bins, counts = _cells(rows())
+    bins.setflags(write=False)
+    counts.setflags(write=False)
+    return Histogram(ensemble.dim, float(bin_width), bins, counts, ensemble.n_walkers)

@@ -557,9 +557,20 @@ def induced_probabilities(sampler) -> np.ndarray:
     return p
 
 
+def dense_counts(hist) -> tuple[np.ndarray, np.ndarray]:
+    """(origin, counts): a histogram's counts scattered onto the dense box of
+    its bins' bounding box, zero in every empty bin; ``origin`` is the bin
+    index of counts[0, ..., 0]."""
+    origin = hist.bins.min(axis=0)
+    counts = np.zeros(tuple(hist.bins.max(axis=0) - origin + 1), dtype=np.int64)
+    counts[tuple((hist.bins - origin).T)] = hist.counts
+    return origin, counts
+
+
 def bin_centers_first_axis(hist) -> np.ndarray:
-    """Centres of a histogram's bins along its first axis."""
-    return (np.arange(hist.counts.shape[0]) + hist.origin_index[0]) * hist.bin_width
+    """Centres of the bins of a histogram's dense box along its first axis."""
+    origin, counts = dense_counts(hist)
+    return (np.arange(counts.shape[0]) + origin[0]) * hist.bin_width
 
 
 def total_weight(measure) -> float:
@@ -594,12 +605,12 @@ def total_variation_dense(hist, dist) -> float:
     """TV between a site-resolution histogram and a lattice law, both laid
     on the smallest box that holds the two of them."""
     R = dist.support_radius
-    hist_lo = np.asarray(hist.origin_index)
+    hist_lo, counts = dense_counts(hist)
     lo = np.minimum(hist_lo, -R)
-    shape = tuple(np.maximum(hist_lo + hist.counts.shape, R + 1) - lo)
+    shape = tuple(np.maximum(hist_lo + counts.shape, R + 1) - lo)
     emp, law = np.zeros(shape), np.zeros(shape)
-    emp[tuple(slice(a, a + m) for a, m in zip(hist_lo - lo, hist.counts.shape))] = (
-        hist.counts / hist.n_samples
+    emp[tuple(slice(a, a + m) for a, m in zip(hist_lo - lo, counts.shape))] = (
+        counts / hist.n_samples
     )
     law[tuple(slice(a, a + 2 * R + 1) for a in -R - lo)] = dist.mass
     return float(0.5 * np.abs(emp - law).sum())

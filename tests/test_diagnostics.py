@@ -227,12 +227,14 @@ class TestTotalVariation:
         rng = np.random.default_rng(11 + dim)
         mass = rng.random((9,) * dim)
         law = LatticeDistribution(dim=dim, h=0.1, mass=mass / mass.sum())
-        counts = rng.integers(0, 50, size=(7,) * dim)
+        box = rng.integers(0, 50, size=(7,) * dim)
+        occupied = np.argwhere(box > 0)  # C order
+        counts = box[tuple(occupied.T)]
         # inside the law's box, sticking out of it on each side or on one
         # axis only, and beyond it
         origins = [np.full(dim, o) for o in (-2, -7, 1, 9, -20)] + [np.array([-2] * (dim - 1) + [3])]
         for origin in origins:
-            hist = Histogram(dim=dim, bin_width=0.1, origin_index=origin,
+            hist = Histogram(dim=dim, bin_width=0.1, bins=occupied + origin,
                              counts=counts, n_samples=int(counts.sum()))
             expected = total_variation_dense(hist, law)
             assert total_variation(hist, law) == pytest.approx(expected, rel=0, abs=1e-15)

@@ -37,6 +37,7 @@ from oracles import (
     alias_table_by_search,
     bin_centers_first_axis,
     convolution_power,
+    dense_counts,
     draw_plan,
     empirical_cf,
     float_table,
@@ -197,6 +198,15 @@ class TestRunWalks:
         with pytest.raises(ValueError):
             run_walks(SAMPLER, 1, 0, seed=0)
 
+    @pytest.mark.parametrize("n_steps", [10**300, 10**400])
+    def test_windows_past_the_generator_period_are_refused(self, n_steps):
+        # 2^53-step draws leave about 10^384 words per walker at n = 10^400:
+        # the windows would wrap the 2^128-word period and overlap
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="period of 2\\^128 words"):
+            run_walks(SAMPLER, n_steps, 1, seed=0)
+        assert time.perf_counter() - start < 2
+
 
 class TestEmpiricalCF:
     def test_trivial_values(self):
@@ -217,11 +227,20 @@ class TestEmpiricalCF:
         assert np.max(np.abs(emp - exact)) <= 5.0 / math.sqrt(M)
 
 
+def _assert_tally(hist, bins):
+    """``hist`` holds the occupied rows of the per-walker bin indices ``bins``
+    in C order, and how many walkers hold each, bin for bin."""
+    cells, counts = np.unique(bins, axis=0, return_counts=True)  # rows in lexicographic order
+    assert hist.bins.dtype == np.int64
+    np.testing.assert_array_equal(hist.bins, cells)
+    np.testing.assert_array_equal(hist.counts, counts)
+
+
 class TestHistogram:
     def test_origin_only(self):
         ens = run_walks(SAMPLER, 0, 100, seed=5)
         hist = histogram(ens, bin_width=0.5)
-        assert hist.counts.shape == (1,)
+        assert hist.bins.tolist() == [[0]] and hist.counts.tolist() == [100]
         assert hist.density[0] == pytest.approx(1.0 / 0.5)
 
     def test_normalization(self):
@@ -236,10 +255,7 @@ class TestHistogram:
         width = 3 * ens.h
         hist = histogram(ens, bin_width=width)
         bins = np.floor(ens.final_positions / width + 0.5).astype(np.int64)
-        np.testing.assert_array_equal(hist.origin_index, bins.min(axis=0))
-        tally = np.zeros(hist.counts.shape, dtype=np.int64)
-        np.add.at(tally, tuple((bins - hist.origin_index).T), 1)
-        np.testing.assert_array_equal(hist.counts, tally)
+        _assert_tally(hist, bins)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_mesh_bins_match_the_float_path(self, dim):
@@ -255,14 +271,12 @@ class TestHistogram:
         for ens in ensembles:
             hist = histogram(ens, bin_width=ens.h)
             bins = np.floor(ens.final_positions / ens.h + 0.5).astype(np.int64)
-            np.testing.assert_array_equal(hist.origin_index, bins.min(axis=0))
-            tally = np.zeros(hist.counts.shape, dtype=np.int64)
-            np.add.at(tally, tuple((bins - hist.origin_index).T), 1)
-            np.testing.assert_array_equal(hist.counts, tally)
+            _assert_tally(hist, bins)
 
     def test_mesh_bins_hold_one_index_per_walker(self):
-        # 200k walkers in 2D binned at the mesh width: the flat bin index,
-        # 8 B per walker, and the counts are all the binning allocates
+        # 200k walkers in 2D binned at the mesh width: the bin key, 8 B per
+        # walker, one count per key of its span (at most 4 per walker) and
+        # the occupied bins are all the binning allocates
         rng = np.random.default_rng(1)
         lattice = np.round(rng.standard_cauchy((200_000, 2)) * 8).clip(-150, 150).astype(np.int64)
         lattice.setflags(write=False)
@@ -274,23 +288,27 @@ class TestHistogram:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert hist.counts.shape == (301, 301) and hist.counts.sum() == len(lattice)
-        assert peak <= 8 * len(lattice) + hist.counts.nbytes + 2**16
+        _assert_tally(hist, lattice)
+        assert hist.bins.min(axis=0).tolist() == [-150, -150]
+        assert hist.bins.max(axis=0).tolist() == [150, 150]
+        span = 301 * 301
+        assert peak <= 8 * len(lattice) + 8 * span + hist.bins.nbytes + hist.counts.nbytes + 2**16
 
-    def test_box_over_the_memory_budget_is_refused_before_allocating(self):
-        # two walkers 2 * 10^6 sites apart on both axes: 4e12 mesh bins, 32 TB
-        lattice = np.array([[-(10**6), 10**6], [10**6, -(10**6)], [0, 0]], dtype=np.int64)
-        lattice.setflags(write=False)
-        ens = WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=1, n_walkers=3, seed=0,
-                           lattice_positions=lattice)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_far_walkers_take_one_bin_each(self, dim):
+        # walkers 2 * 10^6 sites apart on every axis: a dense box of mesh bins
+        # would hold 4e12 of them in 2D (32 TB) and 8e18 in 3D
+        lattice = np.array([[-(10**6), 10**6, 0], [10**6, -(10**6), 10**6], [0, 0, -(10**6)]])
+        ens = _ensemble(lattice[:, :dim])
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="histogram box of 2000001 x 2000001 bins"):
-                histogram(ens, bin_width=ens.h)
+            hist = histogram(ens, bin_width=ens.h)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < 16 * 2**20
+        _assert_tally(hist, ens.lattice_positions)
+        assert hist.counts.tolist() == [1, 1, 1]
 
     def test_rejects_sub_mesh_bins(self):
         ens = run_walks(SAMPLER, 1, 10, seed=5)
@@ -305,7 +323,8 @@ class TestHistogram:
         x = ens.final_positions[:, 0]
         hist = histogram(ens, bin_width=0.1)
         centers = bin_centers_first_axis(hist)
-        dens = dict(zip(np.round(centers, 6), hist.density))
+        density = dense_counts(hist)[1] / (hist.n_samples * hist.bin_width)
+        dens = dict(zip(np.round(centers, 6), density))
         asym = 0.0
         for c, d in dens.items():
             mirrored = dens.get(round(-c, 6), 0.0)
@@ -324,7 +343,8 @@ class TestHistogram:
         ens = run_walks(build_sampler(k), n, 100_000, seed=303)
         hist = histogram(ens, bin_width=h)
         centers = bin_centers_first_axis(hist)
-        central = hist.density[np.argmin(np.abs(centers))]
+        density = dense_counts(hist)[1] / (hist.n_samples * hist.bin_width)
+        central = density[np.argmin(np.abs(centers))]
         assert central == pytest.approx(1.0 / math.pi, rel=0.10)
 
     def test_heavy_tail_mean_abs_grows_with_sample_size(self):
@@ -988,11 +1008,25 @@ class TestCsvWriter:
         ens.to_csv(path)
         assert path.read_bytes() == _csv_writer_bytes(ens)
 
-    def test_walkerless_ensemble_writes_its_header(self, tmp_path):
-        ens = WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=7, n_walkers=0, seed=0,
-                           lattice_positions=np.zeros((0, 2), dtype=np.int64))
-        ens.to_csv(tmp_path / "ensemble.csv")
-        assert (tmp_path / "ensemble.csv").read_bytes() == _csv_writer_bytes(ens)
+    def test_walkerless_ensemble_is_refused(self):
+        with pytest.raises(ValueError, match="n_walkers must be a positive integer, got 0"):
+            WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=7, n_walkers=0, seed=0,
+                         lattice_positions=np.zeros((0, 2), dtype=np.int64))
+
+    @pytest.mark.parametrize("n_walkers, positions", [
+        (3, np.zeros((3, 2))),                     # float
+        (3, np.zeros((3, 2), dtype=np.int32)),
+        (3, np.zeros((3, 3), dtype=np.int64)),     # another dimension
+        (4, np.zeros((3, 2), dtype=np.int64)),     # another walker count
+        (6, np.zeros(6, dtype=np.int64)),
+        (3, [[0, 0]] * 3),                         # no array
+        (True, np.zeros((1, 2), dtype=np.int64)),
+        (3.0, np.zeros((3, 2), dtype=np.int64)),
+    ])
+    def test_malformed_ensemble_is_refused(self, n_walkers, positions):
+        with pytest.raises(ValueError):
+            WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=7, n_walkers=n_walkers, seed=0,
+                         lattice_positions=positions)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("case", ["wide", "single", "constant", "negative"])
