@@ -134,10 +134,13 @@ def total_variation(hist: Histogram, dist: LatticeDistribution) -> float:
         raise ValueError("dimension mismatch")
     # the law's mass at the occupied sites inside its box; the rest of the law
     # and the walkers outside it count in full
-    R, n = dist.support_radius, hist.n_samples
+    R = dist.support_radius
+    n = hist.n_samples
     inside = (np.abs(hist.bins) <= R).all(axis=1)
-    counts, mass = hist.counts[inside], dist.mass[tuple((hist.bins[inside] + R).T)]
-    law_outside, walkers_outside = dist.mass.sum() - mass.sum(), int(hist.counts[~inside].sum())
+    counts = hist.counts[inside]
+    mass = dist.mass[tuple((hist.bins[inside] + R).T)]
+    law_outside = dist.mass.sum() - mass.sum()
+    walkers_outside = int(hist.counts[~inside].sum())
     return float(0.5 * (np.abs(counts / n - mass).sum() + law_outside + walkers_outside / n))
 
 

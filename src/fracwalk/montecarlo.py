@@ -302,10 +302,14 @@ class Histogram:
 
 
 class Census(NamedTuple):
-    """What the summary statistics and the KS distance read of an ensemble, counted once:
-    the distinct first lattice coordinates in ascending order, their walker counts, and
-    the summary's :class:`Histogram`, on the lattice sites in one dimension (its bins
-    the first coordinates again) and on cubes of side 4h beyond."""
+    """What the summary statistics and the KS distance read of an ensemble, counted once.
+
+    ``first`` holds the distinct first lattice coordinates in ascending order
+    and ``first_counts`` how many walkers hold each.  ``histogram`` is the
+    summary's :class:`Histogram`: on the lattice sites in one dimension,
+    where its bins are the first coordinates again, and on cubes of side 4h
+    beyond.
+    """
 
     first: np.ndarray
     first_counts: np.ndarray
@@ -383,7 +387,7 @@ class WalkEnsemble:
         first = np.abs(x[:, 0], out=x[:, 0])  # x is a copy: its first column turns into |x1|
         # the densest bins, listed in C order
         hist = census.histogram
-        width, bins, density = hist.bin_width, hist.bins, hist.density
+        bins, density = hist.bins, hist.density
         if len(bins) > _SUMMARY_BINS:
             keep = np.argsort(density)[::-1][:_SUMMARY_BINS]
             keep.sort()
@@ -402,15 +406,15 @@ class WalkEnsemble:
                 str(q): float(v) for q, v in zip(_QUANTILE_LEVELS, qs)
             },
             "histogram": {
-                "bin_width": width,
+                "bin_width": hist.bin_width,
                 "n_samples": self.n_walkers,
-                "centers": (bins * width).tolist(),
+                "centers": (bins * hist.bin_width).tolist(),
                 "density": density.tolist(),
             },
         }
 
 
-def _distinct(keys: np.ndarray, lo: int | None = None, span: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of an int64 array in ascending order and how
     often each occurs, as ``np.unique(keys, return_counts=True)`` gives them
     (np.unique imports numpy.ma, 14 ms).
@@ -418,15 +422,12 @@ def _distinct(keys: np.ndarray, lo: int | None = None, span: int = 0) -> tuple[n
     One ``bincount`` counts them when they span at most 4 integers per entry,
     a sort and its run boundaries otherwise.  Besides the result, either
     holds one array of ``len(keys)`` integers (and a sort as many flags).
-    Given bounds lo <= keys < lo + span skip the min/max pass, and at lo = 0
-    the bincount copies nothing.
     """
     n = len(keys)
-    if lo is None:
-        lo = int(keys.min())
-        span = int(keys.max()) - lo + 1
+    lo = int(keys.min())
+    span = int(keys.max()) - lo + 1
     if span <= 4 * n:
-        counts = np.bincount(np.subtract(keys, lo) if lo else keys, minlength=span)
+        counts = np.bincount(np.subtract(keys, lo), minlength=span)
         values = np.flatnonzero(counts)
         counts = counts[values]
         values += lo
@@ -466,8 +467,9 @@ def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
     axis most significant: key * side + (row - min).  A fold whose key could
     reach ``_KEY_LIMIT`` first replaces the key, and if that is not enough
     the row, by its index among its distinct values: that keeps the order and
-    bounds either by the entry count.  The distinct keys give the cells,
-    counted over the fold's span.
+    bounds either by the entry count.  The distinct keys give the cells; a
+    fold spanning at most 4 keys per entry is counted by one ``bincount`` over
+    its span, the key freed before the occupied keys are picked out.
     """
     key, span, folds = None, 1, []
     for row in rows:
@@ -487,8 +489,14 @@ def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
             key -= lo
         span *= side
         folds.append((ranked, side, values, lo))
-    keys, counts = _distinct(key, 0, span)
-    del key
+    if span <= 4 * len(key):
+        counts = np.bincount(key, minlength=span)
+        del key
+        keys = np.flatnonzero(counts)
+        counts = counts[keys]
+    else:
+        keys, counts = _distinct(key)
+        del key
     cells = np.empty((len(keys), len(folds)), np.int64)
     for axis in reversed(range(len(folds))):
         ranked, side, values, lo = folds[axis]
@@ -653,17 +661,17 @@ def histogram(ensemble: WalkEnsemble, bin_width: float) -> Histogram:
     if not ensemble.h <= bin_width < math.inf:
         raise ValueError(f"bin_width must be finite and at least the mesh width h: {bin_width!r}")
 
-    def rows():  # one axis at a time: a column reduction of the (M, dim) layout is slow
-        for column in ensemble.lattice_positions.T:
-            if bin_width == ensemble.h:
-                yield column  # a view: no copy of the positions
-                continue
-            x = column * ensemble.h
-            x /= bin_width
-            x += 0.5
-            yield np.floor(x, out=x).astype(np.int64)
+    def bin_row(column):
+        x = column * ensemble.h
+        x /= bin_width
+        x += 0.5
+        return np.floor(x, out=x).astype(np.int64)
 
-    bins, counts = _cells(rows())
+    # one axis at a time (a column reduction of the (M, dim) layout is slow);
+    # site bins are the columns themselves, views with no copy.  Other rows are
+    # made up front: rows freed and made afresh per axis are faulted in anew
+    columns = ensemble.lattice_positions.T
+    bins, counts = _cells(columns if bin_width == ensemble.h else list(map(bin_row, columns)))
     bins.setflags(write=False)
     counts.setflags(write=False)
     return Histogram(ensemble.dim, float(bin_width), bins, counts, ensemble.n_walkers)

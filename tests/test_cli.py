@@ -678,11 +678,12 @@ def test_step_count_past_float_range_exits_2(runner, tmp_path, command, run):
 
 @pytest.mark.parametrize("n_steps", [10**300, 10**400])
 def test_walker_windows_past_the_generator_period_exit_2(runner, tmp_path, n_steps):
-    # the walk of 10^400 steps used to run without end
+    # the walk of 10^400 steps used to run without end; the refusal comes
+    # from planning, well under a second (the bound leaves room for a slow host)
     cfg = _write(tmp_path, "c.yaml", dict(BENCH, n_steps=n_steps, tau=1.0e-300, trunc_radius=64))
     start = time.perf_counter()
     res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
-    assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < 20
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
     assert "period of 2^128 words" in res.output
