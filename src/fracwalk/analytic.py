@@ -28,9 +28,7 @@ numerical check on the norming constant used by the kernel builder.
 
 from __future__ import annotations
 
-import csv
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass, field
@@ -39,9 +37,9 @@ import numpy as np
 
 from .kernel import _check_dim, norming_constant, surface_area
 from .measure import OrderMeasure
+from .output import write_csv, write_json
 from .quadrature import (
     QuadratureError,
-    aitken_limit,
     graded_edges,
     integrate_oscillatory,
     panel_integrals,
@@ -60,6 +58,7 @@ _ACC_PANELS = 160  # panels the acceleration extrapolates from
 _CUTOFF_TOL = 1e-14  # envelope value at the frequency cutoff
 _MAX_ZEROS = _MAX_DIRECT_PANELS + _ACC_PANELS + 2  # the most zeros a radial point asks for
 _MAX_DROP = 3.0  # largest log drop of the envelope across one smooth panel
+_MAX_PANELS = 1 << 19  # most panels the decay refinement may make (16 nodes each)
 _TAIL_TARGET = 0.01  # mass the default radial grid may leave to the power-law tail
 
 
@@ -75,13 +74,15 @@ class DiffusionSymbol:
 
     def radial(self, rho) -> np.ndarray:
         """B as a function of |xi| (vectorized): one log |xi| per point, then
-        |xi|^alpha = exp(alpha log |xi|) in place per term, 0 at |xi| = 0."""
+        |xi|^alpha = exp(alpha log |xi|) in place per term, 0 at |xi| = 0.
+        A term that overflows makes B = -inf, whose exp(t B) = 0 is the limit."""
         rho = np.abs(np.asarray(rho, dtype=float))
         log_rho = np.log(rho, out=np.full_like(rho, -np.inf), where=rho != 0.0)
         out, power = np.zeros_like(rho), np.empty_like(rho)
-        for a, w in self.measure.terms:
-            np.exp(np.multiply(log_rho, a, out=power), out=power)
-            out -= np.multiply(power, w, out=power)
+        with np.errstate(over="ignore"):
+            for a, w in self.measure.terms:
+                np.exp(np.multiply(log_rho, a, out=power), out=power)
+                out -= np.multiply(power, w, out=power)
         return out
 
     @property
@@ -136,7 +137,8 @@ def _cutoff(sym: DiffusionSymbol, t: float, cut_tol: float) -> float:
     exp(t B(P)) * max(P,1)^N <= cut_tol."""
 
     def first_below(p: np.ndarray) -> int | None:
-        ok = t * sym.radial(p) + sym.dim * np.maximum(np.log(p), 0.0) <= math.log(cut_tol)
+        with np.errstate(over="ignore"):  # t B(p) = -inf is below any tolerance
+            ok = t * sym.radial(p) + sym.dim * np.maximum(np.log(p), 0.0) <= math.log(cut_tol)
         return int(np.argmax(ok)) if ok.any() else None
 
     coarse = np.geomspace(1e-6, 1e30, 577)  # 16 points per decade
@@ -150,14 +152,22 @@ def _cutoff(sym: DiffusionSymbol, t: float, cut_tol: float) -> float:
 
 
 def _refine_by_decay(edges: np.ndarray, log_env) -> np.ndarray:
-    """Split panels until the envelope drops at most e^_MAX_DROP per panel."""
+    """Split panels until the envelope drops at most e^_MAX_DROP per panel;
+    ValueError past ``_MAX_PANELS`` panels, since each round may double them
+    (an envelope as steep as t*B(p) at t = 1e300 would exhaust memory)."""
     edges = np.asarray(edges, dtype=float)
     for _ in range(40):
         lv = log_env(edges)
         drop = np.abs(np.diff(lv))
         bad = drop > _MAX_DROP
-        if not np.any(bad):
+        n_bad = int(np.count_nonzero(bad))
+        if not n_bad:
             return edges
+        if len(edges) - 1 + n_bad > _MAX_PANELS:
+            raise ValueError(
+                f"exp(t B(p)) falls too steeply to integrate in {_MAX_PANELS} panels; "
+                "reduce t or the measure weights"
+            )
         mids = 0.5 * (edges[:-1][bad] + edges[1:][bad])
         edges = np.sort(np.concatenate([edges, mids]))
     return edges
@@ -551,11 +561,7 @@ class RadialDensity:
         return 0.5 + np.sign(x) * half
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["r", "G"])
-            for r, g in zip(self.r, self.values):
-                writer.writerow([repr(float(r)), repr(float(g))])
+        write_csv(path, ["r", "G"], zip(self.r.tolist(), self.values.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -568,8 +574,7 @@ class RadialDensity:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2)
+        write_json(path, self.to_json_dict())
 
 
 def green_density(sym: DiffusionSymbol, t: float, r_grid=None, tol: float = 1e-7) -> RadialDensity:
@@ -699,15 +704,14 @@ def symbol_oracle(alpha: float, dim: int, xi, tol: float = 1e-7) -> float:
     def osc(u):
         return _spherical_mean(u, dim) * u ** (-1.0 - alpha)
 
-    bp = _osc_zeros(dim, 32 + _ACC_PANELS + 2)
-    direct = panel_integrals(osc, bp[: 32 + 1], _ORDER)
-    tail_terms = panel_integrals(osc, bp[32 : 32 + _ACC_PANELS + 1], _ORDER)
-    sums = float(np.sum(direct)) + np.cumsum(tail_terms)
-    osc_int, osc_err = aitken_limit(sums)
+    osc_int, osc_err = integrate_oscillatory(
+        osc, _osc_zeros(dim, 32 + _ACC_PANELS + 2), order=_ORDER, max_direct_panels=32,
+        acc_panels=_ACC_PANELS,
+    )
 
     factor = norming_constant(alpha, dim) * 2.0 * surface_area(dim) * power
     value = factor * (head_int + const_tail + osc_int)
-    estimate = factor * (osc_err + 5e-15 * (abs(head_int) + float(np.sum(np.abs(direct)))))
+    estimate = factor * (osc_err + 5e-15 * abs(head_int))
     if estimate > tol * max(power, 1.0):
         raise QuadratureError(
             f"symbol oracle at alpha={alpha}, dim={dim}, |xi|={q} missed tolerance",

@@ -10,7 +10,6 @@ failure, 2 validation failure.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .config import ConfigError, DEFAULTS, RunConfig, defaults_yaml
 from .diagnostics import is_cauchy, ks_distance, reference_cdf, refinement_study, resolve_run
 from .kernel import StabilityError
 from .montecarlo import build_sampler, run_walks
+from .output import write_csv, write_json
 from .quadrature import QuadratureError
 
 EXIT_RUNTIME = 1
@@ -59,11 +59,6 @@ def _out_dir(out: str | None, cfg: RunConfig | None = None) -> Path:
     return d
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    # one write: json.dump streams the document in about a thousand pieces
-    path.write_text(json.dumps(payload, indent=2))
-
-
 @click.group()
 @click.version_option(__version__)
 def main() -> None:
@@ -84,7 +79,7 @@ def kernel(config_path: str, out: str | None) -> None:
     payload["tau_max"] = tau_max
     payload.update(cfg.echo())
     path = _out_dir(out, cfg) / "kernel.json"
-    _write_json(path, payload)
+    write_json(path, payload)
     click.echo(
         f"kernel: dim={k.dim} h={k.h} tau={k.tau:.10g} K={k.trunc_radius}\n"
         f"  sigma={k.sigma:.10g}  p0={k.p0:.10g}  tau_max={tau_max:.10g}\n"
@@ -130,7 +125,7 @@ def simulate(config_path: str, out: str | None, seed: int | None, threads: int |
         summary["ks"] = ks_distance(ensemble, cdf, projection, census=census)
         summary["ks_reference"] = reference
     summary.update(cfg.echo())
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
     click.echo(
         f"simulate: {ensemble.n_walkers} walkers x {ensemble.n_steps} steps "
         f"(h={k.h}, tau={k.tau:.6g}, seed={use_seed})\n"
@@ -161,7 +156,7 @@ def density(config_path: str, out: str | None, selfcheck: bool) -> None:
     payload.update(cfg.echo())
     mass = dens.mass()
     payload["mass"] = mass
-    _write_json(out_dir / "density.json", payload)
+    write_json(out_dir / "density.json", payload)
     click.echo(
         f"density: dim={r['dim']} t={r['t']} grid [0, {r_grid[-1]:.6g}] x {len(r_grid)}\n"
         f"  G(t, 0)={dens.values[0]:.10g}  mass={mass:.8f}\n"
@@ -206,14 +201,12 @@ def study(config_path: str, out: str | None, seed: int | None, threads: int | No
     out_dir = _out_dir(out, cfg)
     payload = report.to_json_dict()
     payload.update(cfg.echo())
-    _write_json(out_dir / "study.json", payload)
+    write_json(out_dir / "study.json", payload)
     report.to_csv(out_dir / "study.csv")
     # plot data: one (x, y) CSV per metric plus a sidecar describing the axes
     for name, column in (("plot_cf_error.csv", "cf_sup_error"), ("plot_ks.csv", "ks_distance")):
-        with open(out_dir / name, "w") as f:
-            f.write(f"h,{column}\n")
-            f.writelines(f"{row.h!r},{getattr(row, column)!r}\n" for row in report.rows)
-    _write_json(
+        write_csv(out_dir / name, ["h", column], [(row.h, getattr(row, column)) for row in report.rows])
+    write_json(
         out_dir / "plot_axes.json",
         {
             "plot_cf_error.csv": {
@@ -262,8 +255,8 @@ def oracle(config_path: str | None, out: str | None) -> None:
                 click.echo(f"{a:<7g} {n:<5d} {q:<6g} {got:<18.12g} {want:<18.12g} {rel:.3e}")
     n_fail = sum(not r["pass"] for r in rows)
     if out is not None:
-        _write_json(_out_dir(out) / "oracle.json",
-                    {"rtol": rtol, "worst_rel_error": worst, "cases": rows})
+        write_json(_out_dir(out) / "oracle.json",
+                   {"rtol": rtol, "worst_rel_error": worst, "cases": rows})
     click.echo(f"{len(rows)} cases, worst relative error {worst:.3e} (tolerance {rtol:g})")
     if n_fail:
         click.echo(f"{n_fail} case(s) FAILED", err=True)

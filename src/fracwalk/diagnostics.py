@@ -15,8 +15,6 @@ tau tied to the stability boundary by a safety factor.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 
@@ -31,6 +29,7 @@ from .measure import OrderMeasure
 from .montecarlo import (
     STREAM_VERSION, Census, Histogram, WalkEnsemble, build_sampler, run_walks,
 )
+from .output import write_csv, write_json
 
 
 def default_xi_grid(dim: int, xi_max: float = 10.0, points: int = 101) -> np.ndarray:
@@ -195,16 +194,11 @@ class ConvergenceReport:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2)
+        write_json(path, self.to_json_dict())
 
     def to_csv(self, path) -> None:
         names = [f.name for f in fields(ConvergenceRow)]
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(names)
-            for r in self.rows:
-                writer.writerow([repr(getattr(r, name)) for name in names])
+        write_csv(path, names, ([getattr(r, name) for name in names] for r in self.rows))
 
 
 def refinement_study(
@@ -247,9 +241,13 @@ def refinement_study(
     anchor_K = trunc_radius if trunc_radius is not None else DEFAULT_TRUNC_RADIUS[dim]
     # keep the shell cube enumerable: ~3e7 points per kernel at worst
     k_cap = {1: 10_000_000, 2: 2_700, 3: 150}[dim]
+    # at this ratio K reaches the cap; past it (h_arr[0] / h) ** 2 may overflow.
+    # The first row keeps anchor_K, so build_kernel rejects one below 1
+    cap_ratio = math.sqrt(k_cap / max(anchor_K, 1))
     rows = []
     for h in h_arr:
-        K = min(math.ceil(anchor_K * (h_arr[0] / h) ** 2), k_cap)
+        ratio = h_arr[0] / h
+        K = k_cap if ratio >= cap_ratio else min(math.ceil(anchor_K * ratio**2), k_cap)
         kernel, n, _ = resolve_run(measure, dim, h, t, theta, trunc_radius=K)
         cf_err = cf_sup_error(kernel, n, sym, t, xi_grid)
         ensemble = run_walks(build_sampler(kernel), n, walkers, seed, threads)

@@ -11,9 +11,7 @@ deterministic oracle against which Monte Carlo ensembles are checked.
 
 from __future__ import annotations
 
-import csv
 import itertools
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -21,6 +19,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .kernel import LatticeKernel, integer_count, lattice_vector, phase_sum
+from .output import write_csv, write_json
 from .special import next_fast_len
 
 # Largest working set one FFT convolution may claim; a product whose circle
@@ -94,11 +93,8 @@ class LatticeDistribution:
 
     def to_csv(self, path) -> None:
         sites, masses = self.nonzero_sites()
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow([f"j{i+1}" for i in range(self.dim)] + ["mass"])
-            for site, y in zip(sites, masses):
-                writer.writerow([*(int(c) for c in site), repr(float(y))])
+        write_csv(path, [f"j{i+1}" for i in range(self.dim)] + ["mass"],
+                  (site + [y] for site, y in zip(sites.tolist(), masses.tolist())))
 
     def to_json_dict(self) -> dict:
         sites, masses = self.nonzero_sites()
@@ -114,8 +110,7 @@ class LatticeDistribution:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2)
+        write_json(path, self.to_json_dict())
 
 
 def _grid_side(radius: int) -> int:

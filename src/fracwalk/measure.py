@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+
+from .quadrature import gauss_legendre
 
 # Exponent 2 is a singular endpoint of the jump-kernel norming constant, and
 # exponent 0 carries no diffusion; density supports must keep this gap to both.
@@ -117,7 +118,7 @@ def discretize_density(
     if nodes < 1 or panels < 1 or nodes % panels != 0:
         raise ValueError("nodes must be a positive multiple of panels")
     per_panel = nodes // panels
-    x, w = leggauss(per_panel)
+    x, w = gauss_legendre(per_panel)
     edges = np.linspace(lo, hi, panels + 1)
     out = []
     for a, b in zip(edges[:-1], edges[1:]):

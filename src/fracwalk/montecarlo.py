@@ -342,12 +342,12 @@ class WalkEnsemble:
         return self.lattice_positions.astype(float) * self.h
 
     def to_csv(self, path) -> None:
-        """Header ``x1,...``, one row of ``repr`` floats per walker, CRLF ends.
+        """Header ``x1,...``, one row of ``repr`` floats per walker, CRLF ends:
+        the format of :func:`fracwalk.output.write_csv`.
 
         ``repr`` runs once per distinct coordinate of each column (found by
         :func:`_distinct`), and rows are written in fixed-size blocks, each
-        block's coordinates looked up among the distinct ones; the bytes are
-        those of ``csv.writer`` fed ``repr(float(x))`` fields.
+        block's coordinates looked up among the distinct ones.
         """
         columns = []
         for column in self.lattice_positions.T:
@@ -416,12 +416,12 @@ class WalkEnsemble:
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct entries of an int64 array in ascending order and how
-    often each occurs, as ``np.unique(keys, return_counts=True)`` gives them
-    (np.unique imports numpy.ma, 14 ms).
+    often each occurs, as ``np.unique(keys, return_counts=True)`` gives them.
 
     One ``bincount`` counts them when they span at most 4 integers per entry,
-    a sort and its run boundaries otherwise.  Besides the result, either
-    holds one array of ``len(keys)`` integers (and a sort as many flags).
+    with none of the sort np.unique always takes; a sort and its run
+    boundaries otherwise.  Besides the result, either holds one array of
+    ``len(keys)`` integers (and a sort as many flags).
     """
     n = len(keys)
     lo = int(keys.min())
@@ -511,8 +511,9 @@ def _quantiles(values: np.ndarray, counts: np.ndarray, levels) -> np.ndarray:
     """``np.quantile`` by numpy's default "linear" rule, bit for bit, of the
     sample that holds ``counts[i]`` copies of the ascending ``values[i]``.
 
-    numpy's own index and interpolation formulas; np.quantile itself
-    partitions through np.unique, which imports numpy.ma (14 ms).
+    numpy's own index and interpolation formulas, read off the census:
+    np.quantile would need the walkers themselves, partition them, and on
+    first use import numpy.ma (about 15 ms) through np.unique.
     """
     ends = np.cumsum(counts)  # one past the last sorted entry of each value
     n = int(ends[-1])

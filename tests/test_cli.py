@@ -676,6 +676,42 @@ def test_step_count_past_float_range_exits_2(runner, tmp_path, command, run):
     assert not (tmp_path / "kernel.json").exists() and not (tmp_path / "ensemble.csv").exists()
 
 
+@pytest.mark.parametrize("doc", [
+    {"measure": {"atoms": [[1.0, 1.0]]}, "dim": 2, "t": 1.0e300},
+    {"measure": {"atoms": [[1.0, 1.0e300]]}, "dim": 1},
+])
+def test_density_envelope_too_steep_to_panel_exits_2(runner, tmp_path, doc):
+    # the decay refinement doubled its panels for 40 rounds, to 51 million
+    # edges (392 MiB in one array), and exhausted memory
+    import tracemalloc
+
+    cfg = _write(tmp_path, "c.yaml", doc)
+    tracemalloc.start()
+    try:
+        res = runner.invoke(main, ["density", "--config", cfg, "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+    assert "too steeply" in res.output
+    assert peak < 64 * 2**20
+    assert not (tmp_path / "density.csv").exists()
+
+
+def test_study_mesh_ratio_past_float_range_exits_2(runner, tmp_path):
+    # (h_list[0] / h) ** 2 overflowed in the truncation radius, with a traceback;
+    # the cap takes that row, and the mesh width itself is then out of range
+    doc = {"measure": {"atoms": [[1.0, 1.0]]}, "dim": 1, "h_list": [1.0e10, 1.0e-320],
+           "walkers": 100}
+    cfg = _write(tmp_path, "c.yaml", doc)
+    res = runner.invoke(main, ["study", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+    assert "mesh width h = 1e-320 out of range" in res.output
+    assert not (tmp_path / "study.json").exists()
+
+
 @pytest.mark.parametrize("n_steps", [10**300, 10**400])
 def test_walker_windows_past_the_generator_period_exit_2(runner, tmp_path, n_steps):
     # the walk of 10^400 steps used to run without end; the refusal comes
