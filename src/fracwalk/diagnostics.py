@@ -77,27 +77,27 @@ def ks_distance(
 
     ``projection`` selects the scalar reduction: "first" takes the first
     coordinate, "radial" the Euclidean norm.  ``analytic_cdf`` must be
-    vectorized over the projected values.  The "first" projection reads the
-    distinct coordinates and their counts from ``census``, which defaults to
-    ``ensemble.census()``.
+    vectorized over the projected values.  Either projection is counted as
+    its distinct values with their walker counts: "first" reads them from
+    ``census``, which defaults to ``ensemble.census()``, and "radial" takes
+    them from ``np.unique`` of the radii.
     """
     m = ensemble.n_walkers
     if projection == "first":
         census = ensemble.census() if census is None else census
-        values, end = census.first * ensemble.h, np.cumsum(census.first_counts)
+        values, counts = census.first * ensemble.h, census.first_counts
     elif projection == "radial":
         # |x| summed one axis at a time, in np.linalg.norm's order and bits
         radii = np.zeros(m)
         for column in ensemble.lattice_positions.T:
             x = column * ensemble.h
             radii += np.multiply(x, x, out=x)
-        np.sqrt(radii, out=radii).sort()
-        start = np.flatnonzero(np.concatenate(([True], radii[1:] != radii[:-1])))
-        values, end = radii[start], np.append(start[1:], m)
+        values, counts = np.unique(np.sqrt(radii, out=radii), return_counts=True)
     else:
         raise ValueError(f"unknown projection {projection!r}")
     # the sup over a run of tied values is reached at its ends (one past the
     # run's last sorted entry, and its first): evaluate the CDF once per run
+    end = np.cumsum(counts)
     start = np.concatenate(([0], end[:-1]))
     f = np.asarray(analytic_cdf(values), dtype=float)
     upper = np.max(end / m - f)

@@ -11,7 +11,6 @@ deterministic oracle against which Monte Carlo ensembles are checked.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -124,16 +123,9 @@ def _fft_bytes(radius: int, dim: int, inputs: int = 0) -> int:
 
 def _box(orthant: np.ndarray, r: int) -> np.ndarray:
     """The centred cube of radius r of a law even in every coordinate, read
-    off its ``orthant``: sites 0..r of every axis at nodes 0..r, and sites
-    -r..-1 mirrored from nodes r..1."""
-    dim = orthant.ndim
-    cube = np.empty((2 * r + 1,) * dim)
-    halves = [(slice(r, 2 * r + 1), slice(0, r + 1))]
-    if r:
-        halves.append((slice(0, r), slice(r, 0, -1)))
-    for pairs in itertools.product(halves, repeat=dim):
-        cube[tuple(c for c, _ in pairs)] = orthant[tuple(g for _, g in pairs)]
-    return cube
+    off its ``orthant`` of sites 0..r per axis: those at nodes r..2r of the
+    cube, sites -r..-1 their mirror images, by ``np.pad``'s "reflect" mode."""
+    return np.pad(orthant, [(r, 0)] * orthant.ndim, mode="reflect")
 
 
 def _spectrum(cube: np.ndarray, side: int) -> np.ndarray:

@@ -419,24 +419,17 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     often each occurs, as ``np.unique(keys, return_counts=True)`` gives them.
 
     One ``bincount`` counts them when they span at most 4 integers per entry,
-    with none of the sort np.unique always takes; a sort and its run
-    boundaries otherwise.  Besides the result, either holds one array of
-    ``len(keys)`` integers (and a sort as many flags).
+    with none of the sort np.unique takes; np.unique itself otherwise.
     """
-    n = len(keys)
     lo = int(keys.min())
     span = int(keys.max()) - lo + 1
-    if span <= 4 * n:
+    if span <= 4 * len(keys):
         counts = np.bincount(np.subtract(keys, lo), minlength=span)
         values = np.flatnonzero(counts)
         counts = counts[values]
         values += lo
         return values, counts
-    ordered = np.sort(keys)
-    start = np.flatnonzero(ordered[1:] != ordered[:-1])  # the last entry of each run but the last
-    start += 1
-    start = np.concatenate(([0], start))
-    return ordered[start], np.diff(start, append=n)
+    return np.unique(keys, return_counts=True)
 
 
 def _indexer(values: np.ndarray, n: int):
@@ -464,31 +457,23 @@ def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
     and how many entries hold each.
 
     The rows fold into one int64 key per entry, built in place, the first
-    axis most significant: key * side + (row - min).  A fold whose key could
-    reach ``_KEY_LIMIT`` first replaces the key, and if that is not enough
-    the row, by its index among its distinct values: that keeps the order and
-    bounds either by the entry count.  The distinct keys give the cells; a
-    fold spanning at most 4 keys per entry is counted by one ``bincount`` over
-    its span, the key freed before the occupied keys are picked out.
+    axis most significant: key * side + (row - min).  The distinct keys give
+    the cells; keys spanning at most 4 per entry are counted by one
+    ``bincount`` over their span, the key freed before the occupied keys are
+    picked out, and by :func:`_distinct` otherwise.  When the product of the
+    sides reaches ``_KEY_LIMIT`` no int64 key holds every cell, and np.unique
+    counts the stacked rows instead: its lexicographic row order is C order.
     """
-    key, span, folds = None, 1, []
-    for row in rows:
-        n, lo = len(row), int(row.min())
-        side, ranked, values = int(row.max()) - lo + 1, None, None
-        if key is not None and span * side >= _KEY_LIMIT:
-            ranked, _ = _distinct(key)
-            key, span = _indexer(ranked, n)(key), len(ranked)
-        if span * side >= _KEY_LIMIT:
-            values, _ = _distinct(row)
-            row, side, lo = _indexer(values, n)(row), len(values), 0
-        if key is None:
-            key = np.subtract(row, lo)
-        else:  # wraps past 2^63 at most in between: the result is below span * side
-            key *= side
-            key += row
-            key -= lo
-        span *= side
-        folds.append((ranked, side, values, lo))
+    lows = [int(row.min()) for row in rows]
+    sides = [int(row.max()) - lo + 1 for row, lo in zip(rows, lows)]
+    span = math.prod(sides)
+    if span >= _KEY_LIMIT:
+        return np.unique(np.column_stack(rows), axis=0, return_counts=True)
+    key = np.subtract(rows[0], lows[0])
+    for row, side, lo in zip(rows[1:], sides[1:], lows[1:]):
+        key *= side
+        key += row  # wraps past 2^63 at most in between: the result is below span
+        key -= lo
     if span <= 4 * len(key):
         counts = np.bincount(key, minlength=span)
         del key
@@ -497,13 +482,10 @@ def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
     else:
         keys, counts = _distinct(key)
         del key
-    cells = np.empty((len(keys), len(folds)), np.int64)
-    for axis in reversed(range(len(folds))):
-        ranked, side, values, lo = folds[axis]
-        keys, offset = np.divmod(keys, side)
-        cells[:, axis] = offset + lo if values is None else values[offset]
-        if ranked is not None:
-            keys = ranked[keys]
+    cells = np.empty((len(keys), len(sides)), np.int64)
+    for axis in reversed(range(len(sides))):
+        keys, offset = np.divmod(keys, sides[axis])
+        cells[:, axis] = offset + lows[axis]
     return cells, counts
 
 
