@@ -60,6 +60,9 @@ _MAX_ZEROS = _MAX_DIRECT_PANELS + _ACC_PANELS + 2  # the most zeros a radial poi
 _MAX_DROP = 3.0  # largest log drop of the envelope across one smooth panel
 _MAX_PANELS = 1 << 19  # most panels the decay refinement may make (16 nodes each)
 _TAIL_TARGET = 0.01  # mass the default radial grid may leave to the power-law tail
+# Least frequency cutoff: an envelope that already meets its tolerance there
+# falls too steeply for the decay refinement, which refuses it.
+_CUTOFF_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -133,8 +136,9 @@ def _osc_zeros(dim: int, count: int) -> np.ndarray:
 
 
 def _cutoff(sym: DiffusionSymbol, t: float, cut_tol: float) -> float:
-    """Smallest P, to within 0.1% on a log grid, with
-    exp(t B(P)) * max(P,1)^N <= cut_tol."""
+    """Smallest P >= ``_CUTOFF_FLOOR``, to within 0.1% on a log grid, with
+    exp(t B(P)) * max(P,1)^N <= cut_tol: searched on [1e-6, 1e30], and on
+    [_CUTOFF_FLOOR, 1e-6] when 1e-6 already meets it."""
 
     def first_below(p: np.ndarray) -> int | None:
         with np.errstate(over="ignore"):  # t B(p) = -inf is below any tolerance
@@ -145,6 +149,9 @@ def _cutoff(sym: DiffusionSymbol, t: float, cut_tol: float) -> float:
     i = first_below(coarse)
     if i is None:
         return float(coarse[-1])  # effectively never reached; caller switches to acceleration
+    if i == 0:
+        coarse = np.geomspace(_CUTOFF_FLOOR, 1e-6, 385)
+        i = first_below(coarse)  # its last point meets the tolerance
     if i == 0:
         return float(coarse[0])
     fine = np.geomspace(coarse[i - 1], coarse[i], 129)
@@ -272,15 +279,20 @@ def default_radial_grid(
     bulk = min(t ** (1.0 / min(alphas)), t ** (1.0 / max(alphas)))
     if r_max is None:
         r_max = 50.0 * t ** (1.0 / sym.alpha_min)
-        lo, hi, tail_mass = 1.0, 1e12, _tail_mass(sym.measure, sym.dim, t)
-        if tail_mass(lo) > _TAIL_TARGET:
+        # the tail radius is bisected on [base, 1e12 base], base a power of
+        # 1e12 grown (up to 1e288) until the bracket holds it
+        base, tail_mass = 1.0, _tail_mass(sym.measure, sym.dim, t)
+        while base < 1e288 and tail_mass(base * 1e12) > _TAIL_TARGET:
+            base *= 1e12
+        lo, hi = 1.0, 1e12
+        if tail_mass(base) > _TAIL_TARGET:
             for _ in range(80):
                 mid = math.sqrt(lo * hi)
-                if tail_mass(mid) > _TAIL_TARGET:
+                if tail_mass(base * mid) > _TAIL_TARGET:
                     lo = mid
                 else:
                     hi = mid
-            r_max = max(r_max, hi)
+            r_max = max(r_max, base * hi)
     start = 1e-4 * min(bulk, r_max)
     return np.concatenate([[0.0], np.geomspace(start, r_max, points - 1)])
 
@@ -440,22 +452,31 @@ def _hermite(x: np.ndarray, u: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.
     return f0 + s * (m0 + s * (3.0 * d - 2.0 * m0 - m1 + s * (m0 + m1 - 2.0 * d)))
 
 
-def _core(r, r1: float, g: np.ndarray, dim: int):
+def _core(r, r1: float, g: np.ndarray, dim: int, core: float | None = None):
     """G and the mass within r <= r1, the first positive radius, when
-    G = g_0 + (g_1 - g_0) (r / r1)^2 there (G is even and smooth at 0)."""
+    G = g_0 + (g_1 - g_0) (r / r1)^2 there (G is even and smooth at 0).
+
+    Given ``core``, the mass within r1, the model's mass is scaled to meet
+    it: a grid whose first radius lies outside G's flat core puts there the
+    mass of a flat core, but its certified CDF still holds at r1.
+    """
     bend = (g[1] - g[0]) * (r / r1) ** 2
-    return g[0] + bend, surface_area(dim) * r**dim * (g[0] / dim + bend / (dim + 2))
+    mass = surface_area(dim) * r**dim * (g[0] / dim + bend / (dim + 2))
+    if core is not None:
+        mass *= core / _core(r1, r1, g, dim)[1]
+    return g[0] + bend, mass
 
 
-def _cumulative_mass(r: np.ndarray, g: np.ndarray, dim: int) -> np.ndarray:
+def _cumulative_mass(r: np.ndarray, g: np.ndarray, dim: int, core: float | None = None) -> np.ndarray:
     """Mass within each radius of a grid that starts at r = 0.
 
-    ``_core`` below the first positive radius; beyond it, the trapezoid rule
-    in log r for omega G r^N with its endpoint correction
-    h^2/12 (f'_k - f'_(k+1)), the slopes f' by finite differences, which
-    makes the rule fourth order.
+    ``core`` within the first positive radius (``_core``'s mass if not
+    given); beyond it, the trapezoid rule in log r for omega G r^N with its
+    endpoint correction h^2/12 (f'_k - f'_(k+1)), the slopes f' by finite
+    differences, which makes the rule fourth order.
     """
-    core = _core(r[1], r[1], g, dim)[1]
+    if core is None:
+        core = _core(r[1], r[1], g, dim)[1]
     if len(r) == 2:
         return np.array([0.0, core])
     u = np.log(r[1:])
@@ -477,7 +498,7 @@ class RadialDensity:
     by :func:`_cumulative_mass`.  Beyond the first positive node both are
     cubic Hermite interpolants in log r: log G with finite-difference slopes,
     the CDF with the slopes omega_N G r^N of the density table; below it G is
-    the quadratic ``_core``.
+    the quadratic ``_core``, its mass scaled to the table's CDF at that node.
 
     Immutable: the tables are built once, on construction.
     """
@@ -532,16 +553,21 @@ class RadialDensity:
         )
 
     def mass(self) -> float:
-        """Total integral over R^N: the density table plus the analytic tail."""
-        tr, tg, _ = self.table
+        """Total integral over R^N: the density table plus the analytic tail.
+
+        The core cell within the first positive radius holds the CDF table's
+        mass there; a table whose CDF is 0 there carries none, and takes
+        ``_core``'s model.
+        """
+        tr, tg, tc = self.table
         tail_mass = _tail_mass(self.measure, self.dim, self.t)
-        return float(_cumulative_mass(tr, tg, self.dim)[-1]) + tail_mass(tr[-1])
+        return float(_cumulative_mass(tr, tg, self.dim, tc[1] or None)[-1]) + tail_mass(tr[-1])
 
     def radial_cdf(self, r) -> np.ndarray:
         """P(|X| <= r), clamped to [0, 1]; beyond the grid uses the tail law."""
         r = np.asarray(r, dtype=float)
         tr, tg, tc = self.table
-        out = _core(np.minimum(r, tr[1]), tr[1], tg, self.dim)[1]
+        out = _core(np.minimum(r, tr[1]), tr[1], tg, self.dim, tc[1])[1]
         if len(tr) > 2:
             slope = surface_area(self.dim) * tg[1:] * tr[1:] ** self.dim  # dP/d(log r)
             x = np.log(np.clip(r, tr[1], tr[-1]))

@@ -269,6 +269,24 @@ class TestGreenDensity:
             _cumulative_mass(got, table[1], dim)[-1] + tail_mass_per_term(MIXED, dim, t, got[-1])
         )
 
+    @pytest.mark.parametrize("t", [1e8, 1e10])
+    def test_cutoff_below_1e_6_keeps_the_panel_count(self, t):
+        # P was clamped at 1e-6, and the decay refinement then spent panels
+        # in proportion to t: 2930 at t = 1e8, 309961 at t = 1e10
+        sym = DiffusionSymbol(OrderMeasure.single(0.7), 1)
+        edges, _ = analytic._smooth_panels(sym, t)
+        assert len(edges) - 1 <= 64
+        assert edges[-1] < 1e-6
+
+    @pytest.mark.parametrize("alpha, t", [(0.5, 1e6), (0.7, 1e8)])
+    def test_default_grid_leaves_the_tail_target_past_1e12(self, alpha, t):
+        # the tail radius was bisected on [1, 1e12] only, and the first-order
+        # tail law beyond 1e12 carried up to 27% of the mass (1.0062, 1.00096)
+        sym = DiffusionSymbol(OrderMeasure.single(alpha), 1)
+        grid = default_radial_grid(sym, t)
+        assert analytic._tail_mass(sym.measure, 1, t)(grid[-1]) <= analytic._TAIL_TARGET
+        assert green_density(sym, t, grid).mass() == pytest.approx(1.0, abs=1e-4)
+
     def test_default_grid_takes_each_norming_constant_once(self, monkeypatch):
         calls = []
         real = analytic.norming_constant
@@ -321,6 +339,20 @@ class TestRadialDensity:
                 r_stop,
             )
             assert dens.radial_cdf(r_stop) == pytest.approx(ref, abs=5e-6)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.5])
+    def test_core_cell_meets_the_certified_cdf(self, alpha, dim):
+        # at small alpha the first radius lies outside G's flat core, and the
+        # core cell's quadratic model put mass 154 within it (alpha 0.1, 1D):
+        # the CDF was 1 up to r1 and 0.0946 just above it
+        dens = green_density(DiffusionSymbol(OrderMeasure.single(alpha), dim), 1.0)
+        r1, c1 = dens.table[0][1], dens.table[2][1]
+        r = np.concatenate([np.linspace(0.0, r1, 201), np.geomspace(r1, 10.0 * r1, 201)])
+        cdf = dens.radial_cdf(r)
+        assert cdf[0] == 0.0 and np.all(np.diff(cdf) >= 0.0)
+        around = dens.radial_cdf(r1 * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9]))
+        np.testing.assert_allclose(around, c1, rtol=1e-6)
 
     def test_positivity_floor_enforced(self):
         with pytest.raises(ValueError):

@@ -569,6 +569,47 @@ def test_density_selfcheck_passes_on_default_grid_heavy_tails(runner, tmp_path):
     assert "selfcheck passed" in res.output
 
 
+def test_density_selfcheck_on_a_sharp_core(runner, tmp_path):
+    # at alpha = 0.1 the first radius lies outside G's flat core: the core
+    # cell held mass 154 and the selfcheck read mass=154.92553255
+    cfg = _write(tmp_path, "c.yaml", {"measure": {"atoms": [[0.1, 1.0]]}, "dim": 1, "t": 1.0})
+    res = runner.invoke(main, ["density", "--config", cfg, "--out", str(tmp_path), "--selfcheck"])
+    mass = json.loads((tmp_path / "density.json").read_text())["mass"]
+    assert f"mass={mass:.8f}" in res.output
+    assert abs(mass - 1.0) <= 1e-2
+
+
+def test_commands_load_no_numpy_ma(tmp_path):
+    # a plain np.unique imports numpy.ma (14 ms) on first use; its
+    # return_counts and axis forms, which the census and KS distance take, do not
+    runs = [
+        ("simulate", {"measure": {"atoms": [[1.0, 1.0]]}, "dim": 1, "t": 0.5, "h": 0.2,
+                      "trunc_radius": 16, "walkers": 500}),
+        ("simulate", {"measure": {"atoms": [[0.7, 1.0]]}, "dim": 2, "t": 0.5, "h": 0.4,
+                      "trunc_radius": 8, "walkers": 500, "ks_reference": "analytic"}),
+        ("study", {"measure": {"atoms": [[0.7, 1.0], [1.4, 0.5]]}, "dim": 2, "t": 1.0,
+                   "h_list": [0.4, 0.2], "trunc_radius": 8, "walkers": 500}),
+        ("density", {"measure": {"atoms": [[0.8, 1.0], [1.6, 0.5]]}, "dim": 1, "t": 1.0,
+                     "r_points": 64}),
+    ]
+    code = ["import sys", "import numpy as np", "from fracwalk.cli import main",
+            "from fracwalk.montecarlo import WalkEnsemble"]
+    for i, (command, doc) in enumerate(runs):
+        cfg = _write(tmp_path, f"c{i}.yaml", doc)
+        out = str(tmp_path / f"out{i}")
+        code.append(f"main([{command!r}, '--config', {cfg!r}, '--out', {out!r}], standalone_mode=False)")
+    # walkers 2^40 sites apart: the census's sort paths
+    code.append("far = np.arange(3000, dtype=np.int64).reshape(1000, 3) % 7 << 40")
+    code.append("WalkEnsemble(3, 0.1, 0.1, 1, 1000, 0, far).summary_dict()")
+    code.append("print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", "\n".join(code)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert all((tmp_path / f"out{i}").is_dir() for i in range(len(runs)))
+
+
 def test_import_loads_no_scipy_or_mpmath():
     # scipy's import alone cost every command about 0.13 s and 25 MB; both
     # packages are test-only oracles now
