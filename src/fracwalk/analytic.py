@@ -60,8 +60,8 @@ _MAX_ZEROS = _MAX_DIRECT_PANELS + _ACC_PANELS + 2  # the most zeros a radial poi
 _MAX_DROP = 3.0  # largest log drop of the envelope across one smooth panel
 _MAX_PANELS = 1 << 19  # most panels the decay refinement may make (16 nodes each)
 _TAIL_TARGET = 0.01  # mass the default radial grid may leave to the power-law tail
-# Least frequency cutoff: an envelope that already meets its tolerance there
-# falls too steeply for the decay refinement, which refuses it.
+# Least frequency cutoff searched.  A P clamped there only costs panels, in
+# proportion to t B(P), up to the decay refinement's ``_MAX_PANELS``.
 _CUTOFF_FLOOR = 1e-30
 
 
