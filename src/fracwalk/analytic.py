@@ -8,18 +8,20 @@ Green-function characteristic function exp(t*B(xi)), and density
 
     G(t, x) = (2*pi)^-N  integral  exp(t*B(xi)) exp(i x.xi) d xi,
 
-computed here by one-dimensional radial (Hankel-type) inversion:
+computed here by one radial (Hankel-type) inversion in every dimension:
 
-    N=1:  G(t,r) = (1/pi)      int_0^inf E(p) cos(p r) dp
-    N=2:  G(t,r) = (1/(2 pi))  int_0^inf E(p) p J0(p r) dp
-    N=3:  G(t,r) = (1/(2 pi^2 r)) int_0^inf E(p) p sin(p r) dp
+    G(t,r) = (2 pi)^-N omega_N int_0^inf E(p) p^(N-1) Omega_N(p r) dp,
 
-with E(p) = exp(t*B(p)).  ``green_density`` evaluates these, and the radial
-CDF, on a whole geometric grid by FFTLog (see "FFTLog tabulation" below).
-The per-radius panel quadrature certifies it and covers the radii FFTLog
-cannot serve: integrals run panel-by-panel between zeros of the oscillating
-factor; heads are graded toward 0 where E has a fractional-power kink;
-slowly decaying tails are Aitken-extrapolated.
+with E(p) = exp(t*B(p)) and Omega_N the spherical mean (cos u, J0(u) and
+sin(u)/u for N = 1, 2, 3; prefactors 1/pi, 1/(2 pi), 1/(2 pi^2)).
+``green_density`` evaluates G, and the radial CDF, on a whole geometric
+grid by FFTLog (see "FFTLog tabulation" below).  The per-radius panel
+quadrature certifies it and covers the radii FFTLog cannot serve:
+integrals run panel-by-panel between the zeros of Omega_N(p r) (McMahon's
+guesses for them in 2D); heads are graded toward 0 where E has a
+fractional-power kink; slowly decaying tails are Aitken-extrapolated.
+Far out, G may fall below its own certificate; there the tabulated
+density's mass and CDF take the certified CDF table instead of G.
 
 ``symbol_oracle`` independently recovers -|xi|^alpha from the hypersingular
 integral representation of the fractional Laplacian; it is the load-bearing
@@ -94,7 +96,17 @@ class DiffusionSymbol:
 
 
 # ---------------------------------------------------------------------------
-# Oscillation breakpoints
+# Spherical mean and its breakpoints
+
+
+def _spherical_mean(u: np.ndarray, dim: int) -> np.ndarray:
+    """The spherical mean Omega_N(u): cos u, J0(u), sin(u)/u in 1D, 2D, 3D."""
+    u = np.asarray(u, dtype=float)
+    if dim == 1:
+        return np.cos(u)
+    if dim == 2:
+        return j0(u)
+    return np.sinc(u / math.pi)
 
 
 def _j0_mcmahon(i) -> np.ndarray:
@@ -103,35 +115,13 @@ def _j0_mcmahon(i) -> np.ndarray:
     return beta + 1.0 / (8.0 * beta) - 124.0 / (3.0 * (8.0 * beta) ** 3)
 
 
-@functools.lru_cache(maxsize=1)
-def _j0_zeros(count: int) -> np.ndarray:
-    """The first ``count`` positive zeros of J0: McMahon's guesses refined by
-    secant steps, each zero until its step vanishes.  A vanished step stays
-    zero and no zero's steps depend on another's, so every prefix of the
-    result is bitwise the solve of its own size."""
-    x = _j0_mcmahon(np.arange(1, count + 1))
-    prev = x * (1.0 + 1e-9)
-    f, f_prev = j0(x), j0(prev)
-    for _ in range(20):
-        slope = f - f_prev
-        step = np.divide(f * (x - prev), slope, out=np.zeros_like(x), where=slope != 0.0)
-        if not np.any(step):
-            break
-        prev, f_prev = x, f
-        x = x - step
-        f = j0(x)
-    x.setflags(write=False)
-    return x
-
-
 def _osc_zeros(dim: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of the dim-specific oscillating factor;
-    in 2D a slice of one table of ``_MAX_ZEROS`` J0 zeros, solved on first use."""
-    if dim == 2:
-        if count > _MAX_ZEROS:
-            raise ValueError(f"at most {_MAX_ZEROS} zeros of J0 are tabulated, not {count}")
-        return _j0_zeros(_MAX_ZEROS)[:count]
+    """First ``count`` positive zeros of the spherical mean, in 2D McMahon's
+    guesses: any split suits Gauss-Legendre, and the Aitken tails (zero 21
+    on) see zeros within 3.2e-12 relative, 4.2e-16 from zero 101 on."""
     k = np.arange(1, count + 1, dtype=float)
+    if dim == 2:
+        return _j0_mcmahon(k)
     return (k - 0.5) * math.pi if dim == 1 else k * math.pi
 
 
@@ -194,7 +184,8 @@ def _smooth_panels(sym: DiffusionSymbol, t: float):
 def _radial_point(
     sym: DiffusionSymbol, t: float, r: float, smooth
 ) -> tuple[float, float]:
-    """One value of the inverse-transform integral for radius r >= 0.
+    """G(t, r) for one radius r >= 0: E(p) p^(N-1) Omega_N(p r) integrated
+    over p, times (2 pi)^-N omega_N, with its error estimate.
 
     ``smooth`` is ``_smooth_panels(sym, t)``; its last edge is the
     frequency cutoff P, which does not depend on r.  The caller holds the
@@ -204,26 +195,15 @@ def _radial_point(
     P = float(edges[-1])
     dim = sym.dim
     envelope_log = lambda p: t * sym.radial(p)
+    prefactor = 1.0 / (math.pi, 2.0 * math.pi, 2.0 * math.pi**2)[dim - 1]
 
-    if dim == 1:
-        weight = lambda p: np.ones_like(p)
-        osc = lambda p: np.cos(p * r)
-        prefactor = 1.0 / math.pi
-    elif dim == 2:
-        weight = lambda p: p
-        osc = lambda p: j0(p * r)
-        prefactor = 1.0 / (2.0 * math.pi)
-    else:
-        weight = lambda p: p * p if r == 0.0 else p / r
-        osc = (lambda p: np.ones_like(p)) if r == 0.0 else (lambda p: np.sin(p * r))
-        prefactor = 1.0 / (2.0 * math.pi**2)
-
-    def integrand(p):
-        return np.exp(envelope_log(p)) * weight(p) * osc(p)
+    # Omega_N first, then p^(N-1), then E: no array waits through j0's temporaries
+    kernel = lambda p: _spherical_mean(p * r, dim) * p ** (dim - 1)
+    integrand = lambda p: kernel(p) * np.exp(envelope_log(p))
 
     if r == 0.0 or P * r / math.pi < 1.5:
         # no sign change before the cutoff: graded + decay-refined smooth panels
-        vals = panel_integrals(lambda p: envelope * weight(p) * osc(p), edges, _ORDER)
+        vals = panel_integrals(lambda p: envelope * kernel(p), edges, _ORDER)
         est = _CUTOFF_TOL + 5e-16 * float(np.sum(np.abs(vals)))
         return prefactor * float(np.sum(vals)), prefactor * est
 
@@ -489,7 +469,8 @@ def _cumulative_mass(r: np.ndarray, g: np.ndarray, dim: int, core: float | None 
 
 @dataclass(frozen=True)
 class RadialDensity:
-    """Tabulated G(t, |x| = r) and its radial CDF.
+    """Tabulated G(t, |x| = r) = (2 pi)^-N omega_N int E(p) p^(N-1)
+    Omega_N(p r) dp and its radial CDF.
 
     ``r`` and ``values`` are the requested radii and densities.  ``table``
     holds ``(radii, G, P(|X| <= radius))`` on the interpolation grid, which
@@ -499,6 +480,9 @@ class RadialDensity:
     cubic Hermite interpolants in log r: log G with finite-difference slopes,
     the CDF with the slopes omega_N G r^N of the density table; below it G is
     the quadratic ``_core``, its mass scaled to the table's CDF at that node.
+    G counts as certified only where it exceeds ``error_estimate``: beyond
+    the last node where it does, ``mass`` and ``radial_cdf`` take the CDF
+    table in place of G.
 
     Immutable: the tables are built once, on construction.
     """
@@ -552,30 +536,53 @@ class RadialDensity:
             for a, w in self.measure.terms
         )
 
+    def _last_certified(self) -> int:
+        """Index of the last table node where G exceeds ``error_estimate``,
+        at least 1: beyond it G's table is noise, the CDF table's is not."""
+        return int(np.max(np.flatnonzero(self.table[1] > self.error_estimate), initial=1))
+
     def mass(self) -> float:
-        """Total integral over R^N: the density table plus the analytic tail.
+        """Total integral over R^N: the density table up to its last
+        certified node, the CDF table's increment beyond it, and the
+        analytic tail.
 
         The core cell within the first positive radius holds the CDF table's
         mass there; a table whose CDF is 0 there carries none, and takes
         ``_core``'s model.
         """
         tr, tg, tc = self.table
+        end = self._last_certified() + 1
+        near = _cumulative_mass(tr[:end], tg[:end], self.dim, tc[1] or None)[-1]
         tail_mass = _tail_mass(self.measure, self.dim, self.t)
-        return float(_cumulative_mass(tr, tg, self.dim, tc[1] or None)[-1]) + tail_mass(tr[-1])
+        return float(near + (tc[-1] - tc[end - 1])) + tail_mass(tr[-1])
 
     def radial_cdf(self, r) -> np.ndarray:
-        """P(|X| <= r), clamped to [0, 1]; beyond the grid uses the tail law."""
+        """P(|X| <= r), clamped to [0, 1]; beyond the grid uses the tail law.
+
+        Between the positive nodes it is the Hermite interpolant of the CDF
+        table's running maximum, with slopes omega_N G r^N up to the last
+        certified node and the smaller neighbouring secant beyond it, all
+        held within [0, 3 secant] of both neighbouring cells (Fritsch and
+        Carlson's condition), so it never decreases.
+        """
         r = np.asarray(r, dtype=float)
         tr, tg, tc = self.table
+        cdf = np.maximum.accumulate(tc[1:])
         out = _core(np.minimum(r, tr[1]), tr[1], tg, self.dim, tc[1])[1]
         if len(tr) > 2:
+            u = np.log(tr[1:])
             slope = surface_area(self.dim) * tg[1:] * tr[1:] ** self.dim  # dP/d(log r)
+            secant = np.diff(cdf) / np.diff(u)
+            bound = np.minimum(np.append(secant, np.inf), np.insert(secant, 0, np.inf))
+            far = self._last_certified()
+            slope[far:] = bound[far:]
+            slope = np.clip(slope, 0.0, 3.0 * bound)
             x = np.log(np.clip(r, tr[1], tr[-1]))
-            out = np.where(r > tr[1], _hermite(x, np.log(tr[1:]), tc[1:], slope), out)
+            out = np.where(r > tr[1], _hermite(x, u, cdf, slope), out)
         beyond = r > tr[-1]
         if np.any(beyond):
             tails = _tail_mass(self.measure, self.dim, self.t)(np.maximum(r, tr[-1]))
-            out = np.where(beyond, np.maximum(1.0 - tails, tc[-1]), out)
+            out = np.where(beyond, np.maximum(1.0 - tails, cdf[-1]), out)
         return np.clip(out, 0.0, 1.0)
 
     def axis_cdf(self, x) -> np.ndarray:
@@ -665,15 +672,6 @@ def green_density(sym: DiffusionSymbol, t: float, r_grid=None, tol: float = 1e-7
 
 # ---------------------------------------------------------------------------
 # Symbol oracle (hypersingular integral route)
-
-
-def _spherical_mean(u: np.ndarray, dim: int) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if dim == 1:
-        return np.cos(u)
-    if dim == 2:
-        return j0(u)
-    return np.sinc(u / math.pi)
 
 
 def _spherical_mean_defect(u: np.ndarray, dim: int) -> np.ndarray:

@@ -3,24 +3,24 @@
 Each one evaluates a quantity by a slower, more direct route than the
 library uses: the symbol term by term and at a vector frequency, the stable
 tail's mass term by term, the Green CF, the Gaussian and Cauchy closed
-forms, partial lattice sums with a tail bound, the jump-strength
-coefficient term by term, a density's forward transform, the kernel CF from
-a dense phase matrix, the empirical CF of an ensemble, the lattice shells
-by sorting the whole cube, walks summed axis by axis over each walker's
-draw plan, a kernel's convolution powers by direct summation, the KS
-distance with the reference CDF evaluated at every sample, lattice
-convolution by direct summation, a walk's far tail by exponential tilting,
-the total variation between a histogram and a law laid on one box that
-holds both, with a bound on what sampling alone puts between them, and an
-ensemble's summary with its quantiles by ``np.quantile`` and its histogram
-counted on a dense box of bins.  It also
-holds the accessors only the tests use: a sampler's outcome law,
-displacements, float alias table, limits and single draws, a walker's draw
-plan and the law of each of its tables, the law an alias table samples, a
-histogram's bin centres, a measure's total weight, a kernel's normalization
-defect, its jump law scattered onto the cube and its one-step law as a
-distribution, and Walker's alias table swept with one binary search per
-light slot.
+forms, G in 2D and 3D by scipy's adaptive ``quad``, partial lattice sums
+with a tail bound, the jump-strength coefficient term by term, a density's
+forward transform, the kernel CF from a dense phase matrix, the empirical
+CF of an ensemble, the lattice shells by sorting the whole cube, walks
+summed axis by axis over each walker's draw plan, a kernel's convolution
+powers by direct summation, the KS distance with the reference CDF
+evaluated at every sample, lattice convolution by direct summation, a
+walk's far tail by exponential tilting, the total variation between a
+histogram and a law laid on one box that holds both, with a bound on what
+sampling alone puts between them, and an ensemble's summary with its
+quantiles by ``np.quantile`` and its histogram counted on a dense box of
+bins. It also holds the accessors only the tests use: a sampler's outcome
+law, displacements, float alias table, limits and single draws, a walker's
+draw plan and the law of each of its tables, the law an alias table
+samples, a histogram's bin centres, a measure's total weight, a kernel's
+normalization defect, its jump law scattered onto the cube and its one-step
+law as a distribution, and Walker's alias table swept with one binary
+search per light slot.
 """
 
 import itertools
@@ -30,6 +30,7 @@ import mpmath as mp
 import numpy as np
 from numpy.random import Generator, PCG64DXSM
 from scipy import special
+from scipy.integrate import quad
 
 from fracwalk import (
     DiffusionSymbol,
@@ -75,6 +76,25 @@ def green_cf(sym: DiffusionSymbol, t: float, xi) -> float | np.ndarray:
         raise ValueError("t must be nonnegative")
     b = symbol_eval(sym, xi)
     return np.exp(t * b) if isinstance(b, np.ndarray) else math.exp(t * b)
+
+
+def green_density_quad(sym: DiffusionSymbol, t: float, r: float) -> float:
+    """G(t, r) in 2D or 3D by scipy's adaptive ``quad`` on pieces of eight
+    periods of the oscillating factor, J0(p r) or sin(p r) / (p r), summed
+    out to where E(p) p^(N-1) falls below 1e-22."""
+    dim = sym.dim
+    E = lambda p: math.exp(t * float(np.sum(symbol_per_term(sym, p))))
+    if dim == 2:
+        f = lambda p: E(p) * p * special.j0(p * r)
+    else:
+        f = lambda p: E(p) * p * p * (1.0 if r == 0.0 else math.sin(p * r) / (p * r))
+    p_end = 1.0
+    while E(p_end) * p_end ** (dim - 1) > 1e-22:
+        p_end *= 1.25
+    edges = np.append(np.arange(0.0, p_end, 16.0 * math.pi / r) if r > 0.0 else [0.0], p_end)
+    total = sum(quad(f, a, b, epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
+    return total / (2.0 * math.pi ** (dim - 1))
 
 
 def gaussian_density(t: float, x, dim: int) -> float:

@@ -18,6 +18,7 @@ from oracles import (
     forward_cf,
     gaussian_density,
     green_cf,
+    green_density_quad,
     symbol_eval,
     symbol_per_term,
     tail_mass_per_term,
@@ -210,6 +211,17 @@ class TestGreenDensity:
         for i in range(5):
             assert grid_density[i, 0] == pytest.approx(dens.values[i], abs=5e-4)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_off_a_geometric_grid_matches_scipy_quad(self, dim):
+        # every radius takes the panel quadrature: one integrand for all N,
+        # McMahon's edges in 2D, and at r = 15 the Aitken tail
+        sym = DiffusionSymbol(OrderMeasure.single(0.6), dim)
+        r = np.array([0.0, 0.3, 1.3, 4.0, 15.0])
+        assert analytic._smooth_panels(sym, 1.0)[0][-1] * r[-1] / math.pi > 2000
+        dens = green_density(sym, 1.0, r)
+        want = [green_density_quad(sym, 1.0, x) for x in r]
+        np.testing.assert_allclose(dens.values, want, rtol=0, atol=1e-12)
+
     def test_requires_positive_time(self):
         with pytest.raises(ValueError):
             green_density(CAUCHY_1D, 0.0, [0.0, 1.0])
@@ -353,6 +365,24 @@ class TestRadialDensity:
         assert cdf[0] == 0.0 and np.all(np.diff(cdf) >= 0.0)
         around = dens.radial_cdf(r1 * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9]))
         np.testing.assert_allclose(around, c1, rtol=1e-6)
+
+    @pytest.mark.parametrize("alpha, dim", [(0.1, 2), (0.1, 3), (0.2, 3)])
+    def test_mass_past_the_certified_density(self, alpha, dim):
+        # far out G's table lies below its own error estimate (96.8, 2.2e15
+        # and 1.1e-5 here): integrating it there gave -6.5e7, -8.8e24, 15.07
+        dens = green_density(DiffusionSymbol(OrderMeasure.single(alpha), dim), 1.0)
+        assert dens.mass() == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "alpha, dim", [(0.1, 2), (0.1, 3), (0.2, 3), (0.7, 3), (1.0, 3), (1.4, 3), (1.9, 3)]
+    )
+    def test_radial_cdf_never_decreases(self, alpha, dim):
+        # the Hermite slopes omega G r^N took uncertified, negative G far out;
+        # near the 3D core the CDF table itself dips by up to 1.5e-10
+        dens = green_density(DiffusionSymbol(OrderMeasure.single(alpha), dim), 1.0)
+        tr = dens.table[0]
+        cdf = dens.radial_cdf(np.geomspace(tr[1], tr[-1], 20_001))
+        assert np.all(np.diff(cdf) >= 0.0)
 
     def test_positivity_floor_enforced(self):
         with pytest.raises(ValueError):

@@ -437,7 +437,7 @@ class TestCensus:
     @pytest.mark.parametrize("case", ["walk", "wide", "ties"])
     @pytest.mark.parametrize("key_limit", [montecarlo._KEY_LIMIT, 1 << 8])
     def test_summary_matches_the_dense_route(self, dim, case, key_limit, monkeypatch):
-        # a small key limit makes every fold of the bin keys rank them first
+        # a small key limit sends the census to the stacked-row np.unique
         monkeypatch.setattr(montecarlo, "_KEY_LIMIT", key_limit)
         rng = np.random.default_rng(dim)
         if case == "walk":  # compact boxes: the census counts by bincount

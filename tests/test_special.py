@@ -9,7 +9,7 @@ from scipy import fft as scipy_fft
 from scipy import special as scipy_special
 
 from fracwalk import DiffusionSymbol, OrderMeasure, analytic, green_density
-from fracwalk.analytic import _MAX_ZEROS, _j0_zeros, _osc_zeros
+from fracwalk.analytic import _MAX_ZEROS, _osc_zeros
 from fracwalk.kernel import _lattice_zetas
 from fracwalk.special import fht, gammainc_upper_scaled, j0, loggamma, next_fast_len
 from oracles import lattice_zeta_mpmath
@@ -41,32 +41,21 @@ def test_j0_matches_scipy():
     np.testing.assert_allclose(j0(x[near]), scipy_special.j0(x[near]), rtol=0, atol=1e-15)
 
 
-def test_j0_zeros_match_scipy():
-    exact = scipy_special.jn_zeros(0, 600)
-    zeros = _osc_zeros(2, 600)
-    np.testing.assert_allclose(zeros, exact, rtol=1e-14, atol=0)
+def test_j0_at_its_zeros_matches_mpmath():
     # J0 where it is steepest relative to its size: at the zeros themselves
+    exact = scipy_special.jn_zeros(0, 600)
     with mp.workdps(30):
         at_zeros = np.array([float(mp.besselj(0, mp.mpf(float(v)))) for v in exact])
     np.testing.assert_allclose(j0(exact), at_zeros, rtol=0, atol=1e-15)
-    # a count served from the cache of a larger one gives the same zeros
-    np.testing.assert_array_equal(_osc_zeros(2, 2162)[:600], zeros)
 
 
-@pytest.mark.parametrize("count", [1, 2, 7, 8, 9, 600, 2000, 2162])
-def test_zero_table_prefix_is_the_smaller_solve(count):
-    assert _MAX_ZEROS == 2162
-    assert _osc_zeros(2, count).tobytes() == _j0_zeros.__wrapped__(count).tobytes()
-
-
-def test_one_zero_table_per_process():
-    _j0_zeros.cache_clear()
-    green_density(DiffusionSymbol(OrderMeasure(atoms=((0.7, 1.0), (1.4, 0.5))), 2), 1.0)
-    info = _j0_zeros.cache_info()
-    assert info.misses == 1 and info.hits > 0
-    with pytest.raises(ValueError, match="2162"):
-        _osc_zeros(2, _MAX_ZEROS + 1)
-    assert _j0_zeros.cache_info().misses == 1
+def test_2d_panel_edges_lie_near_the_zeros_of_j0():
+    # McMahon's guesses, unrefined: the Aitken tails start at zero 33 (the
+    # symbol oracle) and at zero 2000 (the Green quadrature)
+    exact = scipy_special.jn_zeros(0, _MAX_ZEROS)
+    rel = np.abs(_osc_zeros(2, _MAX_ZEROS) - exact) / exact
+    assert np.all(rel <= 1e-3)
+    assert np.all(rel[100:] <= 1e-15)
 
 
 def test_loggamma_matches_scipy():
