@@ -228,12 +228,17 @@ def _radial_point(
 # Tail law and default grid
 
 
+def _tail_terms(measure: OrderMeasure, dim: int) -> list[tuple[float, float]]:
+    """(a_i b(alpha_i), alpha_i) per term of the first-order stable tail
+    G ~ 2t sum_i a_i b(alpha_i) r^-(N+alpha_i)."""
+    return [(w * norming_constant(a, dim), a) for a, w in measure.terms]
+
+
 def _tail_mass(measure: OrderMeasure, dim: int, t: float):
     """r -> first-order mass beyond radius r from the stable tail
-    G ~ 2t sum_i a_i b(alpha_i) r^-(N+alpha_i): omega_N 2t sum_i a_i b(alpha_i)
-    r^-alpha_i / alpha_i, the constants a_i b(alpha_i) taken once."""
+    (:func:`_tail_terms`): omega_N 2t sum_i a_i b(alpha_i) r^-alpha_i / alpha_i."""
     scale = surface_area(dim) * 2.0 * t
-    terms = [(w * norming_constant(a, dim), a) for a, w in measure.terms]
+    terms = _tail_terms(measure, dim)
     return lambda r: scale * sum(c * r ** (-a) / a for c, a in terms)
 
 
@@ -531,10 +536,8 @@ class RadialDensity:
 
     def _tail_density(self, r: np.ndarray) -> np.ndarray:
         # leading large-r behavior: G ~ 2 t sum_i a_i b(alpha_i) r^-(N+alpha_i)
-        return 2.0 * self.t * sum(
-            w * norming_constant(a, self.dim) * r ** -(self.dim + a)
-            for a, w in self.measure.terms
-        )
+        terms = _tail_terms(self.measure, self.dim)
+        return 2.0 * self.t * sum(c * r ** -(self.dim + a) for c, a in terms)
 
     def _last_certified(self) -> int:
         """Index of the last table node where G exceeds ``error_estimate``,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .kernel import LatticeKernel, integer_count, lattice_vector, phase_sum
+from .kernel import LatticeKernel, integer_count, lattice_vector, mirror, phase_sum
 from .output import write_csv, write_json
 from .special import next_fast_len
 
@@ -32,10 +32,10 @@ TAIL_EPSILON = 2.0**-53
 # Peak bytes per site of the FFT circle during one product, measured with
 # tracemalloc: in 1D the real half spectrum, its complex copy and the real
 # circle ``irfft`` returns (16 B per site; 19 B measured), and with a start
-# of several sites its zero-padded row and complex ``rfft`` besides (23 B
+# of several sites its zero-padded row and complex ``rfft`` besides (22 B
 # measured); dims 2 and 3 peak lower, at 12 to 16 B.  Each site of the
-# input cubes adds up to 48 B: in 1D, ``_tail_reach`` and ``mass_cube``
-# hold six arrays as long as the kernel cube.
+# inputs' centred cubes adds up to 48 B: in 1D, ``_tail_reach`` holds up to
+# six arrays as long as the kernel's first-axis marginal (40 B measured).
 _FFT_BYTES_PER_SITE, _CUBE_BYTES_PER_SITE = 25, 48
 
 
@@ -70,17 +70,12 @@ class LatticeDistribution:
     @classmethod
     def delta(cls, dim: int, h: float) -> "LatticeDistribution":
         """Point mass at the origin (the walk's initial law)."""
-        m = np.zeros((1,) * dim)
-        m[(0,) * dim] = 1.0
-        return cls(dim=dim, h=h, mass=m)
+        return cls(dim=dim, h=h, mass=np.ones((1,) * dim))
 
     def value(self, j) -> float:
         """Mass at lattice vector j (0 outside the stored support)."""
-        j = lattice_vector(j, self.dim)
-        R = self.support_radius
-        if np.any(np.abs(j) > R):
-            return 0.0
-        return float(self.mass[tuple(j + R)])
+        j, R = lattice_vector(j, self.dim), self.support_radius
+        return float(self.mass[tuple(j + R)]) if np.all(np.abs(j) <= R) else 0.0
 
     def total_mass(self) -> float:
         return float(self.mass.sum())
@@ -117,34 +112,25 @@ def _grid_side(radius: int) -> int:
 
 
 def _fft_bytes(radius: int, dim: int, inputs: int = 0) -> int:
-    """Peak bytes of one FFT product: its circle and ``inputs`` sites of input cubes."""
+    """Peak bytes of one FFT product: its circle and ``inputs`` sites of the inputs' cubes."""
     return _FFT_BYTES_PER_SITE * _grid_side(radius) ** dim + _CUBE_BYTES_PER_SITE * inputs
 
 
-def _box(orthant: np.ndarray, r: int) -> np.ndarray:
-    """The centred cube of radius r of a law even in every coordinate, read
-    off its ``orthant`` of sites 0..r per axis: those at nodes r..2r of the
-    cube, sites -r..-1 their mirror images, by ``np.pad``'s "reflect" mode."""
-    return np.pad(orthant, [(r, 0)] * orthant.ndim, mode="reflect")
+def _spectrum(orthant: np.ndarray, side: int) -> np.ndarray:
+    """Spectrum on the circle (origin at node 0) of a law even in every coordinate given
+    on its ``orthant``: real and even, so kept on the half grid, 0..side//2 per axis.
 
-
-def _spectrum(cube: np.ndarray, side: int) -> np.ndarray:
-    """Spectrum of a centred cube even in every coordinate, laid on the
-    circle with its origin at node 0: real and even in every frequency, so
-    kept on the half grid, frequencies 0..side//2 per axis.
-
-    One axis at a time, in ``rfftn``'s order (the last, then the others),
-    the rows that still carry mass (2r+1 per axis not yet transformed) are
-    laid on the circle and take an ``rfft``, keeping its real part (the
+    One axis at a time, in ``rfftn``'s order (the last, then the others), the
+    rows (r+1 per axis not yet transformed) are laid on the circle, sites
+    -r..-1 mirroring 1..r, and take an ``rfft``, keeping its real part (the
     imaginary part is rounding); the full circle is never built.
     """
-    r, last = cube.shape[0] // 2, cube.ndim - 1
-    spec = cube
+    r, last, spec = orthant.shape[0] - 1, orthant.ndim - 1, orthant
     for axis in (last, *range(last)):
         rows = np.moveaxis(spec, axis, -1)
         circle = np.zeros(rows.shape[:-1] + (side,))
-        circle[..., : r + 1] = rows[..., r:]
-        circle[..., side - r :] = rows[..., :r]
+        circle[..., : r + 1] = rows
+        circle[..., side - r :] = rows[..., r:0:-1]
         del rows, spec
         spec = np.moveaxis(rfft(circle).real, -1, axis)
         del circle
@@ -156,11 +142,11 @@ def _fft_power(a: np.ndarray, b: np.ndarray, n: int, r: int) -> tuple[np.ndarray
     ``next_fast_len(2r + 1)`` nodes per axis (origin at node 0), read off
     the box of radius r, and the mass lost.
 
-    a and b are even in every coordinate, so their spectra S_a and S_b are
-    real and even (:func:`_spectrum`): the law S_a S_b**n is taken in float64
-    on the half grid (S_a is the constant m when a is one site of mass m) and
-    inverted by one ``irfft`` per axis, keeping sites 0..r of each axis
-    mirrored into the box.
+    a and b are laws even in every coordinate given on their orthants, so
+    their spectra S_a and S_b are real and even (:func:`_spectrum`): S_a S_b**n
+    is taken in float64 on the half grid (S_a is the constant m when a is one
+    site of mass m), inverted by one ``irfft`` per axis, and its sites 0..r
+    per axis are mirrored into the box.
 
     Mass beyond r wraps around (the caller bounds it); negative
     rounding, about 1e-17 per entry, is clamped at 0.  The mass lost is the
@@ -168,7 +154,7 @@ def _fft_power(a: np.ndarray, b: np.ndarray, n: int, r: int) -> tuple[np.ndarray
     clipped or clamped), so kept plus lost is the total by construction.
     """
     side = _grid_side(r)
-    clipped = r < a.shape[0] // 2 + n * (b.shape[0] // 2)  # the Chernoff cut is active
+    clipped = r < a.shape[0] - 1 + n * (b.shape[0] - 1)  # the Chernoff cut is active
     power = _spectrum(b, side)
     power **= n
     power *= a.item() if a.size == 1 else _spectrum(a, side)
@@ -178,7 +164,7 @@ def _fft_power(a: np.ndarray, b: np.ndarray, n: int, r: int) -> tuple[np.ndarray
     for axis in reversed(range(a.ndim)):
         rows = irfft(np.moveaxis(orthant, axis, -1), side)
         orthant = np.moveaxis(rows[..., : r + 1], -1, axis)
-    kept = _box(orthant, r)
+    kept = mirror(orthant)
     if not clipped and kept.min() >= 0.0:
         return kept, 0.0
     np.maximum(kept, 0.0, out=kept)
@@ -231,10 +217,9 @@ def _tail_reach(kernel: LatticeKernel, n_steps: int, marginal=None,
 
 def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> LatticeDistribution:
     """Apply ``n_steps`` master-equation steps by one FFT product
-    ``dist_hat * kernel_hat**n`` (:func:`_fft_power`).
-
-    The start must be even in every coordinate, as the walk's start at the
-    origin and every law ``evolve`` returns are; any other raises ValueError.
+    ``dist_hat * kernel_hat**n`` (:func:`_fft_power`) of the orthants.  The
+    start must be even in every coordinate, as the walk's start at the origin
+    and every law ``evolve`` returns are; any other raises ValueError.
 
     The walk leaves the cube of radius x - 1, x its reach (:func:`_tail_reach`),
     with probability at most ``TAIL_EPSILON``, so the law is kept on the box of
@@ -245,8 +230,7 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
     """
     if dist.dim != kernel.dim or dist.h != kernel.h:
         raise ValueError("distribution and kernel must share dim and mesh width")
-    if not all(np.array_equal(dist.mass, np.flip(dist.mass, axis)) for axis in range(dist.dim)):
-        raise ValueError("evolve needs a start even in every coordinate")
+    start = _orthant(dist)
     n_steps = integer_count(n_steps, "n_steps", 0)
     mass, lost, wrapped = dist.mass, 0.0, 0.0
     if n_steps > 0 and kernel.tau != 0.0 and kernel.sigma != 0.0:
@@ -260,7 +244,7 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
                 f"needs about {need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
                 "memory budget; reduce the steps, the truncation radius or the inputs' support"
             )
-        mass, lost = _fft_power(dist.mass, kernel.mass_cube(), n_steps, radius)
+        mass, lost = _fft_power(start, kernel.orthant(), n_steps, radius)
         wrapped = bound * float(np.abs(dist.mass).sum())
     return replace(
         dist,
@@ -272,13 +256,23 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
     )
 
 
+def _orthant(dist: LatticeDistribution) -> np.ndarray:
+    """The orthant of sites 0..R per axis of ``dist``, a view of its mass; ValueError unless
+    sites -R..-1 mirror R..1 along each axis (checked in turn, half a byte per site)."""
+    mass, R = dist.mass, dist.support_radius
+    axes = (mass.swapaxes(0, axis) for axis in range(dist.dim))  # each axis first in turn
+    if not all(np.array_equal(m[:R], m[:R:-1]) for m in axes):
+        raise ValueError("evolve and characteristic_function need a law even in every coordinate")
+    return mass[(slice(R, None),) * dist.dim]
+
+
 def characteristic_function(dist: LatticeDistribution, xi) -> np.ndarray:
     """CF of the rescaled law: sum_j y_j exp(i h j.xi), evaluated per grid point.
 
     With the mesh factor h this is the n-step analogue of p-hat(-h xi), the
-    quantity whose limit is the Green-function CF.  The law is contracted
-    one axis at a time with per-axis tables exp(i h j_a xi_a), N * side
-    exponentials per frequency (:func:`~fracwalk.kernel.phase_sum`), in
-    blocks of at most ``_CF_BLOCK_ENTRIES`` floats.
+    quantity whose limit is the Green-function CF.  The law must be even in
+    every coordinate, as every law ``evolve`` returns is (any other raises
+    ValueError), so the CF is real: the total mass less the orthant's
+    :func:`~fracwalk.kernel.phase_sum`.
     """
-    return phase_sum(dist.mass, dist.h, xi)
+    return dist.mass.sum() - phase_sum(_orthant(dist), dist.h, xi)

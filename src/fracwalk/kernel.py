@@ -225,63 +225,67 @@ def _measure_zetas(measure: OrderMeasure, dim: int) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Lattice characteristic functions
+# Even laws on their orthant: the mirror image and the characteristic function
 
 # Floats one per-axis table block or intermediate of ``phase_sum`` may hold.
 _CF_BLOCK_ENTRIES = 1 << 18
 
 
 def frequency_rows(xi, dim: int) -> np.ndarray:
-    """Frequencies as a (G, dim) float array; (G,) is taken as G points in one dimension."""
+    """Frequencies as a (G, dim) float array, (G,) read as G points in 1D; ValueError else."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if dim == 1 and xi.ndim == 1:
-        xi = xi[:, None]
+    xi = xi[:, None] if dim == 1 and xi.ndim == 1 else xi
+    if xi.ndim != 2 or xi.shape[1] != dim:
+        raise ValueError(f"xi must be a (G, {dim}) frequency grid, got shape {xi.shape}")
     return xi
 
 
-def phase_sum(mass: np.ndarray, h: float, xi, even: bool = False) -> np.ndarray:
-    """sum_j mass[j] exp(i h (j - R).xi) per row of ``xi``, over a cube of side 2R+1.
+def mirror(orthant: np.ndarray) -> np.ndarray:
+    """The centred cube of radius r of a law even in every coordinate, read off its
+    ``orthant`` of sites 0..r per axis (origin at index 0): sites 0..r at nodes r..2r,
+    sites -r..-1 their mirror images, by ``np.pad``'s "reflect" mode."""
+    return np.pad(orthant, [(orthant.shape[0] - 1, 0)] * orthant.ndim, mode="reflect")
 
-    With ``even``, ``mass`` is a law even in every coordinate folded onto the
-    orthant j >= 0 (origin at index 0), and the sum is the real
-    sum_j mass[j] (1 - prod_a cos(h j_a xi_a)), exactly 0 at xi = 0.  The
-    phase factorizes, so the cube is contracted one axis at a time with
-    per-axis tables: one matrix product over the cube, then
-    frequency-diagonal contractions.  The even sum carries X, the sum of
-    1 - prod(1 - s) over the axes done, beside the marginal mass Y:
-    X' = sum_j X (1 - s) + Y s with s = 2 sin^2(h j_a xi_a / 2), so nothing
-    cancels near xi = 0.  Frequency blocks, and site blocks along the first
-    axis, keep every table block and intermediate within
+
+def phase_sum(orthant: np.ndarray, h: float, xi) -> np.ndarray:
+    """sum_j m_j (1 - prod_a cos(h j_a xi_a)) per row of ``xi``, exactly 0 at
+    xi = 0, for a law m even in every coordinate given on its ``orthant`` of
+    sites j >= 0 (origin at index 0), whose sites stand for their sign images.
+
+    The phase factorizes, so the orthant is contracted one axis at a time
+    with tables s = 2 sin^2(h j_a xi_a / 2): one matrix product, then
+    frequency-diagonal contractions that carry X, the sum of 1 - prod(1 - s)
+    over the axes done, beside the marginal mass Y: X' = sum_j X (1 - s) + Y s,
+    so nothing cancels near xi = 0.  Frequency blocks, and site blocks along
+    the first axis, keep every table block and intermediate within
     ``_CF_BLOCK_ENTRIES`` floats.
     """
-    xi = h * frequency_rows(xi, mass.ndim)
-    j = np.arange(mass.shape[0]) - (0 if even else mass.shape[0] // 2)
+    xi = h * frequency_rows(xi, orthant.ndim)
+    mass = np.array(orthant, dtype=float)
+    for axis in range(mass.ndim):  # a nonzero coordinate stands for both its signs
+        mass[(slice(None),) * axis + (slice(1, None),)] *= 2.0
+    j = np.arange(mass.shape[0])
     flat = mass.reshape(len(j), -1)
-    # a complex intermediate takes two floats per frequency
+    # a table block and the phases it is made from take two floats per entry
     width = max(1, min(len(xi), _CF_BLOCK_ENTRIES // (2 * flat.shape[1])))
     rows = max(1, _CF_BLOCK_ENTRIES // (2 * width))
-    marginals = mass.sum(axis=0) if even else None
+    marginals = mass.sum(axis=0)
 
     def table(block, axis, at=slice(None)):
-        phase = np.multiply.outer(j[at], block[:, axis])
-        return 2.0 * np.sin(0.5 * phase) ** 2 if even else np.exp(1j * phase)
+        return 2.0 * np.sin(0.5 * np.multiply.outer(j[at], block[:, axis])) ** 2
 
-    out = np.empty(len(xi), dtype=float if even else complex)
+    out = np.empty(len(xi))
     for g0 in range(0, len(xi), width):
         block = xi[g0 : g0 + width]
         state = 0.0
         for r0 in range(0, len(j), rows):
-            t, m = table(block, 0, slice(r0, r0 + rows)), flat[r0 : r0 + rows].T
-            state = state + (m @ t if even else m @ t.real + 1j * (m @ t.imag))
+            state = state + flat[r0 : r0 + rows].T @ table(block, 0, slice(r0, r0 + rows))
         state, marginal = state.reshape(mass.shape[1:] + (len(block),)), marginals
         for axis in range(1, mass.ndim):
             t = table(block, axis)
-            if even:
-                state = np.einsum("j...g,jg->...g", state, 1.0 - t)
-                state += np.tensordot(marginal, t, (0, 0))
-                marginal = marginal.sum(axis=0)
-            else:
-                state = np.einsum("j...g,jg->...g", state, t)
+            state = np.einsum("j...g,jg->...g", state, 1.0 - t)
+            state += np.tensordot(marginal, t, (0, 0))
+            marginal = marginal.sum(axis=0)
         out[g0 : g0 + width] = state
     return out
 
@@ -369,25 +373,23 @@ class LatticeKernel:
         k = np.minimum(np.abs(lattice_vector(k, self.dim)), self.trunc_radius + 1)  # no overflow
         return float(self._shell_lookup(np.dot(k, k)))
 
+    def orthant(self) -> np.ndarray:
+        """The jump law on the orthant of sites 0..K per axis, origin (p0) at index 0."""
+        return self._shell_lookup(_norm_grid(np.arange(self.trunc_radius + 1), self.dim))
+
     def mass_cube(self) -> np.ndarray:
         """The jump law on the cube [-K, K]^dim, origin (p0) at index (K,...,K)."""
-        K = self.trunc_radius
-        return self._shell_lookup(_norm_grid(np.arange(-K, K + 1), self.dim))
+        return mirror(self.orthant())
 
     def cf(self, xi) -> np.ndarray:
         """One-step characteristic function of the rescaled walk, p-hat(-h xi).
 
-        Returns sum_k p_k exp(i h k.xi); real because the kernel is symmetric.
-        It is even in every coordinate, so this is
-        1 - sum_k p_k (1 - prod_a cos(h k_a xi_a)) over the orthant k >= 0,
-        each site weighing in for its sign images, contracted one axis at a
-        time (:func:`phase_sum`): exact at xi = 0, no cancellation at small
-        frequencies.  ``xi`` is (G,) in one dimension or (G, dim) in general.
+        sum_k p_k exp(i h k.xi), real as the kernel is even in every coordinate:
+        1 less the :func:`phase_sum` of its orthant, exact at xi = 0, with no
+        cancellation at small frequencies.  ``xi`` is (G,) in one dimension or
+        (G, dim) in general.
         """
-        folded = self._shell_lookup(_norm_grid(np.arange(self.trunc_radius + 1), self.dim))
-        for axis in range(self.dim):  # a nonzero coordinate stands for both its signs
-            folded[(slice(None),) * axis + (slice(1, None),)] *= 2.0
-        return 1.0 - phase_sum(folded, self.h, xi, even=True)
+        return 1.0 - phase_sum(self.orthant(), self.h, xi)
 
     def to_json_dict(self) -> dict:
         return {

@@ -243,7 +243,7 @@ def build_sampler(kernel: LatticeKernel) -> JumpSampler:
 def _composite(kernel: LatticeKernel, steps: int, radius: int) -> _Table:
     """Packed table of the ``steps``-step law from the origin, ``evolve``'s FFT power on the
     box of ``radius``, normalized, every site an outcome, mass 0 included: N is fixed."""
-    law = _fft_power(np.ones((1,) * kernel.dim), kernel.mass_cube(), steps, radius)[0]
+    law = _fft_power(np.ones((1,) * kernel.dim), kernel.orthant(), steps, radius)[0]
     sites = np.indices(law.shape).reshape(kernel.dim, -1).T - radius
     return _pack(*_alias_table(law.ravel() / law.sum()), sites, radius)
 

@@ -317,7 +317,7 @@ def step_law(kernel, steps: int) -> tuple[np.ndarray, np.ndarray]:
     if steps == 1:
         return outcome_displacements(kernel), outcome_weights(kernel)
     R = table_radius(kernel, steps)
-    mass = evolution._fft_power(np.ones((1,) * kernel.dim), kernel.mass_cube(), steps, R)[0]
+    mass = evolution._fft_power(np.ones((1,) * kernel.dim), kernel.orthant(), steps, R)[0]
     sites = np.array(list(itertools.product(range(-R, R + 1), repeat=kernel.dim)))
     return sites, mass.ravel() / mass.sum()
 
@@ -612,6 +612,13 @@ def mass_cube_by_scatter(kernel) -> np.ndarray:
     m[(K,) * kernel.dim] = kernel.p0
     m[tuple((kernel.shells.sites + K).T)] = kernel.site_probabilities
     return m
+
+
+def even_in_every_coordinate(mass: np.ndarray) -> np.ndarray:
+    """``mass`` plus its mirror image along each axis in turn."""
+    for axis in range(mass.ndim):
+        mass = mass + np.flip(mass, axis)
+    return mass
 
 
 def kernel_distribution(kernel) -> LatticeDistribution:

@@ -17,7 +17,13 @@ from fracwalk import (
 from fracwalk import kernel as kernel_module
 from fracwalk import montecarlo
 from fracwalk.evolution import TAIL_EPSILON
-from oracles import convolution_power, direct_convolve, kernel_distribution, walk_tail
+from oracles import (
+    convolution_power,
+    direct_convolve,
+    even_in_every_coordinate,
+    kernel_distribution,
+    walk_tail,
+)
 
 KERNEL = build_kernel(OrderMeasure.single(1.0), 1, 0.1, 0.01, trunc_radius=16)
 
@@ -154,9 +160,7 @@ def test_truncation_tracks_deficit():
 def _even_start(dim, side, seed, h=0.1):
     """A random law on a cube of ``side`` sites per axis, made even in every
     coordinate by adding its mirror image along each axis in turn."""
-    mass = np.random.default_rng(seed).random((side,) * dim)
-    for axis in range(dim):
-        mass = mass + np.flip(mass, axis)
+    mass = even_in_every_coordinate(np.random.default_rng(seed).random((side,) * dim))
     return LatticeDistribution(dim=dim, h=h, mass=mass / mass.sum())
 
 
@@ -200,6 +204,18 @@ def test_start_uneven_in_one_coordinate_is_rejected(dim, h, K):
         for n in (0, 3):
             with pytest.raises(ValueError, match="even in every coordinate"):
                 evolve(start, k, n)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cf_of_a_law_uneven_in_one_coordinate_is_rejected(dim):
+    even = _even_start(dim, 5, dim)
+    xi = np.ones((3, dim))
+    assert characteristic_function(even, xi).dtype == np.float64
+    for axis in range(dim):
+        mass = even.mass.copy()
+        np.moveaxis(mass, axis, 0)[0] *= 1.5  # even in every other coordinate still
+        with pytest.raises(ValueError, match="even in every coordinate"):
+            characteristic_function(LatticeDistribution(dim=dim, h=0.1, mass=mass), xi)
 
 
 @pytest.mark.parametrize("dim, h, K, a, b", [(1, 0.1, 16, 5, 7), (2, 0.2, 11, 2, 3), (3, 0.2, 3, 3, 2)])
@@ -479,13 +495,13 @@ def test_fft_bytes_bound_the_measured_peak(dim, K, n):
         peak, r = _evolve_peak_within_estimate(dim, K, n, start)
         if dim == 1 and start.mass.size == 1:
             # a complex half grid and the real circle it allocates, 16 B per
-            # node; the measured peak is 18.7 to 19.2 B per node
+            # node; the measured peak is 17.5 to 19.2 B per node
             assert peak <= 20 * evolution._grid_side(r)
 
 
 def test_fft_bytes_count_the_kernel_cube():
-    # one step of a wide 1D kernel: the kernel cube and its marginal, not
-    # the circle, set the peak, at about 45 B per circle site
+    # one step of a wide 1D kernel: the arrays of its first-axis marginal in
+    # _tail_reach, not the circle, set the peak, at about 40 B per cube site
     _evolve_peak_within_estimate(1, 4096, 1, LatticeDistribution.delta(1, 0.2))
 
 
@@ -502,9 +518,10 @@ def test_over_budget_request_raises_before_allocating():
 
 
 def _dense_cf(dist, xi):
+    """The cosine sum over the whole cube: the CF of a law even in every coordinate."""
     sites, masses = dist.nonzero_sites()
     phases = sites.astype(float) @ (dist.h * xi.T)
-    return (masses[:, None] * np.exp(1j * phases)).sum(axis=0)
+    return (masses[:, None] * np.cos(phases)).sum(axis=0)
 
 
 def test_blocked_cf_matches_dense_sum(monkeypatch):
@@ -522,12 +539,10 @@ def test_blocked_cf_matches_dense_sum(monkeypatch):
 
 
 def test_cf_memory_is_bounded_by_the_block():
-    # 251,001 sites x 64 frequencies: the dense phase and exponential
-    # matrices alone would take 24 B per entry, about 385 MB
-    rng = np.random.default_rng(3)
-    mass = rng.random((501, 501))
-    d = LatticeDistribution(dim=2, h=0.1, mass=mass / mass.sum())
-    xi = rng.normal(size=(64, 2))
+    # 251,001 sites x 64 frequencies: the dense phase and cosine matrices
+    # alone would take 16 B per entry, about 257 MB
+    d = _even_start(2, 501, 3)
+    xi = np.random.default_rng(3).normal(size=(64, 2))
     tracemalloc.start()
     try:
         cf = characteristic_function(d, xi)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from fracwalk import (
+    DiffusionSymbol,
     LatticeDistribution,
     OrderMeasure,
     build_kernel,
@@ -15,9 +16,9 @@ from fracwalk import (
     stability_sigma,
 )
 from fracwalk import kernel as kernel_module
-from fracwalk.diagnostics import default_xi_grid
+from fracwalk.diagnostics import cf_sup_error, default_xi_grid
 from fracwalk.kernel import _CF_BLOCK_ENTRIES, frequency_rows, phase_sum
-from oracles import dense_kernel_cf, kernel_distribution
+from oracles import dense_kernel_cf, even_in_every_coordinate, kernel_distribution
 
 TWO_ATOMS = OrderMeasure.from_atoms([(0.7, 1.0), (1.4, 0.5)])
 
@@ -64,13 +65,32 @@ def test_kernel_cf_is_the_cf_of_its_distribution():
     np.testing.assert_allclose(law_cf, k.cf(xi), rtol=0, atol=1e-14)
 
 
-def test_phase_sum_skips_empty_sites_and_sums_blocks():
+def test_phase_sum_skips_empty_sites_and_sums_blocks(monkeypatch):
     rng = np.random.default_rng(5)
-    mass = rng.random((201, 201)) * (rng.random((201, 201)) < 0.3)
+    mass = even_in_every_coordinate(rng.random((201, 201)) * (rng.random((201, 201)) < 0.3))
+    mass /= mass.sum()
     xi = rng.normal(size=(9, 2))
     sites, masses = LatticeDistribution(dim=2, h=0.3, mass=mass).nonzero_sites()
-    dense = masses @ np.exp(1j * 0.3 * sites @ xi.T)
-    np.testing.assert_allclose(phase_sum(mass, 0.3, xi), dense, rtol=0, atol=1e-11)
+    assert len(masses) < 0.8 * mass.size
+    dense = masses @ (1.0 - np.cos(0.3 * sites @ xi.T))  # the cosine sum over the whole cube
+    orthant = mass[100:, 100:]
+    np.testing.assert_allclose(phase_sum(orthant, 0.3, xi), dense, rtol=0, atol=1e-11)
+    monkeypatch.setattr(kernel_module, "_CF_BLOCK_ENTRIES", SMALL_BUDGET)
+    np.testing.assert_allclose(phase_sum(orthant, 0.3, xi), dense, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "dim, shape", [(2, (4, 3)), (2, (4, 1)), (2, (4,)), (2, (2, 2, 2)), (1, (4, 2)), (3, (4, 2))]
+)
+def test_frequencies_of_another_width_are_rejected(dim, shape):
+    # a (G, 3) grid on a 2D kernel used to lose its third column, and cf_sup_error
+    # to compare against norms that took it in
+    k = _kernel(dim, 0.2, 4)
+    law, sym, xi = kernel_distribution(k), DiffusionSymbol(TWO_ATOMS, dim), np.ones(shape)
+    for call in (k.cf, lambda xi: characteristic_function(law, xi),
+                 lambda xi: cf_sup_error(k, 3, sym, 1.0, xi)):
+        with pytest.raises(ValueError, match="xi must be a"):
+            call(xi)
 
 
 def test_kernel_cf_memory_is_bounded_by_the_block():

@@ -1,6 +1,7 @@
 """The |k|^2 layout of a kernel on the lattice: shell enumeration against the
 sort-the-whole-cube oracle, its memory, the shell-table lookup behind ``prob``,
-``mass_cube`` and ``cf``, and the integer check on lattice vectors."""
+``mass_cube`` and ``cf``, the orthant that every even law is passed around on,
+and the integer check on lattice vectors."""
 
 import os
 import subprocess
@@ -11,9 +12,19 @@ import numpy as np
 import pytest
 import yaml
 
-from fracwalk import LatticeDistribution, OrderMeasure, build_kernel, stability_sigma
-from fracwalk.kernel import enumerate_shells
-from oracles import enumerate_shells_bruteforce, mass_cube_by_scatter
+from fracwalk import (
+    LatticeDistribution,
+    LatticeKernel,
+    OrderMeasure,
+    build_kernel,
+    build_sampler,
+    characteristic_function,
+    evolve,
+    run_walks,
+    stability_sigma,
+)
+from fracwalk.kernel import enumerate_shells, mirror
+from oracles import draw_plan, enumerate_shells_bruteforce, mass_cube_by_scatter
 
 SHELL_FIELDS = ("norm_sq", "multiplicity", "sites", "site_shell")
 
@@ -83,6 +94,33 @@ def test_mass_cube_equals_the_site_scatter(dim, K):
     tau = 0.5 * stability_sigma(measure, dim, 0.2, 1.0).tau_max
     k = build_kernel(measure, dim, 0.2, tau, K)
     assert np.array_equal(k.mass_cube(), mass_cube_by_scatter(k))
+
+
+@pytest.mark.parametrize("dim, K", [(1, 64), (2, 16), (3, 5)])
+def test_mass_cube_mirrors_the_orthant(dim, K):
+    k = _kernel(dim, K)
+    cube, orthant = k.mass_cube(), k.orthant()
+    assert orthant.shape == (K + 1,) * dim and orthant[(0,) * dim] == k.p0
+    assert np.array_equal(cube[(slice(K, None),) * dim], orthant)
+    assert np.array_equal(mirror(orthant), cube)
+    assert all(np.array_equal(cube, np.flip(cube, axis)) for axis in range(dim))
+
+
+def test_no_library_path_builds_the_kernel_cube(monkeypatch):
+    # every even law is passed around on its orthant: the kernel CF, evolve
+    # from a delta and from an evolved law, and the composite draw tables
+    def refuse(self):
+        raise AssertionError("the kernel's centred cube was built")
+
+    k, n = _kernel(2, 8), 47
+    assert max(draw_plan(k, n)) > 1
+    monkeypatch.setattr(LatticeKernel, "mass_cube", refuse)
+    xi = np.ones((3, 2))
+    once = evolve(LatticeDistribution.delta(2, k.h), k, n)
+    twice = evolve(once, k, 3)
+    np.testing.assert_allclose(characteristic_function(twice, xi), k.cf(xi) ** (n + 3),
+                               rtol=0, atol=1e-12)
+    assert run_walks(build_sampler(k), n, 100, seed=1).lattice_positions.shape == (100, 2)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
