@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .kernel import LatticeKernel, integer_count, lattice_vector, mirror, phase_sum
+from .kernel import LatticeKernel, fold_signs, integer_count, lattice_vector, mirror, phase_sum
 from .output import write_csv, write_json
 from .special import next_fast_len
 
@@ -33,10 +33,11 @@ TAIL_EPSILON = 2.0**-53
 # tracemalloc: in 1D the real half spectrum, its complex copy and the real
 # circle ``irfft`` returns (16 B per site; 19 B measured), and with a start
 # of several sites its zero-padded row and complex ``rfft`` besides (22 B
-# measured); dims 2 and 3 peak lower, at 12 to 16 B.  Each site of the
-# inputs' centred cubes adds up to 48 B: in 1D, ``_tail_reach`` holds up to
-# six arrays as long as the kernel's first-axis marginal (40 B measured).
-_FFT_BYTES_PER_SITE, _CUBE_BYTES_PER_SITE = 25, 48
+# measured); dims 2 and 3 peak lower, at 12 to 16 B.  Each input site adds
+# up to 48 B: the sites of the start's orthant, and those of the kernel's
+# orthant or, if longer (in 1D), of its first-axis marginal, 2K + 1 sites
+# over which ``_tail_reach`` holds up to six arrays (40 B measured).
+_FFT_BYTES_PER_SITE, _INPUT_BYTES_PER_SITE = 25, 48
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,17 @@ class LatticeDistribution:
     @classmethod
     def delta(cls, dim: int, h: float) -> "LatticeDistribution":
         """Point mass at the origin (the walk's initial law)."""
-        return cls(dim=dim, h=h, mass=np.ones((1,) * dim))
+        m = np.zeros((1,) * dim)
+        m[(0,) * dim] = 1.0
+        return cls(dim=dim, h=h, mass=m)
 
     def value(self, j) -> float:
         """Mass at lattice vector j (0 outside the stored support)."""
-        j, R = lattice_vector(j, self.dim), self.support_radius
-        return float(self.mass[tuple(j + R)]) if np.all(np.abs(j) <= R) else 0.0
+        j = lattice_vector(j, self.dim)
+        R = self.support_radius
+        if np.any(np.abs(j) > R):
+            return 0.0
+        return float(self.mass[tuple(j + R)])
 
     def total_mass(self) -> float:
         return float(self.mass.sum())
@@ -112,8 +118,8 @@ def _grid_side(radius: int) -> int:
 
 
 def _fft_bytes(radius: int, dim: int, inputs: int = 0) -> int:
-    """Peak bytes of one FFT product: its circle and ``inputs`` sites of the inputs' cubes."""
-    return _FFT_BYTES_PER_SITE * _grid_side(radius) ** dim + _CUBE_BYTES_PER_SITE * inputs
+    """Peak bytes of one FFT product: its circle and ``inputs`` input sites."""
+    return _FFT_BYTES_PER_SITE * _grid_side(radius) ** dim + _INPUT_BYTES_PER_SITE * inputs
 
 
 def _spectrum(orthant: np.ndarray, side: int) -> np.ndarray:
@@ -125,7 +131,8 @@ def _spectrum(orthant: np.ndarray, side: int) -> np.ndarray:
     -r..-1 mirroring 1..r, and take an ``rfft``, keeping its real part (the
     imaginary part is rounding); the full circle is never built.
     """
-    r, last, spec = orthant.shape[0] - 1, orthant.ndim - 1, orthant
+    r, last = orthant.shape[0] - 1, orthant.ndim - 1
+    spec = orthant
     for axis in (last, *range(last)):
         rows = np.moveaxis(spec, axis, -1)
         circle = np.zeros(rows.shape[:-1] + (side,))
@@ -236,8 +243,8 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
     if n_steps > 0 and kernel.tau != 0.0 and kernel.sigma != 0.0:
         reach, bound = _tail_reach(kernel, n_steps)
         radius = max(dist.support_radius + reach - 1, kernel.trunc_radius)
-        inputs = dist.mass.size + (2 * kernel.trunc_radius + 1) ** dist.dim
-        need = _fft_bytes(radius, dist.dim, inputs)
+        K = kernel.trunc_radius
+        need = _fft_bytes(radius, dist.dim, start.size + max((K + 1) ** dist.dim, 2 * K + 1))
         if need > MEMORY_BUDGET_BYTES:  # raised before allocating
             raise ValueError(
                 f"an FFT convolution on a {'x'.join([str(_grid_side(radius))] * dist.dim)} circle "
@@ -272,7 +279,7 @@ def characteristic_function(dist: LatticeDistribution, xi) -> np.ndarray:
     With the mesh factor h this is the n-step analogue of p-hat(-h xi), the
     quantity whose limit is the Green-function CF.  The law must be even in
     every coordinate, as every law ``evolve`` returns is (any other raises
-    ValueError), so the CF is real: the total mass less the orthant's
-    :func:`~fracwalk.kernel.phase_sum`.
+    ValueError), so the CF is real: the total mass less the
+    :func:`~fracwalk.kernel.phase_sum` of a folded copy of its orthant.
     """
-    return dist.mass.sum() - phase_sum(_orthant(dist), dist.h, xi)
+    return dist.mass.sum() - phase_sum(fold_signs(_orthant(dist).copy()), dist.h, xi)

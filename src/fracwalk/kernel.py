@@ -234,7 +234,8 @@ _CF_BLOCK_ENTRIES = 1 << 18
 def frequency_rows(xi, dim: int) -> np.ndarray:
     """Frequencies as a (G, dim) float array, (G,) read as G points in 1D; ValueError else."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    xi = xi[:, None] if dim == 1 and xi.ndim == 1 else xi
+    if dim == 1 and xi.ndim == 1:
+        xi = xi[:, None]
     if xi.ndim != 2 or xi.shape[1] != dim:
         raise ValueError(f"xi must be a (G, {dim}) frequency grid, got shape {xi.shape}")
     return xi
@@ -247,10 +248,19 @@ def mirror(orthant: np.ndarray) -> np.ndarray:
     return np.pad(orthant, [(orthant.shape[0] - 1, 0)] * orthant.ndim, mode="reflect")
 
 
-def phase_sum(orthant: np.ndarray, h: float, xi) -> np.ndarray:
+def fold_signs(orthant: np.ndarray) -> np.ndarray:
+    """Fold a law even in every coordinate onto its ``orthant`` (origin at index 0),
+    in place: each site is doubled once per nonzero coordinate, so it carries the
+    mass of all its sign images.  Returns the orthant."""
+    for axis in range(orthant.ndim):
+        orthant[(slice(None),) * axis + (slice(1, None),)] *= 2.0
+    return orthant
+
+
+def phase_sum(mass: np.ndarray, h: float, xi) -> np.ndarray:
     """sum_j m_j (1 - prod_a cos(h j_a xi_a)) per row of ``xi``, exactly 0 at
-    xi = 0, for a law m even in every coordinate given on its ``orthant`` of
-    sites j >= 0 (origin at index 0), whose sites stand for their sign images.
+    xi = 0, for a law m even in every coordinate whose ``mass`` is folded onto
+    its orthant of sites j >= 0 (:func:`fold_signs`).
 
     The phase factorizes, so the orthant is contracted one axis at a time
     with tables s = 2 sin^2(h j_a xi_a / 2): one matrix product, then
@@ -260,10 +270,7 @@ def phase_sum(orthant: np.ndarray, h: float, xi) -> np.ndarray:
     the first axis, keep every table block and intermediate within
     ``_CF_BLOCK_ENTRIES`` floats.
     """
-    xi = h * frequency_rows(xi, orthant.ndim)
-    mass = np.array(orthant, dtype=float)
-    for axis in range(mass.ndim):  # a nonzero coordinate stands for both its signs
-        mass[(slice(None),) * axis + (slice(1, None),)] *= 2.0
+    xi = h * frequency_rows(xi, mass.ndim)
     j = np.arange(mass.shape[0])
     flat = mass.reshape(len(j), -1)
     # a table block and the phases it is made from take two floats per entry
@@ -385,11 +392,11 @@ class LatticeKernel:
         """One-step characteristic function of the rescaled walk, p-hat(-h xi).
 
         sum_k p_k exp(i h k.xi), real as the kernel is even in every coordinate:
-        1 less the :func:`phase_sum` of its orthant, exact at xi = 0, with no
+        1 less the :func:`phase_sum` of its folded orthant, exact at xi = 0, with no
         cancellation at small frequencies.  ``xi`` is (G,) in one dimension or
         (G, dim) in general.
         """
-        return 1.0 - phase_sum(self.orthant(), self.h, xi)
+        return 1.0 - phase_sum(fold_signs(self.orthant()), self.h, xi)
 
     def to_json_dict(self) -> dict:
         return {

@@ -476,13 +476,15 @@ def _peak_bytes(fn, *args, **kwargs):
 
 def _evolve_peak_within_estimate(dim, K, n, start):
     """evolve's tracemalloc peak, checked against ``_fft_bytes`` of the box
-    it keeps (on the circle it allocates) and of its input cubes, and the
+    it keeps (on the circle it allocates) and of its inputs (the start's
+    orthant, and the kernel's orthant or first-axis marginal), and the
     radius of that box."""
     m = OrderMeasure.single(1.5)
     k = build_kernel(m, dim, 0.2, 0.5 * stability_sigma(m, dim, 0.2, 0.0).tau_max, K)
     r = max(start.support_radius + evolution._tail_reach(k, n)[0] - 1, K)
     peak = _peak_bytes(evolve, start, k, n)
-    assert peak <= evolution._fft_bytes(r, dim, start.mass.size + (2 * K + 1) ** dim)
+    inputs = (start.support_radius + 1) ** dim + max((K + 1) ** dim, 2 * K + 1)
+    assert peak <= evolution._fft_bytes(r, dim, inputs)
     return peak, r
 
 
@@ -501,7 +503,7 @@ def test_fft_bytes_bound_the_measured_peak(dim, K, n):
 
 def test_fft_bytes_count_the_kernel_cube():
     # one step of a wide 1D kernel: the arrays of its first-axis marginal in
-    # _tail_reach, not the circle, set the peak, at about 40 B per cube site
+    # _tail_reach, not the circle, set the peak, at about 40 B per marginal site
     _evolve_peak_within_estimate(1, 4096, 1, LatticeDistribution.delta(1, 0.2))
 
 
@@ -518,18 +520,20 @@ def test_over_budget_request_raises_before_allocating():
 
 
 def _dense_cf(dist, xi):
-    """The cosine sum over the whole cube: the CF of a law even in every coordinate."""
+    """The cosine sum over the whole cube: the CF of a law even in every coordinate,
+    2**14 sites at a time."""
     sites, masses = dist.nonzero_sites()
-    phases = sites.astype(float) @ (dist.h * xi.T)
-    return (masses[:, None] * np.cos(phases)).sum(axis=0)
+    return sum(masses[i : i + 2**14] @ np.cos(sites[i : i + 2**14] @ (dist.h * xi.T))
+               for i in range(0, len(masses), 2**14))
 
 
 def test_blocked_cf_matches_dense_sum(monkeypatch):
     k = _master_eq_kernel()
     d = evolve(LatticeDistribution.delta(2, 0.2), k, 27)
-    rho = np.array([0.5, 2.0, 5.0])
+    rho = np.linspace(0.5, 5.0, 12)
     xi = np.vstack([np.column_stack([rho, 0 * rho]), np.column_stack([rho, rho]) / np.sqrt(2)])
-    assert d.mass.size > kernel_module._CF_BLOCK_ENTRIES // len(xi)  # beyond one dense table
+    orthant_sites = (d.support_radius + 1) ** 2
+    assert orthant_sites * len(xi) > kernel_module._CF_BLOCK_ENTRIES  # beyond one dense table
     dense = _dense_cf(d, xi)
     # the default budget holds this law in one block; 16 floats give one
     # frequency and 8 sites of the first axis per block
@@ -539,9 +543,9 @@ def test_blocked_cf_matches_dense_sum(monkeypatch):
 
 
 def test_cf_memory_is_bounded_by_the_block():
-    # 251,001 sites x 64 frequencies: the dense phase and cosine matrices
-    # alone would take 16 B per entry, about 257 MB
-    d = _even_start(2, 501, 3)
+    # an orthant of 501^2 = 251,001 sites x 64 frequencies: a dense phase or
+    # cosine matrix over it alone would take 8 B per entry, about 128 MB
+    d = _even_start(2, 1001, 3)
     xi = np.random.default_rng(3).normal(size=(64, 2))
     tracemalloc.start()
     try:
