@@ -121,8 +121,8 @@ def simulate(config_path: str, out: str | None, seed: int | None, threads: int |
     summary["tail_mass"] = k.tail_mass
 
     if reference != "none":
-        cdf, projection = reference_cdf(cfg.measure, r["dim"], n_steps * k.tau, r["quad_tol"])
-        summary["ks"] = ks_distance(ensemble, cdf, projection, census=census)
+        cdf = reference_cdf(cfg.measure, r["dim"], n_steps * k.tau, r["quad_tol"])
+        summary["ks"] = ks_distance(ensemble, cdf, census=census)
         summary["ks_reference"] = reference
     summary.update(cfg.echo())
     write_json(out_dir / "summary.json", summary)

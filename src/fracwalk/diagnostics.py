@@ -70,31 +70,27 @@ def cf_sup_error(
     return float(np.max(np.abs(walk_cf - target)))
 
 
-def ks_distance(
-    ensemble: WalkEnsemble, analytic_cdf, projection: str = "first", census: Census | None = None,
-) -> float:
+def ks_distance(ensemble: WalkEnsemble, analytic_cdf, census: Census | None = None) -> float:
     """Kolmogorov-Smirnov sup distance between the ensemble and a CDF.
 
-    ``projection`` selects the scalar reduction: "first" takes the first
-    coordinate, "radial" the Euclidean norm.  ``analytic_cdf`` must be
-    vectorized over the projected values.  Either projection is counted as
-    its distinct values with their walker counts: "first" reads them from
-    ``census``, which defaults to ``ensemble.census()``, and "radial" takes
-    them from ``np.unique`` of the radii.
+    The statistic follows the dimension, as in :func:`reference_cdf`: the
+    first coordinate in one dimension, the Euclidean norm beyond.
+    ``analytic_cdf`` must be vectorized over its values.  The statistic is
+    counted as its distinct values with their walker counts: in one
+    dimension read from ``census``, which defaults to ``ensemble.census()``,
+    beyond taken from ``np.unique`` of the radii (``census`` is not read).
     """
     m = ensemble.n_walkers
-    if projection == "first":
+    if ensemble.dim == 1:
         census = ensemble.census() if census is None else census
         values, counts = census.first * ensemble.h, census.first_counts
-    elif projection == "radial":
+    else:
         # |x| summed one axis at a time, in np.linalg.norm's order and bits
         radii = np.zeros(m)
         for column in ensemble.lattice_positions.T:
             x = column * ensemble.h
             radii += np.multiply(x, x, out=x)
         values, counts = np.unique(np.sqrt(radii, out=radii), return_counts=True)
-    else:
-        raise ValueError(f"unknown projection {projection!r}")
     # the sup over a run of tied values is reached at its ends (one past the
     # run's last sorted entry, and its first): evaluate the CDF once per run
     end = np.cumsum(counts)
@@ -111,18 +107,16 @@ def is_cauchy(measure: OrderMeasure, dim: int) -> bool:
 
 
 def reference_cdf(measure: OrderMeasure, dim: int, t: float, tol: float = 1e-7):
-    """``(cdf, projection)``: the CDF of the limit law at time t and the
-    :func:`ks_distance` projection it applies to.  The Cauchy law's CDF is
-    closed-form; other laws tabulate the analytic density once and use its
-    coordinate CDF in one dimension, its radial CDF beyond.
+    """The CDF of the limit law at time t of the statistic :func:`ks_distance`
+    takes in ``dim``.  The Cauchy law's CDF is closed-form; other laws
+    tabulate the analytic density once and use its coordinate CDF in one
+    dimension, its radial CDF beyond.
     """
     if is_cauchy(measure, dim):
         scale = measure.terms[0][1] * t
-        return (lambda x: 0.5 + np.arctan(x / scale) / math.pi), "first"
+        return lambda x: 0.5 + np.arctan(x / scale) / math.pi
     density = green_density(DiffusionSymbol(measure, dim), t, tol=tol)
-    if dim == 1:
-        return density.axis_cdf, "first"
-    return density.radial_cdf, "radial"
+    return density.axis_cdf if dim == 1 else density.radial_cdf
 
 
 def total_variation(hist: Histogram, dist: LatticeDistribution) -> float:
@@ -233,7 +227,7 @@ def refinement_study(
     if not 0.0 < theta <= 1.0:
         raise ValueError("safety factor theta must lie in (0, 1]")
     sym = DiffusionSymbol(measure, dim)
-    cdf, projection = reference_cdf(measure, dim, t, tol)
+    cdf = reference_cdf(measure, dim, t, tol)
     # one fixed compact for every row, inside the coarsest row's Nyquist band
     xi_reach = min(xi_max, math.pi / h_arr[0])
     xi_grid = default_xi_grid(dim, xi_reach, xi_points)
@@ -251,7 +245,7 @@ def refinement_study(
         kernel, n, _ = resolve_run(measure, dim, h, t, theta, trunc_radius=K)
         cf_err = cf_sup_error(kernel, n, sym, t, xi_grid)
         ensemble = run_walks(build_sampler(kernel), n, walkers, seed, threads)
-        ks = ks_distance(ensemble, cdf, projection)
+        ks = ks_distance(ensemble, cdf)
         rows.append(
             ConvergenceRow(
                 h=h, tau=kernel.tau, n_steps=n, cf_sup_error=cf_err,

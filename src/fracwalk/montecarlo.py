@@ -605,25 +605,24 @@ def run_walks(
         chunk = max(1, _CHUNK_WORDS // words)
         chunks = [(start, min(chunk, n_walkers - start)) for start in range(0, n_walkers, chunk)]
         workers = min(threads, len(chunks), os.cpu_count() or 1)
-        if workers <= 1:
-            _run_chunks(plan, seed, draws, chunks, positions)
-        else:
-            errors = [None] * workers
+        errors = [None] * workers
 
-            def walk(w: int) -> None:
-                try:
-                    _run_chunks(plan, seed, draws, chunks[w::workers], positions)
-                except BaseException as exc:  # re-raised in the calling thread
-                    errors[w] = exc
+        def walk(w: int) -> None:
+            try:
+                _run_chunks(plan, seed, draws, chunks[w::workers], positions)
+            except BaseException as exc:  # re-raised once every worker is done
+                errors[w] = exc
 
-            pool = [Thread(target=walk, args=(w,)) for w in range(workers)]
-            for thread in pool:
-                thread.start()
-            for thread in pool:
-                thread.join()
-            for exc in errors:
-                if exc is not None:
-                    raise exc
+        # the calling thread walks as worker 0
+        pool = [Thread(target=walk, args=(w,)) for w in range(1, workers)]
+        for thread in pool:
+            thread.start()
+        walk(0)
+        for thread in pool:
+            thread.join()
+        for exc in errors:
+            if exc is not None:
+                raise exc
     positions.setflags(write=False)
     return WalkEnsemble(
         dim=kernel.dim,

@@ -389,10 +389,11 @@ def tv_sampling_bound(mass: np.ndarray, walkers: int, false_alarm: float = 1e-6)
     return float(0.5 * per_site.sum() + math.sqrt(math.log(1 / false_alarm) / (2 * walkers)))
 
 
-def ks_distance_every_value(ensemble, cdf, projection: str) -> float:
-    """KS distance with the CDF evaluated at every sorted sample, ties included."""
+def ks_distance_every_value(ensemble, cdf) -> float:
+    """KS distance with the CDF evaluated at every sorted sample, ties included:
+    of the first coordinate in one dimension, of the radius beyond."""
     x = ensemble.final_positions
-    values = np.sort(x[:, 0] if projection == "first" else np.linalg.norm(x, axis=1))
+    values = np.sort(x[:, 0] if ensemble.dim == 1 else np.linalg.norm(x, axis=1))
     m = len(values)
     f = np.asarray(cdf(values), dtype=float)
     return float(max(np.max(np.arange(1, m + 1) / m - f), np.max(f - np.arange(0, m) / m)))

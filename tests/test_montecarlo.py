@@ -965,20 +965,26 @@ class TestThreadPool:
         chunks = -(-walkers // (montecarlo._CHUNK_WORDS // 7))
         base = run_walks(SAMPLER, n_steps, walkers, seed=41, threads=1)
         wide = run_walks(SAMPLER, n_steps, walkers, seed=41, threads=10_000)
-        expected = min(chunks, os.cpu_count() or 1)
-        assert len(spawned) == (expected if expected > 1 else 0)
+        # the calling thread walks as worker 0: one thread fewer than workers
+        assert len(spawned) == min(chunks, os.cpu_count() or 1) - 1
         np.testing.assert_array_equal(base.lattice_positions, wide.lattice_positions)
 
-    def test_first_worker_error_is_raised(self, monkeypatch):
+    @pytest.mark.parametrize("failing_chunks, raised", [((0, 1, 2), 0), ((1, 2), 1), ((2,), 2)])
+    def test_first_worker_error_is_raised(self, monkeypatch, failing_chunks, raised):
+        chunk = montecarlo._CHUNK_WORDS // 7  # walkers per chunk of 13-step walkers
+        walked = []
+
         def failing(plan, seed, draws, chunks, out):
-            raise RuntimeError(f"chunk {chunks[0][0]}")
+            walked.append(chunks[0][0] // chunk)
+            if walked[-1] in failing_chunks:
+                raise RuntimeError(f"chunk {walked[-1]}")
 
         monkeypatch.setattr(montecarlo, "_run_chunks", failing)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(montecarlo, "_TABLE_SITES", 1)  # one draw per step
-        walkers = 3 * (montecarlo._CHUNK_WORDS // 7)  # 3 chunks of 13-step walkers
-        with pytest.raises(RuntimeError, match="^chunk 0$"):
-            run_walks(SAMPLER, 13, walkers, seed=41, threads=3)
+        with pytest.raises(RuntimeError, match=f"^chunk {raised}$"):
+            run_walks(SAMPLER, 13, 3 * chunk, seed=41, threads=3)
+        assert sorted(walked) == [0, 1, 2]  # every worker ran to its end
 
 
 def _csv_writer_bytes(ensemble):
