@@ -34,7 +34,8 @@ EXIT_VALIDATION = 2
 
 
 def _handle_errors(fn):
-    """Map failures to the exit-code contract: 2 validation, 1 runtime."""
+    """Map failures to the exit-code contract: 2 validation, 1 runtime (running
+    out of memory included), each with one ``error:`` line."""
     import functools
 
     @functools.wraps(fn)
@@ -44,8 +45,8 @@ def _handle_errors(fn):
         except (ConfigError, StabilityError, ValueError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_VALIDATION)
-        except (QuadratureError, RuntimeError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
+        except (QuadratureError, RuntimeError, OSError, MemoryError) as exc:
+            click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
             sys.exit(EXIT_RUNTIME)
 
     return wrapper

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .kernel import LatticeKernel, fold_signs, integer_count, lattice_vector, mirror, phase_sum
+from .kernel import LatticeKernel, fold_signs, frozen, integer_count, lattice_vector, mirror, phase_sum
 from .output import write_csv, write_json
 from .special import next_fast_len
 
@@ -29,15 +29,16 @@ MEMORY_BUDGET_BYTES = 2 * 2**30
 # wrap around its FFT circle, certified by a Chernoff bound (:func:`_tail_reach`).
 TAIL_EPSILON = 2.0**-53
 
-# Peak bytes per site of the FFT circle during one product, measured with
-# tracemalloc: in 1D the real half spectrum, its complex copy and the real
-# circle ``irfft`` returns (16 B per site; 19 B measured), and with a start
-# of several sites its zero-padded row and complex ``rfft`` besides (22 B
-# measured); dims 2 and 3 peak lower, at 12 to 16 B.  Each input site adds
-# up to 48 B: the sites of the start's orthant, and those of the kernel's
-# orthant or, if longer (in 1D), of its first-axis marginal, 2K + 1 sites
-# over which ``_tail_reach`` holds up to six arrays (40 B measured).
-_FFT_BYTES_PER_SITE, _INPUT_BYTES_PER_SITE = 25, 48
+# Peak bytes of ``evolve`` per site, measured with tracemalloc, in its two
+# phases, which are never live together.  First ``_tail_reach`` holds up to
+# six arrays over the 2K + 1 sites of the kernel's first-axis marginal (40 B
+# per site measured).  Then the product holds the kernel's orthant, 8 B per
+# site, and its circle: in 1D the real half spectrum, its complex copy and
+# the real circle ``irfft`` returns, and with a start of several sites the
+# start's spectrum besides (17.4 to 22.1 B per circle site measured, the
+# orthant included); dims 2 and 3 peak lower, at 10.5 to 16.0 B.  The start's
+# orthant is a view of its mass, and all it spends lies on the circle.
+_FFT_BYTES_PER_SITE, _MARGINAL_BYTES_PER_SITE = 24, 48
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,8 @@ class LatticeDistribution:
     """Probability mass function on the centered cube of the lattice.
 
     ``mass`` has shape (2R+1,)*dim with the origin at index (R,...,R);
-    ``mass[idx]`` is the probability of lattice vector idx - R.
+    ``mass[idx]`` is the probability of lattice vector idx - R.  It is kept
+    read-only: a writable array or a view is copied (:func:`~fracwalk.kernel.frozen`).
     """
 
     dim: int
@@ -60,9 +62,7 @@ class LatticeDistribution:
         m = np.asarray(self.mass, dtype=float)
         if m.ndim != self.dim or len(set(m.shape)) != 1 or m.shape[0] % 2 == 0:
             raise ValueError("mass array must be an odd-sized cube of rank dim")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "mass", m)
+        object.__setattr__(self, "mass", frozen(m))
 
     @property
     def support_radius(self) -> int:
@@ -117,9 +117,11 @@ def _grid_side(radius: int) -> int:
     return next_fast_len(2 * radius + 1, real=True)
 
 
-def _fft_bytes(radius: int, dim: int, inputs: int = 0) -> int:
-    """Peak bytes of one FFT product: its circle and ``inputs`` input sites."""
-    return _FFT_BYTES_PER_SITE * _grid_side(radius) ** dim + _INPUT_BYTES_PER_SITE * inputs
+def _fft_bytes(radius: int, dim: int, trunc_radius: int = 0) -> int:
+    """Peak bytes of ``evolve`` on the circle of ``radius`` with a kernel of that truncation
+    radius: the larger of its two phases (see ``_FFT_BYTES_PER_SITE``)."""
+    product = _FFT_BYTES_PER_SITE * _grid_side(radius) ** dim + 8 * (trunc_radius + 1) ** dim
+    return max(_MARGINAL_BYTES_PER_SITE * (2 * trunc_radius + 1), product)
 
 
 def _spectrum(orthant: np.ndarray, side: int) -> np.ndarray:
@@ -243,8 +245,7 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
     if n_steps > 0 and kernel.tau != 0.0 and kernel.sigma != 0.0:
         reach, bound = _tail_reach(kernel, n_steps)
         radius = max(dist.support_radius + reach - 1, kernel.trunc_radius)
-        K = kernel.trunc_radius
-        need = _fft_bytes(radius, dist.dim, start.size + max((K + 1) ** dist.dim, 2 * K + 1))
+        need = _fft_bytes(radius, dist.dim, kernel.trunc_radius)
         if need > MEMORY_BUDGET_BYTES:  # raised before allocating
             raise ValueError(
                 f"an FFT convolution on a {'x'.join([str(_grid_side(radius))] * dist.dim)} circle "
@@ -252,6 +253,7 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
                 "memory budget; reduce the steps, the truncation radius or the inputs' support"
             )
         mass, lost = _fft_power(start, kernel.orthant(), n_steps, radius)
+        mass.setflags(write=False)  # fresh: the law keeps it uncopied
         wrapped = bound * float(np.abs(dist.mass).sum())
     return replace(
         dist,

@@ -100,6 +100,15 @@ def integer_count(value, name: str, least: int) -> int:
     return int(value)
 
 
+def frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` itself if it is read-only and owns its memory (a fresh result
+    handed over), else a read-only copy, which later writes to ``array`` miss."""
+    if array.flags.writeable or not array.flags.owndata:
+        array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
 # ---------------------------------------------------------------------------
 # Lattice shells
 

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.random import PCG64DXSM
 
 from .evolution import _fft_power, _first_marginal, _tail_reach
-from .kernel import LatticeKernel, integer_count
+from .kernel import LatticeKernel, frozen, integer_count
 
 # Raw words drawn per walk tile: small enough that its work arrays
 # stay in cache, large enough that per-tile overhead does not matter.
@@ -319,7 +319,9 @@ class Census(NamedTuple):
 @dataclass(frozen=True)
 class WalkEnsemble:
     """Final positions of n_walkers >= 1 independent walkers after n_steps
-    jumps, (n_walkers, dim) int64 lattice points; ValueError otherwise."""
+    jumps, (n_walkers, dim) int64 lattice points; ValueError otherwise.
+    They are kept read-only: a writable array or a view is copied
+    (:func:`~fracwalk.kernel.frozen`)."""
 
     dim: int
     h: float
@@ -335,6 +337,7 @@ class WalkEnsemble:
         if not (isinstance(sites, np.ndarray) and sites.dtype == np.int64
                 and sites.shape == (self.n_walkers, self.dim)):
             raise ValueError(f"lattice_positions must be int64 of shape ({self.n_walkers}, {self.dim})")
+        object.__setattr__(self, "lattice_positions", frozen(sites))
 
     @property
     def final_positions(self) -> np.ndarray:

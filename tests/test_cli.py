@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracwalk import OrderMeasure, build_kernel, build_sampler, run_walks
+from fracwalk import OrderMeasure, build_kernel, build_sampler, cli, run_walks
 from fracwalk.cli import main
 from fracwalk.config import DEFAULTS, ConfigError, RunConfig, defaults_yaml
 from fracwalk.diagnostics import reference_cdf
@@ -498,6 +498,19 @@ class TestFailurePaths:
         cfg = _write(tmp_path, "c.yaml", doc)
         res = runner.invoke(main, ["density", "--config", cfg, "--out", str(tmp_path)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 8.00 GiB for an array", "error: Unable to allocate 8.00 GiB for an array\n"),
+        ("", "error: MemoryError\n"),
+    ])
+    def test_running_out_of_memory_exits_1(self, runner, tmp_path, monkeypatch, message, line):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_walks", exhausted)
+        cfg = _write(tmp_path, "c.yaml", BENCH)
+        res = runner.invoke(main, ["simulate", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 1 and res.output == line
 
     def test_missing_config_file(self, runner):
         res = runner.invoke(main, ["kernel", "--config", "/nonexistent.yaml"])

@@ -1031,6 +1031,25 @@ class TestCsvWriter:
             WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=7, n_walkers=n_walkers, seed=0,
                          lattice_positions=positions)
 
+    @pytest.mark.parametrize("view", [False, True])
+    def test_a_callers_array_is_copied_once_read_only(self, view):
+        owner = np.arange(12, dtype=np.int64).reshape(6, 2)
+        given = owner[::2] if view else owner
+        if view:  # a read-only view of a writable array is copied too
+            given.setflags(write=False)
+        ens = WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=7, n_walkers=len(given), seed=0,
+                           lattice_positions=given)
+        owner[0, 0] = 7
+        assert ens.lattice_positions[0, 0] == 0 and not ens.lattice_positions.flags.writeable
+        with pytest.raises(ValueError):
+            ens.lattice_positions[0, 0] = 7
+
+    def test_run_walks_array_passes_through_uncopied(self):
+        ens = run_walks(SAMPLER, 3, 10, seed=5)
+        positions = ens.lattice_positions
+        assert positions.flags.owndata and not positions.flags.writeable
+        assert dataclasses.replace(ens, seed=6).lattice_positions is positions
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("case", ["wide", "single", "constant", "negative"])
     def test_census_and_sort_match_csv_writer(self, dim, case, tmp_path):
