@@ -17,7 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .kernel import LatticeKernel, fold_signs, frozen, integer_count, lattice_vector, mirror, phase_sum
+from .kernel import (
+    LatticeKernel, Owned, fold_signs, frozen, integer_count, lattice_vector, mirror, phase_sum,
+)
 from .output import write_csv, write_json
 from .special import next_fast_len
 
@@ -47,7 +49,7 @@ class LatticeDistribution:
 
     ``mass`` has shape (2R+1,)*dim with the origin at index (R,...,R);
     ``mass[idx]`` is the probability of lattice vector idx - R.  It is kept
-    read-only: a writable array or a view is copied (:func:`~fracwalk.kernel.frozen`).
+    read-only, a copy of the caller's array (:func:`~fracwalk.kernel.frozen`).
     """
 
     dim: int
@@ -59,10 +61,10 @@ class LatticeDistribution:
     wrap_bound: float = 0.0  # certified bound on the mass wrapped into the box
 
     def __post_init__(self):
-        m = np.asarray(self.mass, dtype=float)
+        m = frozen(self.mass, float)
         if m.ndim != self.dim or len(set(m.shape)) != 1 or m.shape[0] % 2 == 0:
             raise ValueError("mass array must be an odd-sized cube of rank dim")
-        object.__setattr__(self, "mass", frozen(m))
+        object.__setattr__(self, "mass", m)
 
     @property
     def support_radius(self) -> int:
@@ -253,11 +255,10 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
                 "memory budget; reduce the steps, the truncation radius or the inputs' support"
             )
         mass, lost = _fft_power(start, kernel.orthant(), n_steps, radius)
-        mass.setflags(write=False)  # fresh: the law keeps it uncopied
         wrapped = bound * float(np.abs(dist.mass).sum())
     return replace(
         dist,
-        mass=mass,
+        mass=Owned(mass),  # the product's box, or the start's read-only mass: not copied
         tau=kernel.tau,
         time_index=dist.time_index + n_steps,
         mass_deficit=dist.mass_deficit + lost,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,12 +101,19 @@ def integer_count(value, name: str, least: int) -> int:
     return int(value)
 
 
-def frozen(array: np.ndarray) -> np.ndarray:
-    """``array`` itself if it is read-only and owns its memory (a fresh result
-    handed over), else a read-only copy, which later writes to ``array`` miss."""
-    if array.flags.writeable or not array.flags.owndata:
-        array = array.copy()
-        array.setflags(write=False)
+class Owned(NamedTuple):
+    """An array the library made and holds alone, as ``evolve`` and
+    ``run_walks`` hand it to the law or ensemble they return."""
+
+    array: np.ndarray
+
+
+def frozen(value, dtype=None) -> np.ndarray:
+    """``value`` as a read-only array: an :class:`Owned` one itself, anything
+    else copied once (to ``dtype`` if given), so that no array or view a
+    caller holds can change it."""
+    array = value.array if isinstance(value, Owned) else np.array(value, dtype=dtype)
+    array.setflags(write=False)
     return array
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.random import PCG64DXSM
 
 from .evolution import _fft_power, _first_marginal, _tail_reach
-from .kernel import LatticeKernel, frozen, integer_count
+from .kernel import LatticeKernel, Owned, frozen, integer_count
 
 # Raw words drawn per walk tile: small enough that its work arrays
 # stay in cache, large enough that per-tile overhead does not matter.
@@ -320,7 +320,7 @@ class Census(NamedTuple):
 class WalkEnsemble:
     """Final positions of n_walkers >= 1 independent walkers after n_steps
     jumps, (n_walkers, dim) int64 lattice points; ValueError otherwise.
-    They are kept read-only: a writable array or a view is copied
+    They are kept read-only, a copy of the caller's array
     (:func:`~fracwalk.kernel.frozen`)."""
 
     dim: int
@@ -334,8 +334,9 @@ class WalkEnsemble:
     def __post_init__(self):
         integer_count(self.n_walkers, "n_walkers", 1)
         sites = self.lattice_positions
-        if not (isinstance(sites, np.ndarray) and sites.dtype == np.int64
-                and sites.shape == (self.n_walkers, self.dim)):
+        held = sites.array if isinstance(sites, Owned) else sites
+        if not (isinstance(held, np.ndarray) and held.dtype == np.int64
+                and held.shape == (self.n_walkers, self.dim)):
             raise ValueError(f"lattice_positions must be int64 of shape ({self.n_walkers}, {self.dim})")
         object.__setattr__(self, "lattice_positions", frozen(sites))
 
@@ -626,7 +627,6 @@ def run_walks(
         for exc in errors:
             if exc is not None:
                 raise exc
-    positions.setflags(write=False)
     return WalkEnsemble(
         dim=kernel.dim,
         h=kernel.h,
@@ -634,7 +634,7 @@ def run_walks(
         n_steps=n_steps,
         n_walkers=n_walkers,
         seed=int(seed),
-        lattice_positions=positions,
+        lattice_positions=Owned(positions),
     )
 
 

@@ -1031,24 +1031,29 @@ class TestCsvWriter:
             WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=7, n_walkers=n_walkers, seed=0,
                          lattice_positions=positions)
 
-    @pytest.mark.parametrize("view", [False, True])
-    def test_a_callers_array_is_copied_once_read_only(self, view):
-        owner = np.arange(12, dtype=np.int64).reshape(6, 2)
-        given = owner[::2] if view else owner
-        if view:  # a read-only view of a writable array is copied too
-            given.setflags(write=False)
-        ens = WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=7, n_walkers=len(given), seed=0,
-                           lattice_positions=given)
-        owner[0, 0] = 7
+    @pytest.mark.parametrize("given", ["writable", "view", "read-only after a view was taken"])
+    def test_a_callers_array_is_copied_once_read_only(self, given):
+        owner = np.arange(12, dtype=np.int64).reshape(6, 2).copy()  # owns its memory
+        handle = owner[:]  # a writable view the caller keeps
+        if given == "read-only after a view was taken":
+            owner.setflags(write=False)  # handle stays writable
+        ens = WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=7, n_walkers=6, seed=0,
+                           lattice_positions=handle if given == "view" else owner)
+        handle[0, 0] = 7
         assert ens.lattice_positions[0, 0] == 0 and not ens.lattice_positions.flags.writeable
         with pytest.raises(ValueError):
             ens.lattice_positions[0, 0] = 7
 
-    def test_run_walks_array_passes_through_uncopied(self):
-        ens = run_walks(SAMPLER, 3, 10, seed=5)
-        positions = ens.lattice_positions
-        assert positions.flags.owndata and not positions.flags.writeable
-        assert dataclasses.replace(ens, seed=6).lattice_positions is positions
+    def test_run_walks_array_passes_through_uncopied(self, monkeypatch):
+        made, zeros = [], np.zeros
+
+        def recorded_zeros(*args, **kwargs):
+            made.append(zeros(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(montecarlo.np, "zeros", recorded_zeros)
+        positions = run_walks(SAMPLER, 3, 10, seed=5).lattice_positions
+        assert any(positions is a for a in made) and not positions.flags.writeable
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("case", ["wide", "single", "constant", "negative"])
