@@ -145,9 +145,6 @@ def _norm_grid(coords: np.ndarray, dim: int) -> np.ndarray:
     return functools.reduce(np.add.outer, [coords.astype(np.int64) ** 2] * dim)
 
 
-# A kernel needs only the cube it is built on; a bounded cache keeps the cubes
-# of earlier kernels (a refinement study builds ever larger ones) from piling up.
-@functools.lru_cache(maxsize=2)
 def enumerate_shells(dim: int, trunc_radius: int) -> Shells:
     """The sites 0 < |k| <= K and their shells, from the |k|^2 grid of [-K, K]^dim."""
     _check_dim(dim)

@@ -75,6 +75,9 @@ _SUMMARY_BINS = 200
 
 # Bin keys of ``_cells`` stay below this: they are int64.
 _KEY_LIMIT = 1 << 63
+# Keys spanning at most this many integers per entry are counted, or looked
+# up, in a table over their span; sorted, or searched, otherwise.
+_DENSE_SPAN = 4
 
 _SHIFT32 = np.uint64(32)
 _SHIFT33 = np.uint64(33)
@@ -350,20 +353,28 @@ class WalkEnsemble:
         the format of :func:`fracwalk.output.write_csv`.
 
         ``repr`` runs once per distinct coordinate of each column (found by
-        :func:`_distinct`), and rows are written in fixed-size blocks, each
-        block's coordinates looked up among the distinct ones.
+        :func:`_cells`), and rows are written in fixed-size blocks, each
+        block's text looked up in a table over the column's span when that
+        is dense (``_DENSE_SPAN``), and among the distinct coordinates by
+        binary search otherwise.
         """
-        columns = []
+        lookups = []
         for column in self.lattice_positions.T:
-            values, _ = _distinct(column)
+            values = _cells([column])[0][:, 0]
             text = np.array([repr(x) for x in (values * self.h).tolist()], dtype=object)
-            columns.append((column, _indexer(values, self.n_walkers), text))
+            lo, span = int(values[0]), int(values[-1]) - int(values[0]) + 1
+            if span <= _DENSE_SPAN * self.n_walkers:
+                table = np.empty(span, dtype=object)
+                table[values - lo] = text
+                lookups.append(lambda block, lo=lo, table=table: table[block - lo])
+            else:
+                lookups.append(lambda block, v=values, text=text: text[np.searchsorted(v, block)])
         with open(path, "w", newline="") as f:
             f.write(",".join(f"x{i+1}" for i in range(self.dim)) + "\r\n")
             for start in range(0, self.n_walkers, _CSV_BLOCK_ROWS):
                 fields = [
-                    text[index(column[start : start + _CSV_BLOCK_ROWS])].tolist()
-                    for column, index, text in columns
+                    lookup(column[start : start + _CSV_BLOCK_ROWS]).tolist()
+                    for column, lookup in zip(self.lattice_positions.T, lookups)
                 ]
                 rows = fields[0] if self.dim == 1 else map(",".join, zip(*fields))
                 f.write("\r\n".join(rows) + "\r\n")
@@ -371,10 +382,10 @@ class WalkEnsemble:
     def census(self) -> Census:
         """The ensemble's :class:`Census`, in memory proportional to the
         walkers whatever their spread."""
-        first, first_counts = _distinct(self.lattice_positions[:, 0])
-        hist = (Histogram(1, self.h, first[:, None], first_counts, self.n_walkers)  # sites: counted
+        first, first_counts = _cells([self.lattice_positions[:, 0]])
+        hist = (Histogram(1, self.h, first, first_counts, self.n_walkers)  # sites: counted
                 if self.dim == 1 else histogram(self, 4 * self.h))
-        return Census(first, first_counts, hist)
+        return Census(first[:, 0], first_counts, hist)
 
     def summary_dict(self, census: Census | None = None) -> dict:
         """Moments, first-coordinate quantiles and the histogram's
@@ -418,53 +429,15 @@ class WalkEnsemble:
         }
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct entries of an int64 array in ascending order and how
-    often each occurs, as ``np.unique(keys, return_counts=True)`` gives them.
-
-    One ``bincount`` counts them when they span at most 4 integers per entry,
-    with none of the sort np.unique takes; np.unique itself otherwise.
-    """
-    lo = int(keys.min())
-    span = int(keys.max()) - lo + 1
-    if span <= 4 * len(keys):
-        counts = np.bincount(np.subtract(keys, lo), minlength=span)
-        values = np.flatnonzero(counts)
-        counts = counts[values]
-        values += lo
-        return values, counts
-    return np.unique(keys, return_counts=True)
-
-
-def _indexer(values: np.ndarray, n: int):
-    """A function giving the index in the ascending int64 ``values`` of each
-    key, all of them among the values.  It looks keys up in a table over the
-    values' span when that holds at most 4 integers per entry of the n-entry
-    array the values came from (the rule of :func:`_distinct`), and by binary
-    search otherwise."""
-    lo = int(values[0])
-    span = int(values[-1]) - lo + 1
-    if span > 4 * n:
-        return functools.partial(np.searchsorted, values)
-    table = np.empty(span, np.intp)
-    table[values - lo] = np.arange(len(values))
-
-    def index(keys: np.ndarray) -> np.ndarray:
-        offset = np.subtract(keys, lo)
-        return np.take(table, offset, out=offset, mode="clip")  # every offset is in range
-
-    return index
-
-
 def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
     """The occupied cells of per-axis int64 index rows in C order, (cells, dim),
     and how many entries hold each.
 
     The rows fold into one int64 key per entry, built in place, the first
     axis most significant: key * side + (row - min).  The distinct keys give
-    the cells; keys spanning at most 4 per entry are counted by one
+    the cells; dense keys (``_DENSE_SPAN``) are counted by one
     ``bincount`` over their span, the key freed before the occupied keys are
-    picked out, and by :func:`_distinct` otherwise.  When the product of the
+    picked out, and sorted by np.unique otherwise.  When the product of the
     sides reaches ``_KEY_LIMIT`` no int64 key holds every cell, and np.unique
     counts the stacked rows instead: its lexicographic row order is C order.
     """
@@ -478,13 +451,13 @@ def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
         key *= side
         key += row  # wraps past 2^63 at most in between: the result is below span
         key -= lo
-    if span <= 4 * len(key):
+    if span <= _DENSE_SPAN * len(key):
         counts = np.bincount(key, minlength=span)
         del key
         keys = np.flatnonzero(counts)
         counts = counts[keys]
     else:
-        keys, counts = _distinct(key)
+        keys, counts = np.unique(key, return_counts=True)
         del key
     cells = np.empty((len(keys), len(sides)), np.int64)
     for axis in reversed(range(len(sides))):

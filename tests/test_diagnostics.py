@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from fracwalk.diagnostics import (
     total_variation,
 )
 from fracwalk import montecarlo
-from fracwalk.kernel import enumerate_shells
 from fracwalk.montecarlo import Histogram
 from oracles import ks_distance_by_norm, ks_distance_every_value, total_variation_dense
 
@@ -287,11 +288,23 @@ class TestResolveRun:
 
 
 class TestRefinementStudy:
-    def test_shell_cache_stays_bounded(self):
-        # each mesh of a study enumerates a larger cube; only the last few stay cached
-        refinement_study(SINGLE, 1, 0.5, [0.2, 0.1, 0.05], walkers=500, seed=2)
-        info = enumerate_shells.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize <= 4
+    @pytest.mark.parametrize("build", ["kernel", "study"])
+    def test_dropped_kernels_keep_no_site_tables(self, build):
+        # a 3D K = 60 kernel's site tables take 27.6 MiB, and the last mesh of
+        # this study has K = 32 (4.4 MiB); once dropped, nothing keeps them
+        gc.collect()
+        tracemalloc.start()
+        try:
+            if build == "kernel":
+                build_kernel(SINGLE, 3, 0.5, 0.5 * stability_sigma(SINGLE, 3, 0.5, 0.0).tau_max, 60)
+            else:
+                refinement_study(OrderMeasure.single(0.7), 3, 0.5, [0.4, 0.2], walkers=500,
+                                 seed=2, trunc_radius=8)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2**20
 
     def test_single_row_matches_components(self):
         report = refinement_study(SINGLE, 1, 1.0, [0.1], walkers=20_000, seed=5)

@@ -53,14 +53,12 @@ def test_shell_enumeration_peak_memory_per_cube_point():
     # the meshgrid + lexsort enumeration peaked at 73 B per point of the
     # (2K+1)^3 cube here; the |k|^2 grid takes about 30
     dim, K = 3, 60
-    enumerate_shells.cache_clear()
     tracemalloc.start()
     try:
         enumerate_shells(dim, K)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        enumerate_shells.cache_clear()
     assert peak < 48 * (2 * K + 1) ** dim
 
 

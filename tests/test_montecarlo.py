@@ -1070,13 +1070,11 @@ class TestCsvWriter:
         ens = WalkEnsemble(dim=dim, h=0.1, tau=0.01, n_steps=7, n_walkers=len(lattice),
                            seed=0, lattice_positions=lattice)
         for column in lattice.T:
-            values, counts = montecarlo._distinct(column)
-            want_values, want_inverse, want_counts = np.unique(
-                column, return_inverse=True, return_counts=True)
-            assert values.tobytes() == want_values.tobytes()
+            cells, counts = montecarlo._cells([column])
+            want_values, want_counts = np.unique(column, return_counts=True)
+            assert cells.shape == (len(want_values), 1)
+            assert cells[:, 0].tobytes() == want_values.tobytes()
             np.testing.assert_array_equal(counts, want_counts)
-            index = montecarlo._indexer(values, len(column))
-            np.testing.assert_array_equal(index(column), want_inverse)
         path = tmp_path / "ensemble.csv"
         ens.to_csv(path)
         assert path.read_bytes() == _csv_writer_bytes(ens)
