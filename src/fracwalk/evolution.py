@@ -34,13 +34,13 @@ TAIL_EPSILON = 2.0**-53
 # Peak bytes of ``evolve`` per site, measured with tracemalloc, in its two
 # phases, which are never live together.  First ``_tail_reach`` holds up to
 # six arrays over the 2K + 1 sites of the kernel's first-axis marginal (40 B
-# per site measured).  Then the product holds the kernel's orthant, 8 B per
-# site, and its circle: in 1D the real half spectrum, its complex copy and
-# the real circle ``irfft`` returns, and with a start of several sites the
-# start's spectrum besides (17.4 to 22.1 B per circle site measured, the
-# orthant included); dims 2 and 3 peak lower, at 10.5 to 16.0 B.  The start's
-# orthant is a view of its mass, and all it spends lies on the circle.
-_FFT_BYTES_PER_SITE, _MARGINAL_BYTES_PER_SITE = 24, 48
+# per site measured).  Then the product holds the kernel's orthant and the box
+# it returns, 8 B per site each, and its transforms on the circle: the half
+# spectra, their complex copy and the real rows ``irfft`` returns, with a start
+# of several sites the start's spectrum besides.  Those took 8.4 to 14.3 B per
+# circle site in 1D, 7.3 to 9.4 B in 2D and 4.6 to 6.1 B in 3D, indexed here
+# by dim - 1.  The start's orthant is a view of its mass.
+_FFT_BYTES_PER_SITE, _MARGINAL_BYTES_PER_SITE = (16, 10, 7), 48
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,8 @@ def _grid_side(radius: int) -> int:
 def _fft_bytes(radius: int, dim: int, trunc_radius: int = 0) -> int:
     """Peak bytes of ``evolve`` on the circle of ``radius`` with a kernel of that truncation
     radius: the larger of its two phases (see ``_FFT_BYTES_PER_SITE``)."""
-    product = _FFT_BYTES_PER_SITE * _grid_side(radius) ** dim + 8 * (trunc_radius + 1) ** dim
+    product = (_FFT_BYTES_PER_SITE[dim - 1] * _grid_side(radius) ** dim
+               + 8 * (2 * radius + 1) ** dim + 8 * (trunc_radius + 1) ** dim)
     return max(_MARGINAL_BYTES_PER_SITE * (2 * trunc_radius + 1), product)
 
 
@@ -255,7 +256,8 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
                 "memory budget; reduce the steps, the truncation radius or the inputs' support"
             )
         mass, lost = _fft_power(start, kernel.orthant(), n_steps, radius)
-        wrapped = bound * float(np.abs(dist.mass).sum())
+        signed = dist.mass.min() < 0.0  # only a signed law needs its |mass|, a copy
+        wrapped = bound * float(np.abs(dist.mass).sum() if signed else dist.mass.sum())
     return replace(
         dist,
         mass=Owned(mass),  # the product's box, or the start's read-only mass: not copied

@@ -476,7 +476,7 @@ def test_law_over_budget_at_full_support_evolves():
     tau = 0.5 * stability_sigma(m, 2, 0.1, 0.0).tau_max
     k, n = build_kernel(m, 2, 0.1, tau, 128), 47
     assert math.ceil(1.0 / tau) == n
-    assert evolution._fft_bytes(n * 128, 2) > evolution.MEMORY_BUDGET_BYTES  # 3.4 GiB
+    assert evolution._fft_bytes(n * 128, 2) > evolution.MEMORY_BUDGET_BYTES  # 2.5 GiB
     start = LatticeDistribution.delta(2, 0.1)
     r = _cut_radius(start, k, n)
     assert evolution._grid_side(r) == 1600
@@ -518,17 +518,19 @@ def _evolve_peak(alpha, dim, h, K, n, start):
     (1.5, 2, 0.2, 16, 27),
     (1.5, 2, 0.2, 40, 8),
     (0.7, 2, 0.1, 128, 14),
+    (1.5, 2, 0.2, 32, 60),
     (1.5, 3, 0.2, 6, 4),
+    (1.5, 3, 0.2, 8, 10),
+    (0.7, 3, 0.2, 12, 3),
 ])
 def test_fft_bytes_bound_the_measured_peak(alpha, dim, h, K, n):
     # the two phases are never live together: the estimate is the larger one,
-    # within 1.5x of the peak in 1D (17.4 to 22.1 B per circle site measured,
-    # 24 estimated; 40 B per marginal site, 48 estimated)
+    # within 1.5x of the peak in every dimension (the box, the kernel's orthant
+    # and 16, 10 or 7 B per circle site estimated; 40 B per marginal site
+    # measured, 48 estimated)
     for start in (LatticeDistribution.delta(dim, h), _even_start(dim, 21, 4, h)):
         peak, need, r = _evolve_peak(alpha, dim, h, K, n, start)
-        assert peak <= need
-        if dim == 1:
-            assert need <= 1.5 * peak
+        assert peak <= need <= 1.5 * peak
         circle_sets_peak = need > evolution._MARGINAL_BYTES_PER_SITE * (2 * K + 1)
         if dim == 1 and start.mass.size == 1 and circle_sets_peak:
             # the circle sets the peak: a complex half grid and the real circle
@@ -541,6 +543,33 @@ def test_evolved_law_is_not_copied_again():
     # the box and the circle's last transforms
     peak, need, r = _evolve_peak(1.5, 3, 0.2, 16, 34, LatticeDistribution.delta(3, 0.2))
     assert peak <= need and peak < 1.85 * 8 * (2 * r + 1) ** 3
+
+
+def test_wrap_bound_copies_no_nonnegative_start():
+    # |mass| of a nonnegative start is the start itself: no copy of it is live
+    # beside the new box, which with the circle's last transforms sets the peak
+    m = OrderMeasure.single(1.5)
+    k = build_kernel(m, 3, 0.2, 0.5 * stability_sigma(m, 3, 0.2, 0.0).tau_max, 4)
+    start = _even_start(3, 121, 4, 0.2)
+    tracemalloc.start()
+    try:
+        d = evolve(start, k, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d.mass.nbytes + start.mass.nbytes
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_wrap_bound_weighs_the_start_by_its_absolute_mass(sign):
+    start = _even_start(2, 5, 1, 0.2)
+    mass = start.mass.copy()
+    mass[2, 2] *= sign  # the centre is its own mirror image: the law stays even
+    start = LatticeDistribution(dim=2, h=0.2, mass=mass)
+    k, n = _master_eq_kernel(), 7
+    bound = evolution._tail_reach(k, n)[1]
+    assert bound > 0.0
+    assert evolve(start, k, n).wrap_bound == bound * float(np.abs(mass).sum())
 
 
 def test_over_budget_request_raises_before_allocating():
