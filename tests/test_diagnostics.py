@@ -291,7 +291,7 @@ class TestRefinementStudy:
     @pytest.mark.parametrize("build", ["kernel", "study"])
     def test_dropped_kernels_keep_no_site_tables(self, build):
         # a 3D K = 60 kernel's site tables take 27.6 MiB, and the last mesh of
-        # this study has K = 32 (4.4 MiB); once dropped, nothing keeps them
+        # this study has K = 32 (4.2 MiB); once dropped, nothing keeps them
         gc.collect()
         tracemalloc.start()
         try:
