@@ -255,9 +255,9 @@ def evolve(dist: LatticeDistribution, kernel: LatticeKernel, n_steps: int) -> La
                 f"needs about {need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB "
                 "memory budget; reduce the steps, the truncation radius or the inputs' support"
             )
+        # |mass| is a copy of the start: totalled before the product allocates its box
+        wrapped = bound * float(np.abs(dist.mass).sum())
         mass, lost = _fft_power(start, kernel.orthant(), n_steps, radius)
-        signed = dist.mass.min() < 0.0  # only a signed law needs its |mass|, a copy
-        wrapped = bound * float(np.abs(dist.mass).sum() if signed else dist.mass.sum())
     return replace(
         dist,
         mass=Owned(mass),  # the product's box, or the start's read-only mass: not copied

@@ -437,7 +437,7 @@ def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
     axis most significant: key * side + (row - min).  The distinct keys give
     the cells; dense keys (``_DENSE_SPAN``) are counted by one
     ``bincount`` over their span, the key freed before the occupied keys are
-    picked out, and sorted by np.unique otherwise.  When the product of the
+    picked out, and sorted in place otherwise.  When the product of the
     sides reaches ``_KEY_LIMIT`` no int64 key holds every cell, and np.unique
     counts the stacked rows instead: its lexicographic row order is C order.
     """
@@ -456,13 +456,17 @@ def _cells(rows) -> tuple[np.ndarray, np.ndarray]:
         del key
         keys = np.flatnonzero(counts)
         counts = counts[keys]
-    else:
-        keys, counts = np.unique(key, return_counts=True)
+    else:  # sorted in place: the runs of equal keys are the cells
+        key.sort()
+        last = np.append(np.flatnonzero(key[1:] != key[:-1]), len(key) - 1)
+        keys = key[last]
         del key
+        counts = np.diff(last, prepend=-1)
     cells = np.empty((len(keys), len(sides)), np.int64)
-    for axis in reversed(range(len(sides))):
+    for axis in range(len(sides) - 1, 0, -1):  # what is left is the first axis's index
         keys, offset = np.divmod(keys, sides[axis])
-        cells[:, axis] = offset + lows[axis]
+        np.add(offset, lows[axis], out=cells[:, axis])
+    np.add(keys, lows[0], out=cells[:, 0])
     return cells, counts
 
 

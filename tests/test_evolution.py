@@ -545,9 +545,10 @@ def test_evolved_law_is_not_copied_again():
     assert peak <= need and peak < 1.85 * 8 * (2 * r + 1) ** 3
 
 
-def test_wrap_bound_copies_no_nonnegative_start():
-    # |mass| of a nonnegative start is the start itself: no copy of it is live
-    # beside the new box, which with the circle's last transforms sets the peak
+def test_wrap_bound_copy_is_gone_before_the_product():
+    # the |mass| copy of the start is totalled and freed before the product
+    # allocates: no copy of it is live beside the new box, which with the
+    # circle's last transforms sets the peak
     m = OrderMeasure.single(1.5)
     k = build_kernel(m, 3, 0.2, 0.5 * stability_sigma(m, 3, 0.2, 0.0).tau_max, 4)
     start = _even_start(3, 121, 4, 0.2)
