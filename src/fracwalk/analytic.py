@@ -301,6 +301,7 @@ def default_radial_grid(
 _TABLE_STEP = 0.012
 _WRAP_LOG = 30.0
 _MAX_NODES = 1 << 18
+_RADIAL_BLOCK = 1 << 13  # window nodes per evaluation of the symbol
 # Table nodes checked against the quadrature, besides r = 0.
 _CHECK_RADII = 16
 
@@ -373,8 +374,10 @@ def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
     v0 = v_top - (n - 1) * dln
     v = v0 + h * np.arange(2 * n)  # doubled resolution; [::2] is the base grid
     tb = np.full(2 * n, -np.inf)  # E underflows beyond the cutoff
-    live = v <= v_cut
-    tb[live] = t * sym.radial(np.exp(v[live]))
+    live = np.count_nonzero(v <= v_cut)  # v ascends: a prefix
+    for lo in range(0, live, _RADIAL_BLOCK):  # no temporaries the window's size
+        block = slice(lo, min(lo + _RADIAL_BLOCK, live))
+        tb[block] = t * sym.radial(np.exp(v[block]))
 
     def transform(w: int, a: np.ndarray, mu: float, bias: float):
         """Doubled-resolution transform at the table nodes, and the base
@@ -399,8 +402,10 @@ def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
         core, core_base = transform(0, g_in, 0.5, -0.5)
         inner = table_r * math.exp(v_bulk) < 1.0
         g, g_base = np.where(inner, core, g), np.where(inner[::2], core_base, g_base)
+    del g_in
     g_factor = scale * table_r ** (-0.5 * dim)
     c_in = -np.expm1(tb) * np.exp((0.5 * dim - 1.0) * v)
+    del tb
     cdf, cdf_base = transform(1, c_in, 0.5 * dim, 0.5 * dim - 1.0 + beta)
     c_factor = -scale * surface_area(dim) * table_r ** (0.5 * dim - 1.0)
     spread = [

@@ -76,24 +76,26 @@ def ks_distance(ensemble: WalkEnsemble, analytic_cdf, census: Census | None = No
     The statistic follows the dimension, as in :func:`reference_cdf`: the
     first coordinate in one dimension, the Euclidean norm beyond.
     ``analytic_cdf`` must be vectorized over its values.  The statistic is
-    counted as its distinct values with their walker counts: in one
-    dimension read from ``census``, which defaults to ``ensemble.census()``,
-    beyond taken from ``np.unique`` of the radii (``census`` is not read).
+    counted as its distinct values and the ends of their runs in sorted
+    order: in one dimension from ``census`` (default ``ensemble.census()``),
+    beyond from the radii sorted in place (``census`` is not read).
     """
     m = ensemble.n_walkers
     if ensemble.dim == 1:
         census = ensemble.census() if census is None else census
-        values, counts = census.first * ensemble.h, census.first_counts
+        values, end = census.first * ensemble.h, np.cumsum(census.first_counts)
     else:
         # |x| summed one axis at a time, in np.linalg.norm's order and bits
         radii = np.zeros(m)
         for column in ensemble.lattice_positions.T:
             x = column * ensemble.h
             radii += np.multiply(x, x, out=x)
-        values, counts = np.unique(np.sqrt(radii, out=radii), return_counts=True)
+        np.sqrt(radii, out=radii).sort()  # in place, as montecarlo._cells does
+        end = np.append(np.flatnonzero(radii[1:] != radii[:-1]) + 1, m)
+        values = radii[end - 1]
+        del radii, x  # 16 B per walker, freed before the CDF is evaluated
     # the sup over a run of tied values is reached at its ends (one past the
     # run's last sorted entry, and its first): evaluate the CDF once per run
-    end = np.cumsum(counts)
     start = np.concatenate(([0], end[:-1]))
     f = np.asarray(analytic_cdf(values), dtype=float)
     upper = np.max(end / m - f)
@@ -213,7 +215,8 @@ def refinement_study(
 
     Each row's tau and n come from :func:`resolve_run` at its h, so n * tau
     lands in [t, t + tau).  The KS reference is :func:`reference_cdf` at t,
-    computed once: it does not depend on h.
+    computed once: it does not depend on h.  Each row's ensemble is freed
+    once its KS is taken, so the study holds one ensemble at a time.
 
     The truncation radius is anchored at the coarsest mesh (``trunc_radius``
     or the per-dimension default) and grows like 1/h^2 along the refinement:
@@ -244,8 +247,7 @@ def refinement_study(
         K = k_cap if ratio >= cap_ratio else min(math.ceil(anchor_K * ratio**2), k_cap)
         kernel, n, _ = resolve_run(measure, dim, h, t, theta, trunc_radius=K)
         cf_err = cf_sup_error(kernel, n, sym, t, xi_grid)
-        ensemble = run_walks(build_sampler(kernel), n, walkers, seed, threads)
-        ks = ks_distance(ensemble, cdf)
+        ks = ks_distance(run_walks(build_sampler(kernel), n, walkers, seed, threads), cdf)
         rows.append(
             ConvergenceRow(
                 h=h, tau=kernel.tau, n_steps=n, cf_sup_error=cf_err,

@@ -144,9 +144,11 @@ def j0(x) -> np.ndarray:
     out = np.empty_like(x)
     near = x <= _J0_SPLIT
     if np.any(near):
-        xn, total = x[near], 0.0
-        for k in range(_J0_NODES):
-            total = total + np.cos(xn * math.sin((k + 0.5) * (0.5 * math.pi / _J0_NODES)))
+        xn = x[near]
+        total, term = np.zeros_like(xn), np.empty_like(xn)
+        for k in range(_J0_NODES):  # one term buffer, summed in place
+            node = math.sin((k + 0.5) * (0.5 * math.pi / _J0_NODES))
+            total += np.cos(np.multiply(xn, node, out=term), out=term)
         out[near] = total / _J0_NODES
     far = ~near
     if np.any(far):
@@ -154,8 +156,8 @@ def j0(x) -> np.ndarray:
         inv2 = -1.0 / (xf * xf)  # the series alternates in 1/x^2
         p, q = np.zeros_like(xf), np.zeros_like(xf)
         for k in range(_J0_TERMS // 2 - 1, -1, -1):
-            p = p * inv2 + _HANKEL[2 * k]
-            q = q * inv2 + _HANKEL[2 * k + 1]
+            np.add(np.multiply(p, inv2, out=p), _HANKEL[2 * k], out=p)
+            np.add(np.multiply(q, inv2, out=q), _HANKEL[2 * k + 1], out=q)
         q /= xf
         out[far] = ((p + q) * np.cos(xf) + (p - q) * np.sin(xf)) / np.sqrt(math.pi * xf)
     return out

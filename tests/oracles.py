@@ -20,7 +20,8 @@ draw plan and the law of each of its tables, the law an alias table
 samples, a histogram's bin centres, a measure's total weight, a kernel's
 normalization defect, its jump law scattered onto the cube and its one-step
 law as a distribution, and Walker's alias table swept with one binary
-search per light slot.
+search per light slot, and J0 by ``special.j0``'s formulas with every
+step in a fresh array.
 """
 
 import itertools
@@ -120,6 +121,30 @@ def cauchy_density(t: float, x, dim: int) -> float:
     r2 = float(np.sum(np.square(np.atleast_1d(np.asarray(x, dtype=float)))))
     half = (dim + 1) / 2.0
     return math.gamma(half) / math.pi**half * t / (r2 + t * t) ** half
+
+
+def j0_out_of_place(x) -> np.ndarray:
+    """``special.j0``'s formulas, each step into a fresh array: the 24-node
+    midpoint rule on (2/pi) int_0^(pi/2) cos(x sin t) dt at |x| <= 30, the
+    Hankel expansion beyond.  The operations and their order are the
+    library's, so the two agree bit for bit."""
+    x = np.abs(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    near = x <= 30.0
+    xn, total = x[near], 0.0
+    for k in range(24):
+        total = total + np.cos(xn * math.sin((k + 0.5) * (0.5 * math.pi / 24)))
+    out[near] = total / 24
+    xf = x[~near]
+    inv2 = -1.0 / (xf * xf)
+    hankel = np.cumprod([1.0] + [-((2 * k - 1) ** 2) / (8 * k) for k in range(1, 18)])
+    p, q = np.zeros_like(xf), np.zeros_like(xf)
+    for k in range(8, -1, -1):
+        p = p * inv2 + hankel[2 * k]
+        q = q * inv2 + hankel[2 * k + 1]
+    q /= xf
+    out[~near] = ((p + q) * np.cos(xf) + (p - q) * np.sin(xf)) / np.sqrt(math.pi * xf)
+    return out
 
 
 def lattice_zeta_partial(alpha: float, dim: int, trunc_radius: int) -> float:

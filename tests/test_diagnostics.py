@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from fracwalk.diagnostics import (
     resolve_run,
     total_variation,
 )
-from fracwalk import montecarlo
+from fracwalk import diagnostics, montecarlo
 from fracwalk.montecarlo import Histogram
 from oracles import ks_distance_by_norm, ks_distance_every_value, total_variation_dense
 
@@ -194,6 +195,48 @@ class TestKsDistance:
         if span == 3:
             assert len(seen[0]) < len(lattice) // 100  # heavily tied
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_radius_runs_match_np_unique(self, dim):
+        # a span of 2 leaves a few dozen distinct radii among 50k walkers
+        rng = np.random.default_rng(dim)
+        lattice = rng.integers(-2, 3, size=(50_000, dim))
+        lattice.setflags(write=False)
+        ens = WalkEnsemble(dim=dim, h=0.037, tau=0.01, n_steps=3, n_walkers=len(lattice),
+                           seed=0, lattice_positions=lattice)
+        radii = np.zeros(len(lattice))
+        for column in lattice.T * ens.h:  # ks_distance's order of operations
+            radii += column * column
+        values, counts = np.unique(np.sqrt(radii), return_counts=True)
+        assert len(values) < 40
+        f = np.sort(rng.uniform(size=len(values)))  # every run's count can set the sup
+        seen = []
+
+        def cdf(r):
+            seen.append(np.array(r))
+            return f
+
+        end = np.cumsum(counts)
+        expected = max(np.max(end / len(radii) - f), np.max(f - (end - counts) / len(radii)))
+        assert ks_distance(ens, cdf) == expected
+        assert seen[0].tobytes() == values.tobytes()
+
+    def test_radii_are_freed_before_the_cdf(self):
+        # 100k 2D walkers, about a third of their radii distinct: the radii and
+        # the last squared column (16 B per walker) are gone before the CDF runs
+        rng = np.random.default_rng(0)
+        lattice = rng.integers(-300, 301, size=(100_000, 2))
+        lattice.setflags(write=False)
+        ens = WalkEnsemble(dim=2, h=0.1, tau=0.01, n_steps=3, n_walkers=len(lattice),
+                           seed=0, lattice_positions=lattice)
+        cdf = lambda r: np.clip(r / 60.0, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            ks_distance(ens, cdf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 28 * len(lattice)  # 33.3 B per walker with both kept
+
 
 class TestTotalVariation:
     def test_mc_agrees_with_master_equation(self, monkeypatch):
@@ -305,6 +348,20 @@ class TestRefinementStudy:
         finally:
             tracemalloc.stop()
         assert held < 2**20
+
+    def test_holds_one_ensemble_at_a_time(self, monkeypatch):
+        # each row's ensemble is freed before the next row walks
+        made = []
+
+        def run_walks_tracked(*args, **kwargs):
+            assert all(ref() is None for ref in made)
+            ensemble = run_walks(*args, **kwargs)
+            made.append(weakref.ref(ensemble))
+            return ensemble
+
+        monkeypatch.setattr(diagnostics, "run_walks", run_walks_tracked)
+        refinement_study(SINGLE, 1, 1.0, [0.4, 0.2, 0.1], walkers=2_000, seed=3)
+        assert len(made) == 3 and all(ref() is None for ref in made)
 
     def test_single_row_matches_components(self):
         report = refinement_study(SINGLE, 1, 1.0, [0.1], walkers=20_000, seed=5)

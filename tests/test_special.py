@@ -12,7 +12,7 @@ from fracwalk import DiffusionSymbol, OrderMeasure, analytic, green_density
 from fracwalk.analytic import _MAX_ZEROS, _osc_zeros
 from fracwalk.kernel import _lattice_zetas
 from fracwalk.special import fht, gammainc_upper_scaled, j0, loggamma, next_fast_len
-from oracles import lattice_zeta_mpmath
+from oracles import j0_out_of_place, lattice_zeta_mpmath
 
 EPS = np.finfo(float).eps
 
@@ -39,6 +39,16 @@ def test_j0_matches_scipy():
     assert np.all(np.abs(j0(x) - scipy_special.j0(x)) <= 1e-15 + phase)
     near = x <= 30.0
     np.testing.assert_allclose(j0(x[near]), scipy_special.j0(x[near]), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 30.0), (30.0, 1e6)])
+def test_j0_in_place_steps_keep_the_bits(lo, hi):
+    # the midpoint sum and the Hankel Horner steps, run in place, give the bits
+    # of the same formulas with a fresh array at every step
+    rng = np.random.default_rng(int(hi))
+    x = np.concatenate([rng.uniform(lo, hi, 200_000), np.geomspace(max(lo, 1e-12), hi, 20_001),
+                        [lo, np.nextafter(lo, hi), np.nextafter(hi, lo), hi]])
+    assert j0(x).tobytes() == j0_out_of_place(x).tobytes()
 
 
 def test_j0_at_its_zeros_matches_mpmath():
