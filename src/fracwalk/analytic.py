@@ -47,7 +47,7 @@ from .quadrature import (
     panel_integrals,
     panel_nodes,
 )
-from .special import fht, j0, next_fast_len
+from .special import _held_line, fht, j0, next_fast_len
 
 # Tabulated densities may dip this far below zero from quadrature noise.
 POSITIVITY_FLOOR = 1e-8
@@ -203,7 +203,11 @@ def _radial_point(
 
     if r == 0.0 or P * r / math.pi < 1.5:
         # no sign change before the cutoff: graded + decay-refined smooth panels
-        vals = panel_integrals(lambda p: envelope * kernel(p), edges, _ORDER)
+        used = [0]  # envelope entries taken: panel_integrals passes the panels in order
+        def smooth(p):
+            used[0] += len(p)
+            return envelope[used[0] - len(p) : used[0]] * kernel(p)
+        vals = panel_integrals(smooth, edges, _ORDER)
         est = _CUTOFF_TOL + 5e-16 * float(np.sum(np.abs(vals)))
         return prefactor * float(np.sum(vals)), prefactor * est
 
@@ -383,13 +387,16 @@ def _fftlog_tables(sym: DiffusionSymbol, t: float, radii: np.ndarray):
         """Doubled-resolution transform at the table nodes, and the base
         transform at every other table node: r_k int_0^inf a(p) J_mu(p r_k) dp
         at r_k = exp(u0 + k s) from a_j at p_j = exp(v0 + j s).  The fine one
-        runs first: the base one reads prefixes of its log-gamma lines."""
+        runs first: the base one reads prefixes of its log-gamma lines, then they go."""
         start = n - drops[w] - sizes[w]
         first = (2 * sizes[w] - count) // 4  # the table sits mid-window
         u0 = u_first - first * dln
         a = a[2 * start : 2 * (start + sizes[w])]
-        fine, base = (fht(x, s, mu, offset=v[2 * start] + u0 + (len(x) - 1) * s, bias=bias)
-                      for x, s in ((a, h), (a[::2], dln)))
+        try:
+            fine, base = (fht(x, s, mu, offset=v[2 * start] + u0 + (len(x) - 1) * s, bias=bias)
+                          for x, s in ((a, h), (a[::2], dln)))
+        finally:
+            _held_line.cache_clear()  # no other transform reads these lines
         return fine[2 * first : 2 * first + count], base[first : first + (count + 1) // 2]
 
     table_r = np.exp(u_first + h * np.arange(count))

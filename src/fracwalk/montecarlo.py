@@ -359,9 +359,9 @@ class WalkEnsemble:
         binary search otherwise.
         """
         lookups = []
-        for column in self.lattice_positions.T:
-            values = _cells([column])[0][:, 0]
-            text = np.array([repr(x) for x in (values * self.h).tolist()], dtype=object)
+        for column, end in zip(self.lattice_positions.T, [","] * (self.dim - 1) + ["\r\n"]):
+            values = _cells([column])[0][:, 0]  # each field's text carries what follows it
+            text = np.array([repr(x) + end for x in (values * self.h).tolist()], dtype=object)
             lo, span = int(values[0]), int(values[-1]) - int(values[0]) + 1
             if span <= _DENSE_SPAN * self.n_walkers:
                 table = np.empty(span, dtype=object)
@@ -373,11 +373,10 @@ class WalkEnsemble:
             f.write(",".join(f"x{i+1}" for i in range(self.dim)) + "\r\n")
             for start in range(0, self.n_walkers, _CSV_BLOCK_ROWS):
                 fields = [
-                    lookup(column[start : start + _CSV_BLOCK_ROWS]).tolist()
+                    lookup(column[start : start + _CSV_BLOCK_ROWS])
                     for column, lookup in zip(self.lattice_positions.T, lookups)
                 ]
-                rows = fields[0] if self.dim == 1 else map(",".join, zip(*fields))
-                f.write("\r\n".join(rows) + "\r\n")
+                f.write("".join(np.stack(fields, axis=1).ravel().tolist()))
 
     def census(self) -> Census:
         """The ensemble's :class:`Census`, in memory proportional to the

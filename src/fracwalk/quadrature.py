@@ -18,6 +18,7 @@ from numpy.polynomial.legendre import leggauss
 
 # Aitken delta-squared sweeps that ``aitken_limit`` applies at most.
 _AITKEN_SWEEPS = 8
+_PANEL_BLOCK = 1 << 10  # panels per call of f; a multiple of 64 keeps OpenBLAS's sums
 
 
 class QuadratureError(RuntimeError):
@@ -40,12 +41,14 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 def panel_integrals(f, edges: np.ndarray, order: int = 16) -> np.ndarray:
     """Gauss-Legendre integral of ``f`` on each panel [edges[i], edges[i+1]].
 
-    ``f`` must accept a flat ndarray; one call evaluates all panels at once.
+    ``f`` must accept a flat ndarray: the nodes of ``_PANEL_BLOCK`` panels per call, in order.
     """
     edges = np.asarray(edges, dtype=float)
     half = 0.5 * (edges[1:] - edges[:-1])
-    vals = f(panel_nodes(edges, order)).reshape(len(half), order)
-    return half * (vals @ gauss_legendre(order)[1])
+    for lo in range(0, len(half), _PANEL_BLOCK):
+        nodes = panel_nodes(edges[lo : lo + _PANEL_BLOCK + 1], order)
+        half[lo : lo + _PANEL_BLOCK] *= f(nodes).reshape(-1, order) @ gauss_legendre(order)[1]
+    return half
 
 
 def panel_nodes(edges: np.ndarray, order: int = 16) -> np.ndarray:

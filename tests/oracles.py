@@ -20,8 +20,9 @@ draw plan and the law of each of its tables, the law an alias table
 samples, a histogram's bin centres, a measure's total weight, a kernel's
 normalization defect, its jump law scattered onto the cube and its one-step
 law as a distribution, and Walker's alias table swept with one binary
-search per light slot, and J0 by ``special.j0``'s formulas with every
-step in a fresh array.
+search per light slot, J0, log-gamma and FFTLog by ``special``'s
+formulas with every step in a fresh array, and ``ensemble.csv`` with each
+row's fields joined by commas.
 """
 
 import itertools
@@ -145,6 +146,64 @@ def j0_out_of_place(x) -> np.ndarray:
     q /= xf
     out[~near] = ((p + q) * np.cos(xf) + (p - q) * np.sin(xf)) / np.sqrt(math.pi * xf)
     return out
+
+
+def loggamma_out_of_place(z) -> np.ndarray:
+    """``special.loggamma``'s formulas, each step into a fresh array and the
+    shift's (entries, 12) factors taken at once: the Stirling series at
+    |z| >= 12, at z + 12 less log z + ... + log(z + 11) below.  The
+    operations and their order are the library's, so the two agree bit for
+    bit."""
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
+    small = np.abs(z) < 12
+    w = np.where(small, z + 12, z)
+    log_w = np.log(np.abs(w)) + 1j * np.arctan2(w.imag, w.real)
+    inv, inv2 = 1.0 / w, 1.0 / (w * w)
+    stirling = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+    series = np.zeros_like(w)
+    for c in reversed(stirling):
+        series = series * inv2 + c
+    out = (w - 0.5) * log_w - w + 0.5 * math.log(2.0 * math.pi) + series * inv
+    if np.any(small):
+        xs, ys = x[small, None] + np.arange(12), y[small, None]
+        out[small] -= 0.5 * np.log(np.prod(xs * xs + ys * ys, axis=1))
+        out[small] -= 1j * np.arctan2(ys, xs).sum(axis=1)
+    return out
+
+
+def fht_out_of_place(a, dln: float, mu: float, offset: float = 0.0, bias: float = 0.0) -> np.ndarray:
+    """``special.fht``'s formulas on whole arrays, each step into a fresh
+    array, with both log-gamma lines computed afresh by
+    :func:`loggamma_out_of_place`.  Agrees with the library bit for bit."""
+    n = a.shape[-1]
+    j = np.arange(n) - 0.5 * (n - 1)
+    if bias != 0.0:
+        a = a * np.exp(-bias * j * dln)
+    step = math.pi / (n * dln)
+    y = step * np.arange(n // 2 + 1)
+    plus, minus = (
+        loggamma_out_of_place(0.5 * (mu + 1.0 + sign * bias) + 1j * step * np.arange(len(y)))
+        for sign in (1.0, -1.0)
+    )
+    u = np.exp(
+        plus.real - minus.real + math.log(2.0) * bias
+        + 1j * (plus.imag + minus.imag + 2.0 * (math.log(2.0) - offset) * y)
+    )
+    if n % 2 == 0:
+        u[-1] = u[-1].real
+    out = np.fft.irfft(np.fft.rfft(a) * u, n)[::-1]
+    if bias != 0.0:
+        out *= np.exp(-bias * (j * dln + offset))
+    return out
+
+
+def ensemble_csv_row_join(ensemble) -> bytes:
+    """ensemble.csv as a row-join writer builds it: each coordinate's
+    ``repr``, each row's fields joined by ",", the rows by CRLF."""
+    columns = [[repr(x) for x in column] for column in ensemble.final_positions.T.tolist()]
+    header = ",".join(f"x{i+1}" for i in range(ensemble.dim))
+    return (header + "\r\n" + "\r\n".join(map(",".join, zip(*columns))) + "\r\n").encode()
 
 
 def lattice_zeta_partial(alpha: float, dim: int, trunc_radius: int) -> float:

@@ -5,15 +5,26 @@ grid, from FFTLog transforms; the per-radius panel quadrature
 (``_radial_point``) is the reference they are checked against here.
 """
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from fracwalk import DiffusionSymbol, OrderMeasure, QuadratureError, analytic, green_density, special
+from fracwalk import (
+    DiffusionSymbol,
+    OrderMeasure,
+    QuadratureError,
+    analytic,
+    green_density,
+    quadrature,
+    special,
+    symbol_oracle,
+)
 from fracwalk.analytic import (
     _fftlog_tables,
     _radial_point,
@@ -21,6 +32,7 @@ from fracwalk.analytic import (
     default_radial_grid,
 )
 from fracwalk.cli import main
+from oracles import fht_out_of_place
 
 MIXED = OrderMeasure.with_density(
     lambda a: np.ones_like(a), 0.5, 1.5, atoms=[(0.8, 1.0), (1.6, 0.5)]
@@ -180,6 +192,78 @@ def test_tables_do_not_depend_on_the_symbol_block(monkeypatch, dim):
         for ours, theirs in zip(dens.table, default.table):
             assert ours.tobytes() == theirs.tobytes()
         assert dens.error_estimate == default.error_estimate
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name", ["mixed", "alpha0.3"])
+def test_outputs_do_not_depend_on_the_panel_block_or_the_fht_buffers(monkeypatch, name, dim):
+    # panels in blocks of 64, then one block past any panel count; then the
+    # transforms with every step in a fresh array.  alpha = 0.3 in 3D has 70
+    # smooth panels, so its smooth integrand also comes in blocks; r = 1000
+    # takes the Aitken tail
+    sym = DiffusionSymbol(MEASURES[name], dim)
+    off_grid = [0.0, 0.3, 1.7, 4.0, 25.0, 1000.0]
+
+    def outputs():
+        dens, quad = green_density(sym, 1.0), green_density(sym, 1.0, off_grid)
+        oracle = [symbol_oracle(alpha, dim, [2.5] * dim) for alpha in (0.5, 1.0, 1.7)]
+        return [*dens.table, dens.values, quad.values, np.array([dens.error_estimate, quad.error_estimate, *oracle])]
+
+    default = outputs()
+    for block in (64, 2 * analytic._MAX_PANELS):
+        monkeypatch.setattr(quadrature, "_PANEL_BLOCK", block)
+        for ours, theirs in zip(outputs(), default):
+            assert ours.tobytes() == theirs.tobytes()
+    monkeypatch.undo()
+    monkeypatch.setattr(analytic, "fht", fht_out_of_place)
+    for ours, theirs in zip(outputs(), default):
+        assert ours.tobytes() == theirs.tobytes()
+
+
+def test_no_log_gamma_line_outlives_the_call(monkeypatch):
+    # the fine and base transforms of one call share their lines (see
+    # above); none is referenced once green_density returns, nor once a
+    # transform raises between the two
+    lines, real = [], special.loggamma
+
+    def recording_loggamma(z):
+        out = real(z)
+        lines.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(special, "loggamma", recording_loggamma)
+    green_density(DiffusionSymbol(MIXED, 3), 1.0)
+    gc.collect()
+    assert len(lines) == 5
+    assert all(line() is None for line in lines)
+
+    def fine_only(a, dln, *args, **kwargs):
+        if lines:
+            raise MemoryError("base transform")
+        return special.fht(a, dln, *args, **kwargs)
+
+    lines.clear()
+    monkeypatch.setattr(analytic, "fht", fine_only)
+    with pytest.raises(MemoryError, match="base transform"):
+        green_density(DiffusionSymbol(MIXED, 1), 1.0)
+    gc.collect()
+    assert len(lines) == 1
+    assert lines[0]() is None
+
+
+def test_wide_window_peak_memory():
+    # one atom at alpha = 0.1 in 2D: log-gamma lines of 55297 entries and
+    # 2000 panels at the farthest check radius.  The Stirling steps run in
+    # place; the shift, the fht factors and the panels go in fixed blocks
+    # (7.71 MB; 13.0 MB with every step in a fresh array and all panels at once)
+    sym = DiffusionSymbol(OrderMeasure.single(0.1), 2)
+    tracemalloc.start()
+    try:
+        green_density(sym, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.0e6
 
 
 def test_fftlog_tables_peak_memory():

@@ -40,6 +40,7 @@ from oracles import (
     dense_counts,
     draw_plan,
     empirical_cf,
+    ensemble_csv_row_join,
     float_table,
     induced_probabilities,
     outcome_displacements,
@@ -1026,6 +1027,21 @@ class TestCsvWriter:
         path = tmp_path / "ensemble.csv"
         ens.to_csv(path)
         assert path.read_bytes() == _csv_writer_bytes(ens)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("case", ["wide", "single"])
+    def test_bytes_match_the_row_join_writer(self, dim, case, tmp_path):
+        # fields that carry their "," or CRLF, joined once per block: the
+        # bytes of joining each row's fields.  "wide" spans 2^41 sites (the
+        # binary-search lookup) over two blocks
+        rng = np.random.default_rng(dim)
+        lattice = (rng.choice([-(2**40), 0, 2**40, 7], size=(montecarlo._CSV_BLOCK_ROWS + 5, dim))
+                   if case == "wide" else np.array([[-3, 0, 12][:dim]])).astype(np.int64)
+        ens = WalkEnsemble(dim=dim, h=0.1, tau=0.01, n_steps=7, n_walkers=len(lattice),
+                           seed=0, lattice_positions=lattice)
+        path = tmp_path / "ensemble.csv"
+        ens.to_csv(path)
+        assert path.read_bytes() == ensemble_csv_row_join(ens)
 
     def test_walkerless_ensemble_is_refused(self):
         with pytest.raises(ValueError, match="n_walkers must be a positive integer, got 0"):

@@ -12,7 +12,7 @@ from fracwalk import DiffusionSymbol, OrderMeasure, analytic, green_density
 from fracwalk.analytic import _MAX_ZEROS, _osc_zeros
 from fracwalk.kernel import _lattice_zetas
 from fracwalk.special import fht, gammainc_upper_scaled, j0, loggamma, next_fast_len
-from oracles import j0_out_of_place, lattice_zeta_mpmath
+from oracles import fht_out_of_place, j0_out_of_place, lattice_zeta_mpmath, loggamma_out_of_place
 
 EPS = np.finfo(float).eps
 
@@ -78,6 +78,33 @@ def test_loggamma_matches_scipy():
     # about 20, and the shift cancels most of it: some 40 ulps of 1 (8.9e-15
     # here, 8e-15 against mpmath), where scipy is within 3e-15
     assert np.all(err <= 2e-14 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("count", [1, 7, (1 << 11) + 3, 55297])
+def test_loggamma_in_place_steps_keep_the_bits(count):
+    # the Stirling and Horner steps in place and the shift in blocks of
+    # entries give the bits of the same formulas with a fresh array at every
+    # step.  FFTLog's lines c + i k step: 55297 entries is one atom at
+    # alpha = 0.1 in 2D, whose first 4571 entries take the shift
+    rng = np.random.default_rng(count)
+    for c, step in ((0.5, 0.0249), (1.025, 0.002616), (0.975, 0.002616), (1.7, 0.3)):
+        z = c + 1j * step * np.arange(count)
+        assert loggamma(z).tobytes() == loggamma_out_of_place(z).tobytes()
+    z = rng.uniform(0.0, 20.0, count) + 1j * rng.uniform(0.0, 20.0, count)  # shifted or not, mixed
+    assert loggamma(z).tobytes() == loggamma_out_of_place(z).tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 8, (1 << 11) + 3, (1 << 12) + 6])
+@pytest.mark.parametrize("bias", [0.0, -0.5, 0.6])
+def test_fht_blocked_factors_keep_the_bits(n, bias):
+    # the phase and bias factors in blocks, the spectrum multiplied in place:
+    # the bits of the formulas on whole arrays, on odd and even lengths and
+    # on a strided input
+    a = np.random.default_rng(n).standard_normal(2 * n)
+    for x in (a[:n], a[::2]):
+        for mu, offset in ((0.0, 0.0), (0.5, 1.3), (1.5, -2.0)):
+            got = fht(x, 0.013, mu, offset=offset, bias=bias)
+            assert got.tobytes() == fht_out_of_place(x, 0.013, mu, offset=offset, bias=bias).tobytes()
 
 
 @pytest.mark.parametrize("real", [False, True])
