@@ -23,7 +23,8 @@ import numpy as np
 from .analytic import DiffusionSymbol, green_density
 from .evolution import LatticeDistribution
 from .kernel import (
-    DEFAULT_TRUNC_RADIUS, LatticeKernel, build_kernel, frequency_rows, stability_sigma,
+    DEFAULT_TRUNC_RADIUS, LatticeKernel, build_kernel, frequency_rows, integer_count,
+    stability_sigma,
 )
 from .measure import OrderMeasure
 from .montecarlo import (
@@ -58,14 +59,14 @@ def cf_sup_error(
     Grid points beyond the lattice Nyquist band pi/h are rejected: there the
     discrete CF aliases and the comparison is meaningless.
     """
+    n_steps = integer_count(n_steps, "n_steps", 0)
     xi = frequency_rows(xi_grid, kernel.dim)
     norms = np.linalg.norm(xi, axis=1)
     if np.any(norms > math.pi / kernel.h + 1e-12):
         raise ValueError(
             f"xi grid exceeds the Nyquist band |xi| <= pi/h = {math.pi / kernel.h:.6g}"
         )
-    one_step = kernel.cf(xi)
-    walk_cf = one_step**n_steps
+    walk_cf = kernel.cf(xi) ** n_steps
     target = np.exp(t * sym.radial(norms))
     return float(np.max(np.abs(walk_cf - target)))
 

@@ -17,9 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .kernel import (
-    LatticeKernel, Owned, fold_signs, frozen, integer_count, lattice_vector, mirror, phase_sum,
-)
+from .kernel import LatticeKernel, Owned, fold_signs, frozen, integer_count, mirror, phase_sum
 from .output import write_csv, write_json
 from .special import next_fast_len
 
@@ -76,14 +74,6 @@ class LatticeDistribution:
         m = np.zeros((1,) * dim)
         m[(0,) * dim] = 1.0
         return cls(dim=dim, h=h, mass=m)
-
-    def value(self, j) -> float:
-        """Mass at lattice vector j (0 outside the stored support)."""
-        j = lattice_vector(j, self.dim)
-        R = self.support_radius
-        if np.any(np.abs(j) > R):
-            return 0.0
-        return float(self.mass[tuple(j + R)])
 
     def total_mass(self) -> float:
         return float(self.mass.sum())

@@ -82,16 +82,6 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dim must be an integer in [1, {MAX_DIM}], got {dim!r}")
 
 
-def lattice_vector(k, dim: int) -> np.ndarray:
-    """k as an int64 vector; ValueError for a wrong dimension or a non-integer
-    coordinate (a cast would truncate it), or one of 2^62 or more."""
-    k = np.atleast_1d(np.asarray(k))
-    whole = k.dtype.kind in "iuf" and np.all((abs(k.astype(float)) < 2**62) & (k == np.trunc(k)))
-    if k.size != dim or not whole:
-        raise ValueError(f"{k} is not a lattice vector of dimension {dim}")
-    return k.astype(np.int64).ravel()
-
-
 def integer_count(value, name: str, least: int) -> int:
     """``value`` as a Python int; ValueError naming ``name`` for a bool, a
     non-integer or a value below ``least`` (0 or 1)."""
@@ -148,9 +138,7 @@ def _norm_grid(coords: np.ndarray, dim: int) -> np.ndarray:
 def enumerate_shells(dim: int, trunc_radius: int) -> Shells:
     """The sites 0 < |k| <= K and their shells, from the |k|^2 grid of [-K, K]^dim."""
     _check_dim(dim)
-    K = int(trunc_radius)
-    if K < 1:
-        raise ValueError("trunc_radius must be >= 1")
+    K = integer_count(trunc_radius, "trunc_radius", 1)
     if (2 * K + 1) ** dim > 300_000_000:
         raise ValueError(
             f"trunc_radius {K} enumerates (2K+1)^{dim} cube points; "
@@ -334,7 +322,7 @@ def stability_sigma(measure: OrderMeasure, dim: int, h: float, tau: float) -> St
     _check_dim(dim)
     if h <= 0.0:
         raise ValueError("mesh width h must be positive")
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise ValueError("time step tau must be nonnegative")
     zetas = _measure_zetas(measure, dim)
     try:
@@ -382,25 +370,15 @@ class LatticeKernel:
         """Per-site probabilities aligned with ``self.shells.sites``."""
         return self.shell_prob[self.shells.site_shell]
 
-    def _shell_lookup(self, norm_sq):
-        """Per-site probability at squared norms |k|^2: p0 at 0, the shell's up
-        to K^2, and 0 beyond, where ``searchsorted`` runs past the last key."""
+    def orthant(self) -> np.ndarray:
+        """The jump law on the orthant of sites 0..K per axis, origin (p0) at index 0,
+        looked up by |k|^2 in the shell table: p0 at 0, the shell's probability up to
+        K^2, and 0 beyond, where ``searchsorted`` runs past the last key.  Its
+        :func:`mirror` is the law on the cube [-K, K]^dim."""
+        norm_sq = _norm_grid(np.arange(self.trunc_radius + 1), self.dim)
         index = np.searchsorted(np.insert(self.shells.norm_sq, 0, 0), norm_sq)
         del norm_sq  # frees a (K+1)^N grid before the gather, which sets the peak
         return np.concatenate([[self.p0], self.shell_prob, [0.0]])[index]
-
-    def prob(self, k) -> float:
-        """Probability of the single jump vector k (0 vector gives p0)."""
-        k = np.minimum(np.abs(lattice_vector(k, self.dim)), self.trunc_radius + 1)  # no overflow
-        return float(self._shell_lookup(np.dot(k, k)))
-
-    def orthant(self) -> np.ndarray:
-        """The jump law on the orthant of sites 0..K per axis, origin (p0) at index 0."""
-        return self._shell_lookup(_norm_grid(np.arange(self.trunc_radius + 1), self.dim))
-
-    def mass_cube(self) -> np.ndarray:
-        """The jump law on the cube [-K, K]^dim, origin (p0) at index (K,...,K)."""
-        return mirror(self.orthant())
 
     def cf(self, xi) -> np.ndarray:
         """One-step characteristic function of the rescaled walk, p-hat(-h xi).

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -63,31 +63,6 @@ class OrderMeasure:
     @classmethod
     def single(cls, alpha: float, weight: float = 1.0) -> "OrderMeasure":
         return cls(atoms=((alpha, weight),))
-
-    @classmethod
-    def from_atoms(cls, pairs: Sequence[tuple[float, float]]) -> "OrderMeasure":
-        return cls(atoms=tuple(pairs))
-
-    @classmethod
-    def with_density(
-        cls,
-        density: Callable[[np.ndarray], np.ndarray],
-        lo: float,
-        hi: float,
-        nodes: int = DENSITY_NODES,
-        panels: int = DENSITY_PANELS,
-        atoms: Sequence[tuple[float, float]] = (),
-    ) -> "OrderMeasure":
-        """Attach a continuous density on [lo, hi] via composite Gauss-Legendre.
-
-        The density is sampled at ``nodes`` Gauss-Legendre points split over
-        ``panels`` equal panels; each node becomes an (alpha, weight) pair with
-        weight = density(alpha) * quadrature weight.
-        """
-        return cls(
-            atoms=tuple(atoms),
-            density_nodes=discretize_density(density, lo, hi, nodes, panels),
-        )
 
     def describe(self) -> dict:
         """JSON-ready descriptor (used for provenance in output files)."""

@@ -17,10 +17,10 @@ quantiles by ``np.quantile`` and its histogram counted on a dense box of
 bins. It also holds the accessors only the tests use: a sampler's outcome
 law, displacements, float alias table, limits and single draws, a walker's
 draw plan and the law of each of its tables, the law an alias table
-samples, a histogram's bin centres, a measure's total weight, a kernel's
-normalization defect, its jump law scattered onto the cube and its one-step
-law as a distribution, and Walker's alias table swept with one binary
-search per light slot, J0, log-gamma and FFTLog by ``special``'s
+samples, a histogram's bin centres, the density benchmark's mixed measure
+and a measure's total weight, a kernel's normalization defect, its jump law
+scattered onto the cube and its one-step law as a distribution, and Walker's
+alias table swept with one binary search per light slot, J0, log-gamma and FFTLog by ``special``'s
 formulas with every step in a fresh array, and ``ensemble.csv`` with each
 row's fields joined by commas.
 """
@@ -39,12 +39,19 @@ from fracwalk import (
     LatticeDistribution,
     OrderMeasure,
     RadialDensity,
+    discretize_density,
     norming_constant,
 )
 from fracwalk import evolution, montecarlo
 from fracwalk.analytic import _osc_zeros
-from fracwalk.kernel import Shells, enumerate_shells, frequency_rows, surface_area
+from fracwalk.kernel import Shells, enumerate_shells, frequency_rows, mirror, surface_area
 from fracwalk.quadrature import panel_integrals
+
+# the 34-term measure of the density benchmark: 32 density nodes and 2 atoms
+MIXED = OrderMeasure(
+    atoms=((0.8, 1.0), (1.6, 0.5)),
+    density_nodes=discretize_density(lambda a: np.ones_like(a), 0.5, 1.5),
+)
 
 
 def symbol_per_term(sym: DiffusionSymbol, rho) -> np.ndarray:
@@ -446,7 +453,7 @@ def convolution_power(kernel, steps: int) -> np.ndarray:
     its centre) by direct summation, no FFT: repeated ``np.convolve`` with
     the kernel cube in 1D; in 2D and 3D, per step, the law shifted by every
     jump and weighted by its probability, added up."""
-    cube = kernel.mass_cube()
+    cube = mirror(kernel.orthant())
     law = cube
     for _ in range(steps - 1):
         if kernel.dim == 1:
@@ -709,7 +716,7 @@ def even_in_every_coordinate(mass: np.ndarray) -> np.ndarray:
 def kernel_distribution(kernel) -> LatticeDistribution:
     """The one-step jump law viewed as a distribution (time_index 0)."""
     return LatticeDistribution(
-        dim=kernel.dim, h=kernel.h, mass=kernel.mass_cube(), tau=kernel.tau
+        dim=kernel.dim, h=kernel.h, mass=mirror(kernel.orthant()), tau=kernel.tau
     )
 
 

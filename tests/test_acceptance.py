@@ -22,7 +22,7 @@ from fracwalk.diagnostics import (
     ks_distance,
     total_variation,
 )
-from oracles import cauchy_density, normalization_defect
+from oracles import MIXED, cauchy_density, normalization_defect
 
 SINGLE = fw.OrderMeasure.single(1.0)
 
@@ -64,12 +64,11 @@ def test_criterion_2_kernel_validity():
             lo = float(rng.uniform(0.3, 1.2))
             hi = lo + float(rng.uniform(0.2, 0.6))
             coeff = float(rng.uniform(0.2, 1.0))
-            measure = fw.OrderMeasure.with_density(
-                lambda a: np.full_like(np.asarray(a), coeff), lo, hi,
-                nodes=16, panels=2, atoms=atoms,
-            )
+            measure = fw.OrderMeasure(atoms=atoms, density_nodes=fw.discretize_density(
+                lambda a: np.full_like(np.asarray(a), coeff), lo, hi, nodes=16, panels=2,
+            ))
         else:
-            measure = fw.OrderMeasure.from_atoms(atoms)
+            measure = fw.OrderMeasure(atoms=atoms)
         for h in (0.05, 0.1, 0.2):
             tau_max = fw.stability_sigma(measure, dim, h, 0.0).tau_max
             for tau in (0.5 * tau_max, tau_max):
@@ -124,7 +123,7 @@ def test_criterion_3_multiterm_consistency():
             for _ in range(n_atoms)
         ]
         h = float(rng.choice([0.05, 0.1, 0.2]))
-        measure = fw.OrderMeasure.from_atoms(atoms)
+        measure = fw.OrderMeasure(atoms=atoms)
         tau = 0.5 * fw.stability_sigma(measure, 1, h, 0.0).tau_max
         k = fw.build_kernel(measure, 1, h, tau, trunc_radius=32)
         vectors = [[j] for j in range(1, 33)]
@@ -147,7 +146,7 @@ def test_criterion_3_multiterm_consistency():
     for dim in (2, 3):
         atoms = [(0.7, 1.0), (1.4, 0.5)]
         h, tau = 0.2, 1e-3
-        k = fw.build_kernel(fw.OrderMeasure.from_atoms(atoms), dim, h, tau, trunc_radius=6)
+        k = fw.build_kernel(fw.OrderMeasure(atoms=atoms), dim, h, tau, trunc_radius=6)
         sample = [s for s in k.shells.sites.tolist()[:40]]
         oracle = _multiterm_oracle_probs(atoms, dim, h, tau, sample)
         got = k.shell_prob_raw[k.shells.site_shell[:40]]
@@ -207,11 +206,8 @@ def test_criterion_6_analytic_inversion():
             [cauchy_density(1.0, [x] + [0.0] * (dim - 1), dim) for x in r]
         )
         worst = max(worst, float(np.max(np.abs(dens.values - exact))))
-    mixed = fw.OrderMeasure.with_density(
-        lambda a: np.ones_like(a), 0.5, 1.5, atoms=[(0.8, 1.0), (1.6, 0.5)]
-    )
     grid = np.concatenate([[0.0], np.geomspace(2e-4, 2000.0, 400)])
-    mass = fw.green_density(fw.DiffusionSymbol(mixed, 1), 1.0, grid).mass()
+    mass = fw.green_density(fw.DiffusionSymbol(MIXED, 1), 1.0, grid).mass()
     elapsed = time.monotonic() - start
     ok = worst <= 1e-6 and abs(mass - 1.0) <= 1e-3 and elapsed < 120.0
     _report(6, "analytic inversion (Cauchy sup err <= 1e-6, mixed mass within 1e-3)",

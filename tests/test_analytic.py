@@ -14,6 +14,7 @@ from fracwalk import (
 from fracwalk import analytic
 from fracwalk.analytic import _cumulative_mass, default_radial_grid
 from oracles import (
+    MIXED,
     cauchy_density,
     forward_cf,
     gaussian_density,
@@ -25,10 +26,6 @@ from oracles import (
 )
 
 CAUCHY_1D = DiffusionSymbol(OrderMeasure.single(1.0), 1)
-# the 34-term measure of the density benchmark: 32 density nodes and 2 atoms
-MIXED = OrderMeasure.with_density(
-    lambda a: np.ones_like(a), 0.5, 1.5, atoms=[(0.8, 1.0), (1.6, 0.5)]
-)
 
 
 class TestSymbol:
@@ -41,19 +38,19 @@ class TestSymbol:
         assert symbol_eval(CAUCHY_1D, -1.0) == pytest.approx(-1.0)
 
     def test_two_atom_arithmetic(self):
-        sym = DiffusionSymbol(OrderMeasure.from_atoms([(0.5, 1.0), (1.5, 2.0)]), 1)
+        sym = DiffusionSymbol(OrderMeasure(atoms=[(0.5, 1.0), (1.5, 2.0)]), 1)
         want = -(math.sqrt(2.0) + 2.0 * 2.0**1.5)
         assert symbol_eval(sym, 2.0) == pytest.approx(want, rel=1e-14)
         assert want == pytest.approx(-7.0710678, abs=1e-7)
 
     def test_radial_dependence(self):
-        sym = DiffusionSymbol(OrderMeasure.from_atoms([(0.7, 1.0), (1.9, 0.1)]), 3)
+        sym = DiffusionSymbol(OrderMeasure(atoms=[(0.7, 1.0), (1.9, 0.1)]), 3)
         assert symbol_eval(sym, [1.0, 2.0, 2.0]) == pytest.approx(
             symbol_eval(sym, [3.0, 0.0, 0.0]), rel=1e-14
         )
 
     def test_negative_away_from_origin(self):
-        sym = DiffusionSymbol(OrderMeasure.from_atoms([(0.3, 0.5), (1.2, 1.5)]), 2)
+        sym = DiffusionSymbol(OrderMeasure(atoms=[(0.3, 0.5), (1.2, 1.5)]), 2)
         for q in (0.01, 1.0, 40.0):
             assert sym.radial(q) < 0.0
 
@@ -82,7 +79,7 @@ class TestGreenCF:
         assert green_cf(CAUCHY_1D, 1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_semigroup_product_rule(self):
-        sym = DiffusionSymbol(OrderMeasure.from_atoms([(0.9, 1.0), (1.4, 0.2)]), 2)
+        sym = DiffusionSymbol(OrderMeasure(atoms=[(0.9, 1.0), (1.4, 0.2)]), 2)
         for xi in ([0.5, 0.0], [2.0, 1.0]):
             a = green_cf(sym, 0.7, xi) * green_cf(sym, 1.6, xi)
             assert green_cf(sym, 2.3, xi) == pytest.approx(a, rel=1e-14)
@@ -175,16 +172,13 @@ class TestGreenDensity:
             np.testing.assert_allclose(ours, ref, atol=1e-8)
 
     def test_mixed_measure_mass(self):
-        m = OrderMeasure.with_density(
-            lambda a: np.ones_like(a), 0.5, 1.5, atoms=[(0.8, 1.0), (1.6, 0.5)]
-        )
-        sym = DiffusionSymbol(m, 1)
+        sym = DiffusionSymbol(MIXED, 1)
         grid = np.concatenate([[0.0], np.geomspace(2e-4, 2000.0, 400)])
         dens = green_density(sym, 1.0, grid)
         assert dens.mass() == pytest.approx(1.0, abs=1e-3)
 
     def test_positivity_on_default_grid(self):
-        sym = DiffusionSymbol(OrderMeasure.from_atoms([(0.6, 1.0), (1.8, 1.0)]), 1)
+        sym = DiffusionSymbol(OrderMeasure(atoms=[(0.6, 1.0), (1.8, 1.0)]), 1)
         dens = green_density(sym, 0.5, default_radial_grid(sym, 0.5, 128))
         assert np.all(dens.values >= -1e-8)
 

@@ -53,6 +53,12 @@ class TestCfSupError:
         k, _ = _bench_kernel(0.1)
         assert cf_sup_error(k, 0, SYM_1D, 0.0, np.linspace(0, 10, 11)) == 0.0
 
+    @pytest.mark.parametrize("n_steps", [-3, 2.5, True])
+    def test_rejects_a_step_count_that_is_not_a_count(self, n_steps):
+        k, _ = _bench_kernel(0.1)
+        with pytest.raises(ValueError, match="n_steps"):
+            cf_sup_error(k, n_steps, SYM_1D, 1.0, [0.0])
+
     def test_nyquist_rejection(self):
         k, _ = _bench_kernel(0.1)
         with pytest.raises(ValueError):
@@ -411,7 +417,7 @@ class TestRefinementStudy:
             refinement_study(SINGLE, 1, 1.0, [0.1], walkers=100, seed=1, theta=1.5)
 
     def test_multiterm_two_dimensional(self):
-        m = OrderMeasure.from_atoms([(0.8, 1.0), (1.6, 0.5)])
+        m = OrderMeasure(atoms=[(0.8, 1.0), (1.6, 0.5)])
         report = refinement_study(
             m, 2, 0.5, [0.4, 0.2], walkers=20_000, seed=11, xi_points=51,
         )

@@ -17,6 +17,7 @@ from fracwalk import (
 from fracwalk import kernel as kernel_module
 from fracwalk import montecarlo
 from fracwalk.evolution import TAIL_EPSILON
+from fracwalk.kernel import mirror
 from oracles import (
     convolution_power,
     direct_convolve,
@@ -51,7 +52,7 @@ def _mass_outside(mass, r):
 
 def _marginal(kernel):
     """The kernel's first-axis marginal on -K..K, summed from its mass cube."""
-    return kernel.mass_cube().sum(axis=tuple(range(1, kernel.dim)))
+    return mirror(kernel.orthant()).sum(axis=tuple(range(1, kernel.dim)))
 
 
 def test_two_step_cf_is_square_of_one_step():
@@ -71,10 +72,11 @@ def test_mismatched_mesh_rejected():
 
 def test_step_from_delta_reproduces_kernel():
     out = evolve(LatticeDistribution.delta(1, 0.1), KERNEL, 1)
+    R, cube = out.support_radius, mirror(KERNEL.orthant())
     assert out.time_index == 1
-    assert out.value([0]) == pytest.approx(KERNEL.p0, abs=1e-15)
+    assert out.mass[R] == pytest.approx(KERNEL.p0, abs=1e-15)
     for k in (1, -1, 5):
-        assert out.value([k]) == pytest.approx(KERNEL.prob([k]), abs=1e-15)
+        assert out.mass[k + R] == pytest.approx(cube[k + KERNEL.trunc_radius], abs=1e-15)
 
 
 def test_step_with_frozen_kernel_is_identity():
@@ -151,7 +153,7 @@ def test_truncation_tracks_deficit():
     assert out.support_radius == r < 40 * 16  # the Chernoff cut is active
     ref = d.mass
     for _ in range(40):
-        ref = direct_convolve(ref, KERNEL.mass_cube())
+        ref = direct_convolve(ref, mirror(KERNEL.orthant()))
     assert _mass_outside(ref, r) <= TAIL_EPSILON  # the exact mass beyond the cut
     assert abs(out.mass_deficit) < 1e-11  # FFT noise
     assert out.total_mass() + out.mass_deficit == pytest.approx(1.0, abs=1e-12)
@@ -205,7 +207,7 @@ def test_one_site_start_of_other_mass_scales_the_law():
 def test_evolve_matches_direct_convolution(dim, h, K, n):
     m = OrderMeasure.single(1.3)
     k = build_kernel(m, dim, h, 0.5 * stability_sigma(m, dim, h, 0.0).tau_max, K)
-    cube = k.mass_cube()
+    cube = mirror(k.orthant())
     for start in (LatticeDistribution.delta(dim, h), _even_start(dim, 7, dim, h)):
         ref = start.mass
         for _ in range(n):
@@ -300,7 +302,7 @@ def test_fft_power_matches_step_loop():
     n = 27
     d0 = LatticeDistribution.delta(2, 0.2)
     d = evolve(d0, k, n)
-    ref, cube = d0.mass, k.mass_cube()
+    ref, cube = d0.mass, mirror(k.orthant())
     for _ in range(n):
         ref = direct_convolve(ref, cube)
     assert d.time_index == n and d.tau == k.tau
@@ -375,7 +377,7 @@ def test_tail_bound_never_under_reports(dim, h, K, n, alpha):
         power = np.convolve(power, _marginal(k))
     assert power[n * K + reach :].sum() <= bound / (2 * dim)
     assert walk_tail(_marginal(k), n, reach) == pytest.approx(power[n * K + reach :].sum(), rel=1e-9)
-    cube = k.mass_cube()
+    cube = mirror(k.orthant())
     for start in (LatticeDistribution.delta(dim, h), _even_start(dim, 7, dim, h)):
         ref = start.mass
         for _ in range(n):
@@ -396,7 +398,7 @@ def test_reach_inside_the_kernel_keeps_the_kernel_on_the_circle():
     assert reach <= 16 and 0.0 < bound <= TAIL_EPSILON
     d = evolve(LatticeDistribution.delta(1, 0.1), k, 1)
     assert d.support_radius == 16 and d.wrap_bound == bound
-    np.testing.assert_allclose(d.mass, k.mass_cube(), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(d.mass, mirror(k.orthant()), rtol=0, atol=1e-15)
 
 
 def test_master_eq_reach_against_the_exact_tail():

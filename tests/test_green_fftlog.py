@@ -32,11 +32,8 @@ from fracwalk.analytic import (
     default_radial_grid,
 )
 from fracwalk.cli import main
-from oracles import fht_out_of_place
+from oracles import MIXED, fht_out_of_place
 
-MIXED = OrderMeasure.with_density(
-    lambda a: np.ones_like(a), 0.5, 1.5, atoms=[(0.8, 1.0), (1.6, 0.5)]
-)
 MEASURES = {
     "mixed": MIXED,
     "alpha0.3": OrderMeasure.single(0.3),
@@ -109,7 +106,7 @@ def test_fallback_radial_cdf_matches_cauchy_closed_forms(dim):
 
 
 def test_non_geometric_grid_takes_the_quadrature():
-    sym = DiffusionSymbol(OrderMeasure.from_atoms([(0.7, 1.0), (1.4, 0.5)]), 2)
+    sym = DiffusionSymbol(OrderMeasure(atoms=[(0.7, 1.0), (1.4, 0.5)]), 2)
     r = np.linspace(0.0, 6.0, 25)
     dens = green_density(sym, 1.0, r)
     np.testing.assert_array_equal(dens.values, _quadrature(sym, 1.0, r))

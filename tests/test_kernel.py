@@ -144,7 +144,7 @@ class TestQCoefficient:
         )
 
     def test_depends_only_on_norm(self):
-        m = OrderMeasure.from_atoms([(0.6, 1.0), (1.7, 0.3)])
+        m = OrderMeasure(atoms=[(0.6, 1.0), (1.7, 0.3)])
         assert q_coefficient([3, 4], m, 0.1) == pytest.approx(
             q_coefficient([5, 0], m, 0.1), rel=1e-14
         )
@@ -170,7 +170,7 @@ class TestStabilitySigma:
         assert rep.tau_max == pytest.approx(0.3 / math.pi, rel=1e-12)
 
     def test_sigma_at_tau_max_is_one(self):
-        for measure in (SINGLE, OrderMeasure.from_atoms([(0.8, 1.0), (1.6, 0.5)])):
+        for measure in (SINGLE, OrderMeasure(atoms=[(0.8, 1.0), (1.6, 0.5)])):
             for dim, h in [(1, 0.1), (2, 0.25)]:
                 tau_max = stability_sigma(measure, dim, h, 0.0).tau_max
                 assert stability_sigma(measure, dim, h, tau_max).sigma == pytest.approx(
@@ -178,7 +178,7 @@ class TestStabilitySigma:
                 )
 
     def test_contributions_sum_to_sigma(self):
-        m = OrderMeasure.from_atoms([(0.5, 1.0), (1.0, 2.0), (1.5, 0.25)])
+        m = OrderMeasure(atoms=[(0.5, 1.0), (1.0, 2.0), (1.5, 0.25)])
         rep = stability_sigma(m, 2, 0.2, 0.001)
         assert sum(c for _, c in rep.contributions) == pytest.approx(rep.sigma, abs=1e-12)
         assert len(rep.contributions) == 3
@@ -190,7 +190,17 @@ class TestBuildKernel:
         assert k.p0 == pytest.approx(0.8952802, abs=1e-7)
         # formula values before the tail renormalization
         assert k.shell_prob_raw[0] == pytest.approx(0.02 * 5.0 / math.pi, rel=1e-14)
-        assert k.prob([1]) == k.prob([-1])
+        sites, p = k.shells.sites[:, 0], k.site_probabilities
+        assert p[sites == 1] == p[sites == -1]
+
+    def test_nan_tau_is_rejected(self):
+        with pytest.raises(ValueError, match="tau"):
+            build_kernel(SINGLE, 1, 0.1, math.nan)
+
+    @pytest.mark.parametrize("K", [2.7, True, "5"])
+    def test_trunc_radius_must_be_a_positive_integer(self, K):
+        with pytest.raises(ValueError, match="trunc_radius"):
+            build_kernel(SINGLE, 1, 0.1, 0.01, trunc_radius=K)
 
     def test_zero_tau_never_moves(self):
         k = build_kernel(SINGLE, 1, 0.1, 0.0, trunc_radius=8)
@@ -214,9 +224,9 @@ class TestBuildKernel:
 
     def test_atomic_measure_additivity(self):
         a1, a2 = (0.7, 1.2), (1.5, 0.4)
-        both = build_kernel(OrderMeasure.from_atoms([a1, a2]), 1, 0.1, 0.002, trunc_radius=16)
-        one = build_kernel(OrderMeasure.from_atoms([a1]), 1, 0.1, 0.002, trunc_radius=16)
-        two = build_kernel(OrderMeasure.from_atoms([a2]), 1, 0.1, 0.002, trunc_radius=16)
+        both = build_kernel(OrderMeasure(atoms=[a1, a2]), 1, 0.1, 0.002, trunc_radius=16)
+        one = build_kernel(OrderMeasure(atoms=[a1]), 1, 0.1, 0.002, trunc_radius=16)
+        two = build_kernel(OrderMeasure(atoms=[a2]), 1, 0.1, 0.002, trunc_radius=16)
         np.testing.assert_allclose(
             both.shell_prob_raw, one.shell_prob_raw + two.shell_prob_raw, rtol=1e-14
         )
@@ -228,7 +238,7 @@ class TestBuildKernel:
         np.testing.assert_allclose(k2.shell_prob_raw, 2.0 * k1.shell_prob_raw, rtol=1e-15)
 
     def test_radial_symmetry_exhaustive(self):
-        m = OrderMeasure.from_atoms([(0.9, 1.0), (1.8, 0.2)])
+        m = OrderMeasure(atoms=[(0.9, 1.0), (1.8, 0.2)])
         for dim, K in [(2, 10), (3, 6)]:
             k = build_kernel(m, dim, 0.2, 1e-4, trunc_radius=K)
             per_site = k.site_probabilities
@@ -239,7 +249,7 @@ class TestBuildKernel:
 
     def test_equal_norm_cross_shell_sites(self):
         k = build_kernel(SINGLE, 2, 0.2, 1e-3, trunc_radius=8)
-        assert k.prob([5, 0]) == pytest.approx(k.prob([3, 4]), rel=1e-15)
+        assert k.orthant()[5, 0] == pytest.approx(k.orthant()[3, 4], rel=1e-15)
 
     def test_tail_renormalization_restores_total_mass(self):
         # tiny K -> meaningful tail, still exactly normalized with p0 = 1 - sigma
@@ -274,7 +284,7 @@ def measures(draw):
         )
         for _ in range(n_atoms)
     ]
-    return OrderMeasure.from_atoms(atoms)
+    return OrderMeasure(atoms=atoms)
 
 
 class TestKernelProperties:

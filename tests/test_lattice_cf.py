@@ -20,7 +20,7 @@ from fracwalk.diagnostics import cf_sup_error, default_xi_grid
 from fracwalk.kernel import _CF_BLOCK_ENTRIES, fold_signs, frequency_rows, phase_sum
 from oracles import dense_kernel_cf, even_in_every_coordinate, kernel_distribution
 
-TWO_ATOMS = OrderMeasure.from_atoms([(0.7, 1.0), (1.4, 0.5)])
+TWO_ATOMS = OrderMeasure(atoms=[(0.7, 1.0), (1.4, 0.5)])
 
 
 def _kernel(dim, h, K, measure=TWO_ATOMS):

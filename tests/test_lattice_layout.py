@@ -1,7 +1,6 @@
 """The |k|^2 layout of a kernel on the lattice: shell enumeration against the
-sort-the-whole-cube oracle, its memory, the shell-table lookup behind ``prob``,
-``mass_cube`` and ``cf``, the orthant that every even law is passed around on,
-and the integer check on lattice vectors."""
+sort-the-whole-cube oracle, its memory, and the shell-table lookup behind
+``orthant``, the layout that every even law is passed around on, and ``cf``."""
 
 import os
 import subprocess
@@ -14,7 +13,6 @@ import yaml
 
 from fracwalk import (
     LatticeDistribution,
-    LatticeKernel,
     OrderMeasure,
     build_kernel,
     build_sampler,
@@ -23,6 +21,8 @@ from fracwalk import (
     run_walks,
     stability_sigma,
 )
+from fracwalk import evolution
+from fracwalk import kernel as kernel_module
 from fracwalk.kernel import enumerate_shells, mirror
 from oracles import draw_plan, enumerate_shells_bruteforce, mass_cube_by_scatter
 
@@ -72,18 +72,19 @@ def _kernel(dim, K, theta=0.5, h=0.5):
 def test_prob_reads_the_shell_table_at_its_edges(dim):
     K = 5
     k = _kernel(dim, K)
-    assert k.prob([0] * dim) == k.p0
+    orthant = k.orthant()
+    cube = mirror(orthant)
+    axis = (0,) * (dim - 1)
+    assert orthant[(0,) * dim] == k.p0
     for site, p in zip(k.shells.sites, k.site_probabilities):
-        assert k.prob(site) == p
-    assert k.prob([1] + [0] * (dim - 1)) == k.shell_prob[0]
-    assert k.prob([K] + [0] * (dim - 1)) == k.shell_prob[-1]
-    # |k|^2 > K^2: past the ball (inside the cube in 2D and 3D) and past the cube
-    assert k.prob([K + 1] + [0] * (dim - 1)) == 0.0
-    assert k.prob([K] * dim) == (k.shell_prob[-1] if dim == 1 else 0.0)
-    assert k.prob([10**6] * dim) == 0.0
-    # |k|^2 past the int64 range used to wrap round to 0 and read p0
-    assert k.prob([2**32] * dim) == 0.0
-    assert k.prob([-(2**61)] + [0] * (dim - 1)) == 0.0
+        assert cube[tuple(site + K)] == p
+    assert orthant[(1,) + axis] == k.shell_prob[0]
+    assert orthant[(K,) + axis] == k.shell_prob[-1]
+    # |k|^2 > K^2: past the ball (inside the cube in 2D and 3D) and past the cube,
+    # which the orthant does not reach
+    assert orthant[(K,) * dim] == (k.shell_prob[-1] if dim == 1 else 0.0)
+    assert np.count_nonzero(cube) == 1 + len(k.shells.sites)
+    assert orthant.shape == (K + 1,) * dim
 
 
 @pytest.mark.parametrize("dim, K", [(1, 64), (1, 4096), (2, 16), (2, 128), (3, 16)])
@@ -91,13 +92,13 @@ def test_mass_cube_equals_the_site_scatter(dim, K):
     measure = OrderMeasure(atoms=((0.7, 1.0), (1.4, 0.5)))
     tau = 0.5 * stability_sigma(measure, dim, 0.2, 1.0).tau_max
     k = build_kernel(measure, dim, 0.2, tau, K)
-    assert np.array_equal(k.mass_cube(), mass_cube_by_scatter(k))
+    assert np.array_equal(mirror(k.orthant()), mass_cube_by_scatter(k))
 
 
 @pytest.mark.parametrize("dim, K", [(1, 64), (2, 16), (3, 5)])
 def test_mass_cube_mirrors_the_orthant(dim, K):
     k = _kernel(dim, K)
-    cube, orthant = k.mass_cube(), k.orthant()
+    cube, orthant = mass_cube_by_scatter(k), k.orthant()
     assert orthant.shape == (K + 1,) * dim and orthant[(0,) * dim] == k.p0
     assert np.array_equal(cube[(slice(K, None),) * dim], orthant)
     assert np.array_equal(mirror(orthant), cube)
@@ -107,12 +108,16 @@ def test_mass_cube_mirrors_the_orthant(dim, K):
 def test_no_library_path_builds_the_kernel_cube(monkeypatch):
     # every even law is passed around on its orthant: the kernel CF, evolve
     # from a delta and from an evolved law, and the composite draw tables
-    def refuse(self):
-        raise AssertionError("the kernel's centred cube was built")
-
     k, n = _kernel(2, 8), 47
+
+    def refuse(orthant):
+        if np.array_equal(orthant, k.orthant()):
+            raise AssertionError("the kernel's centred cube was built")
+        return mirror(orthant)
+
     assert max(draw_plan(k, n)) > 1
-    monkeypatch.setattr(LatticeKernel, "mass_cube", refuse)
+    for module in (kernel_module, evolution):
+        monkeypatch.setattr(module, "mirror", refuse)
     xi = np.ones((3, 2))
     once = evolve(LatticeDistribution.delta(2, k.h), k, n)
     twice = evolve(once, k, 3)
@@ -124,39 +129,12 @@ def test_no_library_path_builds_the_kernel_cube(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_zero_tau_kernel_looks_up_zeros_and_a_unit_cf(dim):
     k = build_kernel(OrderMeasure.single(1.2), dim, 0.5, 0.0, 4)
-    assert k.p0 == 1.0 and k.prob([0] * dim) == 1.0
-    assert all(k.prob(site) == 0.0 for site in k.shells.sites)
-    assert k.prob([9] * dim) == 0.0
+    orthant = k.orthant()
+    assert k.p0 == 1.0 and orthant[(0,) * dim] == 1.0
+    assert np.count_nonzero(orthant) == 1 and orthant.shape == (5,) * dim
     xi = np.linspace(-7.0, 7.0, 15)
     xi = xi if dim == 1 else np.repeat(xi[:, None], dim, axis=1)
     assert np.all(k.cf(xi) == 1.0)
-
-
-NOT_LATTICE_1D = [[0.9], [1.7], [-0.5], [np.nan], [np.inf], [1e300], [2**70], ["1"], [1 + 0j]]
-
-
-@pytest.mark.parametrize("vector", NOT_LATTICE_1D)
-def test_prob_and_value_reject_non_integral_vectors(vector):
-    # a cast to int64 used to read prob([0.9]) as p0 and prob([1.7]) as prob([1])
-    k = _kernel(1, 5)
-    law = LatticeDistribution(dim=1, h=0.5, mass=k.mass_cube())
-    with pytest.raises(ValueError, match="not a lattice vector"):
-        k.prob(vector)
-    with pytest.raises(ValueError, match="not a lattice vector"):
-        law.value(vector)
-
-
-def test_prob_and_value_check_dimension_and_accept_integral_floats():
-    k = _kernel(2, 5)
-    law = LatticeDistribution(dim=2, h=0.5, mass=k.mass_cube())
-    for bad in ([1], [1, 0, 0], [1, 0.5]):
-        with pytest.raises(ValueError, match="not a lattice vector"):
-            k.prob(bad)
-        with pytest.raises(ValueError, match="not a lattice vector"):
-            law.value(bad)
-    assert k.prob([3.0, -4.0]) == k.prob([3, -4]) == k.prob(np.array([4, 3], dtype=np.int32))
-    assert law.value([3.0, -4.0]) == law.value([3, -4]) == k.prob([3, -4])
-    assert law.value([6, 0]) == 0.0
 
 
 def _loads_numpy_ma(code, *args):

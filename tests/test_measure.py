@@ -66,8 +66,9 @@ def test_density_must_be_positive():
 
 
 def test_with_density_combines_atoms():
-    m = OrderMeasure.with_density(
-        lambda a: np.ones_like(a), 0.5, 1.5, nodes=16, panels=2, atoms=[(0.8, 1.0)]
+    m = OrderMeasure(
+        atoms=[(0.8, 1.0)],
+        density_nodes=discretize_density(lambda a: np.ones_like(a), 0.5, 1.5, nodes=16, panels=2),
     )
     assert m.atoms == ((0.8, 1.0),)
     assert len(m.density_nodes) == 16

@@ -86,7 +86,7 @@ def test_ensemble_csv(outputs):
 
 
 def test_law_csv(tmp_path):
-    kernel = build_kernel(OrderMeasure.from_atoms(MEASURE["atoms"]), 2, 0.2, 0.01, 8)
+    kernel = build_kernel(OrderMeasure(atoms=MEASURE["atoms"]), 2, 0.2, 0.01, 8)
     law = evolve(LatticeDistribution.delta(2, 0.2), kernel, 3)
     law.to_csv(tmp_path / "law.csv")
     j1, j2, mass = _columns(tmp_path / "law.csv", ["j1", "j2", "mass"])
@@ -106,7 +106,7 @@ def test_write_csv_is_csv_writer_bytes(tmp_path):
 
 
 def test_library_json_files(tmp_path):
-    measure = OrderMeasure.from_atoms(MEASURE["atoms"])
+    measure = OrderMeasure(atoms=MEASURE["atoms"])
     kernel = build_kernel(measure, 1, 0.2, 0.01, 8)
     objects = [
         green_density(DiffusionSymbol(measure, 1), 0.5, np.linspace(0.0, 4.0, 9)),

@@ -12,7 +12,7 @@ from fracwalk import DiffusionSymbol, OrderMeasure, analytic, green_density
 from fracwalk.analytic import _MAX_ZEROS, _osc_zeros
 from fracwalk.kernel import _lattice_zetas
 from fracwalk.special import fht, gammainc_upper_scaled, j0, loggamma, next_fast_len
-from oracles import fht_out_of_place, j0_out_of_place, lattice_zeta_mpmath, loggamma_out_of_place
+from oracles import MIXED, fht_out_of_place, j0_out_of_place, lattice_zeta_mpmath, loggamma_out_of_place
 
 EPS = np.finfo(float).eps
 
@@ -116,9 +116,9 @@ def test_next_fast_len_matches_scipy(real):
 
 
 GREEN_CASES = [
-    (1, OrderMeasure.with_density(lambda a: np.ones_like(a), 0.5, 1.5, atoms=[(0.8, 1.0), (1.6, 0.5)])),
+    (1, MIXED),
     (1, OrderMeasure.single(0.3)),
-    (2, OrderMeasure.from_atoms([(0.7, 1.0), (1.4, 0.5)])),
+    (2, OrderMeasure(atoms=[(0.7, 1.0), (1.4, 0.5)])),
     (2, OrderMeasure.single(1.9)),
     (3, OrderMeasure.single(1.5)),
     (3, OrderMeasure.single(1.9)),
